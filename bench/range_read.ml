@@ -2,7 +2,8 @@
    client read path, kept here verbatim as the baseline) vs the parallel
    bounded-fanout pipeline now inside [Client.get_range], on a range
    spanning every shard of the cluster. Records simulated milliseconds per
-   full-range read and the speedup into BENCH_range.json. *)
+   full-range read and the speedup into BENCH_range.json, and fails if the
+   pipeline is not at least 2x faster. *)
 
 open Fdb_sim
 open Fdb_core
@@ -79,7 +80,7 @@ let time_reads label reads =
   Printf.printf "%-28s %8.2f ms  (%d rows)\n%!" label (elapsed *. 1000.0) rows;
   Future.return (elapsed, rows)
 
-let write_json ~smoke ~shards ~rows ~fanout ~seq_ms ~pipe_ms =
+let write_json ~smoke ~shards ~rows ~fanout ~seq_ms ~pipe_ms ~speedup =
   let oc = open_out "BENCH_range.json" in
   Printf.fprintf oc "{\n";
   Printf.fprintf oc "  \"bench\": \"range_read\",\n";
@@ -89,7 +90,7 @@ let write_json ~smoke ~shards ~rows ~fanout ~seq_ms ~pipe_ms =
   Printf.fprintf oc "  \"fanout\": %d,\n" fanout;
   Printf.fprintf oc "  \"sequential_ms_per_read\": %.3f,\n" seq_ms;
   Printf.fprintf oc "  \"pipelined_ms_per_read\": %.3f,\n" pipe_ms;
-  Printf.fprintf oc "  \"speedup\": %.2f\n" (seq_ms /. Float.max pipe_ms 1e-9);
+  Printf.fprintf oc "  \"speedup\": %.2f\n" speedup;
   Printf.fprintf oc "}\n";
   close_out oc;
   Printf.printf "wrote BENCH_range.json\n%!"
@@ -148,8 +149,12 @@ let run ?(smoke = false) () =
       loop iters);
   let seq_ms = !seq_ms /. float_of_int iters in
   let pipe_ms = !pipe_ms /. float_of_int iters in
+  let speedup = seq_ms /. Float.max pipe_ms 1e-9 in
   Printf.printf
     "shards: %d, rows: %d, fanout: %d\nmean per read: sequential %.2f ms, pipelined %.2f ms (%.2fx)\n"
-    !shards !row_count fanout seq_ms pipe_ms
-    (seq_ms /. Float.max pipe_ms 1e-9);
-  write_json ~smoke ~shards:!shards ~rows:!row_count ~fanout ~seq_ms ~pipe_ms
+    !shards !row_count fanout seq_ms pipe_ms speedup;
+  write_json ~smoke ~shards:!shards ~rows:!row_count ~fanout ~seq_ms ~pipe_ms ~speedup;
+  if speedup < 2.0 then
+    failwith
+      (Printf.sprintf "range fan-out speedup regressed: %.2fx < 2x over %d shards"
+         speedup !shards)

@@ -973,6 +973,10 @@ let do_commit t =
                 (Message.Commit_req req))
             (function
               | Engine.Timed_out | Error.Fdb Error.Wrong_epoch ->
+                  (* The proxy may belong to a dead generation: refresh, or
+                     a client that only sends blind writes (no GRV step)
+                     would keep sending to it forever. *)
+                  let* () = refresh t.db in
                   Error.fail Error.Commit_unknown_result
               | Error.Fdb Error.Database_locked ->
                   (* Definite no-commit from a proxy of a dead generation:

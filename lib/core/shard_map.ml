@@ -45,15 +45,27 @@ let rack_of_machine config m = m mod config.Config.racks
 
 (* Pick a team for shard [i]: walk storage servers from an offset, greedily
    preferring new racks, then new machines, then anything — the §2.5
-   hierarchical placement, degraded gracefully for tiny clusters. *)
+   hierarchical placement, degraded gracefully for tiny clusters.
+
+   The walk visits servers machine-interleaved: position [p] is server
+   [p / machines] of machine [p mod machines], so consecutive positions sit
+   on distinct machines. When every [k] consecutive machines span as many
+   racks as they can (always if [racks] divides [machines]), a team is the
+   window of [k] positions at its offset; every server lies in [k] of the
+   [n_ss] windows and so serves the same number of shards. With one server
+   per machine the order is the identity. *)
 let pick_team config n_ss i =
   let k = min config.Config.storage_replication n_ss in
+  let machines = config.Config.machines in
+  let server_at p =
+    ((p mod machines) * config.Config.storage_per_machine) + (p / machines)
+  in
   let start = i mod n_ss in
   let chosen = ref [] in
   let used_machines = ref [] and used_racks = ref [] in
   let try_pass accept =
     for d = 0 to n_ss - 1 do
-      let ss = (start + d) mod n_ss in
+      let ss = server_at ((start + d) mod n_ss) in
       if List.length !chosen < k && not (List.mem ss !chosen) then begin
         let m = machine_of_ss config ss in
         let r = rack_of_machine config m in

@@ -22,6 +22,8 @@ type t = {
   st_storage_responsive : int;
   st_max_lag : float;
   st_max_window_events : int;
+  st_storage_shards_min : int; (* shards served per storage server *)
+  st_storage_shards_max : int;
   (* transaction plane, from the metrics registry *)
   st_grv_served : int;
   st_commit_attempts : int;
@@ -107,6 +109,12 @@ let gather cluster =
     Option.value ~default:0.0
       (Registry.gauge_value reg ~role:Registry.Data_distributor ~process:0 name)
   in
+  (* Placement skew: shards each storage server serves, from the map. *)
+  let shards_per_ss =
+    List.init (Array.length ctx.Context.storage_eps) (fun ss ->
+        List.length (Shard_map.shards_of_storage ctx.Context.shard_map ss))
+  in
+  let shards_max = List.fold_left max 0 shards_per_ss in
   Future.return
     {
       st_epoch = epoch;
@@ -117,6 +125,8 @@ let gather cluster =
       st_storage_responsive = List.length responsive;
       st_max_lag = List.fold_left (fun a (l, _) -> Float.max a l) 0.0 responsive;
       st_max_window_events = List.fold_left (fun a (_, w) -> max a w) 0 responsive;
+      st_storage_shards_min = List.fold_left min shards_max shards_per_ss;
+      st_storage_shards_max = shards_max;
       st_grv_served = Registry.sum_counter reg ~role:Registry.Proxy "grv_served";
       st_commit_attempts = Registry.sum_counter reg ~role:Registry.Proxy "commit_attempts";
       st_commits = Registry.sum_counter reg ~role:Registry.Proxy "commits";
@@ -138,6 +148,7 @@ let pp fmt t =
      storage servers     : %d/%d responsive@,\
      worst storage lag   : %.1f ms@,\
      mvcc window events  : %d (max per server)@,\
+     shards per server   : %d..%d@,\
      workload            : %d grv, %d/%d commits (%d conflicts)@,\
      rate budget         : %.0f tps@,\
      grv latency         : p50 %.2f ms, p99 %.2f ms@,\
@@ -147,6 +158,7 @@ let pp fmt t =
     (if t.st_recovered then "available" else "recovering")
     t.st_proxies t.st_logs t.st_storage_responsive t.st_storage_total
     (t.st_max_lag *. 1e3) t.st_max_window_events
+    t.st_storage_shards_min t.st_storage_shards_max
     t.st_grv_served t.st_commits t.st_commit_attempts t.st_conflicts
     t.st_rate
     (t.st_grv_p50 *. 1e3) (t.st_grv_p99 *. 1e3)
@@ -163,7 +175,8 @@ let to_json t (doc : Fdb_obs.Rollup.doc) =
   Printf.sprintf
     "{\"cluster\":{\"generation\":%d,\"available\":%b,\"proxies\":%d,\"logs\":%d,\
      \"storage_responsive\":%d,\"storage_total\":%d,\"max_lag_ms\":%s,\
-     \"max_window_events\":%d,\"grv_served\":%d,\"commit_attempts\":%d,\
+     \"max_window_events\":%d,\"storage_shards_min\":%d,\"storage_shards_max\":%d,\
+     \"grv_served\":%d,\"commit_attempts\":%d,\
      \"commits\":%d,\"conflicts\":%d,\"rate_tps\":%s,\
      \"grv_p50_ms\":%s,\"grv_p99_ms\":%s,\"commit_p50_ms\":%s,\"commit_p99_ms\":%s,\
      \"dd_recruited\":%b,\"unhealthy_teams\":%d,\"data_loss_risk\":%b},\
@@ -171,7 +184,8 @@ let to_json t (doc : Fdb_obs.Rollup.doc) =
     t.st_epoch t.st_recovered t.st_proxies t.st_logs t.st_storage_responsive
     t.st_storage_total
     (f (t.st_max_lag *. 1e3))
-    t.st_max_window_events t.st_grv_served t.st_commit_attempts t.st_commits
+    t.st_max_window_events t.st_storage_shards_min t.st_storage_shards_max
+    t.st_grv_served t.st_commit_attempts t.st_commits
     t.st_conflicts (f t.st_rate)
     (f (t.st_grv_p50 *. 1e3))
     (f (t.st_grv_p99 *. 1e3))

@@ -13,6 +13,8 @@ type t = {
   st_storage_responsive : int;
   st_max_lag : float;  (** seconds, worst responsive storage server *)
   st_max_window_events : int;
+  st_storage_shards_min : int;  (** fewest shards any storage server serves *)
+  st_storage_shards_max : int;  (** most shards any storage server serves *)
   st_grv_served : int;
   st_commit_attempts : int;
   st_commits : int;

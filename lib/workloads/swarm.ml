@@ -6,6 +6,7 @@ module Rng = Fdb_util.Det_rng
 type report = {
   seed : int64;
   machines : int;
+  storage_per_machine : int;
   epochs : int;
   transfers : int;
   rotations : int;
@@ -252,6 +253,7 @@ let run_one ?(buggify = true) ?(duration = 60.0) ?(dd_movement = false)
         {
           seed;
           machines = config.Config.machines;
+          storage_per_machine = config.Config.storage_per_machine;
           epochs;
           transfers = bank_stats.Bank.transfers_committed;
           rotations = ring_stats.Ring.rotations;
@@ -289,10 +291,10 @@ let check_determinism ?buggify ?duration ?dd_movement ?layers ~seed () =
 
 let pp_report fmt r =
   Format.fprintf fmt
-    "seed=%Ld machines=%d epochs=%d transfers=%d rotations=%d soup=%d moves=%d \
-     csum=%016Lx shards=%016Lx %s"
-    r.seed r.machines r.epochs r.transfers r.rotations r.soup_committed r.dd_moves
-    r.trace_checksum r.shard_checksum
+    "seed=%Ld machines=%d per_machine=%d epochs=%d transfers=%d rotations=%d soup=%d \
+     moves=%d csum=%016Lx shards=%016Lx %s"
+    r.seed r.machines r.storage_per_machine r.epochs r.transfers r.rotations
+    r.soup_committed r.dd_moves r.trace_checksum r.shard_checksum
     (if r.oracle_failures = [] then "PASS"
      else "FAIL [" ^ String.concat "; " r.oracle_failures ^ "]");
   if r.layer_ops > 0 then Format.fprintf fmt " layer_ops=%d" r.layer_ops;

@@ -12,6 +12,7 @@
 type report = {
   seed : int64;
   machines : int;
+  storage_per_machine : int;
   epochs : int;  (** generations consumed (>= 1; > 1 means recoveries ran) *)
   transfers : int;
   rotations : int;

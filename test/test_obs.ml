@@ -116,16 +116,16 @@ let test_rollup_aggregates_per_role () =
       | _ -> Alcotest.fail "expected one merged latency")
   | l -> Alcotest.fail (Printf.sprintf "expected one role doc, got %d" (List.length l))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_rollup_json_shape () =
   let doc = Rollup.snapshot ~now:1.0 (two_storage_registry ()) in
   let json = Rollup.json_of_doc doc in
   List.iter
     (fun needle ->
-      let contains s sub =
-        let n = String.length sub in
-        let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) (Printf.sprintf "json contains %s" needle) true
         (contains json needle))
     [
@@ -182,14 +182,21 @@ let metrics_fingerprint seed =
       let doc = Cluster.status_doc cluster in
       Future.return
         ( Registry.serialize (Cluster.metrics cluster),
-          Fdb_workloads.Status.to_json status doc ))
+          Fdb_workloads.Status.to_json status doc,
+          status ))
 
 let test_determinism_same_seed () =
-  let dump1, json1 = metrics_fingerprint 101L in
-  let dump2, json2 = metrics_fingerprint 101L in
+  let dump1, json1, status = metrics_fingerprint 101L in
+  let dump2, json2, _ = metrics_fingerprint 101L in
   Alcotest.(check string) "registry dumps bit-identical" dump1 dump2;
   Alcotest.(check string) "status json bit-identical" json1 json2;
-  Alcotest.(check bool) "dump is non-trivial" true (String.length dump1 > 200)
+  Alcotest.(check bool) "dump is non-trivial" true (String.length dump1 > 200);
+  (* Config.default: 10 servers, 20 shards, 3 replicas — 6 shards each. *)
+  let open Fdb_workloads.Status in
+  Alcotest.(check (pair int int)) "shards per storage server (min, max)" (6, 6)
+    (status.st_storage_shards_min, status.st_storage_shards_max);
+  Alcotest.(check bool) "json carries shard counts" true
+    (contains json1 "\"storage_shards_min\":6,\"storage_shards_max\":6,")
 
 let suite =
   [

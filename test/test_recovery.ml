@@ -210,6 +210,53 @@ let test_log_prune_survives_reboot_and_recovery () =
   Alcotest.(check int) "all rows survive" 30 (fst r);
   Alcotest.(check (option string)) "writes work" (Some "y") (snd r)
 
+(* A client that only sends blind writes never takes a read version, so the
+   GRV path never refreshes its proxy list for it. After every proxy of its
+   generation is rebooted, its next commit times out; the client must then
+   find the new generation's proxies itself, or it keeps sending to dead
+   ones forever. *)
+let test_blind_writer_follows_new_proxies () =
+  let blind_write db i =
+    Future.catch
+      (fun () ->
+        let* () =
+          Client.run db ~max_attempts:5 (fun tx ->
+              Client.set tx (Printf.sprintf "blind/%d" i) "x";
+              Future.return ())
+        in
+        Future.return true)
+      (fun _ -> Future.return false)
+  in
+  let rebooted, recovered, acked, rows =
+    with_cluster (fun cluster ->
+        let db = Cluster.client cluster ~name:"blind" in
+        let* first = blind_write db 0 in
+        let* epoch = Cluster.current_epoch cluster in
+        let name = Printf.sprintf "proxy-%d" epoch in
+        let proxies =
+          List.filter (fun p -> p.Process.name = name) (find_processes cluster name)
+        in
+        List.iter (fun p -> Engine.reboot p ~delay:0.5 ()) proxies;
+        let* () = Cluster.wait_ready ~timeout:60.0 cluster in
+        let* epoch' = Cluster.current_epoch cluster in
+        let rec writes i acked =
+          if i > 5 then Future.return acked
+          else
+            let* ok = blind_write db i in
+            writes (i + 1) (if ok then acked + 1 else acked)
+        in
+        let* acked = writes 1 (if first then 1 else 0) in
+        let reader = Cluster.client cluster ~name:"reader" in
+        let* rows =
+          Client.run reader (fun tx -> Client.get_range tx ~from:"blind/" ~until:"blind0" ())
+        in
+        Future.return (List.length proxies, epoch' > epoch, acked, List.length rows))
+  in
+  Alcotest.(check bool) "rebooted the generation's proxies" true (rebooted > 0);
+  Alcotest.(check bool) "a new generation recovered" true recovered;
+  Alcotest.(check int) "every blind write committed" 6 acked;
+  Alcotest.(check int) "every blind write readable" 6 rows
+
 (* The ratekeeper now reads storage load off the shared metrics plane, so we
    can drive it directly: impersonate an overloaded storage server by
    publishing a huge lag gauge with a fresh heartbeat, and watch the budget
@@ -274,6 +321,8 @@ let suite =
     Alcotest.test_case "storage reboot catches up" `Quick test_storage_server_reboot_catches_up;
     Alcotest.test_case "full cluster reboot durability" `Quick test_full_cluster_reboot_durability;
     Alcotest.test_case "repeated recoveries" `Quick test_repeated_recoveries;
+    Alcotest.test_case "blind writer follows new proxies" `Quick
+      test_blind_writer_follows_new_proxies;
     Alcotest.test_case "bank under faults" `Slow test_bank_under_faults;
     Alcotest.test_case "log prune + reboot + recovery" `Quick
       test_log_prune_survives_reboot_and_recovery;

@@ -85,6 +85,109 @@ let test_shards_of_storage_roundtrip () =
       (Shard_map.shards_of_storage map ss)
   done
 
+(* ---------- initial placement: balance and fault domains ---------- *)
+
+(* The index-order walk placement used before teams were machine-interleaved:
+   from offset [i mod n_ss], pick new-rack-and-machine, then new-machine,
+   then any servers. With one server per machine the interleaved walk must
+   reproduce it exactly. *)
+let index_order_teams config =
+  let n_ss = Config.storage_count config in
+  let k = min config.Config.storage_replication n_ss in
+  let machine ss = ss / config.Config.storage_per_machine in
+  let rack ss = machine ss mod config.Config.racks in
+  let uses f chosen ss = List.exists (fun c -> f c = f ss) chosen in
+  let team i =
+    let walk = List.init n_ss (fun d -> (i + d) mod n_ss) in
+    let pass accept chosen =
+      List.fold_left
+        (fun chosen ss ->
+          if List.length chosen < k && (not (List.mem ss chosen)) && accept chosen ss
+          then chosen @ [ ss ]
+          else chosen)
+        chosen walk
+    in
+    []
+    |> pass (fun c ss -> (not (uses machine c ss)) && not (uses rack c ss))
+    |> pass (fun c ss -> not (uses machine c ss))
+    |> pass (fun _ _ -> true)
+  in
+  Array.init (n_ss * config.Config.shards_per_storage) team
+
+let shards_per_server config m =
+  List.init (Config.storage_count config) (fun ss ->
+      List.length (Shard_map.shards_of_storage m ss))
+
+(* Teams are windows of k consecutive machines (cyclically) when each such
+   window covers as many racks as it can: k, or every rack in use. Rack
+   numbering wraps at [machines], so a rack count that does not tile the
+   machines can break this — for the old walk as much as the new one. *)
+let windows_cover_racks config =
+  let machines = config.Config.machines in
+  let k = min config.Config.storage_replication (Config.storage_count config) in
+  let racks_in_use = min config.Config.racks machines in
+  List.for_all
+    (fun start ->
+      let racks =
+        List.init k (fun d -> (start + d) mod machines mod config.Config.racks)
+      in
+      List.length (List.sort_uniq compare racks) = min k racks_in_use)
+    (List.init machines Fun.id)
+
+let check_placement config =
+  let m = Shard_map.build config in
+  let n_ss = Config.storage_count config in
+  let k = min config.Config.storage_replication n_ss in
+  let machine ss = ss / config.Config.storage_per_machine in
+  Array.iter
+    (fun team ->
+      Alcotest.(check int) "team size" k (List.length team);
+      Alcotest.(check int) "team spans k machines" k
+        (List.length (List.sort_uniq compare (List.map machine team))))
+    (Shard_map.tag_teams m);
+  if config.Config.storage_per_machine = 1 then
+    Alcotest.(check (array (list int)))
+      "one server per machine: index-order teams" (index_order_teams config)
+      (Shard_map.tag_teams m);
+  (* n_ss x shards_per_storage shards, so equal shares are exact. *)
+  if windows_cover_racks config then
+    Alcotest.(check (list int)) "every server serves k x shards_per_storage"
+      (List.init n_ss (fun _ -> k * config.Config.shards_per_storage))
+      (shards_per_server config m)
+
+let test_placement_fixed_configs () =
+  List.iter
+    (fun (name, config, per_server) ->
+      check_placement config;
+      Alcotest.(check (list int)) (name ^ ": shards per server")
+        (List.init (Config.storage_count config) (fun _ -> per_server))
+        (shards_per_server config (Shard_map.build config)))
+    [ ("default", Config.default, 6);
+      ("scaled 24", Config.scaled ~machines:24, 12);
+      ("test_small", Config.test_small, 4) ]
+
+let gen_placement_config =
+  QCheck.Gen.(
+    let* machines = int_range 3 24 in
+    let* storage_per_machine = int_range 1 14 in
+    let* racks = int_range 1 machines in
+    let* storage_replication = int_range 2 3 in
+    let+ shards_per_storage = int_range 1 4 in
+    { Config.default with
+      Config.machines; storage_per_machine; racks; storage_replication;
+      shards_per_storage })
+
+let qcheck_placement =
+  let print c =
+    Printf.sprintf "machines=%d per_machine=%d racks=%d replication=%d shards_per_ss=%d"
+      c.Config.machines c.Config.storage_per_machine c.Config.racks
+      c.Config.storage_replication c.Config.shards_per_storage
+  in
+  QCheck.Test.make ~name:"placement balanced and machine-spread" ~count:200
+    (QCheck.make ~print gen_placement_config) (fun config ->
+      check_placement config;
+      true)
+
 (* ---------- runtime reconfiguration: edge cases ---------- *)
 
 (* split/merge mutators emit trace events, so they need a live engine. *)
@@ -387,6 +490,8 @@ let suite =
     Alcotest.test_case "tags for mutation" `Quick test_tags_for_mutation;
     Alcotest.test_case "explicit boundaries" `Quick test_explicit_boundaries;
     Alcotest.test_case "shards_of_storage roundtrip" `Quick test_shards_of_storage_roundtrip;
+    Alcotest.test_case "placement on fixed configs" `Quick test_placement_fixed_configs;
+    QCheck_alcotest.to_alcotest qcheck_placement;
     Alcotest.test_case "split edge cases" `Quick test_split_edge_cases;
     Alcotest.test_case "merge whole keyspace" `Quick test_merge_whole_keyspace;
     QCheck_alcotest.to_alcotest qcheck_model_agreement;
