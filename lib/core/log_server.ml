@@ -34,8 +34,9 @@ type t = {
      pipelined proxy this is a hot path: batch N+1's push routinely lands
      while batch N is still on the wire. *)
   pending : (Types.version, Message.log_entry * Message.t Future.promise) Det_tbl.t;
-  (* Per-tag unpopped payload, oldest first (reversed storage). *)
-  per_tag : (Types.tag, (Types.version * Fdb_kv.Mutation.t list) list ref) Hashtbl.t;
+  (* Per-tag view: the unpopped entries holding the tag, newest first. A
+     peek reads the tag's mutations out of each entry it returns. *)
+  per_tag : (Types.tag, (Types.version * Message.log_entry) list ref) Hashtbl.t;
   pop_floor : (Types.tag, Types.version) Det_tbl.t;
   (* Records appended to disk but not yet synced, with their promises. *)
   mutable waiting_sync : (Types.version * unit Future.promise) list;
@@ -44,6 +45,7 @@ type t = {
   (* metrics plane *)
   obs_append_lat : Fdb_obs.Registry.timer;
   obs_pushes : Fdb_obs.Registry.counter;
+  obs_push_bytes : Fdb_obs.Registry.counter;
   obs_dv : Fdb_obs.Registry.gauge;
   obs_rcv : Fdb_obs.Registry.gauge;
   obs_unpopped : Fdb_obs.Registry.gauge;
@@ -59,28 +61,65 @@ let unpopped_bytes t = t.unpopped_bytes
 let wal_file ~epoch ~id = Printf.sprintf "tlog-%d-%d.wal" epoch id
 let floor_file_name ~epoch ~id = Printf.sprintf "tlog-%d-%d.floor" epoch id
 
+let logs_for_tag ~n_logs ~replication tag =
+  List.init (min replication n_logs) (fun i -> (tag + i) mod n_logs)
+
+let replicates ~n_logs ~replication li tag =
+  (li - (tag mod n_logs) + n_logs) mod n_logs < min replication n_logs
+
 let entry_bytes (e : Message.log_entry) =
   List.fold_left
-    (fun acc (_, muts) ->
-      List.fold_left (fun a m -> a + Fdb_kv.Mutation.byte_size m) acc muts)
+    (fun acc tm -> acc + Fdb_kv.Mutation.byte_size tm.Message.tm_mutation)
     0 e.Message.le_payload
 
+let keep_tags keep (e : Message.log_entry) =
+  let payload =
+    List.filter_map
+      (fun (tm : Message.tagged_mutation) ->
+        match List.filter keep tm.Message.tm_tags with
+        | [] -> None
+        | tags -> Some { tm with Message.tm_tags = tags })
+      e.Message.le_payload
+  in
+  if payload = [] then None else Some { e with Message.le_payload = payload }
+
+let floor_of t tag = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int
+
+let tag_mutations tag (e : Message.log_entry) =
+  List.filter_map
+    (fun tm -> if List.mem tag tm.Message.tm_tags then Some tm.Message.tm_mutation else None)
+    e.Message.le_payload
+
+let tag_bytes tag (e : Message.log_entry) =
+  List.fold_left
+    (fun acc tm ->
+      if List.mem tag tm.Message.tm_tags then
+        acc + Fdb_kv.Mutation.byte_size tm.Message.tm_mutation
+      else acc)
+    0 e.Message.le_payload
+
+(* Each tag's stream is a view into the entries: indexing references an
+   entry once per tag it holds and copies nothing. An entry's LSN is indexed
+   once, so a list head at this LSN can only come from this same walk. *)
 let index_payload t (e : Message.log_entry) =
+  let lsn = e.Message.le_lsn in
   List.iter
-    (fun (tag, muts) ->
-      if muts <> [] then begin
-        let l =
-          match Hashtbl.find_opt t.per_tag tag with
-          | Some l -> l
-          | None ->
-              let l = ref [] in
-              Hashtbl.add t.per_tag tag l;
-              l
-        in
-        l := (e.Message.le_lsn, muts) :: !l
-      end)
-    e.Message.le_payload;
-  t.unpopped_bytes <- t.unpopped_bytes + entry_bytes e
+    (fun { Message.tm_tags; tm_mutation } ->
+      let size = Fdb_kv.Mutation.byte_size tm_mutation in
+      List.iter
+        (fun tag ->
+          let l =
+            match Hashtbl.find_opt t.per_tag tag with
+            | Some l -> l
+            | None ->
+                let l = ref [] in
+                Hashtbl.add t.per_tag tag l;
+                l
+          in
+          (match !l with (v, _) :: _ when v = lsn -> () | older -> l := (lsn, e) :: older);
+          t.unpopped_bytes <- t.unpopped_bytes + size)
+        tm_tags)
+    e.Message.le_payload
 
 (* Group-commit: one sync covers every record appended before it. *)
 let rec schedule_sync t =
@@ -147,15 +186,16 @@ let rec accept t (e : Message.log_entry) =
   durable
 
 let tag_entries t tag ~from_version =
-  let floor = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int in
+  let floor = floor_of t tag in
   match Hashtbl.find_opt t.per_tag tag with
   | None -> []
   | Some l ->
       List.filter (fun (v, _) -> v >= from_version && v > floor) !l
       |> List.sort (fun (a, _) (b, _) -> compare a b)
+      |> List.map (fun (v, e) -> (v, tag_mutations tag e))
 
 let do_pop t tag up_to =
-  let old_floor = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int in
+  let old_floor = floor_of t tag in
   if up_to > old_floor then begin
     Det_tbl.replace t.pop_floor tag up_to;
     match Hashtbl.find_opt t.per_tag tag with
@@ -163,12 +203,7 @@ let do_pop t tag up_to =
     | Some l ->
         let kept, dropped = List.partition (fun (v, _) -> v > up_to) !l in
         l := kept;
-        List.iter
-          (fun (_, muts) ->
-            List.iter
-              (fun m -> t.unpopped_bytes <- t.unpopped_bytes - Fdb_kv.Mutation.byte_size m)
-              muts)
-          dropped
+        List.iter (fun (_, e) -> t.unpopped_bytes <- t.unpopped_bytes - tag_bytes tag e) dropped
   end
 
 (* Discard fully-popped entries (the paper's log GC): an entry is dead once
@@ -186,9 +221,7 @@ let prune t =
         (fun lsn (e : Message.log_entry) acc ->
           let unpopped =
             List.exists
-              (fun (tag, muts) ->
-                muts <> []
-                && lsn > Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int)
+              (fun tm -> List.exists (fun tag -> lsn > floor_of t tag) tm.Message.tm_tags)
               e.Message.le_payload
           in
           if lsn <= global_floor && not unpopped then lsn :: acc else acc)
@@ -229,23 +262,18 @@ let prune_loop t =
   in
   loop ()
 
-(* Everything not yet popped and already durable, for recovery hand-off. *)
-(* Det_tbl.fold ascending + cons yields a descending-LSN list, as before
-   (recovery re-sorts after merging across servers). *)
+(* Everything not yet popped and already durable, for recovery hand-off:
+   each mutation keeps only its unpopped tags and goes once none is left.
+   Det_tbl.fold ascending + cons yields a descending-LSN list (recovery
+   re-sorts after merging across servers). *)
 let unpopped_durable_entries t =
   Det_tbl.fold
     (fun lsn (e : Message.log_entry) acc ->
       if lsn > t.dv then acc
-      else begin
-        let payload =
-          List.filter
-            (fun (tag, muts) ->
-              muts <> []
-              && lsn > Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int)
-            e.Message.le_payload
-        in
-        if payload = [] then acc else { e with Message.le_payload = payload } :: acc
-      end)
+      else
+        match keep_tags (fun tag -> lsn > floor_of t tag) e with
+        | Some e -> e :: acc
+        | None -> acc)
     t.entries []
 
 let handle t (msg : Message.t) : Message.t Future.t =
@@ -266,10 +294,11 @@ let handle t (msg : Message.t) : Message.t Future.t =
           schedule_sync t;
           Future.map fut (fun () -> Message.Log_push_ack { durable_version = t.dv })
       else begin
+        let bytes = entry_bytes lp_entry in
+        Fdb_obs.Registry.incr ~by:bytes t.obs_push_bytes;
         let* () =
           Engine.cpu t.proc
-            (Params.log_per_push
-            +. Params.cpu (Params.log_per_byte *. float_of_int (entry_bytes lp_entry)))
+            (Params.log_per_push +. Params.cpu (Params.log_per_byte *. float_of_int bytes))
         in
         if lp_entry.Message.le_prev = t.rcv then
           let* () = accept t lp_entry in
@@ -396,6 +425,9 @@ let resurrect ctx proc ~disk ~(meta : meta) =
       obs_pushes =
         Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
           ~process:proc.Process.pid "pushes";
+      obs_push_bytes =
+        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
+          ~process:proc.Process.pid "push_bytes";
       obs_dv =
         Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
           ~process:proc.Process.pid "durable_version";
@@ -488,6 +520,9 @@ let create ctx proc ~disk ~epoch ~id ~start_lsn =
       obs_pushes =
         Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
           ~process:proc.Process.pid "pushes";
+      obs_push_bytes =
+        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
+          ~process:proc.Process.pid "push_bytes";
       obs_dv =
         Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
           ~process:proc.Process.pid "durable_version";

@@ -1,8 +1,11 @@
 (** The LogServer: a replicated, sharded, persistent queue of the redo log
     (paper §2.4.3, Figure 2).
 
-    Pushes from Proxies carry (LSN, previous LSN, KCV) plus the payload for
-    the tags this server replicates (possibly empty). Records are persisted
+    Pushes from Proxies carry (LSN, previous LSN, KCV) plus, in commit
+    order, each mutation this server must store, once, with the tags it
+    replicates for it (possibly no mutations). Each tag's stream is a view
+    into those entries, so a mutation with several tags costs the push,
+    the CPU charge and the memory only once. Records are persisted
     strictly in LSN-chain order and acknowledged only once durable, so the
     Durable Version (DV) is always chain-contiguous — the property the
     recovery's [RV = min DV] rule depends on. StorageServers peek their
@@ -26,6 +29,22 @@ val create :
 (** Fresh LogServer for a new generation; registers and returns its
     endpoint, and installs a boot thunk that resurrects it from disk in
     stopped mode after a crash. *)
+
+val logs_for_tag : n_logs:int -> replication:int -> Types.tag -> int list
+(** Which LogServers replicate a tag: the preferred one plus the next
+    [replication - 1], as in Figure 2. *)
+
+val replicates : n_logs:int -> replication:int -> int -> Types.tag -> bool
+(** [replicates ~n_logs ~replication li tag]: LogServer [li] is in
+    [logs_for_tag tag]. *)
+
+val entry_bytes : Message.log_entry -> int
+(** The bytes a push of this entry carries and is charged for: each
+    mutation once, whatever its tags. *)
+
+val keep_tags : (Types.tag -> bool) -> Message.log_entry -> Message.log_entry option
+(** The entry with each mutation's tags filtered by the predicate and the
+    mutations left without a tag dropped; [None] once none remains. *)
 
 val durable_version : t -> Types.version
 val known_committed : t -> Types.version

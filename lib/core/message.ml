@@ -35,11 +35,13 @@ let decode_coordinated_state s =
   | cs -> Some cs
   | exception _ -> None
 
+type tagged_mutation = { tm_tags : Types.tag list; tm_mutation : Fdb_kv.Mutation.t }
+
 type log_entry = {
   le_lsn : Types.version;
   le_prev : Types.version;
   le_kcv : Types.version;
-  le_payload : (Types.tag * Fdb_kv.Mutation.t list) list;
+  le_payload : tagged_mutation list;
 }
 
 type t =

@@ -48,12 +48,18 @@ type coordinated_state = {
 val encode_coordinated_state : coordinated_state -> string
 val decode_coordinated_state : string -> coordinated_state option
 
-(** One logged entry: a commit batch's per-tag payload. *)
+(** A mutation as one LogServer stores it: once, with those of its tags
+    (storage servers that apply it) that this LogServer replicates. *)
+type tagged_mutation = { tm_tags : Types.tag list; tm_mutation : Fdb_kv.Mutation.t }
+
+(** One logged entry: a commit batch's mutations for one LogServer, in
+    commit order (Figure 2). The LogServer derives each tag's stream as a
+    view into it. *)
 type log_entry = {
   le_lsn : Types.version;
   le_prev : Types.version;
   le_kcv : Types.version;
-  le_payload : (Types.tag * Fdb_kv.Mutation.t list) list;
+  le_payload : tagged_mutation list;
 }
 
 type t =

@@ -1,7 +1,6 @@
 open Fdb_sim
 open Future.Syntax
 module Mutation = Fdb_kv.Mutation
-module Det_tbl = Fdb_util.Det_tbl
 
 type pending_commit = Message.txn_request * Message.t Future.promise
 
@@ -217,51 +216,47 @@ let resolve_batch t lsn prev txns =
   in
   Future.return combined
 
-(* Figure 2: route each mutation to the LogServers replicating its tags;
-   every LogServer receives the entry (possibly with an empty payload).
-   Accumulation is a per-log tag table of reversed lists — O(1) per
-   (mutation, tag, replica) instead of the former assoc-list rebuild — and
-   the payload's tag order is the deterministic ascending-tag order.
+(* Figure 2: every LogServer receives one entry per batch (possibly with an
+   empty payload). It holds, in commit order, each mutation that LogServer
+   stores, once, tagged with those of its tags that LogServer replicates.
+   The LogServers replicating all of a mutation's tags share one tagged
+   record: messages are not copied in the simulator, so sharing keeps the
+   LogServers' retained payload (and the process heap) small.
    [kcv] is the caller's snapshot of the proxy KCV at entry-build time:
    with overlapping batches it must not be re-read from shared state after
    later batches complete. *)
-let build_log_entries t lsn prev ~kcv committed_mutations =
-  let n_logs = List.length t.logs in
-  let replication = t.ctx.Context.config.Config.log_replication in
-  let per_log : (Types.tag, Mutation.t list ref) Det_tbl.t array =
-    Array.init n_logs (fun _ -> Det_tbl.create ~size:8 ())
-  in
+let build_log_entries shard_map ~n_logs ~replication lsn prev ~kcv committed_mutations =
+  let per_log = Array.make n_logs [] in
   List.iter
     (fun (m : Mutation.t) ->
-      let tags = Shard_map.tags_for_mutation t.ctx.Context.shard_map m in
-      List.iter
-        (fun tag ->
-          List.iter
-            (fun li ->
-              let cell = Det_tbl.find_or_add per_log.(li) tag (fun () -> ref []) in
-              cell := m :: !cell)
-            (List.init (min replication n_logs) (fun i -> (tag + i) mod n_logs)))
-        tags)
+      match Shard_map.tags_for_mutation shard_map m with
+      | [] -> ()
+      | all ->
+          let whole = { Message.tm_tags = all; tm_mutation = m } in
+          for li = 0 to n_logs - 1 do
+            let mine = Log_server.replicates ~n_logs ~replication li in
+            if List.for_all mine all then per_log.(li) <- whole :: per_log.(li)
+            else
+              match List.filter mine all with
+              | [] -> ()
+              | tags -> per_log.(li) <- { Message.tm_tags = tags; tm_mutation = m } :: per_log.(li)
+          done)
     committed_mutations;
   Array.map
-    (fun tbl ->
-      let payload =
-        List.map (fun (tag, muts) -> (tag, List.rev !muts)) (Det_tbl.to_sorted_list tbl)
-      in
-      { Message.le_lsn = lsn; le_prev = prev; le_kcv = kcv; le_payload = payload })
+    (fun rev -> { Message.le_lsn = lsn; le_prev = prev; le_kcv = kcv; le_payload = List.rev rev })
     per_log
+
+let entries_for_batch t lsn prev ~kcv committed_mutations =
+  build_log_entries t.ctx.Context.shard_map ~n_logs:(List.length t.logs)
+    ~replication:t.ctx.Context.config.Config.log_replication lsn prev ~kcv
+    committed_mutations
 
 let push_to_logs t entries =
   let pushes =
     List.mapi
       (fun i (_, ep) ->
         let entry = entries.(i) in
-        let bytes =
-          List.fold_left
-            (fun acc (_, muts) ->
-              List.fold_left (fun a m -> a + Mutation.byte_size m) acc muts)
-            0 entry.Message.le_payload
-        in
+        let bytes = Log_server.entry_bytes entry in
         Future.catch
           (fun () ->
             let* reply =
@@ -338,7 +333,7 @@ let commit_batch t (batch : pending_commit list) =
       let* verdicts = resolve_batch t lsn prev txns in
       (* Abort losers immediately; build the committed payload. *)
       let committed_mutations = committed_payload lsn txns verdicts promises in
-      let entries = build_log_entries t lsn prev ~kcv:t.kcv committed_mutations in
+      let entries = entries_for_batch t lsn prev ~kcv:t.kcv committed_mutations in
       let* all_acked = push_to_logs t entries in
       if not all_acked then begin
         (* Durability unknown: recovery will decide. Fail the epoch. *)
@@ -478,7 +473,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
         (* Capture the KCV once, here: stamping [t.kcv] read any later
            would let a concurrently-running batch observe a KCV its own
            chain position has not reached. *)
-        let entries = build_log_entries t lsn prev ~kcv:t.kcv committed_mutations in
+        let entries = entries_for_batch t lsn prev ~kcv:t.kcv committed_mutations in
         let t_push = Engine.now () in
         let* all_acked = push_to_logs t entries in
         Fdb_obs.Registry.observe t.obs_logpush_lat (Engine.now () -. t_push);

@@ -5,7 +5,8 @@
     §2.6) and rate-limited by the Ratekeeper's current TPS. Commits are
     batched, assigned one commit version / LSN per batch, resolved against
     every Resolver, stamped (versionstamp operations), fanned out to every
-    LogServer with per-tag payloads (Figure 2), and acknowledged to clients
+    LogServer as one message carrying each mutation once with its tags
+    (Figure 2), and acknowledged to clients
     only after {e all} LogServers confirm durability — the paper's
     all-replicas rule that lets recovery use RV = min DV. A proxy that
     cannot complete this pipeline marks itself failed so the Sequencer's
@@ -36,3 +37,17 @@ val create :
 
 val known_committed : t -> Types.version
 val is_dead : t -> bool
+
+val build_log_entries :
+  Shard_map.t ->
+  n_logs:int ->
+  replication:int ->
+  Types.version ->
+  Types.version ->
+  kcv:Types.version ->
+  Fdb_kv.Mutation.t list ->
+  Message.log_entry array
+(** [build_log_entries map ~n_logs ~replication lsn prev ~kcv muts]: one
+    entry per LogServer (Figure 2). Entry [i] holds, in commit order, each
+    mutation with a tag that LogServer [i] replicates, once, tagged with
+    exactly those tags; a LogServer with none gets an empty payload. *)

@@ -69,8 +69,11 @@ let lock_old_logs t (old : Message.coordinated_state) =
   in
   gather ()
 
-(* Merge the unpopped entries of all responding old LogServers: same LSN on
-   different servers carries different tags' payloads. *)
+(* Merge the unpopped entries of all responding old LogServers: the same
+   LSN on different servers carries different tags. Each tag's stream comes
+   from the first responder holding it, so an entry rebuilt from several
+   servers may carry a mutation once per contributing server (hand-off is
+   rare; it is not deduplicated). *)
 let merge_entries (replies : (Types.version * Types.version * Message.log_entry list) list) rv =
   let module Det_tbl = Fdb_util.Det_tbl in
   let table : (Types.version, Message.log_entry) Det_tbl.t = Det_tbl.create ~size:1024 () in
@@ -81,15 +84,19 @@ let merge_entries (replies : (Types.version * Types.version * Message.log_entry 
           if e.Message.le_lsn <= rv then
             match Det_tbl.find_opt table e.Message.le_lsn with
             | None -> Det_tbl.add table e.Message.le_lsn e
-            | Some existing ->
-                let merged =
-                  List.fold_left
-                    (fun acc (tag, muts) ->
-                      if List.mem_assoc tag acc then acc else (tag, muts) :: acc)
-                    existing.Message.le_payload e.Message.le_payload
+            | Some existing -> (
+                let have =
+                  List.concat_map (fun tm -> tm.Message.tm_tags) existing.Message.le_payload
                 in
-                Det_tbl.replace table e.Message.le_lsn
-                  { existing with Message.le_payload = merged })
+                match Log_server.keep_tags (fun tag -> not (List.mem tag have)) e with
+                | None -> ()
+                | Some extra ->
+                    Det_tbl.replace table e.Message.le_lsn
+                      {
+                        existing with
+                        Message.le_payload =
+                          existing.Message.le_payload @ extra.Message.le_payload;
+                      }))
         entries)
     replies;
   (* LSN-sorted by Det_tbl's key order already. *)
@@ -137,28 +144,19 @@ let resolver_ranges n =
   in
   List.init n (fun i -> (boundary i, boundary (i + 1)))
 
-(* Which LogServers replicate a tag: the preferred server plus the next
-   k - 1, as in Figure 2. *)
-let logs_for_tag ~n_logs ~replication tag =
-  List.init (min replication n_logs) (fun i -> (tag + i) mod n_logs)
+(* New LogServer [i]'s share of the hand-off: the mutations with a tag it
+   replicates, each keeping only those tags. *)
+let seed_entries ~entries ~n_logs ~replication i =
+  List.filter_map
+    (Log_server.keep_tags (Log_server.replicates ~n_logs ~replication i))
+    entries
 
 let seed_new_logs t ~entries ~log_eps ~replication =
   let n_logs = List.length log_eps in
-  let for_log i =
-    List.filter_map
-      (fun (e : Message.log_entry) ->
-        let mine =
-          List.filter
-            (fun (tag, _) -> List.mem i (logs_for_tag ~n_logs ~replication tag))
-            e.Message.le_payload
-        in
-        if mine = [] then None else Some { e with Message.le_payload = mine })
-      entries
-  in
   let seeds =
     List.mapi
       (fun i (_, ep) ->
-        let mine = for_log i in
+        let mine = seed_entries ~entries ~n_logs ~replication i in
         if mine = [] then Future.return ()
         else
           let* _ =

@@ -22,3 +22,19 @@ val is_recovered : t -> bool
 val is_dead : t -> bool
 val recovery_version : t -> Types.version
 val proxies : t -> int list
+
+(** {2 Recovery hand-off} (exposed for tests) *)
+
+val merge_entries :
+  (Types.version * Types.version * Message.log_entry list) list ->
+  Types.version ->
+  Message.log_entry list
+(** [merge_entries replies rv]: the old LogServers' [Log_lock] replies
+    [(kcv, dv, unpopped entries)] merged into one LSN-ordered list at or
+    below [rv]. Each tag's stream at an LSN comes from the first reply that
+    holds it. *)
+
+val seed_entries :
+  entries:Message.log_entry list -> n_logs:int -> replication:int -> int -> Message.log_entry list
+(** New LogServer [i]'s share of the merged entries: each mutation with a
+    tag [i] replicates, keeping only those tags. *)

@@ -276,9 +276,11 @@ let preferred_log t =
   match t.logs with
   | [] -> None
   | logs ->
-      let n = List.length logs in
-      let k = min t.ctx.Context.config.Config.log_replication n in
-      let replica = (t.id + (t.stale_pulls mod k)) mod n in
+      let replicas =
+        Log_server.logs_for_tag ~n_logs:(List.length logs)
+          ~replication:t.ctx.Context.config.Config.log_replication t.id
+      in
+      let replica = List.nth replicas (t.stale_pulls mod List.length replicas) in
       Some (snd (List.nth logs replica))
 
 (* Adopt a newer transaction-system generation. The rollback boundary is

@@ -128,10 +128,16 @@ let apply t mutations =
   in
   Future.all_unit futures
 
+(* Append, sync, drop, then delete the WAL: older snapshots go only once a
+   newer one is durable, so a crash never leaves an unsynced snapshot as
+   the only copy. Dropping keeps the newest durable record, which covers
+   every older one (snapshots are appended in sequence order). *)
 let checkpoint t =
   let snapshot = { sn_seq = t.seq; sn_entries = KeyMap.bindings t.map } in
   let* () = Disk.append t.disk t.snap_file (encode_snap snapshot) in
   let* () = Disk.sync t.disk t.snap_file in
+  let durable = Disk.durable_count t.disk t.snap_file in
+  if durable > 1 then Disk.drop_prefix t.disk t.snap_file (durable - 1);
   let* () = Disk.delete t.disk t.wal_file in
   t.wal_len <- 0;
   Future.return ()

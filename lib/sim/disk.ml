@@ -110,6 +110,9 @@ let attach t p = Process.on_reboot p (fun () -> crash t)
 
 let bytes_written t = t.written
 
+let durable_count t name =
+  match Det_tbl.find_opt t.files name with None -> 0 | Some f -> f.durable
+
 let drop_prefix t name n =
   match Det_tbl.find_opt t.files name with
   | None -> ()

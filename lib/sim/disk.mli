@@ -54,6 +54,10 @@ val crash : t -> unit
 val bytes_written : t -> float
 (** Total bytes appended (diagnostics / utilization). *)
 
+val durable_count : t -> string -> int
+(** How many of the file's oldest records are durable ([0] if the file does
+    not exist). *)
+
 val drop_prefix : t -> string -> int -> unit
 (** [drop_prefix d file n] discards the oldest [n] records of the file
     (log-rotation support: callers drop records they have proven dead).

@@ -198,6 +198,41 @@ let test_determinism_same_seed () =
   Alcotest.(check bool) "json carries shard counts" true
     (contains json1 "\"storage_shards_min\":6,\"storage_shards_max\":6,")
 
+(* ---------- layer evidence: LogServer push bytes ---------- *)
+
+(* On Config.default every LogServer replicates every tag, and each
+   mutation has 3 tags. A push carries each mutation once with its tags, so
+   every LogServer's push_bytes grows by exactly the written bytes, not by
+   one copy per tag. *)
+let test_log_push_bytes_once () =
+  let writes = List.init 6 (fun i -> (Printf.sprintf "blind/%02d" i, String.make (10 * i) 'v')) in
+  let written =
+    List.fold_left
+      (fun acc (k, v) -> acc + Fdb_kv.Mutation.byte_size (Fdb_kv.Mutation.Set (k, v)))
+      0 writes
+  in
+  let before, after =
+    Engine.run ~seed:7L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.default () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"blind" in
+        let push_bytes () = Registry.counters (Cluster.metrics cluster) ~role:Registry.Log "push_bytes" in
+        let before = push_bytes () in
+        let* () =
+          Client.run db (fun tx ->
+              List.iter (fun (k, v) -> Client.set tx k v) writes;
+              Future.return ())
+        in
+        Future.return (before, push_bytes ()))
+  in
+  Alcotest.(check int) "one counter per LogServer" Config.default.Config.log_servers
+    (List.length after);
+  List.iter
+    (fun (pid, bytes) ->
+      let base = Option.value (List.assoc_opt pid before) ~default:0 in
+      Alcotest.(check int) (Printf.sprintf "log %d push bytes" pid) written (bytes - base))
+    after
+
 let suite =
   [
     Alcotest.test_case "counter semantics" `Quick test_counter_semantics;
@@ -209,4 +244,5 @@ let suite =
     Alcotest.test_case "rollup json shape" `Quick test_rollup_json_shape;
     Alcotest.test_case "rollup actor updates" `Quick test_rollup_actor_updates;
     Alcotest.test_case "metrics dump deterministic" `Slow test_determinism_same_seed;
+    Alcotest.test_case "log push bytes count each mutation once" `Quick test_log_push_bytes_once;
   ]

@@ -191,6 +191,62 @@ let test_ps_checkpoint_cycle () =
   Alcotest.(check int) "all entries back" 50 (fst r);
   Alcotest.(check int) "seq restored" 50 (snd r)
 
+let set_keys store lo hi =
+  Persistent_store.apply store
+    (List.init (hi - lo) (fun i -> Mutation.Set (Printf.sprintf "k%03d" (lo + i), "v")))
+
+let test_ps_checkpoint_keeps_one_snapshot () =
+  let r =
+    Engine.run (fun () ->
+        let disk = Disk.create ~name:"ssd" () in
+        let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in
+        let rec rounds i =
+          if i = 5 then Future.return ()
+          else
+            let* () = set_keys store (i * 10) ((i + 1) * 10) in
+            let* () = Persistent_store.commit store in
+            rounds (i + 1)
+        in
+        let* () = rounds 0 in
+        let* snaps = Disk.read_all disk "ss0.snap" in
+        let* store' = Persistent_store.recover ~disk ~prefix:"ss0" () in
+        Future.return (List.length snaps, Persistent_store.entry_count store'))
+  in
+  Alcotest.(check int) "one snapshot record after 5 checkpoints" 1 (fst r);
+  Alcotest.(check int) "all entries back" 50 (snd r)
+
+(* A crash after the new snapshot is appended but before its sync: the old
+   snapshot plus the still-present WAL must rebuild the whole store. A slow
+   sync (10 s) makes the window wide enough to crash in deterministically. *)
+let test_ps_crash_before_snapshot_sync () =
+  let r =
+    Engine.run (fun () ->
+        let disk = Disk.create ~sync_latency:10.0 ~name:"ssd" () in
+        let proc = Process.create ~name:"ss" (Process.fresh_machine 1) in
+        Disk.attach disk proc;
+        let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in
+        let* () = set_keys store 0 10 in
+        let* () = Persistent_store.commit store in
+        let* () = set_keys store 10 20 in
+        (* WAL sync ends at +10 s, the snapshot sync at +20 s. *)
+        Engine.spawn ~process:proc "checkpoint" (fun () -> Persistent_store.commit store);
+        let* () = Engine.sleep 15.0 in
+        let* appended = Disk.read_all disk "ss0.snap" in
+        Engine.kill proc;
+        let* snaps = Disk.read_all disk "ss0.snap" in
+        let* store' = Persistent_store.recover ~disk ~prefix:"ss0" () in
+        Future.return
+          ( List.length appended,
+            List.length snaps,
+            Persistent_store.entry_count store',
+            Persistent_store.last_seq store' ))
+  in
+  let appended, snaps, entries, seq = r in
+  Alcotest.(check int) "second snapshot appended before the crash" 2 appended;
+  Alcotest.(check int) "unsynced snapshot lost, old one kept" 1 snaps;
+  Alcotest.(check int) "all entries back" 20 entries;
+  Alcotest.(check int) "seq restored" 20 seq
+
 let test_ps_prev_entry () =
   let r =
     with_store (fun _disk store ->
@@ -264,5 +320,9 @@ let suite =
     Alcotest.test_case "persistent clear range + limit" `Quick test_ps_clear_range_and_limit;
     Alcotest.test_case "persistent recovery durability" `Quick test_ps_recovery_durable;
     Alcotest.test_case "persistent checkpoint cycle" `Quick test_ps_checkpoint_cycle;
+    Alcotest.test_case "persistent checkpoint keeps one snapshot" `Quick
+      test_ps_checkpoint_keeps_one_snapshot;
+    Alcotest.test_case "persistent crash before snapshot sync" `Quick
+      test_ps_crash_before_snapshot_sync;
     Alcotest.test_case "persistent prev entry" `Quick test_ps_prev_entry;
   ]
