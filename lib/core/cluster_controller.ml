@@ -15,7 +15,20 @@ type t = {
   mutable logs : (int * int) list;
   mutable rv : Types.version;
   mutable recovered : bool;
+  (* when the sequencer failure that began the running recovery was
+     declared; [None] while recovered *)
+  mutable failed_at : float option;
+  (* state requests held until the running recovery finishes *)
+  mutable waiters : (unit Future.t * unit Future.promise) list;
+  obs_recovery : Fdb_obs.Registry.timer;
+  obs_last_epoch : Fdb_obs.Registry.gauge;
+  obs_last_duration : Fdb_obs.Registry.gauge;
 }
+
+(* How long a state request may wait for a running recovery: below the 1 s
+   timeout clients give the request, so a slow recovery answers with the
+   old state (the client asks again) rather than a timeout. *)
+let recovery_wait_bound = 0.75
 
 let is_recovered t = t.recovered
 
@@ -29,6 +42,48 @@ let state_reply t =
       st_recovered = t.recovered;
       st_dd = t.dd;
     }
+
+let release_waiters t =
+  List.iter
+    (fun (fut, p) -> if Future.is_pending fut then Future.fulfill p ())
+    t.waiters;
+  t.waiters <- []
+
+let await_state t =
+  if t.recovered || not t.active then Future.return (state_reply t)
+  else begin
+    let fut, p = Future.make ~label:"cc.recovery_wait" () in
+    t.waiters <- (fut, p) :: List.filter (fun (f, _) -> Future.is_pending f) t.waiters;
+    Engine.schedule ~after:recovery_wait_bound ~process:t.proc (fun () ->
+        if Future.is_pending fut then Future.fulfill p ());
+    Future.map fut (fun () -> state_reply t)
+  end
+
+(* Adopt the sequencer's view of its generation. A reply that would
+   un-recover the generation we already know recovered is older than what
+   we have (a ping answered before the recovery notice arrived): drop it. *)
+let learn t ~epoch ~recovered ~proxies ~logs ~rv =
+  if not (t.recovered && (not recovered) && epoch = t.epoch) then begin
+    t.epoch <- epoch;
+    t.proxies <- proxies;
+    t.logs <- logs;
+    t.rv <- rv;
+    t.recovered <- recovered;
+    if recovered then begin
+      (match t.failed_at with
+      | Some since ->
+          let took = Engine.now () -. since in
+          Fdb_obs.Registry.observe t.obs_recovery took;
+          Fdb_obs.Registry.set_gauge t.obs_last_epoch (float_of_int epoch);
+          Fdb_obs.Registry.set_gauge t.obs_last_duration took;
+          t.failed_at <- None
+      | None -> ());
+      release_waiters t
+    end
+  end
+
+let note_recovered t ~sequencer ~epoch ~proxies ~logs ~rv =
+  if t.active && t.seq = Some sequencer then learn t ~epoch ~recovered:true ~proxies ~logs ~rv
 
 (* Ask workers round-robin until one hosts the role. *)
 let recruit t msg =
@@ -61,11 +116,8 @@ let ping t ep =
       match reply with
       | Message.Ok_reply -> Future.return `Alive
       | Message.Seq_pong { sp_epoch; sp_recovered; sp_proxies; sp_logs; sp_rv } ->
-          t.epoch <- sp_epoch;
-          t.recovered <- sp_recovered;
-          t.proxies <- sp_proxies;
-          t.logs <- sp_logs;
-          t.rv <- sp_rv;
+          learn t ~epoch:sp_epoch ~recovered:sp_recovered ~proxies:sp_proxies
+            ~logs:sp_logs ~rv:sp_rv;
           Future.return `Alive
       | _ -> Future.return `Dead)
     (fun _ -> Future.return `Dead)
@@ -83,6 +135,37 @@ let ensure_singleton t current msg set =
       let* ep = recruit t msg in
       set ep;
       Future.return ()
+
+(* The sequencer's generation is over: its proxies can commit nothing more,
+   so tell them to die now and release their waiters, instead of leaving
+   each to time out on its own calls. *)
+let sequencer_failed t =
+  Trace.emit "cc_sequencer_failed" [ ("epoch", string_of_int t.epoch) ];
+  t.seq <- None;
+  t.recovered <- false;
+  if t.failed_at = None then t.failed_at <- Some (Engine.now ());
+  if t.proxies <> [] then begin
+    Trace.emit "cc_retire_proxies"
+      [ ("epoch", string_of_int t.epoch);
+        ("proxies", String.concat "," (List.map string_of_int t.proxies)) ];
+    List.iter
+      (fun ep ->
+        Network.send t.ctx.Context.net ~from:t.proc ep
+          (Message.Proxy_retire { pr_epoch = t.epoch }))
+      t.proxies;
+    t.proxies <- []
+  end
+
+let recruit_sequencer t =
+  if t.rk = None then Future.return ()
+  else
+    let self = t.ctx.Context.worker_eps.(t.proc.Process.machine.Process.machine_id) in
+    let* ep = recruit t (Message.Recruit_sequencer { rs_ratekeeper = t.rk; rs_cc = self }) in
+    (match ep with
+    | Some _ -> Trace.emit "cc_sequencer_recruited" []
+    | None -> ());
+    t.seq <- ep;
+    Future.return ()
 
 let supervise t =
   let rec loop () =
@@ -102,29 +185,19 @@ let supervise t =
             (match status with
             | `Alive -> Future.return ()
             | `Dead ->
-                Trace.emit "cc_sequencer_failed" [ ("epoch", string_of_int t.epoch) ];
-                (* fdb-lint: allow R5 -- single-writer: only this monitor loop mutates t.seq *)
-                t.seq <- None;
-                t.recovered <- false;
-                Future.return ())
-        | None ->
-            if t.rk = None then Future.return ()
-            else
-              let* ep =
-                recruit t (Message.Recruit_sequencer { rs_ratekeeper = t.rk })
-              in
-              (match ep with
-              | Some _ -> Trace.emit "cc_sequencer_recruited" []
-              | None -> ());
-              (* fdb-lint: allow R5 -- single-writer: only this monitor loop mutates t.seq *)
-              t.seq <- ep;
-              Future.return ()
+                sequencer_failed t;
+                (* Recruit the replacement in the same tick. *)
+                recruit_sequencer t)
+        | None -> recruit_sequencer t
       in
       loop ()
   in
   loop ()
 
 let start ctx proc =
+  let reg = ctx.Context.metrics in
+  let machine = proc.Process.machine.Process.machine_id in
+  let role = Fdb_obs.Registry.Cluster_controller in
   let t =
     {
       ctx;
@@ -133,20 +206,26 @@ let start ctx proc =
       rk = None;
       dd = None;
       seq = None;
-      pick = proc.Process.machine.Process.machine_id;
+      pick = machine;
       epoch = 0;
       proxies = [];
       logs = [];
       rv = 0L;
       recovered = false;
+      failed_at = None;
+      waiters = [];
+      obs_recovery = Fdb_obs.Registry.histogram reg ~role ~process:machine "recovery_duration";
+      obs_last_epoch = Fdb_obs.Registry.gauge reg ~role ~process:machine "last_recovery_epoch";
+      obs_last_duration =
+        Fdb_obs.Registry.gauge reg ~role ~process:machine "last_recovery_duration";
     }
   in
-  Trace.emit "cc_elected"
-    [ ("machine", string_of_int proc.Process.machine.Process.machine_id) ];
+  Trace.emit "cc_elected" [ ("machine", string_of_int machine) ];
   Engine.spawn ~process:proc "cluster-controller" (fun () -> supervise t);
   t
 
 let stop t =
   t.active <- false;
+  release_waiters t;
   Trace.emit "cc_deposed"
     [ ("machine", string_of_int t.proc.Process.machine.Process.machine_id) ]

@@ -3,9 +3,13 @@
 
     Runs inside the worker that won the coordinator election. Recruits a
     Ratekeeper, a DataDistributor and a Sequencer; monitors the Sequencer
-    with heartbeats and recruits a replacement (triggering a §2.4.4
-    recovery) when it dies. Also answers [Cc_get_state] so clients can find
-    the current proxies. *)
+    with heartbeats and, in the tick that declares it failed, retires its
+    proxies and recruits a replacement (triggering a §2.4.4 recovery).
+    Also answers [Cc_get_state] so clients can find the current proxies,
+    holding the answer while a recovery runs. Publishes the
+    [recovery_duration] histogram (failure declared to new generation
+    recovered) and the [last_recovery_epoch] / [last_recovery_duration]
+    gauges. *)
 
 type t
 
@@ -15,7 +19,20 @@ val start : Context.t -> Fdb_sim.Process.t -> t
 val stop : t -> unit
 (** Step down (lease lost). *)
 
-val state_reply : t -> Message.t
-(** Current [Cc_state] snapshot for clients. *)
+val await_state : t -> Message.t Fdb_sim.Future.t
+(** The [Cc_state] snapshot for clients, once no recovery is running:
+    while one is, the answer waits until the new generation has recovered,
+    or at most 0.75 s (then it reports the recovery still running). *)
+
+val note_recovered :
+  t ->
+  sequencer:int ->
+  epoch:Types.epoch ->
+  proxies:int list ->
+  logs:(int * int) list ->
+  rv:Types.version ->
+  unit
+(** The sequencer at endpoint [sequencer] finished its recovery (its
+    [Cc_recovered] notice). Ignored unless it is the current sequencer. *)
 
 val is_recovered : t -> bool

@@ -51,7 +51,7 @@ type t =
   | Paxos_resp of Fdb_paxos.Wire.response
   | Worker_ping
   | Worker_pong
-  | Recruit_sequencer of { rs_ratekeeper : int option }
+  | Recruit_sequencer of { rs_ratekeeper : int option; rs_cc : int }
   | Recruit_proxy of {
       rp_epoch : Types.epoch;
       rp_sequencer : int;
@@ -86,6 +86,14 @@ type t =
       sp_logs : (int * int) list;
       sp_rv : Types.version;
     }
+  | Cc_recovered of {
+      cr_sequencer : int;
+      cr_epoch : Types.epoch;
+      cr_proxies : int list;
+      cr_logs : (int * int) list;
+      cr_rv : Types.version;
+    }
+  | Proxy_retire of { pr_epoch : Types.epoch }
   | Grv_req
   | Grv_reply of { gv_version : Types.version; gv_epoch : Types.epoch }
   | Commit_req of txn_request
@@ -203,6 +211,8 @@ let name = function
   | Cc_state _ -> "Cc_state"
   | Seq_ping -> "Seq_ping"
   | Seq_pong _ -> "Seq_pong"
+  | Cc_recovered _ -> "Cc_recovered"
+  | Proxy_retire _ -> "Proxy_retire"
   | Grv_req -> "Grv_req"
   | Grv_reply _ -> "Grv_reply"
   | Commit_req _ -> "Commit_req"

@@ -72,7 +72,10 @@ type t =
   (* worker agent *)
   | Worker_ping
   | Worker_pong
-  | Recruit_sequencer of { rs_ratekeeper : int option }
+  | Recruit_sequencer of {
+      rs_ratekeeper : int option;
+      rs_cc : int;  (** the recruiting ClusterController's worker endpoint *)
+    }
   | Recruit_proxy of {
       rp_epoch : Types.epoch;
       rp_sequencer : int;
@@ -108,6 +111,18 @@ type t =
       sp_logs : (int * int) list;
       sp_rv : Types.version;
     }
+  | Cc_recovered of {
+      cr_sequencer : int;  (** the sequencer's endpoint *)
+      cr_epoch : Types.epoch;
+      cr_proxies : int list;
+      cr_logs : (int * int) list;
+      cr_rv : Types.version;
+    }
+      (** one-way, sequencer -> ClusterController: this generation has
+          recovered (the CC need not wait for its next ping) *)
+  | Proxy_retire of { pr_epoch : Types.epoch }
+      (** one-way, ClusterController -> proxy: the generation [pr_epoch]
+          has ended; die now and release every waiter *)
   (* client <-> proxy *)
   | Grv_req
   | Grv_reply of { gv_version : Types.version; gv_epoch : Types.epoch }

@@ -42,6 +42,9 @@ type t = {
      LSN order and t.kcv advances monotonically. *)
   mutable chain_version : unit Future.t;
   mutable chain_done : batch_outcome Future.t;
+  (* Reply promises of the GRV and commit batches in flight, each with the
+     error [die] answers them with. *)
+  mutable in_flight : (Error.t * Message.t Future.promise array) list;
   (* metrics plane handles (no-ops when the registry is disabled) *)
   obs_grv_lat : Fdb_obs.Registry.timer;
   obs_commit_lat : Fdb_obs.Registry.timer;
@@ -59,11 +62,35 @@ type t = {
 let known_committed t = t.kcv
 let is_dead t = t.dead
 
+(* A dead proxy releases every waiter at once instead of letting each run
+   out its own timeout. Queued requests were never sent anywhere: GRVs and
+   commits alike are definitely not served, so [Database_locked]. In-flight
+   GRVs get [Database_locked] too; an in-flight commit batch may already be
+   on the logs, so its transactions get [Commit_unknown_result]. Batches
+   still running reply again later; those replies find the promises
+   resolved and are dropped. *)
 let die t reason =
   if not t.dead then begin
     t.dead <- true;
-    Trace.emit "proxy_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ]
+    Trace.emit "proxy_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ];
+    let reject err p = ignore (Future.try_fulfill p (Message.Reject err) : bool) in
+    Queue.iter (reject Error.Database_locked) t.grv_queue;
+    Queue.clear t.grv_queue;
+    Queue.iter (fun (_, p) -> reject Error.Database_locked p) t.commit_queue;
+    Queue.clear t.commit_queue;
+    Fdb_obs.Registry.set_gauge t.obs_queue_depth 0.0;
+    List.iter (fun (err, promises) -> Array.iter (reject err) promises) t.in_flight;
+    t.in_flight <- []
   end
+
+(* Run [f] with [promises] registered as in flight, so [die] answers them
+   with [err]. *)
+let holding t err promises f =
+  let held = (err, promises) in
+  t.in_flight <- held :: t.in_flight;
+  Future.protect
+    ~finally:(fun () -> t.in_flight <- List.filter (fun h -> h != held) t.in_flight)
+    f
 
 (* ---------- GRV path ---------- *)
 
@@ -96,15 +123,16 @@ let rec grv_flush t =
     else begin
       let batch = dequeue_up_to t.grv_queue available in
       t.tokens <- t.tokens -. float_of_int (List.length batch);
-      let* () = Engine.cpu t.proc Params.proxy_per_batch in
       let* reply =
-        Future.catch
-          (fun () ->
-            Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_grv)
-          (fun _ ->
-            (* Our sequencer is unreachable: this generation is over. *)
-            die t "sequencer unreachable (grv)";
-            Future.return (Message.Reject Error.Database_locked))
+        holding t Error.Database_locked (Array.of_list batch) (fun () ->
+            let* () = Engine.cpu t.proc Params.proxy_per_batch in
+            Future.catch
+              (fun () ->
+                Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_grv)
+              (fun _ ->
+                (* Our sequencer is unreachable: this generation is over. *)
+                die t "sequencer unreachable (grv)";
+                Future.return (Message.Reject Error.Database_locked)))
       in
       (match reply with
       | Message.Seq_grv_reply { read_version; grv_epoch } ->
@@ -275,28 +303,29 @@ let push_to_logs t entries =
 (* Materialize the winners' mutations in batch order (reverse-accumulate,
    one final reverse — the former [acc @ ...] was quadratic in batch
    size). *)
-let committed_payload lsn txns verdicts promises =
+let committed_payload lsn txns verdicts =
   let rev = ref [] in
   Array.iteri
     (fun i verdict ->
-      match verdict with
-      | Message.V_commit ->
-          rev := List.rev_append (materialize_mutations lsn i txns.(i)) !rev
-      | Message.V_conflict ->
-          ignore
-            (Future.try_fulfill promises.(i) (Message.Reject Error.Not_committed) : bool)
-      | Message.V_too_old ->
-          ignore
-            (Future.try_fulfill promises.(i) (Message.Reject Error.Transaction_too_old)
-             : bool))
+      if verdict = Message.V_commit then
+        rev := List.rev_append (materialize_mutations lsn i txns.(i)) !rev)
     verdicts;
   List.rev !rev
 
-let reply_committed promises verdicts reply =
+(* Answer every transaction of a finished batch: the winners with [reply],
+   the losers with their verdict, which is definite however the batch
+   fared. Losers wait for the batch too, as in FDB: answered at resolution,
+   a client could finish while the batch it rode in is still being logged. *)
+let reply_batch promises verdicts reply =
   Array.iteri
     (fun i verdict ->
-      if verdict = Message.V_commit then
-        ignore (Future.try_fulfill promises.(i) reply : bool))
+      let answer =
+        match verdict with
+        | Message.V_commit -> reply
+        | Message.V_conflict -> Message.Reject Error.Not_committed
+        | Message.V_too_old -> Message.Reject Error.Transaction_too_old
+      in
+      ignore (Future.try_fulfill promises.(i) answer : bool))
     verdicts
 
 (* ---------- the serial commit path (pipeline depth 1) ----------
@@ -309,6 +338,7 @@ let reply_committed promises verdicts reply =
 let commit_batch t (batch : pending_commit list) =
   let txns = Array.of_list (List.map fst batch) in
   let promises = Array.of_list (List.map snd batch) in
+  holding t Error.Commit_unknown_result promises @@ fun () ->
   let n = Array.length txns in
   let bytes = Array.fold_left (fun acc txn -> acc + txn_bytes txn) 0 txns in
   let* () =
@@ -331,13 +361,12 @@ let commit_batch t (batch : pending_commit list) =
   match version_reply with
   | Message.Seq_version_reply { version = lsn; prev } ->
       let* verdicts = resolve_batch t lsn prev txns in
-      (* Abort losers immediately; build the committed payload. *)
-      let committed_mutations = committed_payload lsn txns verdicts promises in
+      let committed_mutations = committed_payload lsn txns verdicts in
       let entries = entries_for_batch t lsn prev ~kcv:t.kcv committed_mutations in
       let* all_acked = push_to_logs t entries in
       if not all_acked then begin
         (* Durability unknown: recovery will decide. Fail the epoch. *)
-        reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+        reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
         die t "log push failed";
         Future.return ()
       end
@@ -362,14 +391,14 @@ let commit_batch t (batch : pending_commit list) =
         if not reported then begin
           (* Durable but unannounced: only a new generation restores the
              GRV guarantee; clients must treat the outcome as unknown. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           die t "sequencer unreachable (report)";
           Future.return ()
         end
         else begin
           Trace.emit "proxy_commit_done"
             [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-          reply_committed promises verdicts (Message.Commit_reply lsn);
+          reply_batch promises verdicts (Message.Commit_reply lsn);
           Future.return ()
         end
       end
@@ -417,6 +446,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
     (batch : pending_commit list) =
   let txns = Array.of_list (List.map fst batch) in
   let promises = Array.of_list (List.map snd batch) in
+  holding t Error.Commit_unknown_result promises @@ fun () ->
   let n = Array.length txns in
   let bytes = Array.fold_left (fun acc txn -> acc + txn_bytes txn) 0 txns in
   let release_version () = ignore (Future.try_fulfill version_ready () : bool) in
@@ -467,9 +497,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
         let t_resolve = Engine.now () in
         let* verdicts = resolve_batch t lsn prev txns in
         Fdb_obs.Registry.observe t.obs_resolve_lat (Engine.now () -. t_resolve);
-        (* Losers are definite regardless of how the rest of the pipeline
-           fares: nothing of theirs is ever logged. *)
-        let committed_mutations = committed_payload lsn txns verdicts promises in
+        let committed_mutations = committed_payload lsn txns verdicts in
         (* Capture the KCV once, here: stamping [t.kcv] read any later
            would let a concurrently-running batch observe a KCV its own
            chain position has not reached. *)
@@ -483,12 +511,12 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           (* An earlier LSN failed the epoch. Our push may or may not
              survive the coming recovery: never report or reply success
              past a failed LSN. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           finish Batch_failed
         end
         else if not all_acked then begin
           (* Durability unknown: recovery will decide. Fail the epoch. *)
-          reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
           die t "log push failed";
           finish Batch_failed
         end
@@ -512,14 +540,14 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           if not reported then begin
             (* Durable but unannounced: only a new generation restores the
                GRV guarantee; clients must treat the outcome as unknown. *)
-            reply_committed promises verdicts (Message.Reject Error.Commit_unknown_result);
+            reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
             die t "sequencer unreachable (report)";
             finish Batch_failed
           end
           else begin
             Trace.emit "proxy_commit_done"
               [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-            reply_committed promises verdicts (Message.Commit_reply lsn);
+            reply_batch promises verdicts (Message.Commit_reply lsn);
             finish Batch_ok
           end
         end
@@ -622,6 +650,9 @@ let handle t (msg : Message.t) : Message.t Future.t =
   else
     match msg with
     | Message.Seq_ping -> Future.return Message.Ok_reply
+    | Message.Proxy_retire { pr_epoch } ->
+        if pr_epoch >= t.epoch then die t "retired by the cluster controller";
+        Future.return Message.Ok_reply
     | Message.Grv_req ->
         let fut, promise = Future.make ~label:"proxy.grv_reply" () in
         Queue.push promise t.grv_queue;
@@ -680,6 +711,7 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
       commit_inflight = 0;
       chain_version = Future.return ();
       chain_done = Future.return Batch_ok;
+      in_flight = [];
       obs_grv_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "grv_latency";
       obs_commit_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_latency";
       obs_resolve_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_resolve_latency";

@@ -10,7 +10,8 @@
     only after {e all} LogServers confirm durability — the paper's
     all-replicas rule that lets recovery use RV = min DV. A proxy that
     cannot complete this pipeline marks itself failed so the Sequencer's
-    monitor ends the epoch.
+    monitor ends the epoch; the ClusterController retires the proxies of
+    a generation whose sequencer it declares failed.
 
     Up to [Params.proxy_commit_pipeline_depth] batches are in flight
     concurrently: each fetches its own [(lsn, prev)] pair (gated so LSNs
@@ -37,6 +38,17 @@ val create :
 
 val known_committed : t -> Types.version
 val is_dead : t -> bool
+
+val die : t -> string -> unit
+(** End this proxy's generation (a failed call to its sequencer or logs,
+    or the ClusterController's [Proxy_retire]) and release every waiter
+    at once: queued GRVs and commits and in-flight GRVs get
+    [Database_locked], the transactions of in-flight commit batches
+    [Commit_unknown_result]. Later requests get [Wrong_epoch]. *)
+
+val handle : t -> Message.t -> Message.t Fdb_sim.Future.t
+(** The request handler the proxy's endpoint serves (exposed so tests can
+    drive a proxy without the network's latency). *)
 
 val build_log_entries :
   Shard_map.t ->

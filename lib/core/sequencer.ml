@@ -7,6 +7,7 @@ type t = {
   proc : Process.t;
   ep : int;
   ratekeeper : int option;
+  cc : int; (* the recruiting ClusterController's worker endpoint *)
   mutable rv_history : (Types.epoch * Types.version) list;
   mutable epoch : Types.epoch;
   mutable recovered : bool;
@@ -25,43 +26,51 @@ let is_dead t = t.dead
 let recovery_version t = t.rv
 let proxies t = t.proxies
 
+(* The endpoint stays registered: [handle] answers every request with
+   [Wrong_epoch] from now on, so the ClusterController's next ping and our
+   proxies' next calls learn of the death at once instead of timing out. *)
 let die t reason =
   if not t.dead then begin
     t.dead <- true;
-    Trace.emit "sequencer_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ];
-    Network.unregister t.ctx.Context.net t.ep
+    Trace.emit "sequencer_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ]
   end
 
 (* ---------- recovery (paper §2.4.4) ---------- *)
 
 (* Stop the previous generation's LogServers and gather their KCV/DV and
-   unpopped entries. Needs at least m - k + 1 replies so every tag's data is
-   covered by some responder. *)
+   unpopped entries. Proceeds as soon as m - k + 1 have replied — every tag's
+   data is then covered by some responder, and every acknowledged commit is
+   durable on every LogServer, so any such quorum yields RV >= every
+   acknowledged version (DESIGN.md, "Ending a generation"). A dead
+   LogServer's RPC timeout is never waited out. Replies come back in
+   [cs_logs] order. *)
 let lock_old_logs t (old : Message.coordinated_state) =
   let m = List.length old.Message.cs_logs in
   let needed = m - old.Message.cs_log_replication + 1 in
   let rec gather () =
     if t.dead then Future.fail (Error.Fdb Error.Wrong_epoch)
     else begin
-      let calls =
-        List.map
-          (fun (_, ep) ->
-            Future.catch
-              (fun () ->
-                let* reply =
-                  Context.rpc t.ctx ~timeout:1.0 ~from:t.proc ep
-                    (Message.Log_lock { ll_epoch = t.epoch })
-                in
-                match reply with
-                | Message.Log_lock_reply { lk_kcv; lk_dv; lk_entries } ->
-                    Future.return (Some (lk_kcv, lk_dv, lk_entries))
-                | _ -> Future.return None)
-              (fun _ -> Future.return None))
-          old.Message.cs_logs
-      in
-      let* replies = Future.all calls in
-      let got = List.filter_map Fun.id replies in
-      if List.length got >= needed then Future.return got
+      let got = ref [] and outstanding = ref m in
+      let quorum, reached = Future.make ~label:"sequencer.lock_quorum" () in
+      List.iteri
+        (fun i (_, ep) ->
+          Future.on_resolve
+            (Context.rpc t.ctx ~timeout:1.0 ~from:t.proc ep
+               (Message.Log_lock { ll_epoch = t.epoch }))
+            (fun reply ->
+              decr outstanding;
+              (match reply with
+              | Ok (Message.Log_lock_reply { lk_kcv; lk_dv; lk_entries }) ->
+                  got := (i, (lk_kcv, lk_dv, lk_entries)) :: !got
+              | _ -> ());
+              if Future.is_pending quorum
+                 && (List.length !got >= needed || !outstanding = 0)
+              then
+                Future.fulfill reached
+                  (List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) !got))))
+        old.Message.cs_logs;
+      let* replies = quorum in
+      if List.length replies >= needed then Future.return replies
       else
         let* () = Engine.sleep 0.3 in
         gather ()
@@ -309,6 +318,17 @@ let recover t =
       t.recovered <- true;
       Trace.emit "recovery_complete"
         [ ("epoch", string_of_int t.epoch); ("rv", Int64.to_string rv) ];
+      (* Tell the ClusterController now rather than at its next ping: it
+         holds clients' state requests until the new proxies exist. *)
+      Network.send t.ctx.Context.net ~from:t.proc t.cc
+        (Message.Cc_recovered
+           {
+             cr_sequencer = t.ep;
+             cr_epoch = t.epoch;
+             cr_proxies = t.proxies;
+             cr_logs = t.logs;
+             cr_rv = rv;
+           });
       (* Phase 6: the "special recovery transaction": tell StorageServers
          the RV, the new logs, and the new epoch. *)
       broadcast_ss_recover t;
@@ -415,7 +435,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
         Future.return Message.Ok_reply
     | _ -> Future.return (Message.Reject (Error.Internal "sequencer: unexpected message"))
 
-let create ctx proc ~ratekeeper =
+let create ctx proc ~ratekeeper ~cc =
   let ep = Network.fresh_endpoint ctx.Context.net in
   let t =
     {
@@ -423,6 +443,7 @@ let create ctx proc ~ratekeeper =
       proc;
       ep;
       ratekeeper;
+      cc;
       rv_history = [];
       epoch = 0;
       recovered = false;

@@ -12,10 +12,12 @@
 
 type t
 
-val create : Context.t -> Fdb_sim.Process.t -> ratekeeper:int option -> t * int
+val create : Context.t -> Fdb_sim.Process.t -> ratekeeper:int option -> cc:int -> t * int
 (** Instantiate on a process and return its endpoint. Registration and the
     recovery actor start immediately; the sequencer serves
-    [Reject Database_locked] until recovery completes. *)
+    [Reject Database_locked] until recovery completes, then sends
+    [Cc_recovered] to the ClusterController at endpoint [cc]. Once dead it
+    stays registered and answers everything with [Reject Wrong_epoch]. *)
 
 val epoch : t -> Types.epoch
 val is_recovered : t -> bool

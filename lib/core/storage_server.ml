@@ -38,6 +38,9 @@ type t = {
   mutable logs : (int * int) list;
   mutable waiters : (Types.version * unit Future.promise) list;
   mutable stale_pulls : int; (* consecutive failed peeks *)
+  mutable peek : Message.t Future.promise option;
+      (* the in-flight peek's reply, which adopting a newer generation
+         breaks: that peek went to the old generation's logs *)
   mutable refreshing : bool; (* single-flight coordinator consultation *)
   mutable alive : bool;
   mutable incoming : (string * string * Types.version) list;
@@ -307,6 +310,10 @@ let adopt t ~epoch ~rv ~history ~logs =
         ("target", Int64.to_string target) ];
     t.epoch <- epoch;
     t.logs <- logs;
+    Option.iter
+      (fun p -> ignore (Future.try_break p (Future.Cancelled "peek abandoned") : bool))
+      t.peek;
+    t.peek <- None;
     if t.version > target then begin
       let dropped = Window.rollback t.window ~after:target in
       Trace.emit "ss_rollback"
@@ -344,12 +351,21 @@ let pull_once t =
   | None -> refresh_from_coordinators t
   | Some log_ep ->
       let as_of_epoch = t.epoch in
+      (* Unlabeled: the peek's own timeout guarantees the resolution. *)
+      let reply, deliver = Future.make () in
+      Future.on_resolve
+        (Context.rpc t.ctx ~timeout:1.0 ~from:t.proc log_ep
+           (Message.Log_peek { tag = t.id; from_version = Int64.add t.version 1L }))
+        (fun r ->
+          ignore
+            (match r with
+             | Ok m -> Future.try_fulfill deliver m
+             | Error e -> Future.try_break deliver e
+              : bool));
+      t.peek <- Some deliver;
       Future.catch
         (fun () ->
-          let* reply =
-            Context.rpc t.ctx ~timeout:1.0 ~from:t.proc log_ep
-              (Message.Log_peek { tag = t.id; from_version = Int64.add t.version 1L })
-          in
+          let* reply = reply in
           match reply with
           | Message.Log_peek_reply { pk_entries; pk_end; pk_kcv } ->
               t.stale_pulls <- 0;
@@ -357,6 +373,9 @@ let pull_once t =
               apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv
           | _ -> Future.return ())
         (function
+          | Future.Cancelled _ ->
+              (* [adopt] abandoned the peek: pull from the new logs now. *)
+              Future.return ()
           | Error.Fdb Error.Wrong_epoch ->
               (* The log server is locked: a recovery is in flight. *)
               t.stale_pulls <- t.stale_pulls + 1;
@@ -975,6 +994,7 @@ let rec create ctx proc ~id ~disk =
       logs = [];
       waiters = [];
       stale_pulls = 0;
+      peek = None;
       refreshing = false;
       alive = true;
       incoming;

@@ -52,9 +52,9 @@ let handle t (msg : Message.t) : Message.t Future.t =
           ~recovery_version:rp_recovery_version
       in
       Future.return (Message.Recruited { endpoint = ep })
-  | Message.Recruit_sequencer { rs_ratekeeper } ->
+  | Message.Recruit_sequencer { rs_ratekeeper; rs_cc } ->
       let proc = role_process t "sequencer" in
-      let _, ep = Sequencer.create t.ctx proc ~ratekeeper:rs_ratekeeper in
+      let _, ep = Sequencer.create t.ctx proc ~ratekeeper:rs_ratekeeper ~cc:rs_cc in
       Future.return (Message.Recruited { endpoint = ep })
   | Message.Recruit_ratekeeper ->
       let proc = role_process t "ratekeeper" in
@@ -66,8 +66,15 @@ let handle t (msg : Message.t) : Message.t Future.t =
       Future.return (Message.Recruited { endpoint = ep })
   | Message.Cc_get_state -> (
       match t.cc with
-      | Some cc -> Future.return (Cluster_controller.state_reply cc)
+      | Some cc -> Cluster_controller.await_state cc
       | None -> Future.return (Message.Reject (Error.Internal "not the cluster controller")))
+  | Message.Cc_recovered { cr_sequencer; cr_epoch; cr_proxies; cr_logs; cr_rv } ->
+      (match t.cc with
+      | Some cc ->
+          Cluster_controller.note_recovered cc ~sequencer:cr_sequencer ~epoch:cr_epoch
+            ~proxies:cr_proxies ~logs:cr_logs ~rv:cr_rv
+      | None -> ());
+      Future.return Message.Ok_reply
   | _ -> Future.return (Message.Reject (Error.Internal "worker: unexpected message"))
 
 let start_election t proc =

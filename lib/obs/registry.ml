@@ -24,6 +24,7 @@ type role =
   | Sequencer
   | Client
   | Data_distributor
+  | Cluster_controller
 
 let role_name = function
   | Proxy -> "proxy"
@@ -34,9 +35,20 @@ let role_name = function
   | Sequencer -> "sequencer"
   | Client -> "client"
   | Data_distributor -> "data_distributor"
+  | Cluster_controller -> "cluster_controller"
 
 let all_roles =
-  [ Proxy; Resolver; Log; Storage; Ratekeeper; Sequencer; Client; Data_distributor ]
+  [
+    Proxy;
+    Resolver;
+    Log;
+    Storage;
+    Ratekeeper;
+    Sequencer;
+    Client;
+    Data_distributor;
+    Cluster_controller;
+  ]
 
 (* Field order matters: polymorphic compare on [key] orders by role (in
    constructor-declaration order, which matches [all_roles]), then process,

@@ -38,6 +38,9 @@ type t = {
   st_dd_recruited : bool;
   st_unhealthy_teams : int;
   st_data_loss_risk : bool;
+  (* the last fault-triggered recovery, from the ClusterController's gauges *)
+  st_last_recovery_epoch : Types.epoch; (* 0: none yet *)
+  st_last_recovery_s : float;
 }
 
 (* A storage server whose heartbeat gauge is older than this is counted as
@@ -115,6 +118,20 @@ let gather cluster =
         List.length (Shard_map.shards_of_storage ctx.Context.shard_map ss))
   in
   let shards_max = List.fold_left max 0 shards_per_ss in
+  (* Each ClusterController that saw a recovery through publishes its last
+     one; the newest generation wins. *)
+  let last_epoch, last_s =
+    List.fold_left
+      (fun (e, d) (cc, epoch) ->
+        if int_of_float epoch <= e then (e, d)
+        else
+          ( int_of_float epoch,
+            Option.value ~default:0.0
+              (Registry.gauge_value reg ~role:Registry.Cluster_controller ~process:cc
+                 "last_recovery_duration") ))
+      (0, 0.0)
+      (Registry.gauges reg ~role:Registry.Cluster_controller "last_recovery_epoch")
+  in
   Future.return
     {
       st_epoch = epoch;
@@ -139,6 +156,8 @@ let gather cluster =
       st_dd_recruited = dd_recruited;
       st_unhealthy_teams = int_of_float (dd_gauge "unhealthy_teams");
       st_data_loss_risk = dd_gauge "data_loss_risk" > 0.0;
+      st_last_recovery_epoch = last_epoch;
+      st_last_recovery_s = last_s;
     }
 
 let pp fmt t =
@@ -153,7 +172,8 @@ let pp fmt t =
      rate budget         : %.0f tps@,\
      grv latency         : p50 %.2f ms, p99 %.2f ms@,\
      commit latency      : p50 %.2f ms, p99 %.2f ms@,\
-     data distribution   : %s, %d unhealthy teams%s@]"
+     data distribution   : %s, %d unhealthy teams%s@,\
+     last recovery       : %s@]"
     t.st_epoch
     (if t.st_recovered then "available" else "recovering")
     t.st_proxies t.st_logs t.st_storage_responsive t.st_storage_total
@@ -166,6 +186,10 @@ let pp fmt t =
     (if t.st_dd_recruited then "recruited" else "not recruited")
     t.st_unhealthy_teams
     (if t.st_data_loss_risk then " (DATA LOSS RISK)" else "")
+    (if t.st_last_recovery_epoch = 0 then "none"
+     else
+       Printf.sprintf "generation %d, %.0f ms" t.st_last_recovery_epoch
+         (t.st_last_recovery_s *. 1e3))
 
 (* Machine-readable status document: the cluster summary plus the full
    per-role rollup. Deterministic: sorted keys, canonical float rendering —
@@ -179,7 +203,8 @@ let to_json t (doc : Fdb_obs.Rollup.doc) =
      \"grv_served\":%d,\"commit_attempts\":%d,\
      \"commits\":%d,\"conflicts\":%d,\"rate_tps\":%s,\
      \"grv_p50_ms\":%s,\"grv_p99_ms\":%s,\"commit_p50_ms\":%s,\"commit_p99_ms\":%s,\
-     \"dd_recruited\":%b,\"unhealthy_teams\":%d,\"data_loss_risk\":%b},\
+     \"dd_recruited\":%b,\"unhealthy_teams\":%d,\"data_loss_risk\":%b,\
+     \"last_recovery_epoch\":%d,\"last_recovery_ms\":%s},\
      \"metrics\":%s}"
     t.st_epoch t.st_recovered t.st_proxies t.st_logs t.st_storage_responsive
     t.st_storage_total
@@ -192,4 +217,6 @@ let to_json t (doc : Fdb_obs.Rollup.doc) =
     (f (t.st_commit_p50 *. 1e3))
     (f (t.st_commit_p99 *. 1e3))
     t.st_dd_recruited t.st_unhealthy_teams t.st_data_loss_risk
+    t.st_last_recovery_epoch
+    (f (t.st_last_recovery_s *. 1e3))
     (Fdb_obs.Rollup.json_of_doc doc)

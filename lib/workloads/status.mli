@@ -27,6 +27,12 @@ type t = {
   st_dd_recruited : bool;  (** a DataDistributor is running *)
   st_unhealthy_teams : int;  (** teams below full replication (DD gauge) *)
   st_data_loss_risk : bool;  (** some team has zero responsive replicas *)
+  st_last_recovery_epoch : Fdb_core.Types.epoch;
+      (** generation the last fault-triggered recovery produced; 0 when
+          there has been none *)
+  st_last_recovery_s : float;
+      (** that recovery's duration: the ClusterController declaring the
+          sequencer failed to the new generation recovering *)
 }
 
 val gather : Fdb_core.Cluster.t -> t Fdb_sim.Future.t

@@ -312,6 +312,252 @@ let test_ratekeeper_throttles_on_metrics () =
   Alcotest.(check bool) "throttle decisions counted" true (throttles > 0);
   Alcotest.(check bool) "budget recovers once stale" true (rate_after > rate_trough *. 1.2)
 
+(* ---------- recovery latency: no serial timeouts behind a detected failure ---------- *)
+
+(* Once a fault is detected (the CC's ping timeout plus at most one
+   heartbeat tick), only recovery work may stand between it and the first
+   successful commit: 0.25 s of slack covers that work. *)
+let recovery_bound = Params.heartbeat_timeout +. Params.heartbeat_interval +. 0.25
+
+let current_tlog cluster =
+  let* epoch = Cluster.current_epoch cluster in
+  match find_processes cluster (Printf.sprintf "tlog-%d." epoch) with
+  | p :: _ -> Future.return p
+  | [] -> Alcotest.fail "no current-generation tlog found"
+
+let only_sequencer cluster =
+  match find_processes cluster "sequencer" with
+  | [ p ] -> Future.return p
+  | _ -> Alcotest.fail "expected exactly one sequencer process"
+
+(* Reboot the victim (down longer than the recovery takes), then time the
+   first read-modify-write transaction started after the fault. *)
+let first_commit_within_bound victim () =
+  let took, v =
+    with_cluster (fun cluster ->
+        let db = Cluster.client cluster ~name:"c" in
+        let* _ = write_marker db "lat/warm" "0" in
+        let* () = Engine.sleep 1.0 in
+        let* p = victim cluster in
+        let t0 = Engine.now () in
+        Engine.reboot p ~delay:2.0 ();
+        let* () =
+          Client.run db (fun tx ->
+              let* v = Client.get tx "lat/warm" in
+              Client.set tx "lat/after" (Option.value v ~default:"" ^ "+");
+              Future.return ())
+        in
+        let took = Engine.now () -. t0 in
+        let* v = read_marker db "lat/after" in
+        Future.return (took, v))
+  in
+  if took > recovery_bound then
+    Alcotest.failf "first commit after the fault took %.3f s (bound %.2f s)" took
+      recovery_bound;
+  Alcotest.(check (option string)) "the commit is readable" (Some "0+") v
+
+(* With one old LogServer down for good, the lock phase proceeds on the
+   m - k + 1 replies it has: the recovery (timed by the CC from declaring
+   the failure to the new generation recovering) never waits out the dead
+   LogServer's 1 s lock timeout, and every acknowledged commit survives. *)
+let test_lock_at_quorum () =
+  let module R = Fdb_obs.Registry in
+  let longest, epochs, acked, lost, status =
+    with_cluster ~seed:12L (fun cluster ->
+        let db = Cluster.client cluster ~name:"w" in
+        let acked = ref [] in
+        let stop = ref false in
+        let rec writer i =
+          if !stop then Future.return ()
+          else
+            let k = Printf.sprintf "q/%04d" i in
+            let* ok =
+              Future.catch
+                (fun () ->
+                  let* () = write_marker db k "x" in
+                  Future.return true)
+                (fun _ -> Future.return false)
+            in
+            if ok then acked := k :: !acked;
+            let* () = Engine.sleep 0.01 in
+            writer (i + 1)
+        in
+        let w = writer 0 in
+        let* () = Engine.sleep 1.0 in
+        let* epoch = Cluster.current_epoch cluster in
+        let* p = current_tlog cluster in
+        Engine.kill p;
+        let* () = Engine.sleep 4.0 in
+        stop := true;
+        let* () = w in
+        let* () = Cluster.wait_ready ~timeout:60.0 cluster in
+        let* epoch' = Cluster.current_epoch cluster in
+        let* rows =
+          Client.run db (fun tx -> Client.get_range tx ~limit:10_000 ~from:"q/" ~until:"q0" ())
+        in
+        let lost = List.filter (fun k -> not (List.mem_assoc k rows)) !acked in
+        let longest =
+          List.fold_left
+            (fun acc (_, h) -> Float.max acc (Fdb_util.Histogram.max_value h))
+            0.0
+            (R.histograms (Cluster.metrics cluster) ~role:R.Cluster_controller
+               "recovery_duration")
+        in
+        let* status = Fdb_workloads.Status.gather cluster in
+        Future.return
+          ( longest,
+            epoch' - epoch,
+            List.length !acked,
+            lost,
+            (epoch', status.Fdb_workloads.Status.st_last_recovery_epoch,
+             status.Fdb_workloads.Status.st_last_recovery_s) ))
+  in
+  Alcotest.(check bool) "a new generation recovered" true (epochs >= 1);
+  Alcotest.(check bool) "recovery timed" true (longest > 0.0);
+  if longest >= Params.heartbeat_timeout then
+    Alcotest.failf "recovery took %.3f s: it waited for the dead LogServer" longest;
+  Alcotest.(check bool) "commits acknowledged" true (acked > 0);
+  Alcotest.(check (list string)) "no acknowledged commit lost" [] lost;
+  let epoch, last_epoch, last_s = status in
+  Alcotest.(check int) "status names the last recovery's generation" epoch last_epoch;
+  Alcotest.(check bool) "status gives its duration" true (last_s > 0.0 && last_s <= longest)
+
+(* ---------- a dying proxy releases every waiter at once ---------- *)
+
+(* One proxy against scripted roles: the sequencer hands out versions but
+   never answers a GRV, the resolver commits everything, and no LogServer
+   ever acknowledges a push. Waiters pile up in every state — GRVs in
+   flight and queued, commit batches in flight and queued — then the CC's
+   retirement notice arrives. Every waiter must be answered in that same
+   instant, with the error its state calls for. *)
+let proxy_death_releases_waiters ~depth () =
+  let saved = !Params.proxy_commit_pipeline_depth in
+  Params.proxy_commit_pipeline_depth := depth;
+  let outcome, leaks =
+    Fun.protect
+      ~finally:(fun () -> Params.proxy_commit_pipeline_depth := saved)
+      (fun () ->
+        let outcome =
+          Engine.run ~seed:5L ~max_time:1e5 (fun () ->
+              let config = Config.default in
+              let net : Message.t Network.t = Network.create () in
+              let machine = Process.fresh_machine 0 in
+              let roles = Process.create ~name:"scripted-roles" machine in
+              let ctx =
+                {
+                  Context.net;
+                  config;
+                  shard_map = Shard_map.build config;
+                  coordinator_eps = [];
+                  worker_eps = [||];
+                  storage_eps = [||];
+                  metrics = Fdb_obs.Registry.create ();
+                }
+              in
+              (* Never answers: the caller's own RPC timeout ends the call. *)
+              let silent () = fst (Future.make ()) in
+              let serve handler =
+                let ep = Network.fresh_endpoint net in
+                Network.register net ep roles handler;
+                ep
+              in
+              let last = ref 0L in
+              let sequencer =
+                serve (function
+                  | Message.Seq_version ->
+                      let prev = !last in
+                      last := Int64.add prev 1000L;
+                      Future.return (Message.Seq_version_reply { version = !last; prev })
+                  | _ -> silent ())
+              in
+              let resolver =
+                serve (function
+                  | Message.Resolve_req { rs_txns; _ } ->
+                      Future.return
+                        (Message.Resolve_reply
+                           (Array.make (Array.length rs_txns) Message.V_commit))
+                  | _ -> silent ())
+              in
+              let logs =
+                List.init config.Config.log_servers (fun i -> (i, serve (fun _ -> silent ())))
+              in
+              let proxy, _ =
+                Proxy.create ctx
+                  (Process.create ~name:"proxy-1" machine)
+                  ~epoch:1 ~sequencer
+                  ~resolvers:[ (("", Types.system_key_space_end), resolver) ]
+                  ~logs ~ratekeeper:None ~recovery_version:0L
+              in
+              let commit i =
+                let k = Printf.sprintf "pd/%d" i in
+                Proxy.handle proxy
+                  (Message.Commit_req
+                     {
+                       Message.tr_read_version = 0L;
+                       tr_reads = [];
+                       tr_writes = [ (k, Types.next_key k) ];
+                       tr_mutations = [ Message.Plain (Fdb_kv.Mutation.Set (k, "v")) ];
+                     })
+              in
+              let grv_in_flight = Proxy.handle proxy Message.Grv_req in
+              (* Each commit flushes as its own batch and parks on its log
+                 push; with the pipeline full, one more waits in the queue. *)
+              let rec launch i acc =
+                if i = depth then Future.return (List.rev acc)
+                else
+                  let c = commit i in
+                  let* () = Engine.sleep 0.005 in
+                  launch (i + 1) (c :: acc)
+              in
+              let* commits_in_flight = launch 0 [] in
+              let commit_queued = commit depth in
+              let grv_queued = Proxy.handle proxy Message.Grv_req in
+              let all = (grv_in_flight :: grv_queued :: commit_queued :: commits_in_flight) in
+              let pending_before = List.length (List.filter Future.is_pending all) in
+              (* A retirement for an older generation is ignored. *)
+              let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 0 }) in
+              let alive_after_stale = not (Proxy.is_dead proxy) in
+              let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 1 }) in
+              let answer f =
+                match Future.peek f with
+                | Some (Message.Reject e) -> Error.to_string e
+                | Some m -> Format.asprintf "%a" Message.pp m
+                | None -> "pending"
+              in
+              let answers =
+                [
+                  ("grv in flight", answer grv_in_flight);
+                  ("grv queued", answer grv_queued);
+                  ("commit queued", answer commit_queued);
+                ]
+                @ List.mapi
+                    (fun i f -> (Printf.sprintf "commit batch %d in flight" i, answer f))
+                    commits_in_flight
+              in
+              let* late = Proxy.handle proxy Message.Grv_req in
+              (* Let the abandoned calls time out so every actor drains. *)
+              let* () = Engine.sleep 5.0 in
+              Future.return (pending_before, alive_after_stale, answers, late))
+        in
+        (outcome, Future.Lifecycle.total_leaks (Engine.last_run_lifecycle ())))
+  in
+  let pending_before, alive_after_stale, answers, late = outcome in
+  Alcotest.(check int) "every waiter pending before the retirement" (depth + 3) pending_before;
+  Alcotest.(check bool) "an older generation's retirement is ignored" true alive_after_stale;
+  Alcotest.(check (list (pair string string)))
+    "every waiter answered at once"
+    ([
+       ("grv in flight", "database_locked");
+       ("grv queued", "database_locked");
+       ("commit queued", "database_locked");
+     ]
+    @ List.init depth (fun i ->
+          (Printf.sprintf "commit batch %d in flight" i, "commit_unknown_result")))
+    answers;
+  Alcotest.(check bool) "later requests are told the generation ended" true
+    (late = Message.Reject Error.Wrong_epoch);
+  Alcotest.(check int) "no leaked promises" 0 leaks
+
 let suite =
   [
     Alcotest.test_case "sequencer kill -> new epoch" `Quick test_sequencer_kill_triggers_new_epoch;
@@ -324,6 +570,15 @@ let suite =
     Alcotest.test_case "blind writer follows new proxies" `Quick
       test_blind_writer_follows_new_proxies;
     Alcotest.test_case "bank under faults" `Slow test_bank_under_faults;
+    Alcotest.test_case "sequencer kill: commit within detection bound" `Quick
+      (first_commit_within_bound only_sequencer);
+    Alcotest.test_case "tlog kill: commit within detection bound" `Quick
+      (first_commit_within_bound current_tlog);
+    Alcotest.test_case "old logs locked at quorum" `Quick test_lock_at_quorum;
+    Alcotest.test_case "proxy death releases waiters (serial)" `Quick
+      (proxy_death_releases_waiters ~depth:1);
+    Alcotest.test_case "proxy death releases waiters (pipelined)" `Quick
+      (proxy_death_releases_waiters ~depth:4);
     Alcotest.test_case "log prune + reboot + recovery" `Quick
       test_log_prune_survives_reboot_and_recovery;
   ]
