@@ -50,8 +50,9 @@ let run () =
               let* rows =
                 Client.run dbi ~max_attempts:2 (fun tx ->
                     let s = Rng.int rng (universe - 8) in
-                    Client.get_range tx ~limit:4 ~from:(Bench_util.key s)
-                      ~until:(Bench_util.key (s + 8)) ())
+                    Client.range_all tx
+                      (Range_query.keys ~limit:4 ~from:(Bench_util.key s)
+                        ~until:(Bench_util.key (s + 8)) ()))
               in
               Histogram.add read_lat (Engine.now () -. t0);
               let b = buckets.(bucket_of_now ()) in

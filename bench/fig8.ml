@@ -29,8 +29,9 @@ let range_read_txn n db rng =
   Client.run db ~max_attempts:4 (fun tx ->
       let start = Rng.int rng (universe - n) in
       let* rows =
-        Client.get_range tx ~limit:n ~from:(Bench_util.key start)
-          ~until:(Bench_util.key (start + n)) ()
+        Client.range_all tx
+          (Range_query.keys ~limit:n ~from:(Bench_util.key start)
+            ~until:(Bench_util.key (start + n)) ())
       in
       let bytes =
         List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows

@@ -1,9 +1,10 @@
 (* Range-read pipeline bench: sequential shard walk (the pre-pipeline
    client read path, kept here verbatim as the baseline) vs the parallel
-   bounded-fanout pipeline now inside [Client.get_range], on a range
-   spanning every shard of the cluster. Records simulated milliseconds per
-   full-range read and the speedup into BENCH_range.json, and fails if the
-   pipeline is not at least 2x faster. *)
+   bounded-fanout pipeline behind [Client.range_all], on a range spanning
+   every shard of the cluster. Records simulated milliseconds per
+   full-range read and the speedup into BENCH_range.json. Fails if the two
+   paths ever return different row counts, or if the pipeline is not at
+   least 2x faster. *)
 
 open Fdb_sim
 open Fdb_core
@@ -102,8 +103,9 @@ let run ?(smoke = false) () =
   let config =
     Bench_util.shard_evenly Config.default ~universe ~key_of:Bench_util.key
   in
-  let shards = ref 0 and fanout = !Params.client_range_fanout in
+  let shards = ref 0 and fanout = Params.client_range_fanout in
   let seq_ms = ref 0.0 and pipe_ms = ref 0.0 and row_count = ref 0 in
+  let mismatch = ref None in
   Bench_util.with_sim ~cpu_scale:1.0 config (fun cluster ->
       let* () = Bench_util.preload cluster ~universe in
       let ctx = Cluster.context cluster in
@@ -131,12 +133,12 @@ let run ?(smoke = false) () =
           time_reads "pipelined fan-out" (fun () ->
               let tx = Client.begin_tx db in
               Client.set_read_version tx version;
-              let* rows = Client.get_range ~limit tx ~from ~until () in
+              let* rows =
+                Client.range_all tx (Range_query.keys ~limit ~from ~until ())
+              in
               Future.return (List.length rows))
         in
-        if nseq <> npipe then
-          Printf.printf "WARNING: row-count mismatch (seq %d, pipe %d)\n%!" nseq
-            npipe;
+        if nseq <> npipe then mismatch := Some (nseq, npipe);
         seq_ms := !seq_ms +. (seq *. 1000.0);
         pipe_ms := !pipe_ms +. (pipe *. 1000.0);
         row_count := nseq;
@@ -147,6 +149,12 @@ let run ?(smoke = false) () =
           loop (i - 1)
       in
       loop iters);
+  Option.iter
+    (fun (nseq, npipe) ->
+      failwith
+        (Printf.sprintf "range read row-count mismatch: sequential %d, pipelined %d"
+           nseq npipe))
+    !mismatch;
   let seq_ms = !seq_ms /. float_of_int iters in
   let pipe_ms = !pipe_ms /. float_of_int iters in
   let speedup = seq_ms /. Float.max pipe_ms 1e-9 in

@@ -12,23 +12,29 @@ open Future.Syntax
 module Keygen = Fdb_workloads.Random_ops.Keygen
 module Registry = Fdb_obs.Registry
 
+(* The DataDistributor starts idle; its policy is aggressive: split by
+   size and by heat (so the hottest Zipf ranks end up isolated in shards
+   small enough to spread one server apart), never merge back, and move at
+   a low imbalance bar. *)
 let config machines =
   {
+    Config.default with
     Config.machines;
-    coordinators = 3;
     proxies = 3;
-    resolvers = 1;
     log_servers = 2;
     storage_per_machine = 1;
     log_replication = 2;
     storage_replication = 2;
-    mvcc_window = 5.0;
-    shards_per_storage = 2;
-    cc_candidates = 3;
     racks = machines;
     disks_per_machine = 2;
-    shard_boundaries = [];
-    regions = 1;
+    dd =
+      {
+        Config.rebalance_interval = 0.5;
+        split_bytes = 20_000;
+        split_bandwidth = 25_000.0;
+        merge_bytes = 0;
+        imbalance_ratio = 1.2;
+      };
   }
 
 type point = { tps : float; ops : float; aborts : int }
@@ -88,22 +94,7 @@ let run ?(smoke = false) () =
   let warmup = 1.0 and measure = if smoke then 4.0 else 10.0 in
   let rebalance_time = if smoke then 30.0 else 45.0 in
   let gen = Keygen.zipfian ~n:universe ~theta:zipf_theta in
-  let saved =
-    ( !Params.dd_movement_enabled, !Params.dd_rebalance_interval,
-      !Params.dd_split_bytes, !Params.dd_split_bandwidth, !Params.dd_merge_bytes,
-      !Params.dd_imbalance_ratio )
-  in
-  let restore () =
-    let en, iv, sb, sbw, mb, ir = saved in
-    Params.dd_movement_enabled := en;
-    Params.dd_rebalance_interval := iv;
-    Params.dd_split_bytes := sb;
-    Params.dd_split_bandwidth := sbw;
-    Params.dd_merge_bytes := mb;
-    Params.dd_imbalance_ratio := ir
-  in
   let shards_before, shards_after, moves, before, after =
-    Fun.protect ~finally:restore @@ fun () ->
     Bench_util.with_sim ~seed:4242L (config machines) (fun cluster ->
         let* () = Bench_util.preload cluster ~universe in
         let sm = (Cluster.context cluster).Context.shard_map in
@@ -112,17 +103,9 @@ let run ?(smoke = false) () =
         let* b_tps, b_ops, _, b_aborts =
           Bench_util.closed_loop cluster ~clients ~warmup ~measure ~txn
         in
-        (* Unleash the DataDistributor: aggressive split threshold, no
-           merging back, low imbalance bar — and keep the load running
-           while it splits and spreads the hot shard. *)
-        Params.dd_movement_enabled := true;
-        Params.dd_rebalance_interval := 0.5;
-        Params.dd_split_bytes := 20_000;
-        (* also split by heat, so the hottest Zipf ranks end up isolated in
-           shards small enough to spread one server apart *)
-        Params.dd_split_bandwidth := 25_000.0;
-        Params.dd_merge_bytes := 0;
-        Params.dd_imbalance_ratio := 1.2;
+        (* Unleash the DataDistributor, and keep the load running while it
+           splits and spreads the hot shard. *)
+        (Cluster.context cluster).Context.dd_movement <- true;
         let* _ =
           Bench_util.closed_loop cluster ~clients ~warmup:rebalance_time
             ~measure:1.0 ~txn

@@ -21,7 +21,7 @@ let seats_of v = int_of_string v
 
 let available_classes tx =
   let from, until = Types.range_of_prefix "class/" in
-  let* all = Client.get_range tx ~from ~until () in
+  let* all = Client.range_all tx (Range_query.keys ~from ~until ()) in
   Future.return
     (List.filter_map
        (fun (k, v) ->
@@ -40,7 +40,7 @@ let signup db student cls =
         | Some v ->
             (* A student may attend at most 5 classes. *)
             let from, until = attends_range student in
-            let* attending = Client.get_range tx ~from ~until () in
+            let* attending = Client.range_all tx (Range_query.keys ~from ~until ()) in
             if List.length attending >= 5 then Future.return `Too_many_classes
             else begin
               Client.set tx (class_key cls) (string_of_int (seats_of v - 1));
@@ -94,7 +94,7 @@ let () =
       (* Verify: per-class enrolment matches the seat counters. *)
       let* ok =
         Client.run db (fun tx ->
-            let* rows = Client.get_range tx ~from:"attends/" ~until:"attends0" () in
+            let* rows = Client.range_all tx (Range_query.prefix "attends/" ()) in
             let enrolled c =
               List.length
                 (List.filter

@@ -32,7 +32,7 @@ let () =
       let* value, marbles =
         Client.run db (fun tx ->
             let* value = Client.get tx "hello" in
-            let* marbles = Client.get_range tx ~from:"marbles/" ~until:"marbles0" () in
+            let* marbles = Client.range_all tx (Range_query.prefix "marbles/" ()) in
             Future.return (value, marbles))
       in
       Printf.printf "hello = %s\n" (Option.value value ~default:"<missing>");

@@ -27,8 +27,6 @@ module Key_selector = struct
     { sel_key = key; sel_or_equal = false; sel_offset = offset }
 end
 
-type streaming_mode = [ `Want_all | `Iterator | `Exact of int ]
-
 type tx_options = {
   opt_timeout : float option;
   opt_retry_limit : int option;
@@ -433,7 +431,7 @@ let ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit
   in
   let frags = Array.of_list fragments in
   let n = Array.length frags in
-  let fanout = max 1 !Params.client_range_fanout in
+  let fanout = max 1 Params.client_range_fanout in
   Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int (min fanout (max n 1)));
   if n = 0 then Future.return ([], true)
   else begin
@@ -566,47 +564,14 @@ let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
   in
   Future.return (kept, continuation)
 
-let budgets_of_mode mode ~remaining =
+(* Row and byte budgets of one storage round-trip that wants at most
+   [rows] rows. *)
+let budgets mode ~rows =
   match mode with
-  | `Want_all -> (remaining, Params.range_bytes_want_all)
+  | `Want_all -> (rows, Params.range_bytes_want_all)
   | `Iterator ->
-      (min remaining Params.range_rows_per_batch, !Params.range_bytes_per_req)
-  | `Exact n -> (min remaining (max 1 n), Params.range_bytes_want_all)
-
-(* Full range read over already-resolved endpoints: loop [read_merged]
-   batches, stitching continuations, until the range is drained or [limit]
-   rows are in hand. *)
-let get_range_resolved ?(snapshot = false) ?(limit = 1000) ?(reverse = false)
-    ?(mode = `Want_all) t ~from ~until () =
-  check_not_committed t;
-  if from >= until then Future.return []
-  else begin
-    if until > Types.key_space_end then
-      raise (Error.Fdb Error.Key_outside_legal_range);
-    let* snap = snapshot_info t in
-    (* Conflict on the whole requested range up front (pre-pipeline
-       behavior): the result logically depends on all of it. *)
-    if not snapshot then add_read_conflict_range t ~from ~until;
-    let rec loop ~from ~until acc collected =
-      let remaining = limit - collected in
-      if remaining <= 0 then Future.return (List.concat (List.rev acc))
-      else begin
-        let row_limit, byte_limit = budgets_of_mode mode ~remaining in
-        let* rows, continuation =
-          read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit
-            ~conflict:false
-        in
-        let acc = rows :: acc in
-        match continuation with
-        | None -> Future.return (List.concat (List.rev acc))
-        | Some c ->
-            let from, until = if reverse then (from, c) else (c, until) in
-            if from >= until then Future.return (List.concat (List.rev acc))
-            else loop ~from ~until acc (collected + List.length rows)
-      end
-    in
-    loop ~from ~until [] 0
-  end
+      (min rows Params.range_rows_per_batch, Params.range_bytes_per_req)
+  | `Exact n -> (min rows (max 1 n), Params.range_bytes_want_all)
 
 (* ---------- key-selector resolution ---------- *)
 
@@ -741,106 +706,76 @@ let apply_continuation ~reverse ~continuation (from, until) =
   | None -> (from, until)
   | Some c -> if reverse then (from, min c until) else (max c from, until)
 
-(* Budgets of one streaming batch; the row budget is additionally capped by
-   the query's overall row limit. *)
-let stream_budgets (q : Range_query.t) =
-  match q.rq_mode with
-  | `Want_all -> (min 1_000_000 q.rq_limit, Params.range_bytes_want_all)
-  | `Iterator ->
-      (min Params.range_rows_per_batch q.rq_limit, !Params.range_bytes_per_req)
-  | `Exact n -> (min (max 1 n) q.rq_limit, Params.range_bytes_want_all)
-
-(* One bounded batch of the query — the streaming building block. Concrete
-   (plain-key) bounds skip endpoint resolution entirely; selector bounds
-   resolve both endpoints at the snapshot first. Each batch adds a read
-   conflict only over the span it actually observed. *)
-let range t (q : Range_query.t) =
-  check_not_committed t;
-  let batch_of ~from ~until =
-    if from >= until then
-      Future.return { batch_rows = []; batch_continuation = None }
-    else
-      let* snap = snapshot_info t in
-      let row_limit, byte_limit = stream_budgets q in
-      let* rows, continuation =
-        read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
-          ~byte_limit ~conflict:(not q.rq_snapshot)
-      in
-      Future.return { batch_rows = rows; batch_continuation = continuation }
+(* The query's concrete bounds, narrowed by its continuation cursor.
+   Plain-key bounds need no round-trip (and must lie in the legal key
+   space); selector bounds resolve at the snapshot and clamp to it. *)
+let query_bounds t (q : Range_query.t) =
+  let narrow bounds =
+    apply_continuation ~reverse:q.rq_reverse ~continuation:q.rq_continuation
+      bounds
   in
   match Range_query.trivial_bounds q with
   | Some (from, until) ->
       if until > Types.key_space_end then
         raise (Error.Fdb Error.Key_outside_legal_range);
-      let from, until =
-        apply_continuation ~reverse:q.rq_reverse
-          ~continuation:q.rq_continuation (from, until)
-      in
-      batch_of ~from ~until
+      Future.return (narrow (from, until))
   | None ->
       let* snap = snapshot_info t in
       let* lo = resolve_endpoint t snap q.rq_begin in
       let* hi = resolve_endpoint t snap q.rq_end in
-      let lo = clamp_key lo and hi = clamp_key hi in
-      let lo, hi =
-        apply_continuation ~reverse:q.rq_reverse ~continuation:q.rq_continuation
-          (lo, hi)
-      in
-      batch_of ~from:lo ~until:hi
+      Future.return (narrow (clamp_key lo, clamp_key hi))
 
-(* Drain the query to a list: loop batches, stitching continuations, until
-   the range is exhausted or [rq_limit] rows are in hand. Concrete bounds
-   reduce to exactly the pre-unification [get_range] path; selector bounds
-   resolve once and conflict on the whole resolved span, as the selector
-   form always did. *)
+(* One bounded batch of the query — the streaming building block. Each
+   batch adds a read conflict only over the span it actually observed; it
+   never asks storage for more than 1M rows. *)
+let range t (q : Range_query.t) =
+  check_not_committed t;
+  let* from, until = query_bounds t q in
+  if from >= until then
+    Future.return { batch_rows = []; batch_continuation = None }
+  else
+    let* snap = snapshot_info t in
+    let row_limit, byte_limit =
+      budgets q.rq_mode ~rows:(min 1_000_000 q.rq_limit)
+    in
+    let* rows, continuation =
+      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
+        ~byte_limit ~conflict:(not q.rq_snapshot)
+    in
+    Future.return { batch_rows = rows; batch_continuation = continuation }
+
+(* Drain the query to a list: conflict on the whole span up front (the
+   result logically depends on all of it), then loop [read_merged] batches,
+   stitching continuations, until the range is exhausted or [rq_limit] rows
+   are in hand. *)
 let range_all t (q : Range_query.t) =
   check_not_committed t;
-  match Range_query.trivial_bounds q with
-  | Some (from, until) ->
-      let from, until =
-        apply_continuation ~reverse:q.rq_reverse
-          ~continuation:q.rq_continuation (from, until)
-      in
-      get_range_resolved ~snapshot:q.rq_snapshot ~limit:q.rq_limit
-        ~reverse:q.rq_reverse ~mode:q.rq_mode t ~from ~until ()
-  | None ->
-      let* snap = snapshot_info t in
-      let* lo = resolve_endpoint t snap q.rq_begin in
-      let* hi = resolve_endpoint t snap q.rq_end in
-      let lo = clamp_key lo and hi = clamp_key hi in
-      let lo, hi =
-        apply_continuation ~reverse:q.rq_reverse ~continuation:q.rq_continuation
-          (lo, hi)
-      in
-      if lo >= hi then Future.return []
+  let* from, until = query_bounds t q in
+  if from >= until then Future.return []
+  else begin
+    let* snap = snapshot_info t in
+    if not q.rq_snapshot then add_read_conflict_range t ~from ~until;
+    let reverse = q.rq_reverse in
+    let rec loop ~from ~until acc collected =
+      let remaining = q.rq_limit - collected in
+      if remaining <= 0 then Future.return (List.concat (List.rev acc))
       else begin
-        if not q.rq_snapshot then add_read_conflict_range t ~from:lo ~until:hi;
-        get_range_resolved ~snapshot:true ~limit:q.rq_limit
-          ~reverse:q.rq_reverse ~mode:q.rq_mode t ~from:lo ~until:hi ()
+        let row_limit, byte_limit = budgets q.rq_mode ~rows:remaining in
+        let* rows, continuation =
+          read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit
+            ~conflict:false
+        in
+        let acc = rows :: acc in
+        match continuation with
+        | None -> Future.return (List.concat (List.rev acc))
+        | Some c ->
+            let from, until = if reverse then (from, c) else (c, until) in
+            if from >= until then Future.return (List.concat (List.rev acc))
+            else loop ~from ~until acc (collected + List.length rows)
       end
-
-(* ---------- legacy range entry points (thin wrappers) ---------- *)
-
-let get_range ?snapshot ?limit ?reverse ?mode t ~from ~until () =
-  range_all t (Range_query.keys ?limit ?mode ?reverse ?snapshot ~from ~until ())
-
-(* The selector form historically clamped concrete (no-offset) endpoint
-   keys into the legal key space instead of raising. *)
-let clamp_trivial (s : Key_selector.t) =
-  if (not s.sel_or_equal) && s.sel_offset = 1 && s.sel_key > Types.key_space_end
-  then { s with Message.sel_key = Types.key_space_end }
-  else s
-
-let get_range_sel ?snapshot ?limit ?reverse ?mode t ~from ~until () =
-  range_all t
-    (Range_query.create ?limit ?mode ?reverse ?snapshot
-       ~begin_:(clamp_trivial from) ~end_:(clamp_trivial until) ())
-
-let get_range_stream ?(snapshot = false) ?(reverse = false) ?(mode = `Iterator)
-    ?continuation t ~from ~until () =
-  range t
-    (Range_query.keys ~limit:max_int ~mode ~reverse ~snapshot ?continuation
-       ~from ~until ())
+    in
+    loop ~from ~until [] 0
+  end
 
 (* ---------- writes ---------- *)
 
@@ -1032,7 +967,7 @@ let rec watch_poll db w ~version ~epoch =
                 let ep = db.ctx.Context.storage_eps.(ss) in
                 let* r =
                   Context.rpc db.ctx
-                    ~timeout:(!Params.watch_poll_timeout +. 1.0)
+                    ~timeout:(Params.watch_poll_timeout +. 1.0)
                     ~from:db.proc ep
                     (Message.Ss_watch
                        { w_key = w.wt_key; w_version = version; w_epoch = epoch })

@@ -84,12 +84,6 @@ module Key_selector : sig
       many keys forward (may be negative). *)
 end
 
-type streaming_mode = [ `Want_all | `Iterator | `Exact of int ]
-(** How a range read budgets its storage round-trips: [`Want_all] drains
-    the range with large batches, [`Iterator] uses modest row/byte budgets
-    per batch (the streaming default), [`Exact n] sizes batches for
-    exactly [n] rows. *)
-
 (** {2 Transaction options} *)
 
 type tx_options = {
@@ -134,74 +128,28 @@ val get_key : ?snapshot:bool -> tx -> Key_selector.t -> string Fdb_sim.Future.t
     Every range read is a {!Range_query.t}: two key-selector endpoints, a
     row limit, a streaming mode, direction, snapshot-ness, and an optional
     continuation cursor. {!range} evaluates one bounded batch (streaming);
-    {!range_all} drains the query to a list. The legacy entry points below
-    are thin wrappers over these two. *)
+    {!range_all} drains the query to a list. They are the only range
+    reads. *)
 
 type batch = {
   batch_rows : (string * string) list;
   batch_continuation : string option;
-      (** resume cursor — re-issue the query with
-          {!Range_query.with_continuation} (or pass [?continuation] to the
-          legacy stream call) to fetch the next batch; [None] when the
-          range is exhausted *)
+      (** resume cursor — rebuild the query with [?continuation] to
+          fetch the next batch; [None] when the range is exhausted *)
 }
 
 val range : tx -> Range_query.t -> batch Fdb_sim.Future.t
 (** One bounded batch of the query, merged with buffered writes, with a
-    continuation cursor for the next batch ([None] when exhausted). Adds a
+    continuation cursor for the next batch ([None] when exhausted), so
+    callers can stream arbitrarily large ranges at bounded memory. Adds a
     read conflict only over the span the batch actually observed (unless
-    [rq_snapshot]). *)
+    [rq_snapshot]). Plain-key bounds beyond {!Types.key_space_end} raise
+    [Key_outside_legal_range]; selector bounds clamp to the key space. *)
 
 val range_all : tx -> Range_query.t -> (string * string) list Fdb_sim.Future.t
 (** Drain the query: loop batches, stitching continuations, until the
     range is exhausted or [rq_limit] rows are in hand. Non-snapshot
     queries conflict on the whole requested range up front. *)
-
-val get_range :
-  ?snapshot:bool ->
-  ?limit:int ->
-  ?reverse:bool ->
-  ?mode:streaming_mode ->
-  tx ->
-  from:string ->
-  until:string ->
-  unit ->
-  (string * string) list Fdb_sim.Future.t
-(** Ordered range read of [\[from, until)], merged with buffered writes.
-    Deprecated sugar for [range_all] over {!Range_query.keys}; prefer the
-    unified API in new code. *)
-
-val get_range_sel :
-  ?snapshot:bool ->
-  ?limit:int ->
-  ?reverse:bool ->
-  ?mode:streaming_mode ->
-  tx ->
-  from:Key_selector.t ->
-  until:Key_selector.t ->
-  unit ->
-  (string * string) list Fdb_sim.Future.t
-(** Range read between two key selectors, resolved at the storage servers
-    against the MVCC window at the transaction's read version. Deprecated
-    sugar for [range_all] over {!Range_query.create}. *)
-
-(** {2 Streaming} *)
-
-val get_range_stream :
-  ?snapshot:bool ->
-  ?reverse:bool ->
-  ?mode:streaming_mode ->
-  ?continuation:string ->
-  tx ->
-  from:string ->
-  until:string ->
-  unit ->
-  batch Fdb_sim.Future.t
-(** One bounded batch of [\[from, until)] with an explicit continuation
-    cursor, so callers can stream arbitrarily large ranges at bounded
-    memory. Each batch merges buffered writes and adds a read conflict
-    only over the span it actually observed. Deprecated sugar for {!range}
-    over {!Range_query.keys}. *)
 
 val set : tx -> string -> string -> unit
 val clear : tx -> string -> unit

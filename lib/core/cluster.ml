@@ -67,6 +67,7 @@ let create ?(config = Config.default) () =
       worker_eps;
       storage_eps;
       metrics = Fdb_obs.Registry.create ();
+      dd_movement = false;
     }
   in
   (* Coordinators: processes on the first machines, own disk slice. *)

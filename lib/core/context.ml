@@ -8,6 +8,7 @@ type t = {
   worker_eps : int array;
   storage_eps : int array;
   metrics : Fdb_obs.Registry.t; (* the cluster-wide metrics plane *)
+  mutable dd_movement : bool; (* the DataDistributor's movement switch *)
 }
 
 let rpc t ?timeout ?bytes ~from ep msg =

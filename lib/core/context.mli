@@ -1,11 +1,11 @@
-(** Static deployment context threaded through every role.
+(** Deployment context threaded through every role: one per cluster.
 
     Plays the part of FDB's cluster file plus compile-time knowledge: the
-    network handle, the configuration, and the well-known endpoints that
-    survive reboots (coordinators, worker agents, storage servers). Role
-    endpoints that change each epoch (proxies, resolvers, log servers) are
-    NOT here — they travel through recruitment messages and the
-    coordinated state, as in the paper. *)
+    network handle, the configuration (knobs included), and the well-known
+    endpoints that survive reboots (coordinators, worker agents, storage
+    servers). Role endpoints that change each epoch (proxies, resolvers,
+    log servers) are NOT here — they travel through recruitment messages
+    and the coordinated state, as in the paper. *)
 
 type t = {
   net : Message.t Fdb_sim.Network.t;
@@ -16,6 +16,12 @@ type t = {
   storage_eps : int array;  (** storage server endpoint, by server id *)
   metrics : Fdb_obs.Registry.t;
       (** cluster-wide metrics plane: every role publishes here *)
+  mutable dd_movement : bool;
+      (** whether the DataDistributor splits, merges and moves shards.
+          Off when {!Cluster.create} returns, so runs that leave it alone
+          keep byte-identical schedules; a run may flip it at any time
+          (e.g. to quiesce movement before its oracles). It outlives any
+          one DataDistributor, which the CC may re-recruit. *)
 }
 
 val rpc :

@@ -252,7 +252,8 @@ let machine_of t ss = ss / t.ctx.Context.config.Config.storage_per_machine
    (and keeps the double-run checksum oracle meaningful). *)
 let rebalance_tick t =
   let map = t.ctx.Context.shard_map in
-  let interval = !Params.dd_rebalance_interval in
+  let policy = t.ctx.Context.config.Config.dd in
+  let interval = policy.Config.rebalance_interval in
   (* Reconcile: abort moves whose mover evidently died. *)
   List.iter
     (fun (lo, _, _, started) ->
@@ -287,7 +288,8 @@ let rebalance_tick t =
     for i = n - 1 downto 0 do
       if
         user_space i && (not (moving (fst ranges.(i))))
-        && (sizes.(i) > !Params.dd_split_bytes || bandwidth i > !Params.dd_split_bandwidth)
+        && (sizes.(i) > policy.Config.split_bytes
+            || bandwidth i > policy.Config.split_bandwidth)
       then candidate := Some i
     done;
     match !candidate with
@@ -298,7 +300,7 @@ let rebalance_tick t =
         let* at = split_point t teams.(i) ~from:lo ~until in
         (match at with
         | Some at -> (
-            (* fdb-lint: allow R5 -- Context.t is immutable: map is a stable handle; every Shard_map operation re-reads its contents *)
+            (* fdb-lint: allow R5 -- Context.shard_map is an immutable field: map is a stable handle; every Shard_map operation re-reads its contents *)
             match Shard_map.split map ~at with
             | Ok () ->
                 Registry.incr t.obs_splits;
@@ -320,8 +322,9 @@ let rebalance_tick t =
         && List.sort compare teams.(i) = List.sort compare teams.(i + 1)
         && (not (moving (fst ranges.(i))))
         && (not (moving (fst ranges.(i + 1))))
-        && sizes.(i) < !Params.dd_merge_bytes
-        && sizes.(i + 1) < !Params.dd_merge_bytes
+        (* fdb-lint: allow R5 -- Config.t is immutable: the policy cannot go stale across the split yield *)
+        && sizes.(i) < policy.Config.merge_bytes
+        && sizes.(i + 1) < policy.Config.merge_bytes
         && traffic.(i) + traffic.(i + 1) = 0
       then candidate := Some i
     done;
@@ -334,7 +337,7 @@ let rebalance_tick t =
             Trace.emit "dd_shard_merged" [ ("lo", String.escaped (fst ranges.(i))) ]
         | Error _ -> ())
   end;
-  (* Move: when the hottest server carries dd_imbalance_ratio x the coldest
+  (* Move: when the hottest server carries imbalance_ratio x the coldest
      server's load, swap it out of its hottest shard's team for the coldest
      server (single-replica swap: only the newcomer fetches). *)
   let n_ss = Array.length t.ctx.Context.storage_eps in
@@ -350,7 +353,7 @@ let rebalance_tick t =
   if
     Shard_map.pending_moves map = []
     && float_of_int load.(!hot)
-       > !Params.dd_imbalance_ratio *. float_of_int (max load.(!cold) 1)
+       > policy.Config.imbalance_ratio *. float_of_int (max load.(!cold) 1)
     && load.(!hot) > 0
   then begin
     (* Hottest user-space shard served by the hot server whose team lacks
@@ -390,9 +393,9 @@ let rebalance_loop t =
   let rec loop () =
     if not t.running then Future.return ()
     else
-      let* () = Engine.sleep !Params.dd_rebalance_interval in
+      let* () = Engine.sleep t.ctx.Context.config.Config.dd.Config.rebalance_interval in
       let* () =
-        if !Params.dd_movement_enabled then
+        if t.ctx.Context.dd_movement then
           Future.catch
             (fun () -> rebalance_tick t)
             (fun exn ->

@@ -13,7 +13,7 @@
     monitor ends the epoch; the ClusterController retires the proxies of
     a generation whose sequencer it declares failed.
 
-    Up to [Params.proxy_commit_pipeline_depth] batches are in flight
+    Up to [Config.proxy_commit_pipeline_depth] batches are in flight
     concurrently: each fetches its own [(lsn, prev)] pair (gated so LSNs
     follow launch order) and resolves/pushes without waiting for its
     predecessor — the §2.4.1 prev-chaining at Resolvers and LogServers

@@ -43,7 +43,3 @@ let trivial_bounds q =
   if trivial q.rq_begin && trivial q.rq_end then
     Some (q.rq_begin.Message.sel_key, q.rq_end.Message.sel_key)
   else None
-
-let with_continuation q c = { q with rq_continuation = Some c }
-let with_limit q limit = { q with rq_limit = limit }
-let with_snapshot q snapshot = { q with rq_snapshot = snapshot }

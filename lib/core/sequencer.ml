@@ -250,7 +250,7 @@ let recover t =
           Message.Recruit_log { rl_epoch = t.epoch; rl_id = i; rl_start_lsn = rv })
     in
     let log_eps = List.mapi (fun i ep -> (i, ep)) log_raw in
-    (* fdb-lint: allow R5 -- Context.t is immutable: cfg cannot go stale across the recruit yields *)
+    (* fdb-lint: allow R5 -- Context.config is an immutable field: cfg cannot go stale across the recruit yields *)
     let ranges = resolver_ranges cfg.Config.resolvers in
     let* resolver_raw =
       let rec go i acc =

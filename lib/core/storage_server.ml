@@ -929,7 +929,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
               [ ("ss", string_of_int t.id); ("key", String.escaped w_key) ];
             Future.catch
               (fun () ->
-                let* v = Engine.timeout !Params.watch_poll_timeout fut in
+                let* v = Engine.timeout Params.watch_poll_timeout fut in
                 Future.return (Message.Ss_watch_reply { wr_fired = true; wr_version = v }))
               (function
                 | Engine.Timed_out ->

@@ -26,12 +26,16 @@ let add tx t ~payload =
     ~value:payload
 
 let is_empty tx t =
-  let* head = Client.get_range tx ~limit:1 ~from:t.from ~until:t.until () in
+  let* head =
+    Client.range_all tx (Range_query.keys ~limit:1 ~from:t.from ~until:t.until ())
+  in
   Future.return (head = [])
 
 let run_one db t ~f =
   Client.run db (fun tx ->
-      let* head = Client.get_range tx ~limit:1 ~from:t.from ~until:t.until () in
+      let* head =
+        Client.range_all tx (Range_query.keys ~limit:1 ~from:t.from ~until:t.until ())
+      in
       match head with
       | [] -> Future.return false
       | (key, payload) :: _ ->

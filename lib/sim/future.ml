@@ -272,8 +272,6 @@ let race ts =
         ts;
       out
 
-let ignore_result (_ : 'a t) = ()
-
 (* The approved detach idiom (lint rule R6): fire-and-forget a future
    WITHOUT swallowing its error side-channel. Failures are routed to a
    [future_detached_error] trace event (and tallied for the lifecycle

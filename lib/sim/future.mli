@@ -92,10 +92,6 @@ val any_exn : exn
 val race_loser_exn : exn
 (** The {!Cancelled} value delivered to {!race} losers. *)
 
-val ignore_result : 'a t -> unit
-(** Detach: drop the value; re-raise nothing (failures are swallowed).
-    Deprecated in favor of {!detach} — lint rule R6 flags uses. *)
-
 val detach : name:string -> 'a t -> unit
 (** The approved fire-and-forget idiom (lint rule R6): drop the value but
     route a failure to a [future_detached_error] trace event naming the

@@ -82,7 +82,7 @@ let check db ~accounts ~expected_total =
     (fun () ->
       let* balances =
         Client.run db (fun tx ->
-            Client.get_range tx ~limit:(accounts + 10) ~from:"bank/" ~until:"bank0" ())
+            Client.range_all tx (Range_query.prefix ~limit:(accounts + 10) "bank/" ()))
       in
       let total = List.fold_left (fun acc (_, v) -> acc + int_of_string v) 0 balances in
       let negative = List.exists (fun (_, v) -> int_of_string v < 0) balances in

@@ -83,7 +83,9 @@ let run_sequence db ops initial =
                   Future.return false
                 end
             | Get_range (a, b) ->
-                let* rows = Client.get_range tx ~from:keys.(a) ~until:keys.(b) () in
+                let* rows =
+                  Client.range_all tx (Range_query.keys ~from:keys.(a) ~until:keys.(b) ())
+                in
                 let expected =
                   M.bindings !model
                   |> List.filter (fun (k, _) -> keys.(a) <= k && k < keys.(b))
@@ -100,7 +102,7 @@ let run_sequence db ops initial =
 
 let check_final db model =
   Client.run db (fun tx ->
-      let* rows = Client.get_range tx ~limit:100 ~from:"ryw/" ~until:"ryw0" () in
+      let* rows = Client.range_all tx (Range_query.prefix ~limit:100 "ryw/" ()) in
       Future.return (rows = M.bindings model))
 
 let test_random_sequences () =

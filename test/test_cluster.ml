@@ -67,12 +67,12 @@ let test_get_range () =
               Future.return ())
         in
         Client.run db (fun tx ->
-            let* all = Client.get_range tx ~from:"range/" ~until:"range0" () in
+            let* all = Client.range_all tx (Range_query.prefix "range/" ()) in
             let* limited =
-              Client.get_range tx ~limit:3 ~from:"range/" ~until:"range0" ()
+              Client.range_all tx (Range_query.prefix ~limit:3 "range/" ())
             in
             let* rev =
-              Client.get_range tx ~limit:2 ~reverse:true ~from:"range/" ~until:"range0" ()
+              Client.range_all tx (Range_query.prefix ~limit:2 ~reverse:true "range/" ())
             in
             Future.return (all, limited, rev)))
   in
@@ -100,7 +100,7 @@ let test_clear_range () =
               Future.return ())
         in
         Client.run db (fun tx ->
-            Client.get_range tx ~from:"cr/" ~until:"cr0" ()))
+            Client.range_all tx (Range_query.prefix "cr/" ())))
   in
   Alcotest.(check (list string)) "survivors"
     [ "cr/00"; "cr/01"; "cr/07"; "cr/08"; "cr/09" ]
@@ -190,7 +190,7 @@ let test_versionstamped_key () =
                 ~offset:4 ~value:"second";
               Future.return ())
         in
-        Client.run db (fun tx -> Client.get_range tx ~from:"log/" ~until:"log0" ()))
+        Client.run db (fun tx -> Client.range_all tx (Range_query.prefix "log/" ())))
   in
   Alcotest.(check int) "two stamped keys" 2 (List.length r);
   Alcotest.(check (list string)) "order follows commit order" [ "first"; "second" ]

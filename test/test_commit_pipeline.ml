@@ -18,19 +18,14 @@ open Fdb_sim
 open Fdb_core
 open Future.Syntax
 
-let with_params ~depth ~batch body =
-  let saved_depth = !Params.proxy_commit_pipeline_depth in
-  let saved_batch = !Params.max_commit_batch in
-  Params.proxy_commit_pipeline_depth := depth;
-  Params.max_commit_batch := batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Params.proxy_commit_pipeline_depth := saved_depth;
-      Params.max_commit_batch := saved_batch)
-    body
-
-let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
-    body =
+let with_cluster ?(seed = 11L) ?(buggify = false) ~depth ~batch body =
+  let config =
+    {
+      Config.test_small with
+      Config.proxy_commit_pipeline_depth = depth;
+      max_commit_batch = batch;
+    }
+  in
   Engine.run ~seed ~max_time:1e5 ~buggify (fun () ->
       let cluster = Cluster.create ~config () in
       let* () = Cluster.wait_ready cluster in
@@ -55,52 +50,51 @@ let value v = Printf.sprintf "v%05d" v
    list (submission order) and the full final contents of the test
    keyspace. *)
 let run_workload ~depth ~seed (bursts : (int list) list) =
-  with_params ~depth ~batch:4 (fun () ->
-      with_cluster ~seed (fun cluster ->
-          let db = Cluster.client cluster ~name:"equiv" in
-          let burst_outcomes b ops =
-            let futs =
-              List.mapi
-                (fun i v ->
-                  let tx = Client.begin_tx db in
-                  Client.set tx (key b i) (value v);
-                  Future.catch
-                    (fun () ->
-                      let* (_ : Types.version) = Client.commit tx in
-                      Future.return Committed)
-                    (fun e -> Future.return (outcome_of_exn e)))
-                ops
-            in
-            Future.all futs
-          in
-          let rec go b acc = function
-            | [] -> Future.return (List.rev acc)
-            | ops :: rest ->
-                let* outs = burst_outcomes b ops in
-                go (b + 1) (outs :: acc) rest
-          in
-          let* burst_outs = go 0 [] bursts in
-          (* Conflict gadget. *)
-          let t1 = Client.begin_tx db in
-          let* (_ : string option) = Client.get t1 "cp/gadget" in
-          let t2 = Client.begin_tx db in
-          Client.set t2 "cp/gadget" "winner";
-          let* (_ : Types.version) = Client.commit t2 in
-          Client.set t1 "cp/gadget" "loser";
-          let* gadget =
-            Future.catch
-              (fun () ->
-                let* (_ : Types.version) = Client.commit t1 in
-                Future.return Committed)
-              (fun e -> Future.return (outcome_of_exn e))
-          in
-          (* Let storage drain the log, then read the final state back. *)
-          let* () = Engine.sleep 1.0 in
-          let* final =
-            Client.run db (fun tx ->
-                Client.get_range tx ~limit:10_000 ~from:"cp/" ~until:"cp0" ())
-          in
-          Future.return (List.concat burst_outs @ [ gadget ], final)))
+  with_cluster ~seed ~depth ~batch:4 (fun cluster ->
+      let db = Cluster.client cluster ~name:"equiv" in
+      let burst_outcomes b ops =
+        let futs =
+          List.mapi
+            (fun i v ->
+              let tx = Client.begin_tx db in
+              Client.set tx (key b i) (value v);
+              Future.catch
+                (fun () ->
+                  let* (_ : Types.version) = Client.commit tx in
+                  Future.return Committed)
+                (fun e -> Future.return (outcome_of_exn e)))
+            ops
+        in
+        Future.all futs
+      in
+      let rec go b acc = function
+        | [] -> Future.return (List.rev acc)
+        | ops :: rest ->
+            let* outs = burst_outcomes b ops in
+            go (b + 1) (outs :: acc) rest
+      in
+      let* burst_outs = go 0 [] bursts in
+      (* Conflict gadget. *)
+      let t1 = Client.begin_tx db in
+      let* (_ : string option) = Client.get t1 "cp/gadget" in
+      let t2 = Client.begin_tx db in
+      Client.set t2 "cp/gadget" "winner";
+      let* (_ : Types.version) = Client.commit t2 in
+      Client.set t1 "cp/gadget" "loser";
+      let* gadget =
+        Future.catch
+          (fun () ->
+            let* (_ : Types.version) = Client.commit t1 in
+            Future.return Committed)
+          (fun e -> Future.return (outcome_of_exn e))
+      in
+      (* Let storage drain the log, then read the final state back. *)
+      let* () = Engine.sleep 1.0 in
+      let* final =
+        Client.run db (fun tx ->
+            Client.range_all tx (Range_query.prefix ~limit:10_000 "cp/" ()))
+      in
+      Future.return (List.concat burst_outs @ [ gadget ], final))
 
 let gen_bursts =
   QCheck.Gen.(
@@ -156,28 +150,27 @@ let test_buggify_reorder_keeps_order () =
      and keep the KCV monotone. Seed chosen so the slow-commit point
      actually fires. *)
   let replied, reports, done_lsns, done_kcvs, parked, slow_fired =
-    with_params ~depth:4 ~batch:4 (fun () ->
-        with_cluster ~seed:9L ~buggify:true (fun cluster ->
-            let db = Cluster.client cluster ~name:"reorder" in
-            let n = 120 in
-            let futs =
-              List.init n (fun i ->
-                  let tx = Client.begin_tx db in
-                  Client.set tx (Printf.sprintf "ro/%03d" i) (string_of_int i);
-                  Future.catch
-                    (fun () ->
-                      let* (_ : Types.version) = Client.commit tx in
-                      Future.return true)
-                    (fun _ -> Future.return true))
-            in
-            let* replies = Future.all futs in
-            Future.return
-              ( List.length (List.filter Fun.id replies),
-                trace_int64s "seq_report" "lsn",
-                trace_int64s "proxy_commit_done" "lsn",
-                trace_int64s "proxy_commit_done" "kcv",
-                Trace.count "resolver_park" + Trace.count "tlog_park",
-                List.mem "proxy_slow_commit" (Buggify.points_hit ()) )))
+    with_cluster ~seed:9L ~buggify:true ~depth:4 ~batch:4 (fun cluster ->
+        let db = Cluster.client cluster ~name:"reorder" in
+        let n = 120 in
+        let futs =
+          List.init n (fun i ->
+              let tx = Client.begin_tx db in
+              Client.set tx (Printf.sprintf "ro/%03d" i) (string_of_int i);
+              Future.catch
+                (fun () ->
+                  let* (_ : Types.version) = Client.commit tx in
+                  Future.return true)
+                (fun _ -> Future.return true))
+        in
+        let* replies = Future.all futs in
+        Future.return
+          ( List.length (List.filter Fun.id replies),
+            trace_int64s "seq_report" "lsn",
+            trace_int64s "proxy_commit_done" "lsn",
+            trace_int64s "proxy_commit_done" "kcv",
+            Trace.count "resolver_park" + Trace.count "tlog_park",
+            List.mem "proxy_slow_commit" (Buggify.points_hit ()) ))
   in
   Alcotest.(check int) "every transaction got exactly one reply" 120 replied;
   Alcotest.(check bool) "slow-commit buggify point fired" true slow_fired;
@@ -209,46 +202,45 @@ let test_push_failure_fails_later_batches () =
      then only failures, at least one of them Commit_unknown_result
      (in-flight batches whose durability is undecided). *)
   let outcomes =
-    with_params ~depth:4 ~batch:2 (fun () ->
-        with_cluster ~seed:21L (fun cluster ->
-            let db = Cluster.client cluster ~name:"pushfail" in
-            (* A first committed marker proves the cluster worked. *)
-            let* (_ : Types.version) =
-              let tx = Client.begin_tx db in
-              Client.set tx "pf/marker" "1";
-              Client.commit tx
-            in
-            let outcomes : (int * outcome) list ref = ref [] in
-            let submit i =
-              let tx = Client.begin_tx db in
-              Client.set tx (Printf.sprintf "pf/%03d" i) (string_of_int i);
-              Future.catch
-                (fun () ->
-                  let* (_ : Types.version) = Client.commit tx in
-                  outcomes := (i, Committed) :: !outcomes;
-                  Future.return ())
-                (fun e ->
-                  outcomes := (i, outcome_of_exn e) :: !outcomes;
-                  Future.return ())
-            in
-            (* Steady drip of commits, one per half batch interval, so
-               batches form continuously; kill a log mid-stream. *)
-            let n = 60 in
-            let rec drip i acc =
-              if i = n then Future.return acc
-              else begin
-                if i = 20 then
-                  (match find_processes cluster "tlog" with
-                  | p :: _ -> Engine.kill p
-                  | [] -> Alcotest.fail "no tlog process found");
-                let f = submit i in
-                let* () = Engine.sleep (!Params.commit_batch_interval /. 2.0) in
-                drip (i + 1) (f :: acc)
-              end
-            in
-            let* futs = drip 0 [] in
-            let* () = Future.all_unit futs in
-            Future.return (List.rev !outcomes)))
+    with_cluster ~seed:21L ~depth:4 ~batch:2 (fun cluster ->
+        let db = Cluster.client cluster ~name:"pushfail" in
+        (* A first committed marker proves the cluster worked. *)
+        let* (_ : Types.version) =
+          let tx = Client.begin_tx db in
+          Client.set tx "pf/marker" "1";
+          Client.commit tx
+        in
+        let outcomes : (int * outcome) list ref = ref [] in
+        let submit i =
+          let tx = Client.begin_tx db in
+          Client.set tx (Printf.sprintf "pf/%03d" i) (string_of_int i);
+          Future.catch
+            (fun () ->
+              let* (_ : Types.version) = Client.commit tx in
+              outcomes := (i, Committed) :: !outcomes;
+              Future.return ())
+            (fun e ->
+              outcomes := (i, outcome_of_exn e) :: !outcomes;
+              Future.return ())
+        in
+        (* Steady drip of commits, one per half batch interval, so
+           batches form continuously; kill a log mid-stream. *)
+        let n = 60 in
+        let rec drip i acc =
+          if i = n then Future.return acc
+          else begin
+            if i = 20 then
+              (match find_processes cluster "tlog" with
+              | p :: _ -> Engine.kill p
+              | [] -> Alcotest.fail "no tlog process found");
+            let f = submit i in
+            let* () = Engine.sleep (Params.commit_batch_interval /. 2.0) in
+            drip (i + 1) (f :: acc)
+          end
+        in
+        let* futs = drip 0 [] in
+        let* () = Future.all_unit futs in
+        Future.return (List.rev !outcomes))
   in
   (* Evaluate in submission order. *)
   let by_submission =
@@ -283,33 +275,34 @@ let test_push_failure_fails_later_batches () =
 
 (* ---------- obs: pipeline metrics exist ---------- *)
 
+(* 40 concurrent single-key commits. *)
+let commit_burst cluster =
+  let db = Cluster.client cluster ~name:"burst" in
+  Future.all_unit
+    (List.init 40 (fun i ->
+         let tx = Client.begin_tx db in
+         Client.set tx (Printf.sprintf "m/%02d" i) "x";
+         let* (_ : Types.version) = Client.commit tx in
+         Future.return ()))
+
 let test_pipeline_metrics_registered () =
   let inflight, queue_depth, resolve_n, logpush_n, commit_n =
-    with_params ~depth:4 ~batch:8 (fun () ->
-        with_cluster ~seed:13L (fun cluster ->
-            let db = Cluster.client cluster ~name:"metrics" in
-            let* () =
-              Future.all_unit
-                (List.init 40 (fun i ->
-                     let tx = Client.begin_tx db in
-                     Client.set tx (Printf.sprintf "m/%02d" i) "x";
-                     let* (_ : Types.version) = Client.commit tx in
-                     Future.return ()))
-            in
-            let reg = (Cluster.context cluster).Context.metrics in
-            let module R = Fdb_obs.Registry in
-            let hist_count name =
-              List.fold_left
-                (fun acc (_, h) -> acc + Fdb_util.Histogram.count h)
-                0
-                (R.histograms reg ~role:R.Proxy name)
-            in
-            Future.return
-              ( R.gauges reg ~role:R.Proxy "commit_inflight_batches",
-                R.gauges reg ~role:R.Proxy "commit_queue_depth",
-                hist_count "commit_resolve_latency",
-                hist_count "commit_logpush_latency",
-                hist_count "commit_latency" )))
+    with_cluster ~seed:13L ~depth:4 ~batch:8 (fun cluster ->
+        let* () = commit_burst cluster in
+        let reg = (Cluster.context cluster).Context.metrics in
+        let module R = Fdb_obs.Registry in
+        let hist_count name =
+          List.fold_left
+            (fun acc (_, h) -> acc + Fdb_util.Histogram.count h)
+            0
+            (R.histograms reg ~role:R.Proxy name)
+        in
+        Future.return
+          ( R.gauges reg ~role:R.Proxy "commit_inflight_batches",
+            R.gauges reg ~role:R.Proxy "commit_queue_depth",
+            hist_count "commit_resolve_latency",
+            hist_count "commit_logpush_latency",
+            hist_count "commit_latency" ))
   in
   Alcotest.(check bool) "commit_inflight_batches gauge registered" true
     (inflight <> []);
@@ -318,6 +311,56 @@ let test_pipeline_metrics_registered () =
   Alcotest.(check bool) "per-stage resolve timer recorded" true (resolve_n > 0);
   Alcotest.(check bool) "per-stage logpush timer recorded" true (logpush_n > 0);
   Alcotest.(check bool) "commit_latency still recorded" true (commit_n > 0)
+
+(* ---------- knobs belong to the cluster ---------- *)
+
+(* Two clusters in one simulation, differing only in pipeline depth, take
+   the same commit burst at the same instant. Each proxy's in-flight gauge
+   is sampled every 100 us of simulated time: the depth-1 cluster must
+   never exceed one batch in flight while the depth-4 cluster overlaps
+   several — each cluster runs on its own knobs. *)
+let test_knobs_are_per_cluster () =
+  let config depth =
+    {
+      Config.test_small with
+      Config.proxy_commit_pipeline_depth = depth;
+      max_commit_batch = 2;
+    }
+  in
+  let peaks =
+    Engine.run ~seed:17L ~max_time:1e5 (fun () ->
+        let clusters =
+          List.map (fun d -> Cluster.create ~config:(config d) ()) [ 1; 4 ]
+        in
+        let* () = Future.all_unit (List.map Cluster.wait_ready clusters) in
+        let peaks = List.map (fun _ -> ref 0.0) clusters in
+        let stop = ref false in
+        let rec sample () =
+          List.iter2
+            (fun c peak ->
+              List.iter
+                (fun (_, v) -> peak := Float.max !peak v)
+                (Fdb_obs.Registry.gauges (Cluster.metrics c)
+                   ~role:Fdb_obs.Registry.Proxy "commit_inflight_batches"))
+            clusters peaks;
+          if !stop then Future.return ()
+          else
+            let* () = Engine.sleep 1e-4 in
+            sample ()
+        in
+        let sampler = sample () in
+        let* () = Future.all_unit (List.map commit_burst clusters) in
+        stop := true;
+        let* () = sampler in
+        Future.return (List.map ( ! ) peaks))
+  in
+  match peaks with
+  | [ serial; pipelined ] ->
+      Alcotest.(check (float 0.0)) "depth-1 cluster: one batch in flight" 1.0 serial;
+      Alcotest.(check bool)
+        (Printf.sprintf "depth-4 cluster overlaps batches (peak %.0f)" pipelined)
+        true (pipelined > 1.0)
+  | _ -> Alcotest.fail "expected two clusters"
 
 let suite =
   [
@@ -328,4 +371,5 @@ let suite =
       test_push_failure_fails_later_batches;
     Alcotest.test_case "pipeline metrics registered" `Quick
       test_pipeline_metrics_registered;
+    Alcotest.test_case "knobs are per cluster" `Quick test_knobs_are_per_cluster;
   ]

@@ -133,7 +133,7 @@ let test_cutover_atomicity () =
           else
             let* rows =
               Client.run reader_db (fun tx ->
-                  Client.get_range tx ~limit:500 ~from:"mv/" ~until:"mv0" ())
+                  Client.range_all tx (Range_query.prefix ~limit:500 "mv/" ()))
             in
             incr reads;
             if rows <> expected then incr bad;

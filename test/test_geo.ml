@@ -72,7 +72,7 @@ let test_region_failover () =
         let* () = Cluster.wait_ready ~timeout:90.0 cluster in
         let* rows =
           Client.run db (fun tx ->
-              Client.get_range tx ~limit:100 ~from:"geo/" ~until:"geo0" ())
+              Client.range_all tx (Range_query.prefix ~limit:100 "geo/" ()))
         in
         let* _ =
           Client.run db (fun tx ->

@@ -8,6 +8,7 @@ open Fdb_core
 open Future.Syntax
 module Mutation = Fdb_kv.Mutation
 
+(* A context with no cluster behind it, for driving roles directly. *)
 let mini_ctx ?(config = Config.test_small) () =
   let net : Message.t Network.t = Network.create () in
   {
@@ -18,6 +19,7 @@ let mini_ctx ?(config = Config.test_small) () =
     worker_eps = [||];
     storage_eps = [||];
     metrics = Fdb_obs.Registry.create ();
+    dd_movement = false;
   }
 
 let entry ~lsn ~prev ?(kcv = 0L) payload =

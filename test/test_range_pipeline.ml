@@ -3,10 +3,10 @@
    - qcheck model tests: key-selector resolution ([Client.get_key]) against
      a pure sorted-list model, on both the storage path (clean transaction)
      and the RYW path (buffered sets/clears in the transaction);
-   - qcheck model test: continuation-stitched [get_range_stream] against a
-     reference assoc list, with the per-round-trip byte budget shrunk so a
-     single scan is forced through many stitched batches, RYW merge
-     included;
+   - qcheck model test: continuation-stitched [Client.range] batches against a
+     reference assoc list, with rows big enough that the per-round-trip
+     byte budget forces a single scan through many stitched batches, RYW
+     merge included;
    - a failover scenario under buggified storage replies: reads must
      return identical data while replicas fail over transparently;
    - the shard-map-change regression: a range read straddling a
@@ -23,14 +23,13 @@ module M = Map.Make (String)
 let key i = Printf.sprintf "rp/%03d" i
 let value i = Printf.sprintf "v%04d" i
 
-let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
-    body =
+let with_cluster ?(seed = 11L) ?(buggify = false) body =
   Engine.run ~seed ~max_time:1e5 ~buggify (fun () ->
-      let cluster = Cluster.create ~config () in
+      let cluster = Cluster.create ~config:Config.test_small () in
       let* () = Cluster.wait_ready cluster in
       body cluster)
 
-let populate db present =
+let populate ?(value = value) db present =
   let rec batches = function
     | [] -> Future.return ()
     | chunk ->
@@ -153,10 +152,17 @@ let qcheck_selector_ryw =
 
 (* ---------- streaming with continuation stitching ---------- *)
 
+(* Rows of 8 KiB: the 64 KiB iterator budget holds about eight of them,
+   so every scan of a few dozen rows is many stitched batches. *)
+let big_value i = String.make 8_192 (Char.chr (Char.code 'a' + (i mod 26)))
+
 let stream_all ?(reverse = false) tx ~from ~until =
   let batches = ref 0 in
   let rec scan ?continuation acc =
-    let* b = Client.get_range_stream ~reverse ?continuation tx ~from ~until () in
+    let* b =
+      Client.range tx
+        (Range_query.keys ~mode:`Iterator ~reverse ?continuation ~from ~until ())
+    in
     incr batches;
     let acc = List.rev_append b.Client.batch_rows acc in
     match b.Client.batch_continuation with
@@ -182,7 +188,7 @@ let qcheck_stream_model =
       let lo, hi = (key (min a b), key (max a b + 1)) in
       let model =
         let base =
-          List.fold_left (fun m i -> M.add (key i) (value i) m) M.empty present
+          List.fold_left (fun m i -> M.add (key i) (big_value i) m) M.empty present
         in
         List.fold_left
           (fun m i -> M.remove (key i) m)
@@ -192,46 +198,34 @@ let qcheck_stream_model =
         |> List.filter (fun (k, _) -> lo <= k && k < hi)
       in
       let model = if reverse then List.rev model else model in
-      (* A tiny per-round-trip byte budget forces the scan through many
-         stitched batches. *)
-      let saved = !Params.range_bytes_per_req in
-      Params.range_bytes_per_req := 48;
-      Fun.protect
-        ~finally:(fun () -> Params.range_bytes_per_req := saved)
-        (fun () ->
-          with_cluster (fun cluster ->
-              let db = Cluster.client cluster ~name:"stream" in
-              let* () = populate db present in
-              Client.run db (fun tx ->
-                  List.iter (fun i -> Client.set tx (key i) "buffered") sets;
-                  List.iter (fun i -> Client.clear tx (key i)) clears;
-                  let* rows, _batches = stream_all ~reverse tx ~from:lo ~until:hi in
-                  if rows = model then Future.return true
-                  else begin
-                    Printf.printf
-                      "stream [%S,%S) reverse=%b: got %d rows, model %d\n" lo hi
-                      reverse (List.length rows) (List.length model);
-                    Future.return false
-                  end))))
+      with_cluster (fun cluster ->
+          let db = Cluster.client cluster ~name:"stream" in
+          let* () = populate ~value:big_value db present in
+          Client.run db (fun tx ->
+              List.iter (fun i -> Client.set tx (key i) "buffered") sets;
+              List.iter (fun i -> Client.clear tx (key i)) clears;
+              let* rows, _batches = stream_all ~reverse tx ~from:lo ~until:hi in
+              if rows = model then Future.return true
+              else begin
+                Printf.printf
+                  "stream [%S,%S) reverse=%b: got %d rows, model %d\n" lo hi
+                  reverse (List.length rows) (List.length model);
+                Future.return false
+              end)))
 
 let test_stream_stitches_batches () =
-  (* Deterministic check that the tiny budget really splits the scan. *)
-  let saved = !Params.range_bytes_per_req in
-  Params.range_bytes_per_req := 48;
-  Fun.protect
-    ~finally:(fun () -> Params.range_bytes_per_req := saved)
-    (fun () ->
-      let rows, batches =
-        with_cluster (fun cluster ->
-            let db = Cluster.client cluster ~name:"stitch" in
-            let present = List.init 40 Fun.id in
-            let* () = populate db present in
-            Client.run db (fun tx -> stream_all tx ~from:"rp/" ~until:"rp0"))
-      in
-      Alcotest.(check int) "all rows" 40 (List.length rows);
-      Alcotest.(check bool)
-        (Printf.sprintf "scan was stitched from several batches (%d)" batches)
-        true (batches > 3))
+  (* Deterministic check that the byte budget really splits the scan. *)
+  let rows, batches =
+    with_cluster (fun cluster ->
+        let db = Cluster.client cluster ~name:"stitch" in
+        let present = List.init 40 Fun.id in
+        let* () = populate ~value:big_value db present in
+        Client.run db (fun tx -> stream_all tx ~from:"rp/" ~until:"rp0"))
+  in
+  Alcotest.(check int) "all rows" 40 (List.length rows);
+  Alcotest.(check bool)
+    (Printf.sprintf "scan was stitched from several batches (%d)" batches)
+    true (batches > 3)
 
 (* ---------- failover under buggified storage replies ---------- *)
 
@@ -249,7 +243,7 @@ let test_failover_identical_data () =
           else
             let* rows =
               Client.run db (fun tx ->
-                  Client.get_range tx ~limit:100 ~from:"rp/" ~until:"rp0" ())
+                  Client.range_all tx (Range_query.prefix ~limit:100 "rp/" ()))
             in
             reads (n - 1) (ok && rows = expected)
         in
@@ -295,7 +289,7 @@ let test_shard_move_mid_read () =
         (* Resolve the snapshot up front so starting the read issues the
            per-shard sub-reads synchronously, against the pinned teams... *)
         let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
-        let read = Client.get_range tx ~limit:200 ~from:"rp/" ~until:"rp0" () in
+        let read = Client.range_all tx (Range_query.prefix ~limit:200 "rp/" ()) in
         (* ...and yank every shard to the lowest-id member while those
            requests are on the wire. Both members held the data from the
            start (set_team models no data movement), so the servers the
@@ -341,7 +335,7 @@ let test_tx_options () =
               in
               let* _ =
                 Client.run db ~options (fun tx ->
-                    Client.get_range tx ~from:"rp/" ~until:"rp0" ())
+                    Client.range_all tx (Range_query.prefix "rp/" ()))
               in
               Future.return "no-error")
             (function
@@ -371,7 +365,7 @@ let test_tx_options () =
                 { Client.default_options with opt_max_read_bytes = Some 40 };
               Future.catch
                 (fun () ->
-                  let* _ = Client.get_range tx ~from:"rp/" ~until:"rp0" () in
+                  let* _ = Client.range_all tx (Range_query.prefix "rp/" ()) in
                   Future.return "no-error")
                 (function
                   | Error.Fdb Error.Transaction_too_large ->

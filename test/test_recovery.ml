@@ -58,7 +58,7 @@ let test_log_server_kill_recovers_committed_data () =
         | p :: _ -> Engine.kill p
         | [] -> Alcotest.fail "no tlog process found");
         let* () = Cluster.wait_ready ~timeout:60.0 cluster in
-        Client.run db (fun tx -> Client.get_range tx ~limit:100 ~from:"d/" ~until:"d0" ()))
+        Client.run db (fun tx -> Client.range_all tx (Range_query.prefix ~limit:100 "d/" ())))
   in
   Alcotest.(check int) "all 50 rows survive" 50 (List.length r)
 
@@ -112,7 +112,7 @@ let test_full_cluster_reboot_durability () =
           (Cluster.worker_machines cluster);
         let* () = Cluster.wait_ready ~timeout:90.0 cluster in
         Client.run db (fun tx ->
-            Client.get_range tx ~limit:100 ~from:"dur/" ~until:"dur0" ()))
+            Client.range_all tx (Range_query.prefix ~limit:100 "dur/" ())))
   in
   Alcotest.(check int) "acknowledged rows survive full restart" 20 (List.length r)
 
@@ -134,7 +134,7 @@ let test_repeated_recoveries () =
         let* () = cycle 0 in
         let* epoch = Cluster.current_epoch cluster in
         let* rows =
-          Client.run db (fun tx -> Client.get_range tx ~from:"cyc/" ~until:"cyc0" ())
+          Client.run db (fun tx -> Client.range_all tx (Range_query.prefix "cyc/" ()))
         in
         Future.return (epoch, List.length rows))
   in
@@ -201,7 +201,7 @@ let test_log_prune_survives_reboot_and_recovery () =
           (find_processes cluster (Printf.sprintf "tlog-%d." epoch));
         let* () = Cluster.wait_ready ~timeout:60.0 cluster in
         let* rows =
-          Client.run db (fun tx -> Client.get_range tx ~limit:50 ~from:"pr/" ~until:"pr0" ())
+          Client.run db (fun tx -> Client.range_all tx (Range_query.prefix ~limit:50 "pr/" ()))
         in
         let* _ = write_marker db "pr-after" "y" in
         let* v = read_marker db "pr-after" in
@@ -248,7 +248,7 @@ let test_blind_writer_follows_new_proxies () =
         let* acked = writes 1 (if first then 1 else 0) in
         let reader = Cluster.client cluster ~name:"reader" in
         let* rows =
-          Client.run reader (fun tx -> Client.get_range tx ~from:"blind/" ~until:"blind0" ())
+          Client.run reader (fun tx -> Client.range_all tx (Range_query.prefix "blind/" ()))
         in
         Future.return (List.length proxies, epoch' > epoch, acked, List.length rows))
   in
@@ -393,7 +393,7 @@ let test_lock_at_quorum () =
         let* () = Cluster.wait_ready ~timeout:60.0 cluster in
         let* epoch' = Cluster.current_epoch cluster in
         let* rows =
-          Client.run db (fun tx -> Client.get_range tx ~limit:10_000 ~from:"q/" ~until:"q0" ())
+          Client.run db (fun tx -> Client.range_all tx (Range_query.prefix ~limit:10_000 "q/" ()))
         in
         let lost = List.filter (fun k -> not (List.mem_assoc k rows)) !acked in
         let longest =
@@ -431,116 +431,101 @@ let test_lock_at_quorum () =
    retirement notice arrives. Every waiter must be answered in that same
    instant, with the error its state calls for. *)
 let proxy_death_releases_waiters ~depth () =
-  let saved = !Params.proxy_commit_pipeline_depth in
-  Params.proxy_commit_pipeline_depth := depth;
-  let outcome, leaks =
-    Fun.protect
-      ~finally:(fun () -> Params.proxy_commit_pipeline_depth := saved)
-      (fun () ->
-        let outcome =
-          Engine.run ~seed:5L ~max_time:1e5 (fun () ->
-              let config = Config.default in
-              let net : Message.t Network.t = Network.create () in
-              let machine = Process.fresh_machine 0 in
-              let roles = Process.create ~name:"scripted-roles" machine in
-              let ctx =
-                {
-                  Context.net;
-                  config;
-                  shard_map = Shard_map.build config;
-                  coordinator_eps = [];
-                  worker_eps = [||];
-                  storage_eps = [||];
-                  metrics = Fdb_obs.Registry.create ();
-                }
-              in
-              (* Never answers: the caller's own RPC timeout ends the call. *)
-              let silent () = fst (Future.make ()) in
-              let serve handler =
-                let ep = Network.fresh_endpoint net in
-                Network.register net ep roles handler;
-                ep
-              in
-              let last = ref 0L in
-              let sequencer =
-                serve (function
-                  | Message.Seq_version ->
-                      let prev = !last in
-                      last := Int64.add prev 1000L;
-                      Future.return (Message.Seq_version_reply { version = !last; prev })
-                  | _ -> silent ())
-              in
-              let resolver =
-                serve (function
-                  | Message.Resolve_req { rs_txns; _ } ->
-                      Future.return
-                        (Message.Resolve_reply
-                           (Array.make (Array.length rs_txns) Message.V_commit))
-                  | _ -> silent ())
-              in
-              let logs =
-                List.init config.Config.log_servers (fun i -> (i, serve (fun _ -> silent ())))
-              in
-              let proxy, _ =
-                Proxy.create ctx
-                  (Process.create ~name:"proxy-1" machine)
-                  ~epoch:1 ~sequencer
-                  ~resolvers:[ (("", Types.system_key_space_end), resolver) ]
-                  ~logs ~ratekeeper:None ~recovery_version:0L
-              in
-              let commit i =
-                let k = Printf.sprintf "pd/%d" i in
-                Proxy.handle proxy
-                  (Message.Commit_req
-                     {
-                       Message.tr_read_version = 0L;
-                       tr_reads = [];
-                       tr_writes = [ (k, Types.next_key k) ];
-                       tr_mutations = [ Message.Plain (Fdb_kv.Mutation.Set (k, "v")) ];
-                     })
-              in
-              let grv_in_flight = Proxy.handle proxy Message.Grv_req in
-              (* Each commit flushes as its own batch and parks on its log
-                 push; with the pipeline full, one more waits in the queue. *)
-              let rec launch i acc =
-                if i = depth then Future.return (List.rev acc)
-                else
-                  let c = commit i in
-                  let* () = Engine.sleep 0.005 in
-                  launch (i + 1) (c :: acc)
-              in
-              let* commits_in_flight = launch 0 [] in
-              let commit_queued = commit depth in
-              let grv_queued = Proxy.handle proxy Message.Grv_req in
-              let all = (grv_in_flight :: grv_queued :: commit_queued :: commits_in_flight) in
-              let pending_before = List.length (List.filter Future.is_pending all) in
-              (* A retirement for an older generation is ignored. *)
-              let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 0 }) in
-              let alive_after_stale = not (Proxy.is_dead proxy) in
-              let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 1 }) in
-              let answer f =
-                match Future.peek f with
-                | Some (Message.Reject e) -> Error.to_string e
-                | Some m -> Format.asprintf "%a" Message.pp m
-                | None -> "pending"
-              in
-              let answers =
-                [
-                  ("grv in flight", answer grv_in_flight);
-                  ("grv queued", answer grv_queued);
-                  ("commit queued", answer commit_queued);
-                ]
-                @ List.mapi
-                    (fun i f -> (Printf.sprintf "commit batch %d in flight" i, answer f))
-                    commits_in_flight
-              in
-              let* late = Proxy.handle proxy Message.Grv_req in
-              (* Let the abandoned calls time out so every actor drains. *)
-              let* () = Engine.sleep 5.0 in
-              Future.return (pending_before, alive_after_stale, answers, late))
+  let outcome =
+    Engine.run ~seed:5L ~max_time:1e5 (fun () ->
+        let config =
+          { Config.default with Config.proxy_commit_pipeline_depth = depth }
         in
-        (outcome, Future.Lifecycle.total_leaks (Engine.last_run_lifecycle ())))
+        let ctx = Test_log_server.mini_ctx ~config () in
+        let net = ctx.Context.net in
+        let machine = Process.fresh_machine 0 in
+        let roles = Process.create ~name:"scripted-roles" machine in
+        (* Never answers: the caller's own RPC timeout ends the call. *)
+        let silent () = fst (Future.make ()) in
+        let serve handler =
+          let ep = Network.fresh_endpoint net in
+          Network.register net ep roles handler;
+          ep
+        in
+        let last = ref 0L in
+        let sequencer =
+          serve (function
+            | Message.Seq_version ->
+                let prev = !last in
+                last := Int64.add prev 1000L;
+                Future.return (Message.Seq_version_reply { version = !last; prev })
+            | _ -> silent ())
+        in
+        let resolver =
+          serve (function
+            | Message.Resolve_req { rs_txns; _ } ->
+                Future.return
+                  (Message.Resolve_reply
+                     (Array.make (Array.length rs_txns) Message.V_commit))
+            | _ -> silent ())
+        in
+        let logs =
+          List.init config.Config.log_servers (fun i -> (i, serve (fun _ -> silent ())))
+        in
+        let proxy, _ =
+          Proxy.create ctx
+            (Process.create ~name:"proxy-1" machine)
+            ~epoch:1 ~sequencer
+            ~resolvers:[ (("", Types.system_key_space_end), resolver) ]
+            ~logs ~ratekeeper:None ~recovery_version:0L
+        in
+        let commit i =
+          let k = Printf.sprintf "pd/%d" i in
+          Proxy.handle proxy
+            (Message.Commit_req
+               {
+                 Message.tr_read_version = 0L;
+                 tr_reads = [];
+                 tr_writes = [ (k, Types.next_key k) ];
+                 tr_mutations = [ Message.Plain (Fdb_kv.Mutation.Set (k, "v")) ];
+               })
+        in
+        let grv_in_flight = Proxy.handle proxy Message.Grv_req in
+        (* Each commit flushes as its own batch and parks on its log
+           push; with the pipeline full, one more waits in the queue. *)
+        let rec launch i acc =
+          if i = depth then Future.return (List.rev acc)
+          else
+            let c = commit i in
+            let* () = Engine.sleep 0.005 in
+            launch (i + 1) (c :: acc)
+        in
+        let* commits_in_flight = launch 0 [] in
+        let commit_queued = commit depth in
+        let grv_queued = Proxy.handle proxy Message.Grv_req in
+        let all = (grv_in_flight :: grv_queued :: commit_queued :: commits_in_flight) in
+        let pending_before = List.length (List.filter Future.is_pending all) in
+        (* A retirement for an older generation is ignored. *)
+        let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 0 }) in
+        let alive_after_stale = not (Proxy.is_dead proxy) in
+        let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 1 }) in
+        let answer f =
+          match Future.peek f with
+          | Some (Message.Reject e) -> Error.to_string e
+          | Some m -> Format.asprintf "%a" Message.pp m
+          | None -> "pending"
+        in
+        let answers =
+          [
+            ("grv in flight", answer grv_in_flight);
+            ("grv queued", answer grv_queued);
+            ("commit queued", answer commit_queued);
+          ]
+          @ List.mapi
+              (fun i f -> (Printf.sprintf "commit batch %d in flight" i, answer f))
+              commits_in_flight
+        in
+        let* late = Proxy.handle proxy Message.Grv_req in
+        (* Let the abandoned calls time out so every actor drains. *)
+        let* () = Engine.sleep 5.0 in
+        Future.return (pending_before, alive_after_stale, answers, late))
   in
+  let leaks = Future.Lifecycle.total_leaks (Engine.last_run_lifecycle ()) in
   let pending_before, alive_after_stale, answers, late = outcome in
   Alcotest.(check int) "every waiter pending before the retirement" (depth + 3) pending_before;
   Alcotest.(check bool) "an older generation's retirement is ignored" true alive_after_stale;

@@ -5,20 +5,8 @@ open Fdb_sim
 open Fdb_core
 open Future.Syntax
 
-let mini_ctx () =
-  let net : Message.t Network.t = Network.create () in
-  {
-    Context.net;
-    config = Config.test_small;
-    shard_map = Shard_map.build Config.test_small;
-    coordinator_eps = [];
-    worker_eps = [||];
-    storage_eps = [||];
-    metrics = Fdb_obs.Registry.create ();
-  }
-
 let setup ?(range = ("", Types.system_key_space_end)) () =
-  let ctx = mini_ctx () in
+  let ctx = Test_log_server.mini_ctx () in
   let machine = Process.fresh_machine 1 in
   let proc = Process.create ~name:"resolver-test" machine in
   let client = Process.create ~name:"proxy-test" machine in

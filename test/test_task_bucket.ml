@@ -59,7 +59,9 @@ let test_subdivision_backup_pattern () =
         let backup_task tx payload =
           match String.split_on_char ':' payload with
           | [ "range"; from; until ] ->
-              let* rows = Client.get_range tx ~limit:chunk ~from ~until () in
+              let* rows =
+                Client.range_all tx (Range_query.keys ~limit:chunk ~from ~until ())
+              in
               List.iter
                 (fun (k, v) -> Client.set tx ("snapshot/" ^ k) v)
                 rows;
@@ -72,7 +74,7 @@ let test_subdivision_backup_pattern () =
         let* tasks_ran = Task_bucket.drain db tb ~f:backup_task in
         let* snapshot =
           Client.run db (fun tx ->
-              Client.get_range tx ~limit:100 ~from:"snapshot/" ~until:"snapshot0" ())
+              Client.range_all tx (Range_query.prefix ~limit:100 "snapshot/" ()))
         in
         Future.return (tasks_ran, List.length snapshot))
   in

@@ -130,7 +130,7 @@ let test_cancel_watch () =
         in
         (* Give the long-poll fiber time to observe the cancel and wind
            down before the run ends. *)
-        let* () = Engine.sleep (!Params.watch_poll_timeout +. 2.0) in
+        let* () = Engine.sleep (Params.watch_poll_timeout +. 2.0) in
         Future.return cancelled)
   in
   Alcotest.(check bool) "cancel breaks the watch future" true outcome;
@@ -167,7 +167,7 @@ let test_client_death_leaks_nothing () =
         Engine.kill proc;
         (* Long enough for the server-side registration to time out and be
            reaped after the client is gone. *)
-        let* () = Engine.sleep (!Params.watch_poll_timeout +. 5.0) in
+        let* () = Engine.sleep (Params.watch_poll_timeout +. 5.0) in
         Future.return !armed)
   in
   Alcotest.(check bool) "watch was armed before the kill" true armed;
@@ -202,7 +202,7 @@ let test_watch_survives_shard_move () =
         | Error m -> failwith ("move failed: " ^ m));
         let team_changed = Shard_map.team_for_key sm key = dst in
         (* Let the watch re-resolve onto the new team, then trigger it. *)
-        let* () = Engine.sleep (!Params.watch_poll_timeout +. 1.0) in
+        let* () = Engine.sleep (Params.watch_poll_timeout +. 1.0) in
         let* () = write wdb key "v1" in
         let* fired = await_fire w in
         Future.return (team_changed, fired))
