@@ -4,7 +4,7 @@
    every shard of the cluster. Records simulated milliseconds per
    full-range read and the speedup into BENCH_range.json. Fails if the two
    paths ever return different row counts, or if the pipeline is not at
-   least 2x faster. *)
+   least 3x faster. *)
 
 open Fdb_sim
 open Fdb_core
@@ -162,7 +162,7 @@ let run ?(smoke = false) () =
     "shards: %d, rows: %d, fanout: %d\nmean per read: sequential %.2f ms, pipelined %.2f ms (%.2fx)\n"
     !shards !row_count fanout seq_ms pipe_ms speedup;
   write_json ~smoke ~shards:!shards ~rows:!row_count ~fanout ~seq_ms ~pipe_ms ~speedup;
-  if speedup < 2.0 then
+  if speedup < 3.0 then
     failwith
-      (Printf.sprintf "range fan-out speedup regressed: %.2fx < 2x over %d shards"
+      (Printf.sprintf "range fan-out speedup regressed: %.2fx < 3x over %d shards"
          speedup !shards)

@@ -42,9 +42,11 @@ type db = {
   rng : Rng.t;
   mutable proxies : int array;
   mutable refreshing : bool;
+  inflight : int array; (* this handle's storage requests in flight, by server id *)
   obs_fanout : Fdb_obs.Registry.gauge;
   obs_range_bytes : Fdb_obs.Registry.gauge;
   obs_failovers : Fdb_obs.Registry.counter;
+  obs_replica_busy : Fdb_obs.Registry.counter;
 }
 
 let versionstamp_placeholder = String.make 10 '\x00'
@@ -59,12 +61,17 @@ let create_db ctx proc =
     rng = Engine.fork_rng ();
     proxies = [||];
     refreshing = false;
+    inflight = Array.make (Array.length ctx.Context.storage_eps) 0;
     obs_fanout = Fdb_obs.Registry.gauge metrics ~role ~process:pid "read_fanout";
     obs_range_bytes =
       Fdb_obs.Registry.gauge metrics ~role ~process:pid "range_bytes_per_req";
     obs_failovers =
       Fdb_obs.Registry.counter metrics ~role ~process:pid "read_failovers";
+    obs_replica_busy =
+      Fdb_obs.Registry.counter metrics ~role ~process:pid "read_replica_busy";
   }
+
+let storage_inflight db = Array.copy db.inflight
 
 (* Find the ClusterController through the coordinators, then ask it for the
    current proxies — the client's bootstrap path. *)
@@ -212,6 +219,7 @@ let add_read_conflict_range t ~from ~until =
 let add_write_conflict_range t ~from ~until =
   if from < until then t.write_conflicts <- (from, until) :: t.write_conflicts
 
+let nothing_buffered t = KeyMap.is_empty t.writes && t.cleared = []
 let in_cleared t k = List.exists (fun (f, u) -> f <= k && k < u) t.cleared
 
 (* Enforce the per-transaction read-byte cap (a [tx_options] knob); returns
@@ -254,13 +262,24 @@ let take_count n l =
   in
   go [] n l
 
-(* Try each replica of [team] in a Det_rng-shuffled order, failing over on
-   communication errors and per-replica timeouts. Semantic rejections
-   ([Transaction_too_old], [Wrong_shard]) propagate immediately: every
-   replica of the team would answer the same. *)
+(* Try each replica of [team] in order of this handle's in-flight
+   requests to it, fewest first (FDB's [loadBalance]); ties keep a
+   Det_rng-shuffled order. Fail over on communication errors and
+   per-replica timeouts. Semantic rejections ([Transaction_too_old],
+   [Wrong_shard]) propagate immediately: every replica of the team would
+   answer the same. A request counts as in flight from its send until its
+   future resolves, whatever the outcome. *)
 let with_failover db ~team call =
   let replicas = Array.of_list team in
   Rng.shuffle db.rng replicas;
+  Array.stable_sort (fun a b -> compare db.inflight.(a) db.inflight.(b)) replicas;
+  if db.inflight.(replicas.(0)) > 0 then Fdb_obs.Registry.incr db.obs_replica_busy;
+  let send ss =
+    let reply = call ss in
+    db.inflight.(ss) <- db.inflight.(ss) + 1;
+    Future.on_resolve reply (fun _ -> db.inflight.(ss) <- db.inflight.(ss) - 1);
+    reply
+  in
   let rec attempt i last_err =
     if i >= Array.length replicas then Future.fail last_err
     else
@@ -277,7 +296,7 @@ let with_failover db ~team call =
         attempt (i + 1) err
       in
       Future.catch
-        (fun () -> call ss)
+        (fun () -> send ss)
         (function
           | Error.Fdb Error.Transaction_too_old as e -> Future.fail e
           | Error.Fdb Error.Wrong_shard as e -> Future.fail e
@@ -532,28 +551,35 @@ let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
           if reverse then (last, until) else (from, Types.next_key last)
   in
   if conflict then add_read_conflict_range t ~from:span_lo ~until:span_hi;
-  let base_map =
-    List.fold_left
-      (fun m (k, v) -> if in_cleared t k then m else KeyMap.add k v m)
-      KeyMap.empty storage_rows
+  let rows =
+    if nothing_buffered t then
+      (* Nothing to merge: the storage rows are the answer, already in
+         scan order. *)
+      storage_rows
+    else
+      let base_map =
+        List.fold_left
+          (fun m (k, v) -> if in_cleared t k then m else KeyMap.add k v m)
+          KeyMap.empty storage_rows
+      in
+      let merged =
+        KeyMap.fold
+          (fun k b m ->
+            if k < span_lo || k >= span_hi then m
+            else
+              match b with
+              | B_set v -> KeyMap.add k v m
+              | B_clear -> KeyMap.remove k m
+              | B_atomic ops -> (
+                  match apply_ops_to_base (KeyMap.find_opt k m) ops with
+                  | Some v -> KeyMap.add k v m
+                  | None -> KeyMap.remove k m))
+          t.writes base_map
+      in
+      let bindings = KeyMap.bindings merged in
+      if reverse then List.rev bindings else bindings
   in
-  let merged =
-    KeyMap.fold
-      (fun k b m ->
-        if k < span_lo || k >= span_hi then m
-        else
-          match b with
-          | B_set v -> KeyMap.add k v m
-          | B_clear -> KeyMap.remove k m
-          | B_atomic ops -> (
-              match apply_ops_to_base (KeyMap.find_opt k m) ops with
-              | Some v -> KeyMap.add k v m
-              | None -> KeyMap.remove k m))
-      t.writes base_map
-  in
-  let bindings = KeyMap.bindings merged in
-  let bindings = if reverse then List.rev bindings else bindings in
-  let kept, trimmed = take_count row_limit bindings in
+  let kept, trimmed = take_count row_limit rows in
   let continuation =
     if trimmed then
       match List.rev kept with
@@ -664,7 +690,7 @@ let resolve_key t snap sel =
   let dir, start, need = selector_walk sel in
   let reverse = dir = `Reverse in
   let* resolved =
-    if KeyMap.is_empty t.writes && t.cleared = [] then
+    if nothing_buffered t then
       storage_resolve t snap ~start ~reverse ~need
     else merged_nth t snap ~start ~reverse ~need
   in

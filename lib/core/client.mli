@@ -9,9 +9,10 @@
     Range reads run through a parallel pipeline: the client resolves the
     range into per-shard fragments against its shard map and keeps up to
     {!Params.client_range_fanout} fragment sub-reads in flight, each
-    bounded by row and byte budgets, with replica choice load-balanced by
-    the deterministic RNG and transparent failover to another team member
-    on per-replica errors. *)
+    bounded by row and byte budgets. Every storage request goes to the
+    team member with the fewest of this handle's own requests in flight
+    (ties broken by a deterministic shuffle), with transparent failover to
+    another team member on per-replica errors. *)
 
 type db
 type tx
@@ -61,6 +62,10 @@ val create_db : Context.t -> Fdb_sim.Process.t -> db
 val refresh : db -> unit Fdb_sim.Future.t
 (** Re-discover the current proxies via the coordinators/ClusterController.
     Called automatically when requests keep failing. *)
+
+val storage_inflight : db -> int array
+(** A copy of this handle's storage requests in flight, by server id: the
+    load its replica choice balances. *)
 
 (** {2 Key selectors} *)
 

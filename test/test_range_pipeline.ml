@@ -12,6 +12,9 @@
    - the shard-map-change regression: a range read straddling a
      [Shard_map.set_team] mid-flight must re-resolve and return the full
      result rather than silently truncating or failing;
+   - least-loaded replica choice: concurrent sub-reads of one handle
+     spread over distinct team members, and every in-flight count
+     returns to zero after failovers;
    - transaction options ([tx_options]) plumbing. *)
 
 open Fdb_sim
@@ -23,9 +26,10 @@ module M = Map.Make (String)
 let key i = Printf.sprintf "rp/%03d" i
 let value i = Printf.sprintf "v%04d" i
 
-let with_cluster ?(seed = 11L) ?(buggify = false) body =
+let with_cluster ?(seed = 11L) ?(buggify = false) ?(config = Config.test_small)
+    body =
   Engine.run ~seed ~max_time:1e5 ~buggify (fun () ->
-      let cluster = Cluster.create ~config:Config.test_small () in
+      let cluster = Cluster.create ~config () in
       let* () = Cluster.wait_ready cluster in
       body cluster)
 
@@ -319,6 +323,206 @@ let test_shard_move_mid_read () =
     (Printf.sprintf "the stale fragments re-resolved (%d)" re_resolves)
     true (re_resolves > 0)
 
+(* ---------- least-loaded replica choice ---------- *)
+
+(* 400 shards of [rows_per_shard] keys on [Config.default]'s 10 storage
+   servers: 40 shards per server, on the sliding-window teams of
+   [Shard_map], where consecutive shards share 2 of their 3 members. *)
+let rows_per_shard = 1_000
+let lkey i = Printf.sprintf "ll/%06d" i
+let shard_key s = lkey (s * rows_per_shard)
+
+let sliding_config =
+  {
+    Config.default with
+    shard_boundaries = List.init 399 (fun s -> shard_key (s + 1));
+  }
+
+(* Load shards [first, first + n) in 500-row transactions. *)
+let load_shards db ~first ~n =
+  let lo = first * rows_per_shard and hi = (first + n) * rows_per_shard in
+  let rec go i =
+    if i >= hi then Future.return ()
+    else
+      let* () =
+        Client.run db (fun tx ->
+            for k = i to min hi (i + 500) - 1 do
+              Client.set tx (lkey k) (value k)
+            done;
+            Future.return ())
+      in
+      go (i + 500)
+  in
+  go lo
+
+let busy_servers db =
+  Client.storage_inflight db |> Array.to_list
+  |> List.mapi (fun ss n -> (ss, n))
+  |> List.filter (fun (_, n) -> n > 0)
+
+let replica_busy cluster =
+  Fdb_obs.Registry.sum_counter (Cluster.metrics cluster)
+    ~role:Fdb_obs.Registry.Client "read_replica_busy"
+
+(* Start a read on a fresh transaction whose snapshot is already in hand,
+   so its storage requests are sent before this returns. *)
+let start_read db ~version read =
+  let tx = Client.begin_tx db in
+  Client.set_read_version tx version;
+  read tx
+
+let read_shards first n tx =
+  Client.range_all tx
+    (Range_query.keys ~limit:(n * rows_per_shard) ~from:(shard_key first)
+       ~until:(shard_key (first + n)) ())
+
+let test_sub_reads_spread () =
+  (* Five reads, each spanning 4 consecutive shards. A random pick among
+     each team's members lands two of the 4 concurrent sub-reads on one
+     server often enough that some of the five would collide, and the
+     colliding read would take about twice as long. *)
+  let spreads, one_ms, busy =
+    with_cluster ~seed:21L ~config:sliding_config (fun cluster ->
+        let db = Cluster.client cluster ~name:"spread" in
+        let* () = load_shards db ~first:10 ~n:20 in
+        let* () = Engine.sleep 1.0 in
+        let* version = Client.get_read_version (Client.begin_tx db) in
+        let rec each acc = function
+          | [] -> Future.return (List.rev acc)
+          | first :: rest ->
+              let t0 = Engine.now () in
+              let read = start_read db ~version (read_shards first 4) in
+              let busy = busy_servers db in
+              let* rows = read in
+              let ms = (Engine.now () -. t0) *. 1000.0 in
+              each ((first, busy, List.length rows, ms) :: acc) rest
+        in
+        let* spreads = each [] [ 10; 14; 18; 22; 26 ] in
+        let t0 = Engine.now () in
+        let* _ = start_read db ~version (read_shards 10 1) in
+        let one_ms = (Engine.now () -. t0) *. 1000.0 in
+        Future.return (spreads, one_ms, replica_busy cluster))
+  in
+  List.iter
+    (fun (first, busy, rows, ms) ->
+      let name what = Printf.sprintf "shards %d..%d: %s" first (first + 3) what in
+      Alcotest.(check int) (name "rows") (4 * rows_per_shard) rows;
+      Alcotest.(check (list int))
+        (name "one sub-read on each of 4 servers")
+        [ 1; 1; 1; 1 ] (List.map snd busy);
+      Alcotest.(check bool)
+        (name (Printf.sprintf "%.2f ms within 1.3x of a 1-shard read (%.2f ms)" ms one_ms))
+        true
+        (ms <= 1.3 *. one_ms))
+    spreads;
+  Alcotest.(check int) "no read found every replica busy" 0 busy
+
+let test_get_avoids_busy_replica () =
+  (* While a one-shard range read is in flight, two point gets into the
+     same shard go to the team's two other members. *)
+  let outcomes =
+    with_cluster ~seed:22L ~config:sliding_config (fun cluster ->
+        let db = Cluster.client cluster ~name:"avoid" in
+        let* () = load_shards db ~first:10 ~n:3 in
+        let* () = Engine.sleep 1.0 in
+        let* version = Client.get_read_version (Client.begin_tx db) in
+        let sm = (Cluster.context cluster).Context.shard_map in
+        let rec each acc = function
+          | [] -> Future.return (List.rev acc)
+          | shard :: rest ->
+              let i = (shard * rows_per_shard) + 7 in
+              let k = lkey i in
+              let range = start_read db ~version (read_shards shard 1) in
+              let gets =
+                List.init 2 (fun _ -> start_read db ~version (fun tx -> Client.get tx k))
+              in
+              let busy = busy_servers db in
+              let* rows = range in
+              let* vs = Future.all gets in
+              let ok =
+                List.length rows = rows_per_shard
+                && List.for_all (( = ) (Some (value i))) vs
+              in
+              let team = List.sort compare (Shard_map.team_for_key sm k) in
+              each ((shard, team, busy, ok) :: acc) rest
+        in
+        each [] [ 10; 11; 12 ])
+  in
+  List.iter
+    (fun (shard, team, busy, ok) ->
+      let name what = Printf.sprintf "shard %d: %s" shard what in
+      Alcotest.(check bool) (name "every read returned the data") true ok;
+      Alcotest.(check (list (pair int int)))
+        (name "one request on each team member")
+        (List.map (fun ss -> (ss, 1)) team)
+        busy)
+    outcomes
+
+let test_inflight_settles_after_failover () =
+  let all_zero db = Array.for_all (( = ) 0) (Client.storage_inflight db) in
+  (* A rejecting replica: the "ss_flaky_range" buggify point sheds range
+     reads with Process_behind (seed 27 enables it). *)
+  let flaky_fired, rejected, settled_after_reject =
+    with_cluster ~seed:27L ~buggify:true (fun cluster ->
+        let db = Cluster.client cluster ~name:"reject" in
+        let* () = populate db (List.init 60 Fun.id) in
+        let before = Trace.count "client_read_failover" in
+        let rec reads n =
+          if n = 0 then Future.return ()
+          else
+            let* _ =
+              Future.all
+                (List.init 3 (fun _ ->
+                     Client.run db (fun tx ->
+                         Client.range_all tx (Range_query.prefix ~limit:100 "rp/" ()))))
+            in
+            reads (n - 1)
+        in
+        let* () = reads 10 in
+        let* () = Engine.sleep 1.0 in
+        Future.return
+          ( List.mem "ss_flaky_range" (Buggify.points_hit ()),
+            Trace.count "client_read_failover" - before,
+            all_zero db ))
+  in
+  Alcotest.(check bool) "the flaky-range point fired" true flaky_fired;
+  Alcotest.(check bool)
+    (Printf.sprintf "reads failed over from rejecting replicas (%d)" rejected)
+    true (rejected > 0);
+  Alcotest.(check bool) "in-flight counts back to 0 after rejections" true
+    settled_after_reject;
+  (* A killed replica: three concurrent gets of one key go to the three
+     members of its team, so one of them waits out the read timeout on the
+     dead server and fails over. *)
+  let timed_out, settled, ok =
+    with_cluster ~seed:23L ~config:sliding_config (fun cluster ->
+        let db = Cluster.client cluster ~name:"killed" in
+        let* () = load_shards db ~first:10 ~n:1 in
+        let* () = Engine.sleep 1.0 in
+        let* version = Client.get_read_version (Client.begin_tx db) in
+        let i = (10 * rows_per_shard) + 3 in
+        let k = lkey i in
+        let ctx = Cluster.context cluster in
+        let victim = List.hd (Shard_map.team_for_key ctx.Context.shard_map k) in
+        let per_machine = ctx.Context.config.Config.storage_per_machine in
+        Fault_injector.kill_machine (Cluster.worker_machines cluster).(victim / per_machine);
+        let before = Trace.count "client_read_failover" in
+        let gets =
+          List.init 3 (fun _ -> start_read db ~version (fun tx -> Client.get tx k))
+        in
+        let dead_busy = (Client.storage_inflight db).(victim) > 0 in
+        let* vs = Future.all gets in
+        Future.return
+          ( dead_busy && Trace.count "client_read_failover" > before,
+            all_zero db,
+            List.for_all (( = ) (Some (value i))) vs ))
+  in
+  Alcotest.(check bool) "every get returned the value" true ok;
+  Alcotest.(check bool) "a get timed out on the dead replica and failed over"
+    true timed_out;
+  Alcotest.(check bool) "in-flight counts back to 0 once the gets return" true
+    settled
+
 (* ---------- transaction options ---------- *)
 
 let test_tx_options () =
@@ -390,5 +594,11 @@ let suite =
       test_failover_identical_data;
     Alcotest.test_case "shard move mid-read re-resolves" `Quick
       test_shard_move_mid_read;
+    Alcotest.test_case "concurrent sub-reads go to distinct replicas" `Quick
+      test_sub_reads_spread;
+    Alcotest.test_case "gets avoid replicas the handle keeps busy" `Quick
+      test_get_avoids_busy_replica;
+    Alcotest.test_case "in-flight counts settle after failover" `Quick
+      test_inflight_settles_after_failover;
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
   ]
