@@ -38,6 +38,9 @@ type t = {
      peek reads the tag's mutations out of each entry it returns. *)
   per_tag : (Types.tag, (Types.version * Message.log_entry) list ref) Hashtbl.t;
   pop_floor : (Types.tag, Types.version) Det_tbl.t;
+  (* Long-poll peeks past [rcv], oldest first: (tag, from_version, reply).
+     Any push that advances [rcv] past a peek's version answers it. *)
+  mutable parked_peeks : (Types.tag * Types.version * Message.t Future.promise) list;
   (* Records appended to disk but not yet synced, with their promises. *)
   mutable waiting_sync : (Types.version * unit Future.promise) list;
   mutable sync_scheduled : bool;
@@ -55,6 +58,16 @@ let durable_version t = t.dv
 let known_committed t = t.kcv
 let is_stopped t = t.stopped
 let unpopped_bytes t = t.unpopped_bytes
+let parked_peeks t = List.length t.parked_peeks
+
+(* The callers' RPC timeouts: a proxy's push, a storage server's peek. *)
+let push_timeout = 3.0
+let peek_timeout = 1.0
+
+(* A parked peek is answered (empty, at the current version) after half
+   the peek timeout, so the reply beats the caller's timeout by a wide
+   margin. *)
+let peek_park_bound = peek_timeout /. 2.0
 
 (* Per-generation file name: one machine's log disk may host LogServers
    of several epochs (old stopped ones await recovery hand-off). *)
@@ -156,8 +169,38 @@ let persist_entry t (e : Message.log_entry) =
       Fdb_obs.Registry.observe t.obs_append_lat (Engine.now () -. t0);
       Fdb_obs.Registry.set_gauge t.obs_dv (Int64.to_float t.dv))
 
+(* The tag's list is newest first, so the entries a peek wants are a
+   prefix of it: the cost is the entries returned, not the backlog. *)
+let tag_entries t tag ~from_version =
+  let floor = floor_of t tag in
+  let rec take acc = function
+    | (v, e) :: rest when v >= from_version && v > floor ->
+        take ((v, tag_mutations tag e) :: acc) rest
+    | _ -> acc
+  in
+  match Hashtbl.find_opt t.per_tag tag with None -> [] | Some l -> take [] !l
+
+let peek_reply t tag ~from_version =
+  Message.Log_peek_reply
+    { pk_entries = tag_entries t tag ~from_version; pk_end = t.rcv; pk_kcv = t.kcv }
+
+(* Answer every parked peek that [rcv] has reached, whatever its tag: an
+   idle tag's storage server still needs its version to move. *)
+let wake_peeks t =
+  if t.parked_peeks <> [] then begin
+    let ready, parked =
+      List.partition (fun (_, from_version, _) -> from_version <= t.rcv) t.parked_peeks
+    in
+    t.parked_peeks <- parked;
+    List.iter
+      (fun (tag, from_version, promise) ->
+        ignore (Future.try_fulfill promise (peek_reply t tag ~from_version) : bool))
+      ready
+  end
+
 (* Accept an in-chain-order record: index it, persist it, and return the
-   durability future. Then drain any pending successors. *)
+   durability future. Then drain any pending successors and answer the
+   peeks the new [rcv] has reached. *)
 let rec accept t (e : Message.log_entry) =
   Det_tbl.replace t.entries e.Message.le_lsn e;
   Hashtbl.replace t.next e.Message.le_prev e.Message.le_lsn;
@@ -183,16 +226,21 @@ let rec accept t (e : Message.log_entry) =
             Trace.emit "tlog_parked_ack_lost"
               [ ("lsn", Int64.to_string successor.Message.le_lsn) ])
   | None -> ());
+  wake_peeks t;
   durable
 
-let tag_entries t tag ~from_version =
-  let floor = floor_of t tag in
-  match Hashtbl.find_opt t.per_tag tag with
-  | None -> []
-  | Some l ->
-      List.filter (fun (v, _) -> v >= from_version && v > floor) !l
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-      |> List.map (fun (v, e) -> (v, tag_mutations tag e))
+(* Long poll: hold the peek until a push passes it, the server is locked,
+   or [peek_park_bound] expires. The reply promise is deliberately
+   unlabeled: the park timer guarantees its resolution. *)
+let park_peek t tag ~from_version =
+  let fut, promise = Future.make () in
+  t.parked_peeks <- t.parked_peeks @ [ (tag, from_version, promise) ];
+  Engine.schedule ~after:peek_park_bound ~process:t.proc (fun () ->
+      if Future.is_pending fut then begin
+        t.parked_peeks <- List.filter (fun (_, _, p) -> p != promise) t.parked_peeks;
+        Future.fulfill promise (peek_reply t tag ~from_version)
+      end);
+  fut
 
 let do_pop t tag up_to =
   let old_floor = floor_of t tag in
@@ -323,6 +371,17 @@ let handle t (msg : Message.t) : Message.t Future.t =
             Trace.emit "tlog_park"
               [ ("lsn", Int64.to_string lp_entry.Message.le_lsn);
                 ("prev", Int64.to_string lp_entry.Message.le_prev) ];
+            (* Once the proxy's RPC has timed out, nobody waits for this
+               push, and its predecessor may never come (its proxy's
+               generation ended): release the slot with a rejection. *)
+            let prev = lp_entry.Message.le_prev in
+            Engine.schedule ~after:push_timeout ~process:t.proc (fun () ->
+                match Det_tbl.find_opt t.pending prev with
+                | Some (_, p) when p == promise ->
+                    Det_tbl.remove t.pending prev;
+                    Future.fulfill promise
+                      (Message.Reject (Error.Internal "tlog: predecessor never came"))
+                | Some _ | None -> ());
             fut
           end
         end
@@ -330,10 +389,8 @@ let handle t (msg : Message.t) : Message.t Future.t =
       end
   | Message.Log_peek { tag; from_version } ->
       if t.stopped then Future.return (Message.Reject Error.Wrong_epoch)
-      else
-      let entries = tag_entries t tag ~from_version in
-      Future.return
-        (Message.Log_peek_reply { pk_entries = entries; pk_end = t.rcv; pk_kcv = t.kcv })
+      else if from_version > t.rcv then park_peek t tag ~from_version
+      else Future.return (peek_reply t tag ~from_version)
   | Message.Log_pop { tag; up_to } ->
       do_pop t tag up_to;
       Future.return Message.Ok_reply
@@ -353,6 +410,12 @@ let handle t (msg : Message.t) : Message.t Future.t =
                 Trace.emit "tlog_parked_ack_lost"
                   [ ("lsn", Int64.to_string e.Message.le_lsn) ])
             parked;
+          let peeks = t.parked_peeks in
+          t.parked_peeks <- [];
+          List.iter
+            (fun (_, _, promise) ->
+              ignore (Future.try_fulfill promise (Message.Reject Error.Wrong_epoch) : bool))
+            peeks;
           Trace.emit "tlog_locked"
             [ ("id", string_of_int t.id); ("epoch", string_of_int t.epoch);
               ("by", string_of_int ll_epoch); ("dv", Int64.to_string t.dv) ]
@@ -414,6 +477,7 @@ let resurrect ctx proc ~disk ~(meta : meta) =
       entries = Det_tbl.create ~size:1024 ();
       next = Hashtbl.create 1024;
       pending = Det_tbl.create ~size:4 ();
+      parked_peeks = [];
       per_tag = Hashtbl.create 64;
       pop_floor = Det_tbl.create ~size:64 ();
       waiting_sync = [];
@@ -509,6 +573,7 @@ let create ctx proc ~disk ~epoch ~id ~start_lsn =
       entries = Det_tbl.create ~size:1024 ();
       next = Hashtbl.create 1024;
       pending = Det_tbl.create ~size:16 ();
+      parked_peeks = [];
       per_tag = Hashtbl.create 64;
       pop_floor = Det_tbl.create ~size:64 ();
       waiting_sync = [];

@@ -10,7 +10,11 @@
     Durable Version (DV) is always chain-contiguous — the property the
     recovery's [RV = min DV] rule depends on. StorageServers peek their
     tag's stream (including not-yet-durable entries, §2.4.3 "aggressively
-    fetch") and pop what they have persisted.
+    fetch") and pop what they have persisted. A peek past the received
+    version is a long poll: it is answered by the first push that reaches
+    it, whatever that push's tags, by [Wrong_epoch] if the server is
+    locked first, or empty at the current version after half of
+    {!peek_timeout}.
 
     After a crash the server is resurrected from disk in {e stopped} mode:
     it can serve [Log_lock] for recovery and peeks for stragglers, but
@@ -51,3 +55,14 @@ val known_committed : t -> Types.version
 val is_stopped : t -> bool
 val unpopped_bytes : t -> int
 (** Backlog size (Ratekeeper / diagnostics). *)
+
+val parked_peeks : t -> int
+(** Long-poll peeks waiting for the received version to reach them. *)
+
+val push_timeout : float
+(** A proxy's push RPC timeout. A push parked this long, waiting for its
+    predecessor, has been given up by its sender and is rejected. *)
+
+val peek_timeout : float
+(** The peek RPC timeout StorageServers use; parked peeks are answered
+    well inside it. *)

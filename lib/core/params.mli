@@ -50,8 +50,10 @@ val grv_batch_interval : float
 val commit_batch_interval : float
 (** How long a proxy gathers commits into one batch (§2.6). *)
 
-val storage_peek_interval : float
-(** How often a StorageServer polls its LogServer for new mutations. *)
+val storage_pull_backoff : float
+(** How long a StorageServer waits before peeking again after a failed
+    pull. A successful pull is followed by the next peek at once: peeks
+    long-poll on the LogServer. *)
 
 val storage_durable_interval : float
 (** How often buffered window data is persisted (longer delay coalesces

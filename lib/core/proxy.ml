@@ -220,7 +220,7 @@ let resolve_batch t lsn prev txns =
         Future.catch
           (fun () ->
             let* reply =
-              Context.rpc t.ctx ~timeout:2.0 ~from:t.proc ep
+              Context.rpc t.ctx ~timeout:Resolver.resolve_timeout ~from:t.proc ep
                 (Message.Resolve_req
                    { rs_epoch = t.epoch; rs_lsn = lsn; rs_prev = prev; rs_txns = clipped })
             in
@@ -288,7 +288,7 @@ let push_to_logs t entries =
         Future.catch
           (fun () ->
             let* reply =
-              Context.rpc t.ctx ~timeout:3.0 ~bytes ~from:t.proc ep
+              Context.rpc t.ctx ~timeout:Log_server.push_timeout ~bytes ~from:t.proc ep
                 (Message.Log_push { lp_epoch = t.epoch; lp_entry = entry })
             in
             match reply with

@@ -26,6 +26,7 @@ type t = {
   obs_parked : Fdb_obs.Registry.gauge;
 }
 
+let resolve_timeout = 2.0
 let last_lsn t = t.last_lsn
 let entry_count t = Rvm.entry_count t.rvm
 
@@ -147,6 +148,19 @@ let handle t (msg : Message.t) : Message.t Future.t =
               (float_of_int (Fdb_util.Det_tbl.length t.parked));
             Trace.emit "resolver_park"
               [ ("lsn", Int64.to_string rs_lsn); ("prev", Int64.to_string rs_prev) ];
+            (* Once the proxy's RPC has timed out, nobody waits for this
+               batch, and its predecessor may never come (its proxy's
+               generation ended): answer the waiter with a rejection. The
+               batch stays parked, so a late predecessor still unparks it
+               and the chain keeps moving. *)
+            Engine.schedule ~after:resolve_timeout ~process:t.proc (fun () ->
+                match Fdb_util.Det_tbl.find_opt t.parked rs_prev with
+                | Some (_, p) when p == promise ->
+                    ignore
+                      (Future.try_fulfill promise
+                         (Message.Reject (Error.Internal "resolver: predecessor never came"))
+                        : bool)
+                | Some _ | None -> ());
             fut
       end
   | _ -> Future.return (Message.Reject (Error.Internal "resolver: unexpected message"))

@@ -3,9 +3,11 @@
 
     Batches arrive tagged with (LSN, previous LSN) and are processed
     strictly in LSN-chain order — out-of-order arrivals are parked until
-    the chain fills in. History older than the MVCC window is coalesced
-    away; transactions whose read version predates the window are aborted
-    as too old. *)
+    the chain fills in. A batch still parked after {!resolve_timeout} is
+    answered with a rejection but stays parked, so a late predecessor
+    still moves the chain past it.
+    History older than the MVCC window is coalesced away; transactions
+    whose read version predates the window are aborted as too old. *)
 
 type t
 
@@ -17,6 +19,10 @@ val create :
   start_lsn:Types.version ->
   t * int
 (** Instantiate and register; returns the endpoint. *)
+
+val resolve_timeout : float
+(** A proxy's resolve RPC timeout. A batch parked this long has been given
+    up by its sender, so its waiter is answered with a rejection. *)
 
 val last_lsn : t -> Types.version
 val entry_count : t -> int

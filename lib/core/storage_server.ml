@@ -346,15 +346,20 @@ let refresh_from_coordinators t =
   Future.return ()
   end
 
+(* One peek and the application of its reply. The result says whether the
+   loop may peek again at once: after a reply, or after [adopt] abandoned
+   the peek for a newer generation's logs. A failed pull backs off. *)
 let pull_once t =
   match preferred_log t with
-  | None -> refresh_from_coordinators t
+  | None ->
+      let* () = refresh_from_coordinators t in
+      Future.return false
   | Some log_ep ->
       let as_of_epoch = t.epoch in
       (* Unlabeled: the peek's own timeout guarantees the resolution. *)
       let reply, deliver = Future.make () in
       Future.on_resolve
-        (Context.rpc t.ctx ~timeout:1.0 ~from:t.proc log_ep
+        (Context.rpc t.ctx ~timeout:Log_server.peek_timeout ~from:t.proc log_ep
            (Message.Log_peek { tag = t.id; from_version = Int64.add t.version 1L }))
         (fun r ->
           ignore
@@ -370,33 +375,39 @@ let pull_once t =
           | Message.Log_peek_reply { pk_entries; pk_end; pk_kcv } ->
               t.stale_pulls <- 0;
               (* fdb-lint: allow R5 -- deliberate pre-RPC snapshot: entries apply under the epoch in force when the peek was issued (Wrong_epoch protocol) *)
-              apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv
-          | _ -> Future.return ())
+              let* () = apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv in
+              Future.return true
+          | _ -> Future.return false)
         (function
           | Future.Cancelled _ ->
               (* [adopt] abandoned the peek: pull from the new logs now. *)
-              Future.return ()
+              Future.return true
           | Error.Fdb Error.Wrong_epoch ->
               (* The log server is locked: a recovery is in flight. *)
               t.stale_pulls <- t.stale_pulls + 1;
-              refresh_from_coordinators t
+              let* () = refresh_from_coordinators t in
+              Future.return false
           | exn ->
               Trace.emit "ss_pull_fail"
                 [ ("ss", string_of_int t.id); ("exn", Printexc.to_string exn) ];
               t.stale_pulls <- t.stale_pulls + 1;
-              if t.stale_pulls > 3 then refresh_from_coordinators t
-              else Future.return ())
+              let* () =
+                if t.stale_pulls > 3 then refresh_from_coordinators t
+                else Future.return ()
+              in
+              Future.return false)
 
+(* The peek long-polls on the LogServer, so the loop needs no tick of its
+   own: it sleeps only after a failed pull. *)
 let pull_loop t =
   let rec loop () =
     if not t.alive then Future.return ()
     else
+      let* ok = pull_once t in
       (* Buggify: a sluggish pull loop widens the lag/rollback windows. *)
-      let* () =
-        Engine.sleep
-          (Params.storage_peek_interval +. (Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0))
-      in
-      let* () = pull_once t in
+      let slow = Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0 in
+      let pause = if ok then slow else Params.storage_pull_backoff +. slow in
+      let* () = if pause > 0.0 then Engine.sleep pause else Future.return () in
       loop ()
   in
   loop ()

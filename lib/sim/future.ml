@@ -56,7 +56,23 @@ module Lifecycle = struct
   let owner_source : (unit -> (Process.t * int) option) ref = ref (fun () -> None)
   let n_created = ref 0
   let n_resolved = ref 0
+  (* Labeled promises, newest first. Only a pending one can be reported,
+     so resolved entries are dropped whenever the list has doubled since
+     the last prune: amortised O(1) per promise, and a resolved promise
+     (with its value) is not kept alive until the run ends. *)
   let tracked : tracked list ref = ref []
+  let n_tracked = ref 0
+  let prune_at = ref 1024
+
+  let track tr =
+    tracked := tr :: !tracked;
+    incr n_tracked;
+    if !n_tracked >= !prune_at then begin
+      tracked := List.filter (fun tr -> tr.tr_pending ()) !tracked;
+      n_tracked := List.length !tracked;
+      prune_at := max 1024 (2 * !n_tracked)
+    end
+
   let doubles : (string * int ref) list ref = ref []
   let detach_fails : (string * int ref) list ref = ref []
 
@@ -69,6 +85,8 @@ module Lifecycle = struct
     n_created := 0;
     n_resolved := 0;
     tracked := [];
+    n_tracked := 0;
+    prune_at := 1024;
     doubles := [];
     detach_fails := []
 
@@ -109,14 +127,13 @@ let make ?label () =
   if !Lifecycle.enabled then begin
     incr Lifecycle.n_created;
     if f.lbl <> "" then
-      Lifecycle.tracked :=
+      Lifecycle.track
         {
           Lifecycle.tr_label = f.lbl;
           tr_owner = !Lifecycle.owner_source ();
           tr_pending = (fun () -> is_pending f);
           tr_waited = (fun () -> has_waiters f);
         }
-        :: !Lifecycle.tracked
   end;
   (f, f)
 

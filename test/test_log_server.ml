@@ -175,6 +175,162 @@ let test_resurrect_after_prune () =
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
+(* ---------- long-poll peeks ---------- *)
+
+(* A peek past the received version parks until a push reaches it, even a
+   push that carries none of the peek's tag: the storage server needs its
+   version to move either way. The reply comes within a network round trip
+   of the push, well before the push's own durability ack. *)
+let test_long_poll_wakes_on_any_push () =
+  let r =
+    Engine.run (fun () ->
+        let _, _, _, _, push, peek = setup () in
+        let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let parked = peek 0 6L in
+        let* () = Engine.sleep 0.1 in
+        let still_parked = Future.is_pending parked in
+        let t_push = Engine.now () in
+        let ack = push 9L 5L [ tagged [ 1 ] (Mutation.Set ("b", "2")) ] in
+        let* entries, pk_end = parked in
+        let waited = Engine.now () -. t_push in
+        let acked_first = Future.is_resolved ack in
+        let* _ = ack in
+        (* The same for a push that does carry the tag. *)
+        let parked = peek 0 10L in
+        let* () = Engine.sleep 0.1 in
+        let* _ = push 12L 9L [ tagged [ 0 ] (Mutation.Set ("c", "3")) ] in
+        let* entries2, pk_end2 = parked in
+        Future.return
+          (still_parked, waited, acked_first, entries, pk_end, List.map fst entries2, pk_end2))
+  in
+  let still_parked, waited, acked_first, entries, pk_end, versions2, pk_end2 = r in
+  Alcotest.(check bool) "peek parks past rcv" true still_parked;
+  Alcotest.(check bool) "answered within a round trip" true (waited < 1e-3);
+  Alcotest.(check bool) "before the push's durability ack" false acked_first;
+  Alcotest.(check int) "no entries of another tag" 0 (List.length entries);
+  Alcotest.(check int64) "version moves anyway" 9L pk_end;
+  Alcotest.(check (list int64)) "own tag's entry" [ 12L ] versions2;
+  Alcotest.(check int64) "caught up" 12L pk_end2
+
+let test_long_poll_bound_expires () =
+  let r =
+    Engine.run (fun () ->
+        let _, _, _, _, push, peek = setup () in
+        let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let t0 = Engine.now () in
+        let* entries, pk_end = peek 0 6L in
+        Future.return (Engine.now () -. t0, entries, pk_end))
+  in
+  let waited, entries, pk_end = r in
+  Alcotest.(check bool) "held for the park bound" true (waited >= 0.5);
+  Alcotest.(check bool) "inside the caller's timeout" true (waited < Log_server.peek_timeout);
+  Alcotest.(check int) "empty" 0 (List.length entries);
+  Alcotest.(check int64) "at the current version" 5L pk_end
+
+let test_lock_answers_parked_peeks () =
+  let r =
+    Engine.run (fun () ->
+        let ctx, ep, client, _, push, peek = setup () in
+        let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let parked = peek 0 6L in
+        let* () = Engine.sleep 0.1 in
+        let* _ =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
+        in
+        let t_lock = Engine.now () in
+        Future.catch
+          (fun () ->
+            let* _ = parked in
+            Future.return None)
+          (function
+            | Error.Fdb Error.Wrong_epoch -> Future.return (Some (Engine.now () -. t_lock))
+            | e -> Future.fail e))
+  in
+  match r with
+  | None -> Alcotest.fail "parked peek answered after the lock"
+  | Some dt -> Alcotest.(check bool) "Wrong_epoch at once" true (dt < 1e-3)
+
+(* Peekers on an idle log re-park every time the bound expires; each
+   expired waiter must leave the list, or an idle log strands one per
+   expiry. *)
+let test_idle_log_holds_only_live_peeks () =
+  let peekers = 3 in
+  let r =
+    Engine.run (fun () ->
+        let ctx = mini_ctx () in
+        let machine = Process.fresh_machine 1 in
+        let proc = Process.create ~name:"tlog-idle" machine in
+        let client = Process.create ~name:"peeker" machine in
+        let disk = Disk.create ~name:"tlog-idle-disk" () in
+        let t, ep = Log_server.create ctx proc ~disk ~epoch:1 ~id:0 ~start_lsn:0L in
+        let until = Engine.now () +. 10.0 in
+        let rec peek_loop tag =
+          if Engine.now () >= until then Future.return ()
+          else
+            let* _ = rpc_peek ctx ~from:client ep tag 1L in
+            peek_loop tag
+        in
+        let* () = Future.all_unit (List.init peekers peek_loop) in
+        Future.return (Log_server.parked_peeks t))
+  in
+  Alcotest.(check bool) "no stranded waiters" true (r <= peekers)
+
+(* A storage server that adopts a new generation drops its peek to the old
+   logs and peeks the new ones at the same virtual instant, not after a
+   back-off. The new "log" records when the first peek reaches it. *)
+let test_adopt_peeks_new_logs_at_once () =
+  let r =
+    Engine.run (fun () ->
+        let ctx = mini_ctx () in
+        let net = ctx.Context.net in
+        let ss_ep = Network.fresh_endpoint net and coord_ep = Network.fresh_endpoint net in
+        let ctx = { ctx with Context.coordinator_eps = [ coord_ep ]; storage_eps = [| ss_ep |] } in
+        let machine = Process.fresh_machine 1 in
+        let client = Process.create ~name:"recoverer" machine in
+        let stub = Process.create ~name:"stubs" machine in
+        (* An empty coordinated state: a pull with no logs learns nothing. *)
+        Network.register net coord_ep stub (fun _ ->
+            Future.return (Message.Paxos_resp (Fdb_paxos.Wire.Read_result { accepted = None })));
+        let old_proc = Process.create ~name:"tlog-old" machine in
+        let _, old_ep =
+          Log_server.create ctx old_proc ~disk:(Disk.create ~name:"tlog-old-disk" ()) ~epoch:1
+            ~id:0 ~start_lsn:0L
+        in
+        let first_peek, reached = Future.make () in
+        let new_ep = Network.fresh_endpoint net in
+        Network.register net new_ep stub (function
+          | Message.Log_peek _ ->
+              ignore (Future.try_fulfill reached (Engine.now ()) : bool);
+              Future.return
+                (Message.Log_peek_reply { pk_entries = []; pk_end = 0L; pk_kcv = 0L })
+          | _ -> Future.return Message.Ok_reply);
+        let ss_proc = Process.create ~name:"ss" machine in
+        let* _ss = Storage_server.create ctx ss_proc ~id:0 ~disk:(Disk.create ~name:"ss-disk" ()) in
+        let recover epoch logs =
+          let* _ =
+            Context.rpc ctx ~timeout:5.0 ~from:client ss_ep
+              (Message.Ss_recover
+                 { sr_epoch = epoch; sr_rv = 0L; sr_history = [ (epoch, 0L) ]; sr_logs = logs })
+          in
+          Future.return ()
+        in
+        let* () = recover 1 [ (0, old_ep) ] in
+        (* Long enough for the storage server's peek to park on the old log. *)
+        let* () = Engine.sleep 0.1 in
+        let* () = recover 2 [ (0, new_ep) ] in
+        let* arrived = first_peek in
+        let adopted =
+          List.find
+            (fun e ->
+              e.Trace.te_name = "ss_adopt_state" && List.assoc_opt "epoch" e.Trace.te_fields = Some "2")
+            (Trace.events ())
+        in
+        Future.return (arrived -. adopted.Trace.te_time))
+  in
+  (* One one-way network hop on a single machine; a back-off would be
+     Params.storage_pull_backoff or more. *)
+  Alcotest.(check bool) "peeks the new logs at once" true (r >= 0.0 && r < 1e-3)
+
 (* ---------- the tagged push format ---------- *)
 
 (* The per-tag build the proxy used before a push carried each mutation
@@ -386,6 +542,12 @@ let suite =
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
     Alcotest.test_case "push charged once per mutation" `Quick test_push_charged_once;
+    Alcotest.test_case "long poll wakes on any push" `Quick test_long_poll_wakes_on_any_push;
+    Alcotest.test_case "long poll bound expires" `Quick test_long_poll_bound_expires;
+    Alcotest.test_case "lock answers parked peeks" `Quick test_lock_answers_parked_peeks;
+    Alcotest.test_case "idle log holds only live peeks" `Quick
+      test_idle_log_holds_only_live_peeks;
+    Alcotest.test_case "adopt peeks new logs at once" `Quick test_adopt_peeks_new_logs_at_once;
     Alcotest.test_case "recovery merge keeps unpopped streams" `Quick
       test_recovery_merge_keeps_unpopped_streams;
   ]

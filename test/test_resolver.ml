@@ -142,12 +142,82 @@ let test_blind_write_never_too_old () =
   Alcotest.(check bool) "blind write commits" true (fst r = [ Message.V_commit ]);
   Alcotest.(check bool) "ancient read is too old" true (snd r = [ Message.V_too_old ])
 
+(* A batch whose predecessor never comes (its proxy's generation ended):
+   once the sender's resolve RPC has timed out, the resolver answers the
+   waiter with a rejection instead of holding the parked promise until the
+   simulation ends. *)
+let test_orphan_park_released () =
+  let r =
+    Engine.run (fun () ->
+        let _, resolve_raw = setup () in
+        let t0 = Engine.now () in
+        let* rejected =
+          Future.catch
+            (fun () ->
+              let* _ = resolve_raw 20L 10L [ (15L, [ single_key "k" ], []) ] in
+              Future.return None)
+            (function
+              | Error.Fdb (Error.Internal _) -> Future.return (Some (Engine.now () -. t0))
+              | e -> Future.fail e)
+        in
+        Future.return rejected)
+  in
+  (match r with
+  | None -> Alcotest.fail "orphaned batch was answered"
+  | Some dt ->
+      Alcotest.(check bool) "rejected once the sender gave up" true
+        (dt >= Resolver.resolve_timeout && dt < Resolver.resolve_timeout +. 0.01));
+  Alcotest.(check int) "no leaked park" 0
+    (Future.Lifecycle.total_leaks (Engine.last_run_lifecycle ()))
+
+(* The rejection answers only the waiter: a predecessor that arrives after
+   the timeout, while the generation is still live, unparks the batch and
+   the chain moves on. *)
+let test_late_predecessor_unparks () =
+  let r =
+    Engine.run (fun () ->
+        let ctx = Test_log_server.mini_ctx () in
+        let machine = Process.fresh_machine 1 in
+        let proc = Process.create ~name:"resolver-test" machine in
+        let client = Process.create ~name:"proxy-test" machine in
+        let resolver, ep =
+          Resolver.create ctx proc ~epoch:1 ~range:("", Types.system_key_space_end)
+            ~start_lsn:0L
+        in
+        let resolve_raw lsn prev txns =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep
+            (Message.Resolve_req
+               { rs_epoch = 1; rs_lsn = lsn; rs_prev = prev; rs_txns = Array.of_list txns })
+        in
+        let parked =
+          Future.catch
+            (fun () ->
+              let* _ = resolve_raw 20L 10L [ (15L, [ single_key "k" ], []) ] in
+              Future.return false)
+            (function Error.Fdb (Error.Internal _) -> Future.return true | e -> Future.fail e)
+        in
+        let* () = Engine.sleep (Resolver.resolve_timeout +. 0.5) in
+        let* rejected = parked in
+        let* _ = resolve_raw 10L 0L [ (5L, [], [ single_key "k" ]) ] in
+        let* () = Engine.sleep 0.01 in
+        let reached = Resolver.last_lsn resolver in
+        let* next = resolve_raw 30L 20L [ (25L, [ single_key "k" ], []) ] in
+        Future.return (rejected, reached, next))
+  in
+  let rejected, reached, next = r in
+  Alcotest.(check bool) "waiter rejected at the timeout" true rejected;
+  Alcotest.(check int64) "late predecessor moves the chain past the batch" 20L reached;
+  Alcotest.(check bool) "next batch on prev 20 answered" true
+    (match next with Message.Resolve_reply v -> Array.to_list v = [ Message.V_commit ] | _ -> false)
+
 let suite =
   [
     Alcotest.test_case "conflict detection" `Quick test_no_conflict_then_conflict;
     Alcotest.test_case "within-batch conflict" `Quick test_within_batch_conflict;
     Alcotest.test_case "out-of-order parking" `Quick test_out_of_order_batches_park;
     Alcotest.test_case "duplicate park rejected" `Quick test_duplicate_park_rejected;
+    Alcotest.test_case "orphaned park released" `Quick test_orphan_park_released;
+    Alcotest.test_case "late predecessor unparks" `Quick test_late_predecessor_unparks;
     Alcotest.test_case "duplicate replay" `Quick test_duplicate_replay_same_verdict;
     Alcotest.test_case "range partitioning" `Quick test_range_partition_ignores_foreign_keys;
     Alcotest.test_case "blind writes vs window floor" `Quick test_blind_write_never_too_old;

@@ -56,6 +56,21 @@ let test_dead_owner_no_leak () =
   in
   Alcotest.(check int) "dead owner, no leak" 0 (Future.Lifecycle.total_leaks lc)
 
+(* The registry drops resolved promises as it grows; the pending ones it
+   keeps must still be reported, however many prunes ran past them. *)
+let test_prune_keeps_pending () =
+  let lc =
+    lifecycle_after (fun () ->
+        for i = 1 to 5_000 do
+          let fut, p = Future.make ~label:"test.churn" () in
+          Future.on_resolve fut (fun _ -> ());
+          if i mod 1_000 <> 0 then Future.fulfill p ()
+        done;
+        Engine.sleep 0.1)
+  in
+  Alcotest.(check (list (pair string int)))
+    "every pending promise reported" [ ("test.churn", 5) ] lc.Future.Lifecycle.lr_leaked
+
 let test_double_resolve_tallied () =
   let lc =
     lifecycle_after (fun () ->
@@ -124,6 +139,7 @@ let suite =
     Alcotest.test_case "no waiters, no leak" `Quick test_no_waiters_no_leak;
     Alcotest.test_case "resolved, no leak" `Quick test_resolved_no_leak;
     Alcotest.test_case "dead owner, no leak" `Quick test_dead_owner_no_leak;
+    Alcotest.test_case "prune keeps pending" `Quick test_prune_keeps_pending;
     Alcotest.test_case "double resolve tallied" `Quick test_double_resolve_tallied;
     Alcotest.test_case "detach failure traced" `Quick test_detach_failure_traced;
     Alcotest.test_case "detach success silent" `Quick test_detach_success_silent;
