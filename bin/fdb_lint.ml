@@ -1,6 +1,8 @@
 (* fdb_lint: the determinism lint driver (DESIGN.md, "The determinism
    contract"). Walks every .ml under the given roots (default lib bin
-   bench), runs the Lint pass, prints file:line:col diagnostics (or a JSON
+   bench), runs the Lint pass, runs R7 over every lib/ .mli among them
+   against the .ml files under Lint.r7_reference_roots (test fixtures
+   excluded), prints file:line:col diagnostics (or a JSON
    array with --json), and exits non-zero on any violation. Also audits the
    whitelist: an entry that absorbed no diagnostic anywhere in the scanned
    tree is stale and reported as an error. Wired into `dune build @lint`,
@@ -21,16 +23,23 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let rec walk_dir acc path =
+(* Lint fixtures are inputs to the lint's own tests, not code. *)
+let rec walk_dir suffix acc path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort compare
     |> List.fold_left
          (fun acc entry ->
-           if entry = "_build" || (entry <> "" && entry.[0] = '.') then acc
-           else walk_dir acc (Filename.concat path entry))
+           if entry = "_build" || entry = "lint_fixtures" || (entry <> "" && entry.[0] = '.')
+           then acc
+           else walk_dir suffix acc (Filename.concat path entry))
          acc
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path suffix then path :: acc
   else acc
+
+let sources suffix roots =
+  List.concat_map (fun root -> walk_dir suffix [] root) roots |> List.sort compare
+
+let with_source f = (f, read_file f)
 
 let run_lint json whitelist_file roots =
   let t0 = Sys.time () in
@@ -43,8 +52,9 @@ let run_lint json whitelist_file roots =
       prerr_endline ("fdb_lint: " ^ msg);
       2
   | Ok whitelist ->
-      let files =
-        List.concat_map (fun root -> walk_dir [] root) roots |> List.sort compare
+      let files = sources ".ml" roots and interfaces = sources ".mli" roots in
+      let implementations =
+        sources ".ml" (List.filter Sys.file_exists Lint.r7_reference_roots)
       in
       (* Stale-whitelist audit: track which entries absorbed a diagnostic.
          Only entries whose file was actually scanned can be convicted —
@@ -53,11 +63,14 @@ let run_lint json whitelist_file roots =
       let whitelist_used entry = Hashtbl.replace used entry () in
       let diags =
         List.concat_map (Lint.lint_file ~whitelist ~whitelist_used) files
+        @ Lint.dead_exports
+            ~interfaces:(List.map with_source interfaces)
+            ~implementations:(List.map with_source implementations)
       in
       let scanned =
         List.map
           (fun f -> String.map (fun c -> if c = '\\' then '/' else c) f)
-          files
+          (files @ interfaces)
       in
       let stale_entries =
         List.filter
@@ -86,19 +99,19 @@ let run_lint json whitelist_file roots =
       let elapsed = Sys.time () -. t0 in
       if elapsed > budget_seconds then begin
         Printf.eprintf "fdb_lint: blew the %.0fs runtime budget (%.2fs over %d files)\n"
-          budget_seconds elapsed (List.length files);
+          budget_seconds elapsed (List.length scanned);
         2
       end
       else if diags <> [] then begin
         if not json then
           Printf.printf "fdb_lint: %d violation(s) in %d files (%.2fs)\n"
-            (List.length diags) (List.length files) elapsed;
+            (List.length diags) (List.length scanned) elapsed;
         1
       end
       else begin
         if not json then
           Printf.printf "fdb_lint: OK — %d files clean (%.2fs)\n"
-            (List.length files) elapsed;
+            (List.length scanned) elapsed;
         0
       end
 

@@ -968,7 +968,6 @@ let watch t key =
   w
 
 let watch_future w = w.wt_future
-let watch_key w = w.wt_key
 
 let cancel_watch w =
   ignore (Future.try_break w.wt_promise (Future.Cancelled "client.watch") : bool)
@@ -1154,6 +1153,4 @@ module Error = struct
   let retryable = Error.is_retryable
   let classify = classify_exn
   let to_string = Error.to_string
-  let pp = Error.pp
-  let fail = Error.fail
 end

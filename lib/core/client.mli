@@ -41,7 +41,7 @@ module Error : sig
   (** The one transaction-error variant, re-exported so applications and
       layers can program against [Client.Error] alone. *)
 
-  val retryable : t -> bool
+  val retryable : t -> bool (* fdb-lint: allow R7 -- FDB client API, the error predicate *)
   (** May {!run} retry the transaction from the top? The single authority
       the retry loop keys off. *)
 
@@ -50,9 +50,7 @@ module Error : sig
       [None] for anything else (engine internals, programming errors),
       which {!run} never retries. *)
 
-  val to_string : t -> string
-  val pp : Format.formatter -> t -> unit
-  val fail : t -> 'a Fdb_sim.Future.t
+  val to_string : t -> string (* fdb-lint: allow R7 -- FDB client API, fdb_get_error *)
 end
 
 val create_db : Context.t -> Fdb_sim.Process.t -> db
@@ -83,8 +81,8 @@ module Key_selector : sig
 
   val first_greater_or_equal : ?offset:int -> string -> t
   val first_greater_than : ?offset:int -> string -> t
-  val last_less_or_equal : ?offset:int -> string -> t
-  val last_less_than : ?offset:int -> string -> t
+  val last_less_or_equal : ?offset:int -> string -> t (* fdb-lint: allow R7 -- FDB client API *)
+  val last_less_than : ?offset:int -> string -> t (* fdb-lint: allow R7 -- FDB client API *)
   (** The four canonical selectors; [offset] shifts the resolved key that
       many keys forward (may be negative). *)
 end
@@ -171,7 +169,7 @@ val set_versionstamped_key : tx -> template:string -> offset:int -> value:string
 val set_versionstamped_value : tx -> key:string -> template:string -> offset:int -> unit
 
 val add_read_conflict_range : tx -> from:string -> until:string -> unit
-val add_write_conflict_range : tx -> from:string -> until:string -> unit
+val add_write_conflict_range : tx -> from:string -> until:string -> unit (* fdb-lint: allow R7 -- FDB client API *)
 (** Manual conflict ranges: the fine-grained control the paper describes
     for relaxing or strengthening isolation. *)
 
@@ -205,8 +203,6 @@ val watch_future : watch -> unit Fdb_sim.Future.t
 (** Resolves when the watched key changes after the creating
     transaction's snapshot/commit (or conservatively, see above); fails
     with [Future.Cancelled] if the watch is cancelled. *)
-
-val watch_key : watch -> string
 
 val cancel_watch : watch -> unit
 (** Resolve the watch future with [Future.Cancelled] (idempotent; no-op

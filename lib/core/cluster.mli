@@ -25,8 +25,6 @@ val client : t -> name:string -> Client.db
 val worker_machines : t -> Fdb_sim.Process.machine array
 (** The database machines — the fault injector's target list. *)
 
-val coordinator_machines : t -> Fdb_sim.Process.machine array
-
 val current_epoch : t -> Types.epoch Fdb_sim.Future.t
 (** Ask the control plane for the current generation (for tests). *)
 
@@ -38,7 +36,3 @@ val metrics : t -> Fdb_obs.Registry.t
 
 val status_doc : t -> Fdb_obs.Rollup.doc
 (** Aggregate the registry into a per-role status document right now. *)
-
-val latest_status_doc : t -> Fdb_obs.Rollup.doc option
-(** The most recent document produced by the periodic roll-up actor
-    (None until the first interval elapses). *)

@@ -30,8 +30,6 @@ type t = {
    old state (the client asks again) rather than a timeout. *)
 let recovery_wait_bound = 0.75
 
-let is_recovered t = t.recovered
-
 let state_reply t =
   Message.Cc_state
     {

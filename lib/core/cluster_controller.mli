@@ -34,5 +34,3 @@ val note_recovered :
   unit
 (** The sequencer at endpoint [sequencer] finished its recovery (its
     [Cc_recovered] notice). Ignored unless it is the current sequencer. *)
-
-val is_recovered : t -> bool

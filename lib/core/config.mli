@@ -16,10 +16,6 @@ type dd_policy = {
 }
 (** Active data distribution (paper §2.3.1, §2.5). *)
 
-val dd_default : dd_policy
-(** Conservative thresholds: 1 s passes, 250 kB / 1 MB/s splits, 10 kB
-    merges, 3x imbalance. *)
-
 type t = {
   machines : int;  (** worker machines (clients live on extra machines) *)
   coordinators : int;  (** coordinator processes, on the first N machines *)

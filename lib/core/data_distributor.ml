@@ -31,12 +31,10 @@ module Registry = Fdb_obs.Registry
 type t = {
   ctx : Context.t;
   proc : Process.t;
-  ep : int;
   db : Client.db;
   alive_ss : bool array;
   mutable unhealthy : int;
   mutable zero_replica : bool;
-  mutable running : bool;
   min_shards : int; (* never merge below the initial shard count *)
   prev_traffic : (string, int) Det_tbl.t; (* last counter sample, per ss/shard *)
   obs_unhealthy : Registry.gauge;
@@ -46,9 +44,6 @@ type t = {
   obs_moves : Registry.counter;
   obs_aborts : Registry.counter;
 }
-
-let unhealthy_teams t = t.unhealthy
-let data_loss_risk t = t.zero_replica
 
 (* ---------- health monitoring ---------- *)
 
@@ -89,11 +84,9 @@ let probe t =
 
 let monitor_loop t =
   let rec loop () =
-    if not t.running then Future.return ()
-    else
-      let* () = Engine.sleep 1.0 in
-      let* () = probe t in
-      loop ()
+    let* () = Engine.sleep 1.0 in
+    let* () = probe t in
+    loop ()
   in
   loop ()
 
@@ -391,19 +384,17 @@ let rebalance_tick t =
 
 let rebalance_loop t =
   let rec loop () =
-    if not t.running then Future.return ()
-    else
-      let* () = Engine.sleep t.ctx.Context.config.Config.dd.Config.rebalance_interval in
-      let* () =
-        if t.ctx.Context.dd_movement then
-          Future.catch
-            (fun () -> rebalance_tick t)
-            (fun exn ->
-              Trace.emit "dd_rebalance_error" [ ("exn", Printexc.to_string exn) ];
-              Future.return ())
-        else Future.return ()
-      in
-      loop ()
+    let* () = Engine.sleep t.ctx.Context.config.Config.dd.Config.rebalance_interval in
+    let* () =
+      if t.ctx.Context.dd_movement then
+        Future.catch
+          (fun () -> rebalance_tick t)
+          (fun exn ->
+            Trace.emit "dd_rebalance_error" [ ("exn", Printexc.to_string exn) ];
+            Future.return ())
+      else Future.return ()
+    in
+    loop ()
   in
   loop ()
 
@@ -420,12 +411,10 @@ let create ctx proc =
     {
       ctx;
       proc;
-      ep;
       db = Client.create_db ctx proc;
       alive_ss = Array.make (Array.length ctx.Context.storage_eps) true;
       unhealthy = 0;
       zero_replica = false;
-      running = true;
       min_shards = Shard_map.shard_count ctx.Context.shard_map;
       prev_traffic = Det_tbl.create ~size:64 ();
       obs_unhealthy = Registry.gauge metrics ~role ~process:0 "unhealthy_teams";

@@ -15,12 +15,6 @@ type t
 
 val create : Context.t -> Fdb_sim.Process.t -> t * int
 
-val unhealthy_teams : t -> int
-(** Teams currently below full replication. *)
-
-val data_loss_risk : t -> bool
-(** True if some team has zero responsive replicas. *)
-
 val move_shard :
   Context.t ->
   proc:Fdb_sim.Process.t ->

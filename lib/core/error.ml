@@ -43,5 +43,3 @@ let to_string = function
   | Used_during_commit -> "used_during_commit"
   | Wrong_epoch -> "wrong_epoch"
   | Internal s -> "internal: " ^ s
-
-let pp fmt e = Format.pp_print_string fmt (to_string e)

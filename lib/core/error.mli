@@ -31,4 +31,3 @@ val is_retryable : t -> bool
     retryable, matching FDB's default retry loop.) *)
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

@@ -10,15 +10,12 @@ type meta = {
 }
 
 type t = {
-  ctx : Context.t;
   mutable proc : Process.t;
-  ep : int;
   epoch : Types.epoch;
   id : int;
   disk : Disk.t;
   wal : string;
   floor_file : string;
-  start_lsn : Types.version;
   mutable floor : Types.version; (* highest pruned LSN; chain resumes here *)
   mutable stopped : bool;
   mutable dv : Types.version; (* durable, chain-contiguous *)
@@ -54,10 +51,6 @@ type t = {
   obs_unpopped : Fdb_obs.Registry.gauge;
 }
 
-let durable_version t = t.dv
-let known_committed t = t.kcv
-let is_stopped t = t.stopped
-let unpopped_bytes t = t.unpopped_bytes
 let parked_peeks t = List.length t.parked_peeks
 
 (* The callers' RPC timeouts: a proxy's push, a storage server's peek. *)
@@ -460,15 +453,12 @@ let resurrect ctx proc ~disk ~(meta : meta) =
   in
   let t =
     {
-      ctx;
       proc;
-      ep = meta.m_endpoint;
       epoch = meta.m_epoch;
       id = meta.m_id;
       disk;
       wal = wal_file ~epoch:meta.m_epoch ~id:meta.m_id;
       floor_file = floor_file_name ~epoch:meta.m_epoch ~id:meta.m_id;
-      start_lsn = meta.m_start_lsn;
       floor;
       stopped = true;
       dv = meta.m_start_lsn;
@@ -556,15 +546,12 @@ let create ctx proc ~disk ~epoch ~id ~start_lsn =
   let meta = { m_epoch = epoch; m_id = id; m_start_lsn = start_lsn; m_endpoint = ep } in
   let t =
     {
-      ctx;
       proc;
-      ep;
       epoch;
       id;
       disk;
       wal = wal_file ~epoch ~id;
       floor_file = floor_file_name ~epoch ~id;
-      start_lsn;
       floor = start_lsn;
       stopped = false;
       dv = start_lsn;

@@ -50,12 +50,6 @@ val keep_tags : (Types.tag -> bool) -> Message.log_entry -> Message.log_entry op
 (** The entry with each mutation's tags filtered by the predicate and the
     mutations left without a tag dropped; [None] once none remains. *)
 
-val durable_version : t -> Types.version
-val known_committed : t -> Types.version
-val is_stopped : t -> bool
-val unpopped_bytes : t -> int
-(** Backlog size (Ratekeeper / diagnostics). *)
-
 val parked_peeks : t -> int
 (** Long-poll peeks waiting for the received version to reach them. *)
 

@@ -14,7 +14,6 @@ type batch_outcome = Batch_ok | Batch_failed
 type t = {
   ctx : Context.t;
   proc : Process.t;
-  ep : int;
   epoch : Types.epoch;
   sequencer : int;
   resolvers : (Message.key_range * int) list;
@@ -59,7 +58,6 @@ type t = {
   obs_queue_depth : Fdb_obs.Registry.gauge;
 }
 
-let known_committed t = t.kcv
 let is_dead t = t.dead
 
 (* A dead proxy releases every waiter at once instead of letting each run
@@ -702,7 +700,6 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
     {
       ctx;
       proc;
-      ep;
       epoch;
       sequencer;
       resolvers;

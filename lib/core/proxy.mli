@@ -36,15 +36,7 @@ val create :
   recovery_version:Types.version ->
   t * int
 
-val known_committed : t -> Types.version
 val is_dead : t -> bool
-
-val die : t -> string -> unit
-(** End this proxy's generation (a failed call to its sequencer or logs,
-    or the ClusterController's [Proxy_retire]) and release every waiter
-    at once: queued GRVs and commits and in-flight GRVs get
-    [Database_locked], the transactions of in-flight commit batches
-    [Commit_unknown_result]. Later requests get [Wrong_epoch]. *)
 
 val handle : t -> Message.t -> Message.t Fdb_sim.Future.t
 (** The request handler the proxy's endpoint serves (exposed so tests can

@@ -4,10 +4,7 @@ module Registry = Fdb_obs.Registry
 
 type t = {
   ctx : Context.t;
-  proc : Process.t;
-  ep : int;
   mutable rate : float;
-  mutable alive : bool;
   (* metrics plane: what we publish *)
   obs_rate : Registry.gauge;
   obs_throttles : Registry.counter;
@@ -23,8 +20,6 @@ let busy_limit = 0.2 (* seconds of storage CPU queue before throttling *)
 (* A storage server that has not refreshed its heartbeat gauge within this
    long is presumed dead (the RPC path used a 1 s timeout the same way). *)
 let stale_after = 1.0
-
-let current_rate t = t.rate
 
 (* Read each live storage server's (lag, window_events, busy) from the
    shared metrics plane instead of a per-server stats RPC scatter: the
@@ -45,32 +40,30 @@ let collect t =
 
 let control_loop t =
   let rec loop () =
-    if not t.alive then Future.return ()
-    else
-      let* () = Engine.sleep Params.ratekeeper_interval in
-      let stats = collect t in
-      let worst_lag, worst_window, worst_busy =
-        List.fold_left
-          (fun (lag, win, busy) (ss_lag, ss_window_events, ss_busy) ->
-            (Float.max lag ss_lag, max win ss_window_events, Float.max busy ss_busy))
-          (0.0, 0, 0.0) stats
-      in
-      let overloaded =
-        worst_lag > lag_limit || worst_window > window_limit || worst_busy > busy_limit
-      in
-      if overloaded then begin
-        t.rate <- Float.max min_rate (t.rate *. 0.7);
-        Registry.incr t.obs_throttles
-      end
-      else t.rate <- Float.min max_rate ((t.rate *. 1.05) +. 100.0);
-      Registry.incr t.obs_ticks;
-      Registry.set_gauge t.obs_rate t.rate;
-      Trace.emit "ratekeeper_tick"
-        [ ("rate", Printf.sprintf "%.0f" t.rate);
-          ("worst_lag", Printf.sprintf "%.3f" worst_lag);
-          ("worst_busy", Printf.sprintf "%.3f" worst_busy);
-          ("worst_window", string_of_int worst_window) ];
-      loop ()
+    let* () = Engine.sleep Params.ratekeeper_interval in
+    let stats = collect t in
+    let worst_lag, worst_window, worst_busy =
+      List.fold_left
+        (fun (lag, win, busy) (ss_lag, ss_window_events, ss_busy) ->
+          (Float.max lag ss_lag, max win ss_window_events, Float.max busy ss_busy))
+        (0.0, 0, 0.0) stats
+    in
+    let overloaded =
+      worst_lag > lag_limit || worst_window > window_limit || worst_busy > busy_limit
+    in
+    if overloaded then begin
+      t.rate <- Float.max min_rate (t.rate *. 0.7);
+      Registry.incr t.obs_throttles
+    end
+    else t.rate <- Float.min max_rate ((t.rate *. 1.05) +. 100.0);
+    Registry.incr t.obs_ticks;
+    Registry.set_gauge t.obs_rate t.rate;
+    Trace.emit "ratekeeper_tick"
+      [ ("rate", Printf.sprintf "%.0f" t.rate);
+        ("worst_lag", Printf.sprintf "%.3f" worst_lag);
+        ("worst_busy", Printf.sprintf "%.3f" worst_busy);
+        ("worst_window", string_of_int worst_window) ];
+    loop ()
   in
   loop ()
 
@@ -87,10 +80,7 @@ let create ctx proc =
   let t =
     {
       ctx;
-      proc;
-      ep;
       rate = 1e5;
-      alive = true;
       obs_rate = Registry.gauge reg ~role:Registry.Ratekeeper ~process:pid "rate";
       obs_throttles = Registry.counter reg ~role:Registry.Ratekeeper ~process:pid "throttles";
       obs_ticks = Registry.counter reg ~role:Registry.Ratekeeper ~process:pid "ticks";

@@ -9,7 +9,6 @@
 type t
 
 val create : Context.t -> Fdb_sim.Process.t -> t * int
-val current_rate : t -> float
 
 val min_rate : float
 (** Floor of the budget; the control loop never throttles below this. *)

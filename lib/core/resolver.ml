@@ -5,7 +5,6 @@ module Rvm = Fdb_kv.Range_version_map
 type t = {
   ctx : Context.t;
   proc : Process.t;
-  ep : int;
   epoch : Types.epoch;
   range : Message.key_range;
   rvm : Rvm.t;
@@ -28,7 +27,6 @@ type t = {
 
 let resolve_timeout = 2.0
 let last_lsn t = t.last_lsn
-let entry_count t = Rvm.entry_count t.rvm
 
 let clip (lo, hi) (from, until) =
   let f = if from > lo then from else lo in
@@ -200,7 +198,6 @@ let create ctx proc ~epoch ~range ~start_lsn =
     {
       ctx;
       proc;
-      ep;
       epoch;
       range;
       rvm = Rvm.create ~rng:(Engine.fork_rng ()) ();

@@ -25,5 +25,3 @@ val resolve_timeout : float
     up by its sender, so its waiter is answered with a rejection. *)
 
 val last_lsn : t -> Types.version
-val entry_count : t -> int
-(** Size of the lastCommit history (diagnostics). *)

@@ -20,12 +20,6 @@ type t = {
   mutable logs : (int * int) list;
 }
 
-let epoch t = t.epoch
-let is_recovered t = t.recovered
-let is_dead t = t.dead
-let recovery_version t = t.rv
-let proxies t = t.proxies
-
 (* The endpoint stays registered: [handle] answers every request with
    [Wrong_epoch] from now on, so the ClusterController's next ping and our
    proxies' next calls learn of the death at once instead of timing out. *)

@@ -19,12 +19,6 @@ val create : Context.t -> Fdb_sim.Process.t -> ratekeeper:int option -> cc:int -
     [Cc_recovered] to the ClusterController at endpoint [cc]. Once dead it
     stays registered and answers everything with [Reject Wrong_epoch]. *)
 
-val epoch : t -> Types.epoch
-val is_recovered : t -> bool
-val is_dead : t -> bool
-val recovery_version : t -> Types.version
-val proxies : t -> int list
-
 (** {2 Recovery hand-off} (exposed for tests) *)
 
 val merge_entries :

@@ -28,7 +28,6 @@ type t = {
   proc : Process.t;
   ep : int;
   id : int; (* also the tag *)
-  disk : Disk.t;
   pstore : Pstore.t;
   window : Window.t;
   mutable version : Types.version; (* caught up through this version *)
@@ -42,7 +41,6 @@ type t = {
       (* the in-flight peek's reply, which adopting a newer generation
          breaks: that peek went to the old generation's logs *)
   mutable refreshing : bool; (* single-flight coordinator consultation *)
-  mutable alive : bool;
   mutable incoming : (string * string * Types.version) list;
       (* ranges fetched as a move destination, with the snapshot version
          [since] the fetched pstore image embodies. Window events at
@@ -79,10 +77,6 @@ type t = {
 
 let hex_of_key k =
   String.concat "" (List.init (String.length k) (fun i -> Printf.sprintf "%02x" (Char.code k.[i])))
-
-let version t = t.version
-let durable_version t = t.durable
-let window_events t = Window.event_count t.window
 
 let time_version () = Int64.of_float (Engine.now () *. Types.versions_per_second)
 
@@ -401,14 +395,12 @@ let pull_once t =
    own: it sleeps only after a failed pull. *)
 let pull_loop t =
   let rec loop () =
-    if not t.alive then Future.return ()
-    else
-      let* ok = pull_once t in
-      (* Buggify: a sluggish pull loop widens the lag/rollback windows. *)
-      let slow = Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0 in
-      let pause = if ok then slow else Params.storage_pull_backoff +. slow in
-      let* () = if pause > 0.0 then Engine.sleep pause else Future.return () in
-      loop ()
+    let* ok = pull_once t in
+    (* Buggify: a sluggish pull loop widens the lag/rollback windows. *)
+    let slow = Buggify.delay ~p:0.02 "ss_slow_peek" /. 5.0 in
+    let pause = if ok then slow else Params.storage_pull_backoff +. slow in
+    let* () = if pause > 0.0 then Engine.sleep pause else Future.return () in
+    loop ()
   in
   loop ()
 
@@ -449,13 +441,11 @@ let publish_shard_sizes t =
 
 let stats_loop t =
   let rec loop () =
-    if not t.alive then Future.return ()
-    else
-      let* () = Engine.sleep Params.heartbeat_interval in
-      publish_stats t;
-      t.stats_ticks <- t.stats_ticks + 1;
-      if t.stats_ticks mod 8 = 0 then publish_shard_sizes t;
-      loop ()
+    let* () = Engine.sleep Params.heartbeat_interval in
+    publish_stats t;
+    t.stats_ticks <- t.stats_ticks + 1;
+    if t.stats_ticks mod 8 = 0 then publish_shard_sizes t;
+    loop ()
   in
   loop ()
 
@@ -518,11 +508,9 @@ let make_durable t =
 
 let durable_loop t =
   let rec loop () =
-    if not t.alive then Future.return ()
-    else
-      let* () = Engine.sleep Params.storage_durable_interval in
-      let* () = make_durable t in
-      loop ()
+    let* () = Engine.sleep Params.storage_durable_interval in
+    let* () = make_durable t in
+    loop ()
   in
   loop ()
 
@@ -995,7 +983,6 @@ let rec create ctx proc ~id ~disk =
       proc;
       ep = ctx.Context.storage_eps.(id);
       id;
-      disk;
       pstore;
       window = Window.create ~initial_version:start_version ();
       version = start_version;
@@ -1007,7 +994,6 @@ let rec create ctx proc ~id ~disk =
       stale_pulls = 0;
       peek = None;
       refreshing = false;
-      alive = true;
       incoming;
       fetches_in_flight = 0;
       stats_ticks = 0;

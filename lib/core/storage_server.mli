@@ -18,12 +18,3 @@ val create :
 (** Open (recovering from disk if present) storage server [id], register
     its well-known endpoint, start the pull/durability loops, and install
     the boot thunk that re-creates everything after a crash. *)
-
-val version : t -> Types.version
-(** Latest applied version. *)
-
-val durable_version : t -> Types.version
-val lag_seconds : t -> float
-(** How far the applied version trails the current time-version. *)
-
-val window_events : t -> int

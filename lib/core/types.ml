@@ -3,7 +3,6 @@ type tag = int
 type epoch = int
 
 let versions_per_second = 1e6
-let invalid_version = -1L
 let key_space_end = "\xff"
 let system_key_space_end = "\xff\xff"
 let next_key k = k ^ "\x00"

@@ -14,9 +14,6 @@ type epoch = int
 val versions_per_second : float
 (** Rate at which commit versions advance (1e6, per §2.4.1). *)
 
-val invalid_version : version
-(** Sentinel (-1) for "no version". *)
-
 val key_space_end : string
 (** Exclusive upper bound of the user key space, ["\xff"]. Keys at or above
     it are reserved for system use. *)

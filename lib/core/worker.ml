@@ -7,11 +7,9 @@ type t = {
   host : host;
   machine_id : int;
   ep : int;
-  mutable proc : Process.t;
+  proc : Process.t;
   mutable cc : Cluster_controller.t option;
 }
-
-let is_cluster_controller t = t.cc <> None
 
 let role_process t name = Process.create ~name t.host.h_machine
 
@@ -113,5 +111,4 @@ let create ctx host ~machine_id =
     { ctx; host; machine_id; ep = ctx.Context.worker_eps.(machine_id); proc; cc = None }
   in
   proc.Process.boot <- (fun () -> boot t ());
-  Engine.schedule ~process:proc (fun () -> boot t ());
-  t
+  Engine.schedule ~process:proc (fun () -> boot t ())

@@ -12,10 +12,6 @@ type host = {
   h_disks : Fdb_sim.Disk.t array;
 }
 
-type t
-
-val create : Context.t -> host -> machine_id:int -> t
+val create : Context.t -> host -> machine_id:int -> unit
 (** Build the worker process on the host and start it (must run inside a
-    simulation). The returned handle is mainly for tests. *)
-
-val is_cluster_controller : t -> bool
+    simulation). *)

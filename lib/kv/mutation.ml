@@ -83,9 +83,3 @@ let next_key k = k ^ "\x00"
 let key_range = function
   | Set (k, _) | Clear k | Atomic (_, k, _) -> (k, next_key k)
   | Clear_range (a, b) -> (a, b)
-
-let pp fmt = function
-  | Set (k, v) -> Format.fprintf fmt "set(%S=%S)" k v
-  | Clear k -> Format.fprintf fmt "clear(%S)" k
-  | Clear_range (a, b) -> Format.fprintf fmt "clear_range(%S,%S)" a b
-  | Atomic (_, k, v) -> Format.fprintf fmt "atomic(%S,%S)" k v

@@ -33,5 +33,3 @@ val byte_size : t -> int
 
 val key_range : t -> string * string
 (** The smallest key range [\[from, until)] this mutation touches. *)
-
-val pp : Format.formatter -> t -> unit

@@ -148,4 +148,3 @@ let commit t =
 
 let last_seq t = t.seq
 let entry_count t = KeyMap.cardinal t.map
-let byte_size t = t.bytes

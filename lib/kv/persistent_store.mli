@@ -38,5 +38,3 @@ val last_seq : t -> int
 (** Sequence number of the newest applied mutation (monotonic). *)
 
 val entry_count : t -> int
-val byte_size : t -> int
-(** Approximate logical size (sum of key+value lengths). *)

@@ -34,13 +34,15 @@ type 'a node = {
 
 type 'a t = {
   rng : Rng.t;
-  max_level : int;
   measure : 'a -> int64;
   head : 'a node;
   mutable level : int; (* highest level currently in use *)
   mutable length : int;
   mutable work : int; (* cumulative links traversed (cost accounting) *)
 }
+
+(* Tower height cap: 2^24 expected entries before towers stop growing. *)
+let max_level = 24
 
 let max_neutral = Int64.min_int
 let pairmin_neutral = Int64.max_int
@@ -54,10 +56,9 @@ let mk_node ~key ~value height =
     link_pairmin = Array.make height pairmin_neutral;
   }
 
-let create ?(max_level = 24) ?(measure = fun _ -> 0L) ~rng () =
+let create ?(measure = fun _ -> 0L) ~rng () =
   {
     rng;
-    max_level;
     measure;
     head = mk_node ~key:"" ~value:None max_level;
     level = 1;
@@ -76,7 +77,7 @@ let pred_measure t n = match n.value with Some v -> t.measure v | None -> pairmi
 
 let random_level t =
   let lvl = ref 1 in
-  while !lvl < t.max_level && Rng.bool t.rng do
+  while !lvl < max_level && Rng.bool t.rng do
     incr lvl
   done;
   !lvl
@@ -159,7 +160,7 @@ let refresh_path ?touched t update =
   done
 
 let insert t key value =
-  let update = Array.make t.max_level t.head in
+  let update = Array.make max_level t.head in
   let pred = find_predecessors t key (Some update) in
   match pred.forward.(0) with
   | Some n when n.key = key ->
@@ -196,7 +197,7 @@ let unlink t update (node : 'a node) =
   done
 
 let remove t key =
-  let update = Array.make t.max_level t.head in
+  let update = Array.make max_level t.head in
   let pred = find_predecessors t key (Some update) in
   match pred.forward.(0) with
   | Some n when n.key = key ->
@@ -239,7 +240,7 @@ let remove_span t ~from ~until =
   let in_span k = match until with None -> true | Some u -> k < u in
   if not (in_span from) then 0
   else begin
-    let update = Array.make t.max_level t.head in
+    let update = Array.make max_level t.head in
     ignore (find_predecessors t from (Some update) : 'a node);
     let count = ref 0 in
     let c = ref update.(0).forward.(0) in

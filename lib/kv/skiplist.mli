@@ -11,9 +11,8 @@
 
 type 'a t
 
-val create :
-  ?max_level:int -> ?measure:('a -> int64) -> rng:Fdb_util.Det_rng.t -> unit -> 'a t
-(** An empty skiplist; [max_level] defaults to 24. [measure] extracts the
+val create : ?measure:('a -> int64) -> rng:Fdb_util.Det_rng.t -> unit -> 'a t
+(** An empty skiplist with towers up to 24 levels. [measure] extracts the
     int64 the link annotations aggregate (default: constant [0L], for uses
     that never call the augmented queries). *)
 
@@ -42,9 +41,6 @@ val remove : 'a t -> string -> bool
 val iter_range : 'a t -> ?from:string -> ?until:string -> (string -> 'a -> unit) -> unit
 (** Visit entries with [from <= key < until] in key order ([from] defaults
     to the beginning, [until] to the end). *)
-
-val fold_range :
-  'a t -> ?from:string -> ?until:string -> ('acc -> string -> 'a -> 'acc) -> 'acc -> 'acc
 
 val remove_range : 'a t -> from:string -> until:string -> int
 (** Delete every entry with [from <= key < until]; returns the count.

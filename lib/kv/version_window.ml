@@ -109,11 +109,6 @@ let keys_in_range t ~from ~until =
   |> Seq.take_while (fun (k, _) -> k < until)
   |> Seq.map fst |> List.of_seq
 
-let cleared_ranges_at ?(floor = Int64.min_int) t version =
-  List.filter_map
-    (fun (v, _, a, b) -> if v <= version && v > floor then Some (a, b) else None)
-    t.tombstones
-
 (* Remove index entries for a mutation that is leaving the window. Events
    with version <= bound form the oldest suffix of each newest-first list. *)
 let unindex t bound (m : Mutation.t) =
@@ -151,8 +146,6 @@ let pop_through_versioned t bound =
   let popped = take [] in
   if bound > t.oldest then t.oldest <- bound;
   popped
-
-let pop_through t bound = List.map snd (pop_through_versioned t bound)
 
 let rollback t ~after =
   let keep (v, _) = v <= after in

@@ -36,18 +36,12 @@ val last_change : ?floor:int64 -> t -> string -> int64 option
     such event. Watch registration uses this for catch-up: a watcher at
     version [w] with [last_change > w] already missed its change. *)
 
-val cleared_ranges_at : ?floor:int64 -> t -> int64 -> (string * string) list
-(** Range clears visible at the version (to mask persistent-store keys),
-    excluding those at versions <= [floor]. *)
-
-val pop_through : t -> int64 -> Mutation.t list
-(** Remove and return the chronological prefix of mutations with version <=
-    the argument, in application order — the batch that graduates to the
-    persistent store when it leaves the MVCC window. *)
-
 val pop_through_versioned : t -> int64 -> (int64 * Mutation.t) list
-(** Like {!pop_through} but keeps each mutation's commit version, so the
-    caller can skip mutations already embodied in a re-fetched snapshot. *)
+(** Remove and return the chronological prefix of mutations with version <=
+    the argument, in application order, each with its commit version — the
+    batch that graduates to the persistent store when it leaves the MVCC
+    window. The version lets the caller skip mutations already embodied in
+    a re-fetched snapshot. *)
 
 val rollback : t -> after:int64 -> int
 (** Discard all events with version > [after] (recovery §2.4.4); returns

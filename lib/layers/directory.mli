@@ -23,7 +23,7 @@ val create_or_open :
     content root. Reopening an existing directory returns the same
     prefix. *)
 
-val open_ :
+val open_ : (* fdb-lint: allow R7 -- directory layer API *)
   Fdb_core.Client.tx -> string list -> Subspace.t option Fdb_sim.Future.t
 (** [None] if the directory does not exist. *)
 

@@ -84,5 +84,4 @@ val verify : store -> Fdb_core.Client.tx -> string list Fdb_sim.Future.t
 (**/**)
 
 val le64 : int64 -> string
-val of_le64 : string -> int64
 (** The counter encoding (exposed for tests and workloads). *)

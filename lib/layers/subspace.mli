@@ -32,7 +32,7 @@ val range : t -> string * string
 (** [\[prefix 0x00, prefix 0xff)]: every packed tuple inside the subspace
     (the standard FDB subspace range). *)
 
-val full_range : t -> string * string
+val full_range : t -> string * string (* fdb-lint: allow R7 -- subspace layer API *)
 (** Every key with the raw prefix, including the bare prefix key itself —
     what {!Directory.remove} clears. *)
 

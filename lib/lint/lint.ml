@@ -7,14 +7,16 @@
    through aliases; the module_expr check below closes the obvious
    laundering hole ([module U = Unix], [open Random]).
 
-   R5 is the one non-local rule: a small abstract interpretation over each
-   function body that tracks, per syntactic mutable location, whether the
-   code's knowledge of it predates a yield point. See "the R5 pass"
-   below. *)
+   R5 is the one non-local rule within a file: a small abstract
+   interpretation over each function body that tracks, per syntactic
+   mutable location, whether the code's knowledge of it predates a yield
+   point. See "the R5 pass" below. R7 is the one cross-file rule: it
+   checks interfaces against the references every implementation makes
+   (see "R7: dead exports"). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
 
-let all_rules = [ R1; R2; R3; R4; R5; R6 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -23,6 +25,7 @@ let rule_name = function
   | R4 -> "R4"
   | R5 -> "R5"
   | R6 -> "R6"
+  | R7 -> "R7"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -31,6 +34,7 @@ let rule_of_string = function
   | "R4" -> Some R4
   | "R5" -> Some R5
   | "R6" -> Some R6
+  | "R7" -> Some R7
   | _ -> None
 
 let explain = function
@@ -86,6 +90,18 @@ let explain = function
        residue the static rule cannot see is caught at runtime:\n\
        fdb_sim swarm --check-leaks fails on promises still pending at\n\
        simulation end."
+  | R7 ->
+      "R7: no dead exports.\n\
+       A val in a lib/ interface that no .ml under lib bin bench test\n\
+       examples references (other than its own module's .ml) is surface\n\
+       nothing uses: it costs review and refactoring effort and often keeps\n\
+       state alive that only it reads. Delete it; the compiler's unused-value\n\
+       warning then finds the definitions it alone kept alive. References\n\
+       are resolved from the untyped AST: qualified paths (library wrapper\n\
+       included), module aliases, and bare names in a file that opens the\n\
+       module all count; record fields and labels do not. A val that must\n\
+       stay without a caller (client or layer API) carries a reasoned\n\
+       suppression on its val line."
 
 type diagnostic = {
   d_file : string;
@@ -148,6 +164,7 @@ let applies rule path =
   (* The actor model lives under lib/; drivers and benches run Engine.run
      at top level and own their futures explicitly. *)
   | R5 | R6 -> String.starts_with ~prefix:"lib/" path
+  | R7 -> String.starts_with ~prefix:"lib/" path
 
 let parse_whitelist src =
   String.split_on_char '\n' src
@@ -359,7 +376,6 @@ let future_returning =
     "Future.protect";
     "Engine.sleep";
     "Engine.sleep_until";
-    "Engine.yield";
     "Engine.timeout";
     "Engine.cpu";
     "Context.rpc";
@@ -806,10 +822,11 @@ let r5_pass violation (ast : Parsetree.structure) =
   let it = { default_iterator with expr } in
   it.structure it ast
 
-let parse ~path src =
+(* [parser] is Parse.implementation or Parse.interface. *)
+let parse parser ~path src =
   let lexbuf = Lexing.from_string src in
   Location.init lexbuf path;
-  match Parse.implementation lexbuf with
+  match parser lexbuf with
   | ast -> Ok ast
   | exception exn ->
       let line =
@@ -827,8 +844,10 @@ let parse ~path src =
           d_msg = "parse error: " ^ Printexc.to_string exn;
         }
 
-let lint_source ?(whitelist = []) ?whitelist_used ~path src =
-  let path = normalize path in
+(* Run [check violation] over one file with its suppressions and the
+   whitelist applied, then the stale-suppression audit. [check] returns
+   any tooling diagnostics (a parse error). *)
+let with_suppressions ?(whitelist = []) ?whitelist_used ~path src check =
   let diags = ref [] in
   let supp, supp_errs = scan_suppressions ~path src in
   List.iter (fun d -> diags := d :: !diags) supp_errs;
@@ -852,11 +871,7 @@ let lint_source ?(whitelist = []) ?whitelist_used ~path src =
       end
     end
   in
-  (match parse ~path src with
-  | Error d -> diags := d :: !diags
-  | Ok ast ->
-      walk violation ast;
-      r5_pass violation ast);
+  List.iter (fun d -> diags := d :: !diags) (check violation);
   (* The stale-suppression audit: an allow comment that suppressed nothing
      is dead — and will silently cover whatever lands on that line next. *)
   List.iter
@@ -877,6 +892,163 @@ let lint_source ?(whitelist = []) ?whitelist_used ~path src =
   List.sort
     (fun a b -> compare (a.d_line, a.d_col, a.d_msg) (b.d_line, b.d_col, b.d_msg))
     !diags
+
+let lint_source ?whitelist ?whitelist_used ~path src =
+  let path = normalize path in
+  with_suppressions ?whitelist ?whitelist_used ~path src (fun violation ->
+      match parse Parse.implementation ~path src with
+      | Error d -> [ d ]
+      | Ok ast ->
+          walk violation ast;
+          r5_pass violation ast;
+          [])
+
+(* ---- R7: dead exports ----
+
+   One pass collects, per implementation file, the value paths it names
+   and the modules it opens; a val in a lib/ interface is dead when no
+   file but its own module's .ml names it. Resolution is syntactic and
+   errs toward "referenced": module aliases and opens are file-wide
+   whatever their scope, and a path also matches through any module the
+   file opens (so a local variable that shares a val's name in such a file
+   keeps the val alive). *)
+
+let r7_reference_roots = [ "lib"; "bin"; "bench"; "test"; "examples" ]
+
+module SSet = Set.Make (String)
+
+(* The modules a file opens (resolved) and the value paths it names. *)
+type refs = { r_opens : string list list; r_paths : SSet.t }
+
+(* Drop the library wrapper: Fdb_util.Det_rng.v and Det_rng.v are one path. *)
+let unwrap = function
+  | lib :: rest when String.starts_with ~prefix:"Fdb_" lib -> rest
+  | p -> p
+
+let rec flatten_lid acc = function
+  | Longident.Lident s -> s :: acc
+  | Ldot (l, s) -> flatten_lid (s :: acc) l
+  | Lapply _ -> acc
+
+let flatten_lid lid = flatten_lid [] lid
+
+let references (ast : Parsetree.structure) =
+  let aliases = Hashtbl.create 8 and opens = ref [] and paths = ref [] in
+  let add_open (m : Parsetree.module_expr) =
+    match m.pmod_desc with
+    | Pmod_ident { txt; _ } -> opens := flatten_lid txt :: !opens
+    | _ -> ()
+  in
+  let add_alias name (m : Parsetree.module_expr) =
+    match (name, m.pmod_desc) with
+    | Some name, Pmod_ident { txt; _ } -> Hashtbl.replace aliases name (flatten_lid txt)
+    | _ -> ()
+  in
+  let open Ast_iterator in
+  let expr self (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_ident { txt; _ } -> paths := flatten_lid txt :: !paths
+    | Pexp_letop { let_; ands; _ } ->
+        List.iter
+          (fun (b : Parsetree.binding_op) -> paths := [ b.pbop_op.txt ] :: !paths)
+          (let_ :: ands)
+    | Pexp_open (o, _) -> add_open o.popen_expr
+    | Pexp_letmodule ({ txt; _ }, m, _) -> add_alias txt m
+    | _ -> ());
+    default_iterator.expr self e
+  in
+  let structure_item self (item : Parsetree.structure_item) =
+    (match item.pstr_desc with
+    | Pstr_open o -> add_open o.popen_expr
+    | Pstr_module mb -> add_alias mb.pmb_name.txt mb.pmb_expr
+    | _ -> ());
+    default_iterator.structure_item self item
+  in
+  let it = { default_iterator with expr; structure_item } in
+  it.structure it ast;
+  (* Bounded, since [module Error = Error] is an alias of itself. *)
+  let rec resolve depth = function
+    | m :: rest when depth > 0 -> (
+        match Hashtbl.find_opt aliases m with
+        | Some target -> resolve (depth - 1) (unwrap target @ rest)
+        | None -> unwrap (m :: rest))
+    | p -> unwrap p
+  in
+  let resolve = resolve 4 in
+  (* A later open may name a module relative to an earlier one. *)
+  let opens = List.filter (fun o -> o <> []) (List.map resolve !opens) in
+  {
+    r_opens = opens @ List.concat_map (fun m -> List.map (fun o -> m @ o) opens) opens;
+    r_paths =
+      List.fold_left
+        (fun set p -> SSet.add (String.concat "." (resolve p)) set)
+        SSet.empty !paths;
+  }
+
+(* Does a file with these references name [vpath]: directly, or by its
+   remainder under one of the file's opens? *)
+let rec drop_prefix prefix p =
+  match (prefix, p) with
+  | [], rest -> Some rest
+  | m :: prefix, m' :: rest when m = m' -> drop_prefix prefix rest
+  | _ -> None
+
+let mentions r vpath =
+  SSet.mem (String.concat "." vpath) r.r_paths
+  || List.exists
+       (fun o ->
+         match drop_prefix o vpath with
+         | Some (_ :: _ as rest) -> SSet.mem (String.concat "." rest) r.r_paths
+         | _ -> false)
+       r.r_opens
+
+(* Every val an interface exports, with its module path: top level and
+   inside nested [module M : sig … end]s. *)
+let rec exported prefix acc (items : Parsetree.signature) =
+  List.fold_left
+    (fun acc (item : Parsetree.signature_item) ->
+      match item.psig_desc with
+      | Psig_value vd -> (prefix @ [ vd.pval_name.txt ], vd.pval_loc) :: acc
+      | Psig_module
+          { pmd_name = { txt = Some m; _ }; pmd_type = { pmty_desc = Pmty_signature s; _ }; _ }
+        ->
+          exported (prefix @ [ m ]) acc s
+      | _ -> acc)
+    acc items
+
+let dead_exports ~interfaces ~implementations =
+  let refs =
+    List.filter_map
+      (fun (path, src) ->
+        match parse Parse.implementation ~path src with
+        | Ok ast -> Some (normalize path, references ast)
+        | Error _ -> None)
+      implementations
+  in
+  List.concat_map
+    (fun (path, src) ->
+      let path = normalize path in
+      let own_ml = Filename.remove_extension path ^ ".ml" in
+      let modname =
+        String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+      in
+      with_suppressions ~path src (fun violation ->
+          match parse Parse.interface ~path src with
+          | Error d -> [ d ]
+          | Ok sg ->
+              List.iter
+                (fun (vpath, loc) ->
+                  if
+                    not
+                      (List.exists (fun (file, r) -> file <> own_ml && mentions r vpath) refs)
+                  then
+                    violation R7 loc
+                      (String.concat "." vpath ^ " is exported but nothing outside "
+                      ^ own_ml
+                      ^ " references it; delete it, or suppress with the reason it must stay"))
+                (List.rev (exported [ modname ] [] sg));
+              []))
+    interfaces
 
 let read_file path =
   let ic = open_in_bin path in

@@ -2,7 +2,8 @@
 
     A compiler-libs based static-analysis pass (Parse + [Ast_iterator], no
     type information needed) that enforces the simulation-safety ruleset
-    over every [.ml] file under [lib/], [bin/], and [bench/]:
+    over every [.ml] file under [lib/], [bin/], and [bench/] (and, for R7,
+    every [lib/] [.mli]):
 
     - {b R1} no wall-clock or ambient randomness: [Unix.*], [Sys.time],
       [Stdlib.Random] are forbidden outside [Fdb_util.Det_rng] and the
@@ -27,13 +28,18 @@
       are flagged. Fire-and-forget goes through [Future.detach ~name];
       the runtime sanitizer ([fdb_sim swarm --check-leaks]) catches the
       residue.
+    - {b R7} no dead exports ([lib/] interfaces only): every [val] in a
+      [.mli] must be referenced by some [.ml] under {!r7_reference_roots}
+      other than its own module's. See {!dead_exports}.
 
-    Per-line suppressions: [(* fdb-lint: allow R2 -- reason *)] on the
-    violating line, or alone on the line above. The reason is mandatory;
-    a suppression without one is itself a diagnostic — and so is a stale
-    one that no longer suppresses anything (the stale-suppression audit). *)
+    Per-line suppressions: a comment holding the [fdb-lint] marker, a
+    colon and [allow R2 -- reason] (spelled apart here so the scanner does
+    not match this file), on the violating line or alone on the line
+    above. The reason is mandatory; a suppression without one is itself a
+    diagnostic — and so is a stale one that no longer suppresses anything
+    (the stale-suppression audit). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -89,3 +95,23 @@ val lint_file :
 (** Read and lint one file. [as_path] overrides the repo-relative path used
     for rule applicability and reporting (tests lint fixture files as if
     they sat under [lib/]). *)
+
+val r7_reference_roots : string list
+(** The directories whose [.ml] files count as references for R7:
+    [lib bin bench test examples]. A test reference counts. *)
+
+val dead_exports :
+  interfaces:(string * string) list ->
+  implementations:(string * string) list ->
+  diagnostic list
+(** R7 over [(repo-relative path, source)] pairs: every [val] of each
+    interface (nested [module M : sig … end]s included) that no
+    implementation other than the interface's own [.ml] references. A
+    reference is resolved from the untyped AST: a qualified path (the
+    library wrapper [Fdb_x.] is dropped), a path through a module alias,
+    or a bare or partial path in a file that opens the module ([open],
+    [let open], [M.( … )]). Record fields and labels are not references.
+    Suppressions and the stale-suppression audit apply per interface as in
+    {!lint_source}; the whitelist does not, so every exemption is a
+    per-line suppression with its reason. An implementation that does not
+    parse contributes no references. *)

@@ -1,9 +1,7 @@
 (* Typed metrics registry: the cluster-wide metrics plane (paper §2.3.1 /
    `fdbcli status`). Every role registers counters, gauges, and log-bucketed
    latency histograms keyed by (role, process, metric). Handles are obtained
-   once at role creation and updated on the hot path without hashing; when the
-   registry is disabled every handle is a no-op constant, so instrumentation
-   costs nothing.
+   once at role creation and updated on the hot path without hashing.
 
    All sampling runs on simulated time from the seeded RNG, so a serialized
    dump of the registry is bit-identical across reruns of the same seed —
@@ -61,67 +59,47 @@ type cell =
   | Gauge_cell of float ref
   | Hist_cell of Histogram.t
 
-type t = { enabled : bool; cells : (key, cell) Det_tbl.t }
+type t = (key, cell) Det_tbl.t
 
-let create ?(enabled = true) () = { enabled; cells = Det_tbl.create ~size:256 () }
-let disabled = { enabled = false; cells = Det_tbl.create ~size:1 () }
-let is_enabled t = t.enabled
-let clear t = Det_tbl.reset t.cells
+let create () : t = Det_tbl.create ~size:256 ()
 
 (* ---------- write-side handles ---------- *)
 
-type counter = No_counter | Counter of int ref
-type gauge = No_gauge | Gauge of float ref
-type timer = No_timer | Timer of Histogram.t
+type counter = int ref
+type gauge = float ref
+type timer = Histogram.t
 
-let find_or_add t key make = Det_tbl.find_or_add t.cells key make
+let find_or_add t ~role ~process name make =
+  Det_tbl.find_or_add t { k_role = role; k_process = process; k_metric = name } make
 
 let counter t ~role ~process name =
-  if not t.enabled then No_counter
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Counter_cell (ref 0))
-    with
-    | Counter_cell r -> Counter r
-    | _ -> invalid_arg ("Fdb_obs: metric is not a counter: " ^ name)
+  match find_or_add t ~role ~process name (fun () -> Counter_cell (ref 0)) with
+  | Counter_cell r -> r
+  | _ -> invalid_arg ("Fdb_obs: metric is not a counter: " ^ name)
 
 let gauge t ~role ~process name =
-  if not t.enabled then No_gauge
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Gauge_cell (ref 0.0))
-    with
-    | Gauge_cell r -> Gauge r
-    | _ -> invalid_arg ("Fdb_obs: metric is not a gauge: " ^ name)
+  match find_or_add t ~role ~process name (fun () -> Gauge_cell (ref 0.0)) with
+  | Gauge_cell r -> r
+  | _ -> invalid_arg ("Fdb_obs: metric is not a gauge: " ^ name)
 
 let histogram t ~role ~process name =
-  if not t.enabled then No_timer
-  else
-    match
-      find_or_add t
-        { k_role = role; k_process = process; k_metric = name }
-        (fun () -> Hist_cell (Histogram.create ()))
-    with
-    | Hist_cell h -> Timer h
-    | _ -> invalid_arg ("Fdb_obs: metric is not a histogram: " ^ name)
+  match find_or_add t ~role ~process name (fun () -> Hist_cell (Histogram.create ())) with
+  | Hist_cell h -> h
+  | _ -> invalid_arg ("Fdb_obs: metric is not a histogram: " ^ name)
 
-let incr ?(by = 1) c = match c with No_counter -> () | Counter r -> r := !r + by
-let set_gauge g v = match g with No_gauge -> () | Gauge r -> r := v
-let observe h v = match h with No_timer -> () | Timer hist -> Histogram.add hist v
+let incr ?(by = 1) c = c := !c + by
+let set_gauge g v = g := v
+let observe h v = Histogram.add h v
 
 (* ---------- read side ---------- *)
 
 let counter_value t ~role ~process name =
-  match Det_tbl.find_opt t.cells { k_role = role; k_process = process; k_metric = name } with
+  match Det_tbl.find_opt t { k_role = role; k_process = process; k_metric = name } with
   | Some (Counter_cell r) -> !r
   | _ -> 0
 
 let gauge_value t ~role ~process name =
-  match Det_tbl.find_opt t.cells { k_role = role; k_process = process; k_metric = name } with
+  match Det_tbl.find_opt t { k_role = role; k_process = process; k_metric = name } with
   | Some (Gauge_cell r) -> Some !r
   | _ -> None
 
@@ -133,7 +111,7 @@ let by_process t ~role name pick =
       if k.k_role = role && k.k_metric = name then
         match pick cell with Some v -> (k.k_process, v) :: acc | None -> acc
       else acc)
-    t.cells []
+    t []
   |> List.rev
 
 let counters t ~role name =
@@ -151,7 +129,7 @@ let sum_counter t ~role name =
 (* All cells, in the canonical (role, process, metric) order — exactly
    Det_tbl's key order on [key]. Histograms are returned by reference:
    readers must treat them as read-only. *)
-let entries t = Det_tbl.to_sorted_list t.cells
+let entries t = Det_tbl.to_sorted_list t
 
 (* ---------- deterministic serialization ---------- *)
 

@@ -91,7 +91,6 @@ let stop t =
   depose t
 
 let is_leader t = t.am_leader
-let leader t = Option.map (fun c -> c.who) t.observed
 
 let leader_via transport ~reg ~proposer =
   let client = Register.create transport ~reg ~proposer in

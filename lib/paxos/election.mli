@@ -28,10 +28,6 @@ val stop : t -> unit
 val is_leader : t -> bool
 (** Current local belief. *)
 
-val leader : t -> string option
-(** Last observed leader payload (possibly [self]); [None] before any
-    observation. *)
-
 val leader_via : Wire.transport -> reg:string -> proposer:int -> string option Fdb_sim.Future.t
 (** One-shot query: who does a majority currently consider leader? Returns
     the payload if the lease is still current. For non-candidates needing

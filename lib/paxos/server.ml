@@ -69,5 +69,3 @@ let handle t (req : Wire.request) : Wire.response Future.t =
         Future.return Wire.Accepted
       end
       else Future.return (Wire.Nacked { higher = st.promised })
-
-let dump t = Det_tbl.fold (fun name st acc -> (name, st.accepted) :: acc) t.regs []

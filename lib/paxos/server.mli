@@ -12,6 +12,3 @@ val recover : disk:Fdb_sim.Disk.t -> file:string -> unit -> t Fdb_sim.Future.t
 
 val handle : t -> Wire.request -> Wire.response Fdb_sim.Future.t
 (** Process one request, persisting state changes before the reply. *)
-
-val dump : t -> (string * (Wire.ballot * string) option) list
-(** Accepted value per register (tests/introspection). *)

@@ -4,7 +4,6 @@ module Det_tbl = Fdb_util.Det_tbl
 type file = { mutable records : string list (* reversed *); mutable durable : int }
 
 type t = {
-  name : string;
   seek : float;
   bytes_per_sec : float;
   sync_latency : float;
@@ -13,9 +12,8 @@ type t = {
   mutable written : float;
 }
 
-let create ?(seek = 8e-5) ?(bytes_per_sec = 5e8) ?(sync_latency = 3e-4) ~name () =
+let create ?(seek = 8e-5) ?(bytes_per_sec = 5e8) ?(sync_latency = 3e-4) () =
   {
-    name;
     seek;
     bytes_per_sec;
     sync_latency;

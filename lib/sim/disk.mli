@@ -19,7 +19,6 @@ val create :
   ?seek:float ->
   ?bytes_per_sec:float ->
   ?sync_latency:float ->
-  name:string ->
   unit ->
   t
 (** A fresh SSD-like disk: default 80 µs seek, 500 MB/s, 300 µs sync. *)

@@ -78,7 +78,6 @@ type engine = {
   mutable seq : int;
   root_rng : Rng.t;
   mutable proc_ctx : Process.t option;
-  mutable buggify : bool;
   mutable csum : int64; (* running FNV-1a over executed events *)
 }
 
@@ -118,10 +117,8 @@ let get () =
 
 let is_running () = Option.is_some !current
 let now () = (get ()).clock
-let trace_checksum () = (get ()).csum
 let last_run_checksum () = !last_checksum
 let last_run_lifecycle () = !last_lifecycle
-let buggify_enabled () = match !current with Some e -> e.buggify | None -> false
 let pending_tasks () = (get ()).heap.Heap.len
 
 let schedule ?(after = 0.0) ?process f =
@@ -145,8 +142,6 @@ let with_process p f =
   e.proc_ctx <- Some p;
   Fun.protect ~finally:(fun () -> e.proc_ctx <- saved) f
 
-let current_process () = (get ()).proc_ctx
-
 let sleep dt =
   let fut, promise = Future.make () in
   schedule ~after:dt (fun () -> Future.fulfill promise ());
@@ -155,8 +150,6 @@ let sleep dt =
 let sleep_until t =
   let dt = t -. now () in
   sleep (if dt < 0.0 then 0.0 else dt)
-
-let yield () = sleep 0.0
 
 let spawn ?process name f =
   let start () =
@@ -230,7 +223,6 @@ let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
       seq = 0;
       root_rng = Rng.create seed;
       proc_ctx = None;
-      buggify;
       csum = fnv1a_int64 fnv_offset seed;
     }
   in

@@ -37,7 +37,6 @@ val sleep : float -> unit Future.t
     process dies first. *)
 
 val sleep_until : float -> unit Future.t
-val yield : unit -> unit Future.t
 
 val spawn : ?process:Process.t -> string -> (unit -> unit Future.t) -> unit
 (** [spawn name f] starts a detached actor. If its future fails the error
@@ -58,8 +57,6 @@ val with_process : Process.t -> (unit -> 'a) -> 'a
 (** Run [f] with the current-process context set (tasks scheduled inside
     are owned by that process). *)
 
-val current_process : unit -> Process.t option
-
 val cpu : Process.t -> float -> unit Future.t
 (** [cpu p dt] models [dt] seconds of CPU work on [p]'s core: an FCFS
     queue — the future resolves once all previously queued work plus [dt]
@@ -73,9 +70,6 @@ val reboot : Process.t -> ?delay:float -> unit -> unit
 (** Kill (if alive) and schedule the process to come back after [delay]
     (default 0.5 s), running its [boot] thunk in the new incarnation. *)
 
-val buggify_enabled : unit -> bool
-(** Whether this run was started with fault-injection points enabled. *)
-
 val is_running : unit -> bool
 (** True between the start and end of {!run} (some modules fall back to
     non-simulated behaviour outside a run, e.g. in bechamel microbenches). *)
@@ -83,15 +77,12 @@ val is_running : unit -> bool
 val pending_tasks : unit -> int
 (** Number of queued events (diagnostics). *)
 
-val trace_checksum : unit -> int64
-(** Running FNV-1a64 over every executed event so far in the current run:
-    each dispatched task's (time, pid, seq) plus every {!Trace.emit} kind.
-    Identical seeds must yield identical final checksums — this is the
-    dynamic backstop behind the determinism lint (see DESIGN.md). *)
-
 val last_run_checksum : unit -> int64
-(** Final {!trace_checksum} of the most recently finished {!run}
-    (including runs that ended in an exception). *)
+(** The trace checksum of the most recently finished {!run} (including
+    runs that ended in an exception): an FNV-1a64 over every executed
+    event, each dispatched task's (time, pid, seq) plus every {!Trace.emit}
+    kind. Identical seeds must yield identical checksums — the dynamic
+    backstop behind the determinism lint (see DESIGN.md). *)
 
 val last_run_lifecycle : unit -> Future.Lifecycle.report
 (** Promise-lifecycle report of the most recently finished {!run}: labeled

@@ -28,20 +28,6 @@ let default =
     clog_duration = 2.0;
   }
 
-let calm =
-  {
-    duration = 0.0;
-    kill_mean_interval = 0.0;
-    reboot_min = 0.0;
-    reboot_max = 0.0;
-    rack_kill_prob = 0.0;
-    dc_kill_prob = 0.0;
-    partition_mean_interval = 0.0;
-    partition_duration = 0.0;
-    clog_mean_interval = 0.0;
-    clog_duration = 0.0;
-  }
-
 let kill_machine (m : Process.machine) =
   Trace.emit "fault_kill_machine" [ ("machine", string_of_int m.Process.machine_id) ];
   List.iter Engine.kill m.Process.machine_processes
@@ -51,16 +37,13 @@ let reboot_machine ?(delay = 0.5) (m : Process.machine) =
     [ ("machine", string_of_int m.Process.machine_id); ("delay", string_of_float delay) ];
   List.iter (fun p -> Engine.reboot p ~delay ()) m.Process.machine_processes
 
-let targets machines protect =
-  Array.to_list machines |> List.filter (fun m -> not (protect m))
-
-let kill_loop rng machines protect cfg stop_at =
+let kill_loop rng targets cfg stop_at =
   let rec loop () =
     let wait = Rng.exponential rng cfg.kill_mean_interval in
     let* () = Engine.sleep wait in
     if Engine.now () >= stop_at then Future.return ()
     else begin
-      (match targets machines protect with
+      (match targets with
       | [] -> ()
       | candidates ->
           let victim = Rng.pick_list rng candidates in
@@ -84,13 +67,13 @@ let kill_loop rng machines protect cfg stop_at =
   in
   loop ()
 
-let partition_loop rng net machines protect cfg stop_at =
+let partition_loop rng net targets cfg stop_at =
   let rec loop () =
     let wait = Rng.exponential rng cfg.partition_mean_interval in
     let* () = Engine.sleep wait in
     if Engine.now () >= stop_at then Future.return ()
     else begin
-      (match targets machines protect with
+      (match targets with
       | [] | [ _ ] -> ()
       | candidates ->
           let a = Rng.pick_list rng candidates in
@@ -112,13 +95,13 @@ let partition_loop rng net machines protect cfg stop_at =
   in
   loop ()
 
-let clog_loop rng net machines protect cfg stop_at =
+let clog_loop rng net targets cfg stop_at =
   let rec loop () =
     let wait = Rng.exponential rng cfg.clog_mean_interval in
     let* () = Engine.sleep wait in
     if Engine.now () >= stop_at then Future.return ()
     else begin
-      (match targets machines protect with
+      (match targets with
       | [] -> ()
       | candidates ->
           let m = Rng.pick_list rng candidates in
@@ -132,20 +115,20 @@ let clog_loop rng net machines protect cfg stop_at =
   in
   loop ()
 
-let run ~net ~machines ?(protect = fun _ -> false) cfg =
+let run ~net ~machines cfg =
   let stop_at = Engine.now () +. cfg.duration in
-  let rng = Engine.fork_rng () in
+  let rng = Engine.fork_rng () and targets = Array.to_list machines in
   let loops =
     List.concat
       [
         (if cfg.kill_mean_interval > 0.0 then
-           [ kill_loop (Rng.split rng) machines protect cfg stop_at ]
+           [ kill_loop (Rng.split rng) targets cfg stop_at ]
          else []);
         (if cfg.partition_mean_interval > 0.0 then
-           [ partition_loop (Rng.split rng) net machines protect cfg stop_at ]
+           [ partition_loop (Rng.split rng) net targets cfg stop_at ]
          else []);
         (if cfg.clog_mean_interval > 0.0 then
-           [ clog_loop (Rng.split rng) net machines protect cfg stop_at ]
+           [ clog_loop (Rng.split rng) net targets cfg stop_at ]
          else []);
       ]
   in
@@ -153,7 +136,6 @@ let run ~net ~machines ?(protect = fun _ -> false) cfg =
   (* Heal the world so recoverability checks can run. *)
   Array.iter
     (fun m ->
-      Network.unisolate_machine net m.Process.machine_id;
       List.iter
         (fun p -> if not p.Process.alive then Engine.reboot p ~delay:0.1 ())
         m.Process.machine_processes)

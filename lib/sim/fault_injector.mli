@@ -23,9 +23,6 @@ val default : config
 (** Moderate chaos: kills every ~15 s, partitions every ~20 s, clogs every
     ~10 s, for 120 s. *)
 
-val calm : config
-(** No faults at all (performance runs). *)
-
 val kill_machine : Process.machine -> unit
 (** Fail-stop every process on the machine, without scheduling a reboot. *)
 
@@ -36,7 +33,6 @@ val reboot_machine : ?delay:float -> Process.machine -> unit
 val run :
   net:'m Network.t ->
   machines:Process.machine array ->
-  ?protect:(Process.machine -> bool) ->
   config ->
   unit Future.t
 (** Start the injection loops; the future resolves after [config.duration]

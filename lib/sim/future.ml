@@ -13,7 +13,6 @@ exception Cancelled of string
 let is_resolved t = match t.state with Resolved _ -> true | Pending _ -> false
 let is_pending t = not (is_resolved t)
 let has_waiters t = match t.state with Pending (_ :: _) -> true | _ -> false
-let label t = t.lbl
 
 (* ---- promise-lifecycle sanitizer ----
    The static rule R6 keeps futures from being silently dropped; this is
@@ -256,8 +255,6 @@ let join2 a b =
   bind a (fun va -> map b (fun vb -> (va, vb)))
 
 exception Any_empty
-
-let any_exn = Any_empty
 
 let race_loser_exn = Cancelled "future.race loser"
 

@@ -48,13 +48,6 @@ val try_break : 'a promise -> exn -> bool
 val is_resolved : 'a t -> bool
 val is_pending : 'a t -> bool
 
-val has_waiters : 'a t -> bool
-(** [true] when the future is pending and at least one callback is
-    registered — somebody is blocked on it. *)
-
-val label : 'a t -> string
-(** The creation-site label ("" when unlabeled). *)
-
 val peek : 'a t -> 'a option
 (** The fulfilled value if available now ([None] if pending or failed). *)
 
@@ -85,12 +78,6 @@ val race : 'a t list -> 'a t
     resolved with {!Cancelled} (a [future_race_loser_cancelled] trace event
     each) instead of being left pending forever — a pending loser is a
     leaked wakeup the lifecycle sanitizer would report at simulation end. *)
-
-val any_exn : exn
-(** Exception used by {!race} on an empty list. *)
-
-val race_loser_exn : exn
-(** The {!Cancelled} value delivered to {!race} losers. *)
 
 val detach : name:string -> 'a t -> unit
 (** The approved fire-and-forget idiom (lint rule R6): drop the value but

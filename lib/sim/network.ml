@@ -8,32 +8,25 @@ type 'm t = {
   rng : Rng.t;
   dc_latency : (string * string, float) Hashtbl.t;
   partitions : (int * int, unit) Hashtbl.t;
-  isolated : (int, unit) Hashtbl.t;
   clogged : (int, float) Hashtbl.t;
   handlers : (endpoint, 'm handler) Hashtbl.t;
   pending : (int, 'm Future.promise) Hashtbl.t;
-  mutable loss_prob : float;
   mutable next_endpoint : int;
   mutable next_rpc : int;
-  mutable sent : int;
 }
 
 let bytes_per_sec = 1.25e9 (* 10 GbE *)
 
-let create ?(loss_prob = 0.0) ?seed_rng () =
-  let rng = match seed_rng with Some r -> r | None -> Engine.fork_rng () in
+let create () =
   {
-    rng;
+    rng = Engine.fork_rng ();
     dc_latency = Hashtbl.create 8;
     partitions = Hashtbl.create 8;
-    isolated = Hashtbl.create 8;
     clogged = Hashtbl.create 8;
     handlers = Hashtbl.create 64;
     pending = Hashtbl.create 64;
-    loss_prob;
     next_endpoint = 0;
     next_rpc = 0;
-    sent = 0;
   }
 
 let set_dc_latency t a b l =
@@ -42,10 +35,7 @@ let set_dc_latency t a b l =
 
 let partition t ~from ~to_ = Hashtbl.replace t.partitions (from, to_) ()
 let heal t ~from ~to_ = Hashtbl.remove t.partitions (from, to_)
-let isolate_machine t m = Hashtbl.replace t.isolated m ()
-let unisolate_machine t m = Hashtbl.remove t.isolated m
 let clog_machine t m until = Hashtbl.replace t.clogged m until
-let set_loss_prob t p = t.loss_prob <- p
 
 let fresh_endpoint t =
   t.next_endpoint <- t.next_endpoint + 1;
@@ -54,10 +44,6 @@ let fresh_endpoint t =
 let register t ep proc fn =
   Hashtbl.replace t.handlers ep
     { h_proc = proc; h_inc = proc.Process.incarnation; h_fn = fn }
-
-let unregister t ep = Hashtbl.remove t.handlers ep
-
-let messages_sent t = t.sent
 
 let base_latency t (src : Process.machine) (dst : Process.machine) =
   if src.Process.machine_id = dst.Process.machine_id then 5e-5
@@ -74,16 +60,9 @@ let clog_delay t machine_id =
       if d > 0.0 then d else 0.0
   | None -> 0.0
 
-let blocked t src_m dst_m =
-  Hashtbl.mem t.partitions (src_m, dst_m)
-  || Hashtbl.mem t.isolated src_m
-  || Hashtbl.mem t.isolated dst_m
-
-(* Compute delivery delay; None if the message is dropped. *)
+(* Compute delivery delay; None if a partition drops the message. *)
 let route t ~(src : Process.machine) ~(dst : Process.machine) ~bytes =
-  t.sent <- t.sent + 1;
-  if blocked t src.Process.machine_id dst.Process.machine_id then None
-  else if Rng.chance t.rng t.loss_prob then None
+  if Hashtbl.mem t.partitions (src.Process.machine_id, dst.Process.machine_id) then None
   else begin
     let base = base_latency t src dst in
     let jitter = Rng.exponential t.rng (base /. 4.0) in

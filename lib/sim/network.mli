@@ -4,7 +4,7 @@
     The network is polymorphic in the message type ['m]; the database
     instantiates it with its RPC request/response variant. Latency is drawn
     per message from a distance-based model plus jitter, so reordering falls
-    out naturally; partitions, clogging and loss are injectable at machine
+    out naturally; partitions and clogging are injectable at machine
     granularity. Delivery tasks are owned by the destination process, so
     messages to dead or rebooted processes vanish, and RPC callers see
     timeouts — exactly the failure surface real code must handle. *)
@@ -14,9 +14,8 @@ type endpoint = int
 
 type 'm t
 
-val create : ?loss_prob:float -> ?seed_rng:Fdb_util.Det_rng.t -> unit -> 'm t
-(** A fresh network. [loss_prob] is the baseline per-message drop
-    probability (default 0). Needs a running {!Engine} for delivery. *)
+val create : unit -> 'm t
+(** A fresh network. Needs a running {!Engine} for delivery. *)
 
 (** {2 Topology and faults} *)
 
@@ -28,14 +27,9 @@ val partition : 'm t -> from:int -> to_:int -> unit
 (** Block messages from machine [from] to machine [to_] (directed). *)
 
 val heal : 'm t -> from:int -> to_:int -> unit
-val isolate_machine : 'm t -> int -> unit
-(** Block all traffic to and from the machine. *)
 
-val unisolate_machine : 'm t -> int -> unit
 val clog_machine : 'm t -> int -> float -> unit
 (** Delay all traffic touching the machine until the given absolute time. *)
-
-val set_loss_prob : 'm t -> float -> unit
 
 (** {2 Endpoints} *)
 
@@ -43,8 +37,6 @@ val fresh_endpoint : 'm t -> endpoint
 val register : 'm t -> endpoint -> Process.t -> ('m -> 'm Future.t) -> unit
 (** Install the request handler for an endpoint. The registration is valid
     for the process's current incarnation only; re-register after reboot. *)
-
-val unregister : 'm t -> endpoint -> unit
 
 (** {2 RPC} *)
 
@@ -57,6 +49,3 @@ val call :
 
 val send : 'm t -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> unit
 (** One-way, best-effort message (response discarded). *)
-
-val messages_sent : 'm t -> int
-(** Total messages handed to the network (diagnostics). *)

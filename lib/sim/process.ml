@@ -54,6 +54,3 @@ let mark_rebooted p =
   p.incarnation <- p.incarnation + 1;
   p.alive <- true;
   p.cpu_busy_until <- 0.0
-
-let same_dc a b = a.machine.dc = b.machine.dc
-let same_rack a b = a.machine.dc = b.machine.dc && a.machine.rack = b.machine.rack

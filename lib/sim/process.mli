@@ -50,6 +50,3 @@ val mark_dead : t -> unit
 
 val mark_rebooted : t -> unit
 (** Bump incarnation and flag alive again; resets the CPU queue. *)
-
-val same_dc : t -> t -> bool
-val same_rack : t -> t -> bool

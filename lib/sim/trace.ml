@@ -1,13 +1,11 @@
 type event = { te_time : float; te_name : string; te_fields : (string * string) list }
 
 let buffer : event list ref = ref []
-let enabled = ref true
 let clock : (unit -> float) ref = ref (fun () -> 0.0)
 
 (* The engine registers itself here to fold every emitted event into its
    running trace checksum (the double-run determinism oracle). Called on
-   every emit, even with collection disabled, so the checksum does not
-   depend on whether the trace buffer is being kept. *)
+   every emit. *)
 let observer : (string -> unit) ref = ref (fun _ -> ())
 
 let reset () =
@@ -15,14 +13,12 @@ let reset () =
   clock := fun () -> 0.0
 
 let set_clock f = clock := f
-let set_enabled b = enabled := b
 let set_observer f = observer := f
 let clear_observer () = observer := (fun _ -> ())
 
 let emit name fields =
   !observer name;
-  if !enabled then
-    buffer := { te_time = !clock (); te_name = name; te_fields = fields } :: !buffer
+  buffer := { te_time = !clock (); te_name = name; te_fields = fields } :: !buffer
 
 let events () = List.rev !buffer
 

@@ -2,7 +2,7 @@
 
     Roles emit trace events (like FDB's TraceEvent); tests compare traces
     across runs to assert determinism, and the CLI can dump them for
-    debugging a failing seed. Collection is cheap and can be disabled. *)
+    debugging a failing seed. Collection is cheap and always on. *)
 
 type event = { te_time : float; te_name : string; te_fields : (string * string) list }
 
@@ -13,13 +13,10 @@ val reset : unit -> unit
 val set_clock : (unit -> float) -> unit
 (** Install the time source (the engine installs its virtual clock). *)
 
-val set_enabled : bool -> unit
-(** Enable/disable collection (default enabled). *)
-
 val set_observer : (string -> unit) -> unit
-(** Install a hook called with every emitted event name, even when
-    collection is disabled. The engine uses it to fold event kinds into
-    its run checksum; there is at most one observer. *)
+(** Install a hook called with every emitted event name. The engine uses
+    it to fold event kinds into its run checksum; there is at most one
+    observer. *)
 
 val clear_observer : unit -> unit
 

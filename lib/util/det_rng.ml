@@ -15,17 +15,11 @@ let next_int64 t =
 
 let split t = { state = next_int64 t }
 
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the value always fits in a non-negative native int. *)
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
-
-let int_in t lo hi =
-  assert (hi >= lo);
-  lo + int t (hi - lo + 1)
 
 let float t bound =
   (* 53 uniform mantissa bits scaled into [0, bound). *)
@@ -40,10 +34,6 @@ let exponential t mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
 
-let pick t arr =
-  assert (Array.length arr > 0);
-  arr.(int t (Array.length arr))
-
 let pick_list t l =
   match l with
   | [] -> invalid_arg "Det_rng.pick_list: empty"
@@ -56,8 +46,6 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let bytes t n = String.init n (fun _ -> Char.chr (int t 256))
 
 let alphanum_chars = "abcdefghijklmnopqrstuvwxyz0123456789"
 

@@ -16,17 +16,12 @@ val split : t -> t
     give each process/actor its own stream so that adding draws in one actor
     does not perturb others. *)
 
-val copy : t -> t
-(** Duplicate the current state (both copies then produce the same stream). *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
 (** [int t bound] draws uniformly in [\[0, bound)]. [bound] must be > 0. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] draws uniformly in [\[lo, hi\]] inclusive. *)
 
 val float : t -> float -> float
 (** [float t bound] draws uniformly in [\[0, bound)]. *)
@@ -41,17 +36,11 @@ val exponential : t -> float -> float
 (** [exponential t mean] draws from an exponential distribution with the
     given mean; used for inter-arrival times and latency jitter. *)
 
-val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val pick_list : t -> 'a list -> 'a
 (** Uniform element of a non-empty list. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val bytes : t -> int -> string
-(** [bytes t n] is a string of [n] uniform random bytes. *)
 
 val alphanum : t -> int -> string
 (** [alphanum t n] is a string of [n] random characters in [\[a-z0-9\]]. *)

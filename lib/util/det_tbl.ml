@@ -12,7 +12,6 @@ let find_opt = Hashtbl.find_opt
 let replace = Hashtbl.replace
 let add = Hashtbl.replace
 let remove = Hashtbl.remove
-let clear = Hashtbl.reset
 let reset = Hashtbl.reset
 
 let find_or_add t k make =

@@ -30,7 +30,6 @@ val add : ('k, 'v) t -> 'k -> 'v -> unit
 (** Alias of {!replace} (kept for drop-in migration from [Hashtbl]). *)
 
 val remove : ('k, 'v) t -> 'k -> unit
-val clear : ('k, 'v) t -> unit
 val reset : ('k, 'v) t -> unit
 
 val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v

@@ -84,10 +84,3 @@ let cdf_points t =
         (upper_of i, float_of_int !acc /. n))
       (sorted_buckets t)
   end
-
-let clear t =
-  Det_tbl.reset t.buckets;
-  t.count <- 0;
-  t.total <- 0.0;
-  t.min_v <- infinity;
-  t.max_v <- 0.0

@@ -38,6 +38,3 @@ val percentile : t -> float -> float
 val cdf_points : t -> (float * float) list
 (** Non-empty buckets as [(upper_bound, cumulative_fraction)] pairs, for
     CDF plots like the paper's Figure 10. *)
-
-val clear : t -> unit
-(** Forget all samples. *)

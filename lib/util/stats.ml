@@ -4,17 +4,6 @@ let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)
 
-let stddev xs =
-  match xs with
-  | [] | [ _ ] -> 0.0
-  | _ ->
-      let m = mean xs in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.0)) 0.0 xs
-        /. float_of_int (List.length xs)
-      in
-      sqrt var
-
 let sorted xs = List.sort compare xs
 
 let percentile xs p =
@@ -27,29 +16,4 @@ let percentile xs p =
       List.nth s (rank - 1)
 
 let median xs = percentile xs 50.0
-let minimum = function [] -> 0.0 | xs -> List.fold_left Float.min infinity xs
 let maximum = function [] -> 0.0 | xs -> List.fold_left Float.max neg_infinity xs
-
-let moving_average w xs =
-  if w <= 1 then xs
-  else begin
-    let arr = Array.of_list xs in
-    let n = Array.length arr in
-    List.init n (fun i ->
-        let lo = max 0 (i - w + 1) in
-        let sum = ref 0.0 in
-        for j = lo to i do
-          sum := !sum +. arr.(j)
-        done;
-        !sum /. float_of_int (i - lo + 1))
-  end
-
-type counter = { mutable n : int; mutable sum : float }
-
-let counter () = { n = 0; sum = 0.0 }
-
-let tick c v =
-  c.n <- c.n + 1;
-  c.sum <- c.sum +. v
-
-let rate c ~duration = if duration <= 0.0 then 0.0 else c.sum /. duration

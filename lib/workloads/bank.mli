@@ -14,8 +14,6 @@ type stats = {
   errors : int;
 }
 
-val account_key : int -> string
-
 val setup : Fdb_core.Client.db -> accounts:int -> initial:int -> unit Fdb_sim.Future.t
 (** Create [accounts] accounts with [initial] balance each. *)
 

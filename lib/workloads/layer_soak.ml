@@ -53,7 +53,6 @@ type t = {
 }
 
 let bump t f = t.stats <- f t.stats
-let stats t = t.stats
 
 let ops t =
   t.stats.upserts + t.stats.deletes + t.stats.enqueued + t.stats.claimed

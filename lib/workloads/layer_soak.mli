@@ -30,7 +30,6 @@ val run :
     until [until], broadcast the stop marker, and join the consumers.
     Must run inside an engine with the cluster ready. *)
 
-val stats : t -> stats
 val ops : t -> int
 (** Total committed layer operations — a liveness signal for reports. *)
 

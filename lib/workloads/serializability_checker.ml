@@ -9,7 +9,6 @@ type t = { mutable history : recorded list }
 
 let create () = { history = [] }
 let record t r = t.history <- r :: t.history
-let size t = List.length t.history
 
 (* Per-key write history: (commit version, value) newest first, built in
    commit order; a read at version v must observe the newest write <= v. *)
@@ -73,5 +72,3 @@ let verify t =
             walk rest)
   in
   walk txns
-
-let history t = t.history

@@ -19,11 +19,7 @@ type recorded = {
 
 val create : unit -> t
 val record : t -> recorded -> unit
-val size : t -> int
 
 val verify : t -> (unit, string) result
 (** Check every read in the history; [Error] carries a description of the
     first violation. *)
-
-val history : t -> recorded list
-(** All recorded transactions (debugging tools). *)

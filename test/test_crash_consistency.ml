@@ -30,7 +30,7 @@ let apply_model m = function
 let one_trial seed =
   Engine.run ~seed ~max_time:1e6 ~buggify:true (fun () ->
       let rng = Engine.fork_rng () in
-      let disk = Disk.create ~name:"cc" () in
+      let disk = Disk.create () in
       let* store = Persistent_store.recover ~disk ~prefix:"s" ~checkpoint_every:7 () in
       let pending = ref M.empty in
       (* Every model state reachable by a prefix of mutations at or after

@@ -4,7 +4,7 @@ open Future.Syntax
 let test_append_read_back () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.append d "log" "a" in
         let* () = Disk.append d "log" "b" in
         let* recs = Disk.read_all d "log" in
@@ -15,7 +15,7 @@ let test_append_read_back () =
 let test_unsynced_lost_on_crash () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.append d "log" "a" in
         let* () = Disk.sync d "log" in
         let* () = Disk.append d "log" "b" in
@@ -28,7 +28,7 @@ let test_unsynced_lost_on_crash () =
 let test_synced_survives_crash () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.append d "log" "a" in
         let* () = Disk.append d "log" "b" in
         let* () = Disk.sync d "log" in
@@ -42,7 +42,7 @@ let test_synced_survives_crash () =
 let test_write_file_read_file () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.write_file d "state" "v1" in
         let* () = Disk.write_file d "state" "v2" in
         let* v = Disk.read_file d "state" in
@@ -53,7 +53,7 @@ let test_write_file_read_file () =
 let test_unsynced_file_lost () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.write_file d "state" "v1" in
         let* () = Disk.sync d "state" in
         let* () = Disk.write_file d "state" "v2" in
@@ -69,7 +69,7 @@ let test_unsynced_file_lost () =
 let test_missing_file () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* recs = Disk.read_all d "nope" in
         let* v = Disk.read_file d "nope" in
         Future.return (recs, v))
@@ -81,7 +81,7 @@ let test_attach_crashes_on_kill () =
     Engine.run (fun () ->
         let m = Process.fresh_machine 1 in
         let p = Process.create m in
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         Disk.attach d p;
         let* () = Disk.append d "log" "a" in
         Engine.kill p;
@@ -93,7 +93,7 @@ let test_attach_crashes_on_kill () =
 let test_disk_op_takes_time () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" ~seek:0.001 ~bytes_per_sec:1000.0 () in
+        let d = Disk.create ~seek:0.001 ~bytes_per_sec:1000.0 () in
         let t0 = Engine.now () in
         let* () = Disk.append d "log" (String.make 1000 'x') in
         Future.return (Engine.now () -. t0))
@@ -103,7 +103,7 @@ let test_disk_op_takes_time () =
 let test_disk_queueing () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" ~seek:1.0 ~bytes_per_sec:1e12 () in
+        let d = Disk.create ~seek:1.0 ~bytes_per_sec:1e12 () in
         let done1 = ref 0.0 and done2 = ref 0.0 in
         let j out () =
           let* () = Disk.append d "log" "x" in
@@ -120,7 +120,7 @@ let test_disk_queueing () =
 let test_delete () =
   let r =
     Engine.run (fun () ->
-        let d = Disk.create ~name:"d0" () in
+        let d = Disk.create () in
         let* () = Disk.append d "log" "a" in
         let* () = Disk.delete d "log" in
         let* recs = Disk.read_all d "log" in

@@ -2,7 +2,8 @@
    under lint_fixtures/ carries exactly one kind of violation; its
    .expected file holds the diagnostics (with line:col) the pass must
    produce. Fixtures are linted as if they lived under lib/ so that the
-   library-only rule R4 applies. *)
+   library-only rule R4 applies. The R7 fixture is one interface plus the
+   implementations that may reference it. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -181,6 +182,60 @@ let test_whitelist_used_callback () =
   in
   Alcotest.(check int) "no hit on a clean file" 0 (List.length !hits)
 
+(* R7 is cross-file: the golden fixture is one interface plus the
+   implementations that may reference it, each given the repo-relative path
+   that decides whether it counts. *)
+let fixture name = read_file (Filename.concat "lint_fixtures" name)
+
+let golden_r7 () =
+  let got =
+    render
+      (Lint.dead_exports
+         ~interfaces:[ ("lib/lint_fixtures/r7_widget.mli", fixture "r7_widget.mli") ]
+         ~implementations:
+           [
+             ("lib/lint_fixtures/r7_widget.ml", fixture "r7_widget.ml");
+             ("bin/r7_users.ml", fixture "r7_users.ml");
+             ("bin/r7_opener.ml", fixture "r7_opener.ml");
+             ("test/r7_test_user.ml", fixture "r7_test_user.ml");
+           ])
+  in
+  Alcotest.(check string) "r7_widget" (fixture "r7_widget.expected") got
+
+let r7_flagged ~impls =
+  Lint.dead_exports
+    ~interfaces:[ ("lib/core/m.mli", "val v : int\nval w : int\n") ]
+    ~implementations:impls
+  |> List.filter_map (fun d ->
+         if d.Lint.d_rule = Some Lint.R7 then Some d.Lint.d_line else None)
+
+(* Each reference form on its own, so one cannot mask another. *)
+let test_r7_reference_forms () =
+  List.iter
+    (fun (form, path, src) ->
+      Alcotest.(check (list int)) form [ 2 ] (r7_flagged ~impls:[ (path, src) ]))
+    [
+      ("qualified", "lib/kv/x.ml", "let x = M.v\n");
+      ("library wrapper", "bin/x.ml", "let x = Fdb_core.M.v\n");
+      ("alias", "bench/x.ml", "module A = Fdb_core.M\nlet x = A.v\n");
+      ("open", "lib/kv/x.ml", "open Fdb_core.M\nlet x = v\n");
+      ("let open", "lib/kv/x.ml", "let x = let open M in v\n");
+      ("local open", "lib/kv/x.ml", "let x = M.(v + 1)\n");
+      ("test only", "test/x.ml", "let x = M.v\n");
+    ]
+
+let test_r7_own_module_excluded () =
+  Alcotest.(check (list int)) "own .ml never clears" [ 1; 2 ]
+    (r7_flagged ~impls:[ ("lib/core/m.ml", "let v = 1\nlet w = M.v\n") ]);
+  Alcotest.(check (list int)) "any other .ml does" [ 2 ]
+    (r7_flagged ~impls:[ ("examples/demo.ml", "let x = Fdb_core.M.v\n") ])
+
+let test_r7_lib_only () =
+  Alcotest.(check int) "interfaces outside lib/ are not checked" 0
+    (List.length
+       (Lint.dead_exports ~interfaces:[ ("bin/tool.mli", "val v : int\n") ]
+          ~implementations:[]))
+
 let test_explain_covers_all_rules () =
   List.iter
     (fun r ->
@@ -224,4 +279,8 @@ let suite =
     Alcotest.test_case "whitelist" `Quick test_whitelist;
     Alcotest.test_case "whitelist unknown rule" `Quick test_whitelist_rejects_unknown_rule;
     Alcotest.test_case "explain all rules" `Quick test_explain_covers_all_rules;
+    Alcotest.test_case "golden: R7 dead exports" `Quick golden_r7;
+    Alcotest.test_case "R7 reference forms" `Quick test_r7_reference_forms;
+    Alcotest.test_case "R7 own module excluded" `Quick test_r7_own_module_excluded;
+    Alcotest.test_case "R7 lib only" `Quick test_r7_lib_only;
   ]

@@ -43,7 +43,7 @@ let log_servers ctx ~epoch ~start_lsn n =
   let eps =
     List.init n (fun id ->
         let proc = Process.create ~name:(Printf.sprintf "tlog-%d" id) machine in
-        let disk = Disk.create ~name:(Printf.sprintf "tlog-disk-%d" id) () in
+        let disk = Disk.create () in
         snd (Log_server.create ctx proc ~disk ~epoch ~id ~start_lsn))
   in
   (client, eps)
@@ -53,7 +53,7 @@ let setup () =
   let machine = Process.fresh_machine 1 in
   let proc = Process.create ~name:"tlog-test" machine in
   let client = Process.create ~name:"pusher" machine in
-  let disk = Disk.create ~name:"tlog-disk" () in
+  let disk = Disk.create () in
   let _, ep = Log_server.create ctx proc ~disk ~epoch:1 ~id:0 ~start_lsn:0L in
   let push lsn prev payload =
     Context.rpc ctx ~timeout:5.0 ~from:client ep
@@ -261,7 +261,7 @@ let test_idle_log_holds_only_live_peeks () =
         let machine = Process.fresh_machine 1 in
         let proc = Process.create ~name:"tlog-idle" machine in
         let client = Process.create ~name:"peeker" machine in
-        let disk = Disk.create ~name:"tlog-idle-disk" () in
+        let disk = Disk.create () in
         let t, ep = Log_server.create ctx proc ~disk ~epoch:1 ~id:0 ~start_lsn:0L in
         let until = Engine.now () +. 10.0 in
         let rec peek_loop tag =
@@ -293,7 +293,7 @@ let test_adopt_peeks_new_logs_at_once () =
             Future.return (Message.Paxos_resp (Fdb_paxos.Wire.Read_result { accepted = None })));
         let old_proc = Process.create ~name:"tlog-old" machine in
         let _, old_ep =
-          Log_server.create ctx old_proc ~disk:(Disk.create ~name:"tlog-old-disk" ()) ~epoch:1
+          Log_server.create ctx old_proc ~disk:(Disk.create ()) ~epoch:1
             ~id:0 ~start_lsn:0L
         in
         let first_peek, reached = Future.make () in
@@ -305,7 +305,7 @@ let test_adopt_peeks_new_logs_at_once () =
                 (Message.Log_peek_reply { pk_entries = []; pk_end = 0L; pk_kcv = 0L })
           | _ -> Future.return Message.Ok_reply);
         let ss_proc = Process.create ~name:"ss" machine in
-        let* _ss = Storage_server.create ctx ss_proc ~id:0 ~disk:(Disk.create ~name:"ss-disk" ()) in
+        let* _ss = Storage_server.create ctx ss_proc ~id:0 ~disk:(Disk.create ()) in
         let recover epoch logs =
           let* _ =
             Context.rpc ctx ~timeout:5.0 ~from:client ss_ep

@@ -23,7 +23,6 @@ let () =
       ("commit-pipeline", Test_commit_pipeline.suite);
       ("log-server", Test_log_server.suite);
       ("resolver", Test_resolver.suite);
-      ("task-bucket", Test_task_bucket.suite);
       ("watch", Test_watch.suite);
       ("layers", Test_layers.suite);
       ("crash-consistency", Test_crash_consistency.suite);

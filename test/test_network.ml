@@ -96,15 +96,6 @@ let test_rebooted_server_needs_reregistration () =
   in
   Alcotest.(check int) "new incarnation handler" 101 r
 
-let test_loss_causes_timeouts () =
-  let r =
-    Engine.run (fun () ->
-        let net, client, _server, ep = setup () in
-        Network.set_loss_prob net 1.0;
-        expect_timeout (Network.call net ~timeout:0.5 ~from:client ep (Ping 1)))
-  in
-  Alcotest.(check bool) "lost" true r
-
 let test_clog_delays () =
   let r =
     Engine.run (fun () ->
@@ -162,7 +153,6 @@ let suite =
     Alcotest.test_case "heal restores" `Quick test_heal_restores;
     Alcotest.test_case "dead server times out" `Quick test_dead_server_times_out;
     Alcotest.test_case "reboot reregistration" `Quick test_rebooted_server_needs_reregistration;
-    Alcotest.test_case "loss" `Quick test_loss_causes_timeouts;
     Alcotest.test_case "clog delays" `Quick test_clog_delays;
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;

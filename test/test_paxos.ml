@@ -16,7 +16,7 @@ let setup_coordinators ?(n = 5) () =
     Array.to_list machines
     |> List.map (fun m ->
            let p = Process.create ~name:"coordinator" m in
-           let disk = Disk.create ~name:"coord-disk" () in
+           let disk = Disk.create () in
            Disk.attach disk p;
            let ep = Network.fresh_endpoint net in
            endpoints := ep :: !endpoints;

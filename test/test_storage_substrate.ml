@@ -40,7 +40,7 @@ let test_vw_range_clear_masks () =
 
 let test_vw_pop_through () =
   let w = vw_with_events () in
-  let popped = Version_window.pop_through w 20L in
+  let popped = List.map snd (Version_window.pop_through_versioned w 20L) in
   Alcotest.(check int) "popped two" 2 (List.length popped);
   Alcotest.(check bool) "in order" true
     (popped = [ Mutation.Set ("a", "1"); Mutation.Set ("a", "2") ]);
@@ -115,7 +115,7 @@ let test_atomic_bitops () =
 
 let with_store f =
   Engine.run (fun () ->
-      let disk = Disk.create ~name:"ssd" () in
+      let disk = Disk.create () in
       let* store = Persistent_store.recover ~disk ~prefix:"ss0" () in
       f disk store)
 
@@ -155,7 +155,7 @@ let test_ps_clear_range_and_limit () =
 let test_ps_recovery_durable () =
   let r =
     Engine.run (fun () ->
-        let disk = Disk.create ~name:"ssd" () in
+        let disk = Disk.create () in
         let* store = Persistent_store.recover ~disk ~prefix:"ss0" () in
         let* () = Persistent_store.apply store [ Mutation.Set ("a", "1") ] in
         let* () = Persistent_store.commit store in
@@ -172,7 +172,7 @@ let test_ps_recovery_durable () =
 let test_ps_checkpoint_cycle () =
   let r =
     Engine.run (fun () ->
-        let disk = Disk.create ~name:"ssd" () in
+        let disk = Disk.create () in
         let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in
         let rec writes i =
           if i = 50 then Future.return ()
@@ -198,7 +198,7 @@ let set_keys store lo hi =
 let test_ps_checkpoint_keeps_one_snapshot () =
   let r =
     Engine.run (fun () ->
-        let disk = Disk.create ~name:"ssd" () in
+        let disk = Disk.create () in
         let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in
         let rec rounds i =
           if i = 5 then Future.return ()
@@ -221,7 +221,7 @@ let test_ps_checkpoint_keeps_one_snapshot () =
 let test_ps_crash_before_snapshot_sync () =
   let r =
     Engine.run (fun () ->
-        let disk = Disk.create ~sync_latency:10.0 ~name:"ssd" () in
+        let disk = Disk.create ~sync_latency:10.0 () in
         let proc = Process.create ~name:"ss" (Process.fresh_machine 1) in
         Disk.attach disk proc;
         let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in

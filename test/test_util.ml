@@ -31,9 +31,7 @@ let test_rng_bounds () =
     let v = Det_rng.int r 10 in
     Alcotest.(check bool) "int in range" true (v >= 0 && v < 10);
     let f = Det_rng.float r 2.5 in
-    Alcotest.(check bool) "float in range" true (f >= 0.0 && f < 2.5);
-    let i = Det_rng.int_in r (-5) 5 in
-    Alcotest.(check bool) "int_in range" true (i >= -5 && i <= 5)
+    Alcotest.(check bool) "float in range" true (f >= 0.0 && f < 2.5)
   done
 
 let test_rng_chance_extremes () =
@@ -99,16 +97,7 @@ let test_stats_basic () =
   Alcotest.(check (float 1e-9)) "median" 3.0 (Stats.median xs);
   Alcotest.(check (float 1e-9)) "p100" 5.0 (Stats.percentile xs 100.0);
   Alcotest.(check (float 1e-9)) "p20" 1.0 (Stats.percentile xs 20.0);
-  Alcotest.(check (float 1e-9)) "min" 1.0 (Stats.minimum xs);
-  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.maximum xs);
-  Alcotest.(check (float 1e-6)) "stddev" (sqrt 2.0) (Stats.stddev xs)
-
-let test_stats_counter () =
-  let c = Stats.counter () in
-  Stats.tick c 10.0;
-  Stats.tick c 20.0;
-  Alcotest.(check (float 1e-9)) "rate" 15.0 (Stats.rate c ~duration:2.0);
-  Alcotest.(check (float 1e-9)) "rate zero duration" 0.0 (Stats.rate c ~duration:0.0)
+  Alcotest.(check (float 1e-9)) "max" 5.0 (Stats.maximum xs)
 
 let qcheck_percentile_bounds =
   QCheck.Test.make ~name:"histogram percentile within [min,max]" ~count:200
@@ -227,7 +216,6 @@ let suite =
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram cdf monotone" `Quick test_histogram_cdf_monotone;
     Alcotest.test_case "stats basic" `Quick test_stats_basic;
-    Alcotest.test_case "stats counter" `Quick test_stats_counter;
     QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
     QCheck_alcotest.to_alcotest qcheck_merge_associative;
     QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
