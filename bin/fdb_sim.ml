@@ -176,8 +176,8 @@ let status_cmd =
               txn (i + 1)
           in
           let* () = txn 0 in
-          (* Let heartbeats, the ratekeeper, and the roll-up actor tick so the
-             gauges and percentile tables are populated. *)
+          (* Let heartbeats and the ratekeeper tick so the gauges and
+             percentile tables are populated. *)
           let* () = Engine.sleep 2.0 in
           let* report = Fdb_workloads.Status.gather cluster in
           Future.return (report, Cluster.status_doc cluster))
