@@ -11,6 +11,7 @@
    unscaled so that batching amortization and the "singletons are not
    bottlenecks" property (§2.3.3) survive scaling. The one mutable knob:
    every other tunable is a constant here or a Config.t field. *)
+(* fdb-lint: allow R8 -- frozen bench/e2e harness toggles it *)
 let cpu_scale = ref 1.0
 let cpu base = base *. !cpu_scale
 

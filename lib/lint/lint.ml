@@ -14,9 +14,9 @@
    checks interfaces against the references every implementation makes
    (see "R7: dead exports"). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -26,6 +26,7 @@ let rule_name = function
   | R5 -> "R5"
   | R6 -> "R6"
   | R7 -> "R7"
+  | R8 -> "R8"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -35,6 +36,7 @@ let rule_of_string = function
   | "R5" -> Some R5
   | "R6" -> Some R6
   | "R7" -> Some R7
+  | "R8" -> Some R8
   | _ -> None
 
 let explain = function
@@ -102,6 +104,16 @@ let explain = function
        module all count; record fields and labels do not. A val that must\n\
        stay without a caller (client or layer API) carries a reasoned\n\
        suppression on its val line."
+  | R8 ->
+      "R8: no module-level mutable state in library code.\n\
+       A structure-level let (nested modules included) bound to ref,\n\
+       Hashtbl.create, Det_tbl.create, Array.make, Queue.create,\n\
+       Buffer.create or Atomic.make is one cell shared by every simulation\n\
+       the process runs: a run leaks state into the next, and seeds cannot\n\
+       run side by side. A run's state belongs in its record (Run.t, which\n\
+       Engine.run creates); a role's state belongs in the value it creates.\n\
+       The same call inside a function makes a fresh cell per call and is\n\
+       fine. A cell that must stay global carries a reasoned suppression."
 
 type diagnostic = {
   d_file : string;
@@ -163,8 +175,7 @@ let applies rule path =
   | R4 -> String.starts_with ~prefix:"lib/" path
   (* The actor model lives under lib/; drivers and benches run Engine.run
      at top level and own their futures explicitly. *)
-  | R5 | R6 -> String.starts_with ~prefix:"lib/" path
-  | R7 -> String.starts_with ~prefix:"lib/" path
+  | R5 | R6 | R7 | R8 -> String.starts_with ~prefix:"lib/" path
 
 let parse_whitelist src =
   String.split_on_char '\n' src
@@ -291,6 +302,11 @@ let scan_suppressions ~path src =
   (!supp, !errs)
 
 (* ---- the R1-R4 AST pass ---- *)
+
+(* Drop the library wrapper: Fdb_util.Det_rng.v and Det_rng.v are one path. *)
+let unwrap = function
+  | lib :: rest when String.starts_with ~prefix:"Fdb_" lib -> rest
+  | p -> p
 
 let strip_stdlib p =
   if String.starts_with ~prefix:"Stdlib." p then
@@ -822,6 +838,53 @@ let r5_pass violation (ast : Parsetree.structure) =
   let it = { default_iterator with expr } in
   it.structure it ast
 
+(* ---- R8: module-level mutable state ----
+   Only the right-hand side of a structure-level let is checked, so a cell
+   made inside a function (one per call) is fine. *)
+
+let r8_makers =
+  [
+    "ref";
+    "Hashtbl.create";
+    "Det_tbl.create";
+    "Array.make";
+    "Queue.create";
+    "Buffer.create";
+    "Atomic.make";
+  ]
+
+let rec r8_cell (e : Parsetree.expression) =
+  match e.pexp_desc with
+  | Pexp_constraint (e, _) -> r8_cell e
+  | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) ->
+      let p = strip_stdlib (String.concat "." (unwrap (Longident.flatten txt))) in
+      if List.mem p r8_makers then Some p else None
+  | _ -> None
+
+let rec r8_structure violation (items : Parsetree.structure) =
+  List.iter
+    (fun (item : Parsetree.structure_item) ->
+      match item.pstr_desc with
+      | Pstr_value (_, vbs) ->
+          List.iter
+            (fun (vb : Parsetree.value_binding) ->
+              match r8_cell vb.pvb_expr with
+              | Some p ->
+                  violation R8 vb.pvb_loc
+                    (p ^ " at module level is one cell shared by every run in the \
+                     process; keep it in the run's record or in the value that owns it")
+              | None -> ())
+            vbs
+      | Pstr_module mb -> r8_module violation mb.pmb_expr
+      | _ -> ())
+    items
+
+and r8_module violation (m : Parsetree.module_expr) =
+  match m.pmod_desc with
+  | Pmod_structure items -> r8_structure violation items
+  | Pmod_constraint (m, _) | Pmod_functor (_, m) -> r8_module violation m
+  | _ -> ()
+
 (* [parser] is Parse.implementation or Parse.interface. *)
 let parse parser ~path src =
   let lexbuf = Lexing.from_string src in
@@ -901,6 +964,7 @@ let lint_source ?whitelist ?whitelist_used ~path src =
       | Ok ast ->
           walk violation ast;
           r5_pass violation ast;
+          r8_structure violation ast;
           [])
 
 (* ---- R7: dead exports ----
@@ -919,11 +983,6 @@ module SSet = Set.Make (String)
 
 (* The modules a file opens (resolved) and the value paths it names. *)
 type refs = { r_opens : string list list; r_paths : SSet.t }
-
-(* Drop the library wrapper: Fdb_util.Det_rng.v and Det_rng.v are one path. *)
-let unwrap = function
-  | lib :: rest when String.starts_with ~prefix:"Fdb_" lib -> rest
-  | p -> p
 
 let rec flatten_lid acc = function
   | Longident.Lident s -> s :: acc

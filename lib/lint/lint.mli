@@ -31,6 +31,11 @@
     - {b R7} no dead exports ([lib/] interfaces only): every [val] in a
       [.mli] must be referenced by some [.ml] under {!r7_reference_roots}
       other than its own module's. See {!dead_exports}.
+    - {b R8} no module-level mutable state ([lib/] only): no
+      structure-level [let] (nested modules included) bound to [ref],
+      [Hashtbl.create], [Det_tbl.create], [Array.make], [Queue.create],
+      [Buffer.create] or [Atomic.make]. A run's state lives in the record
+      each [Engine.run] creates ([Fdb_sim.Run.t]).
 
     Per-line suppressions: a comment holding the [fdb-lint] marker, a
     colon and [allow R2 -- reason] (spelled apart here so the scanner does
@@ -39,7 +44,7 @@
     diagnostic — and so is a stale one that no longer suppresses anything
     (the stale-suppression audit). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -81,7 +86,7 @@ val lint_source :
   diagnostic list
 (** [lint_source ~path src] lints source text [src] as if it lived at
     repo-relative [path] (which decides rule applicability: R2 is waived
-    under [lib/util/], R4/R5/R6 apply only under [lib/]). Diagnostics come
+    under [lib/util/], R4/R5/R6/R8 apply only under [lib/]). Diagnostics come
     back in (line, col) order. [whitelist_used] is invoked once per
     diagnostic a whitelist entry absorbs — the driver uses it for the
     stale-whitelist audit (an entry that absorbs nothing is an error). *)

@@ -1,42 +1,27 @@
 module Rng = Fdb_util.Det_rng
 module Det_tbl = Fdb_util.Det_tbl
 
-let enabled = ref false
-let rng = ref (Rng.create 0L)
-let point_active : (string, bool) Hashtbl.t = Hashtbl.create 32
-let fired : (string, unit) Det_tbl.t = Det_tbl.create ~size:32 ()
-
 let activation_probability = 0.25
 
-let configure ~enabled:e ~rng:r =
-  enabled := e;
-  rng := r;
-  Hashtbl.reset point_active;
-  Det_tbl.reset fired
-
-let reset () =
-  enabled := false;
-  Hashtbl.reset point_active;
-  Det_tbl.reset fired
-
 let on ?(p = 0.25) name =
-  if not !enabled then false
+  let run = !Run.latest in
+  if not (run.running && run.buggify) then false
   else begin
     let active =
-      match Hashtbl.find_opt point_active name with
+      match Hashtbl.find_opt run.point_active name with
       | Some a -> a
       | None ->
-          let a = Rng.chance !rng activation_probability in
-          Hashtbl.add point_active name a;
+          let a = Rng.chance run.buggify_rng activation_probability in
+          Hashtbl.add run.point_active name a;
           a
     in
-    if active && Rng.chance !rng p then begin
-      Det_tbl.replace fired name ();
+    if active && Rng.chance run.buggify_rng p then begin
+      Det_tbl.replace run.fired name ();
       true
     end
     else false
   end
 
-let delay ?p name = if on ?p name then Rng.float !rng 1.0 else 0.0
+let delay ?p name = if on ?p name then Rng.float !Run.latest.buggify_rng 1.0 else 0.0
 
-let points_hit () = Det_tbl.keys fired
+let points_hit () = Det_tbl.keys !Run.latest.fired

@@ -6,13 +6,9 @@
     for a given run with probability ~25%; an enabled point then fires on
     each evaluation with its local probability (default 25%). Outside a
     buggified run every point is inert, so the same code runs in
-    "production" mode. *)
-
-val configure : enabled:bool -> rng:Fdb_util.Det_rng.t -> unit
-(** Install per-run state; called by {!Engine.run}. *)
-
-val reset : unit -> unit
-(** Disable and forget per-point decisions (end of run). *)
+    "production" mode. The per-point decisions, the RNG stream and the
+    fired set belong to the current {!Run.t}, so each {!Engine.run} starts
+    afresh. *)
 
 val on : ?p:float -> string -> bool
 (** [on name] — should this point fire now? Deterministic given the run
@@ -22,4 +18,5 @@ val delay : ?p:float -> string -> float
 (** Random small delay (0–1 s) to inject if the point fires, else 0. *)
 
 val points_hit : unit -> string list
-(** Names of points that fired at least once this run (coverage reporting). *)
+(** Names of points that fired at least once in the current or most
+    recent run (coverage reporting). *)

@@ -3,9 +3,12 @@
     One engine drives one simulation. All database code runs inside
     {!run}; virtual time advances only when the event queue says so, so a
     run is a pure function of its seed, and can fast-forward through idle
-    stretches arbitrarily faster than real time. The engine is installed in
-    a module-level slot for the duration of {!run} — simulations cannot be
-    nested, mirroring the single-simulator-process design of FDB. *)
+    stretches arbitrarily faster than real time. Each {!run} creates and
+    owns a fresh {!Run.t} — the clock, task queue, RNG, checksum, trace,
+    Buggify and sanitizer state — and installs it in the one slot
+    {!Run.latest}, where it stays readable after the run. Simulations
+    cannot be nested, mirroring the single-simulator-process design of
+    FDB. *)
 
 exception Deadlock
 (** Raised by {!run} when the event queue empties while the root future is
@@ -19,7 +22,7 @@ exception Killed
 
 val run :
   ?seed:int64 -> ?max_time:float -> ?buggify:bool -> (unit -> 'a Future.t) -> 'a
-(** [run f] creates a fresh engine, runs [f ()] and processes events until
+(** [run f] creates a fresh run record, runs [f ()] and processes events until
     the returned future resolves. Raises {!Deadlock} on quiescence, and
     [Failure] if [max_time] (default 1e7 simulated seconds) is exceeded.
     [buggify] enables the {!Buggify} fault-injection points for this run. *)
@@ -78,15 +81,16 @@ val pending_tasks : unit -> int
 (** Number of queued events (diagnostics). *)
 
 val last_run_checksum : unit -> int64
-(** The trace checksum of the most recently finished {!run} (including
-    runs that ended in an exception): an FNV-1a64 over every executed
-    event, each dispatched task's (time, pid, seq) plus every {!Trace.emit}
-    kind. Identical seeds must yield identical checksums — the dynamic
-    backstop behind the determinism lint (see DESIGN.md). *)
+(** The trace checksum of the most recent {!run} (including runs that
+    ended in an exception): an FNV-1a64 over every executed event, each
+    dispatched task's (time, pid, seq) plus every {!Trace.emit} kind.
+    Identical seeds must yield identical checksums — the dynamic backstop
+    behind the determinism lint (see DESIGN.md). *)
 
 val last_run_lifecycle : unit -> Future.Lifecycle.report
-(** Promise-lifecycle report of the most recently finished {!run}: labeled
-    promises still pending with waiters on live processes (leaked wakeups),
+(** Promise-lifecycle report of the most recent {!run}, stored when it
+    finishes (empty while it is still going): labeled promises still
+    pending with waiters on live processes (leaked wakeups),
     double-resolve tallies, and detached-future failures. The runtime
     residue-catcher behind lint rule R6; [fdb_sim swarm --check-leaks]
     turns a nonzero leak count into a test failure. *)

@@ -16,16 +16,17 @@ let has_waiters t = match t.state with Pending (_ :: _) -> true | _ -> false
 
 (* ---- promise-lifecycle sanitizer ----
    The static rule R6 keeps futures from being silently dropped; this is
-   the runtime residue-catcher. While enabled (Engine.run enables it for
-   the duration of a simulation), every [make] is counted, every labeled
-   promise is registered with its creating process, and the engine asks for
-   a report at simulation end: labeled promises still pending with waiters
-   on a live process are leaked wakeups — an actor is blocked on a signal
-   that can no longer arrive. Double [try_fulfill]s and detached-future
-   failures are tallied the same way. Pure bookkeeping: no trace events,
-   no scheduling, so enabling it never perturbs a run's trace checksum. *)
+   the runtime residue-catcher. While a run is going, every [make] is
+   counted, every labeled promise is registered with its creating process,
+   and the engine asks for a report at simulation end: labeled promises
+   still pending with waiters on a live process are leaked wakeups — an
+   actor is blocked on a signal that can no longer arrive. Double
+   [try_fulfill]s and detached-future failures are tallied the same way.
+   The tallies are fields of the run's record ({!Run.t}). Pure
+   bookkeeping: no trace events, no scheduling, so it never perturbs a
+   run's trace checksum. *)
 module Lifecycle = struct
-  type report = {
+  type report = Run.report = {
     lr_created : int;  (* promises created via [make] *)
     lr_resolved : int;  (* promises resolved (either way) *)
     lr_leaked : (string * int) list;  (* label -> still pending, with waiters, owner live *)
@@ -33,103 +34,64 @@ module Lifecycle = struct
     lr_detach_failures : (string * int) list;  (* detach name -> failures routed to Trace *)
   }
 
-  let empty =
-    {
-      lr_created = 0;
-      lr_resolved = 0;
-      lr_leaked = [];
-      lr_double_resolved = [];
-      lr_detach_failures = [];
-    }
-
+  let empty = Run.empty_report
   let total_leaks r = List.fold_left (fun acc (_, n) -> acc + n) 0 r.lr_leaked
 
-  type tracked = {
-    tr_label : string;
-    tr_owner : (Process.t * int) option; (* creating process, incarnation *)
-    tr_pending : unit -> bool;
-    tr_waited : unit -> bool;
-  }
-
-  let enabled = ref false
-  let owner_source : (unit -> (Process.t * int) option) ref = ref (fun () -> None)
-  let n_created = ref 0
-  let n_resolved = ref 0
-  (* Labeled promises, newest first. Only a pending one can be reported,
-     so resolved entries are dropped whenever the list has doubled since
-     the last prune: amortised O(1) per promise, and a resolved promise
-     (with its value) is not kept alive until the run ends. *)
-  let tracked : tracked list ref = ref []
-  let n_tracked = ref 0
-  let prune_at = ref 1024
-
-  let track tr =
-    tracked := tr :: !tracked;
-    incr n_tracked;
-    if !n_tracked >= !prune_at then begin
-      tracked := List.filter (fun tr -> tr.tr_pending ()) !tracked;
-      n_tracked := List.length !tracked;
-      prune_at := max 1024 (2 * !n_tracked)
+  (* Only a pending labeled promise can be reported, so resolved entries
+     are dropped whenever the list has doubled since the last prune:
+     amortised O(1) per promise, and a resolved promise (with its value)
+     is not kept alive until the run ends. *)
+  let track (run : Run.t) tr =
+    run.tracked <- tr :: run.tracked;
+    run.n_tracked <- run.n_tracked + 1;
+    if run.n_tracked >= run.prune_at then begin
+      run.tracked <- List.filter (fun tr -> tr.Run.tr_pending ()) run.tracked;
+      run.n_tracked <- List.length run.tracked;
+      run.prune_at <- max 1024 (2 * run.n_tracked)
     end
 
-  let doubles : (string * int ref) list ref = ref []
-  let detach_fails : (string * int ref) list ref = ref []
-
   let bump table name =
-    match List.assoc_opt name !table with
-    | Some r -> incr r
-    | None -> table := (name, ref 1) :: !table
-
-  let reset () =
-    n_created := 0;
-    n_resolved := 0;
-    tracked := [];
-    n_tracked := 0;
-    prune_at := 1024;
-    doubles := [];
-    detach_fails := []
-
-  let enable ~owner =
-    reset ();
-    owner_source := owner;
-    enabled := true
-
-  let disable () =
-    enabled := false;
-    owner_source := (fun () -> None);
-    reset ()
+    match List.assoc_opt name table with
+    | Some r ->
+        incr r;
+        table
+    | None -> (name, ref 1) :: table
 
   let owner_live = function
     | None -> true
     | Some (p, inc) -> Process.is_live p inc
 
-  let render table = List.sort compare (List.map (fun (k, r) -> (k, !r)) !table)
+  let render table = List.sort compare (List.map (fun (k, r) -> (k, !r)) table)
 
   let snapshot () =
-    let leaks = ref [] in
-    List.iter
-      (fun tr ->
-        if tr.tr_pending () && tr.tr_waited () && owner_live tr.tr_owner then
-          bump leaks tr.tr_label)
-      !tracked;
+    let run = !Run.latest in
+    let leaks =
+      List.fold_left
+        (fun leaks (tr : Run.tracked) ->
+          if tr.tr_pending () && tr.tr_waited () && owner_live tr.tr_owner then
+            bump leaks tr.tr_label
+          else leaks)
+        [] run.tracked
+    in
     {
-      lr_created = !n_created;
-      lr_resolved = !n_resolved;
+      lr_created = run.n_created;
+      lr_resolved = run.n_resolved;
       lr_leaked = render leaks;
-      lr_double_resolved = render doubles;
-      lr_detach_failures = render detach_fails;
+      lr_double_resolved = render run.doubles;
+      lr_detach_failures = render run.detach_fails;
     }
 end
 
 let make ?label () =
   let f = { state = Pending []; lbl = (match label with Some l -> l | None -> "") } in
-  if !Lifecycle.enabled then begin
-    incr Lifecycle.n_created;
+  let run = !Run.latest in
+  if run.running then begin
+    run.n_created <- run.n_created + 1;
     if f.lbl <> "" then
-      Lifecycle.track
+      Lifecycle.track run
         {
-          Lifecycle.tr_label = f.lbl;
-          tr_owner = !Lifecycle.owner_source ();
+          Run.tr_label = f.lbl;
+          tr_owner = Option.map (fun p -> (p, p.Run.incarnation)) run.proc_ctx;
           tr_pending = (fun () -> is_pending f);
           tr_waited = (fun () -> has_waiters f);
         }
@@ -144,7 +106,8 @@ let resolve_with t r =
   | Resolved _ -> invalid_arg "Future: already resolved"
   | Pending cbs ->
       t.state <- Resolved r;
-      if !Lifecycle.enabled then incr Lifecycle.n_resolved;
+      let run = !Run.latest in
+      if run.running then run.n_resolved <- run.n_resolved + 1;
       List.iter (fun cb -> cb r) (List.rev cbs)
 
 let fulfill p v = resolve_with p (Ok v)
@@ -153,8 +116,8 @@ let break p e = resolve_with p (Error e)
 let try_resolve_with t r =
   match t.state with
   | Resolved _ ->
-      if !Lifecycle.enabled && t.lbl <> "" then
-        Lifecycle.bump Lifecycle.doubles t.lbl;
+      let run = !Run.latest in
+      if run.running && t.lbl <> "" then run.doubles <- Lifecycle.bump run.doubles t.lbl;
       false
   | Pending _ ->
       resolve_with t r;
@@ -292,7 +255,8 @@ let race ts =
    report); successes are dropped. *)
 let detach ~name t =
   let on_error e =
-    if !Lifecycle.enabled then Lifecycle.bump Lifecycle.detach_fails name;
+    let run = !Run.latest in
+    if run.running then run.detach_fails <- Lifecycle.bump run.detach_fails name;
     Trace.emit "future_detached_error"
       [ ("actor", name); ("exn", Printexc.to_string e) ]
   in

@@ -39,8 +39,8 @@ val break : 'a promise -> exn -> unit
 val try_fulfill : 'a promise -> 'a -> bool
 (** Like {!fulfill} but reports [false] instead of raising when the future is
     already resolved (races between a reply and a timeout are normal).
-    While the lifecycle sanitizer is enabled, a [false] on a labeled
-    promise is tallied in the run report's double-resolve table. *)
+    During a simulation run, a [false] on a labeled promise is tallied in
+    the run report's double-resolve table. *)
 
 val try_break : 'a promise -> exn -> bool
 (** Like {!break}, non-raising. *)
@@ -92,13 +92,13 @@ end
 
 module Lifecycle : sig
   (** The promise-lifecycle sanitizer: runtime backstop behind lint rule
-      R6. Enabled by {!Engine.run} for the duration of a simulation; pure
-      bookkeeping (no trace events, no scheduling), so it never perturbs a
-      run's trace checksum. *)
+      R6. It tracks promises while a simulation runs, in the run's own
+      record ({!Run.t}); pure bookkeeping (no trace events, no
+      scheduling), so it never perturbs a run's trace checksum. *)
 
-  type report = {
-    lr_created : int;  (** promises created via {!make} while enabled *)
-    lr_resolved : int;  (** promises resolved (either way) while enabled *)
+  type report = Run.report = {
+    lr_created : int;  (** promises created via {!make} during the run *)
+    lr_resolved : int;  (** promises resolved (either way) during the run *)
     lr_leaked : (string * int) list;
         (** label -> count of labeled promises still pending with waiters
             whose creating process is still live: leaked wakeups. *)
@@ -112,14 +112,8 @@ module Lifecycle : sig
   val empty : report
   val total_leaks : report -> int
 
-  val enable : owner:(unit -> (Process.t * int) option) -> unit
-  (** Reset and start tracking; [owner] supplies the creating process (and
-      incarnation) for each labeled promise — the engine wires its current
-      process context in. *)
-
-  val disable : unit -> unit
-
   val snapshot : unit -> report
-  (** The report for the tracking period so far. Leak status is evaluated
-      at call time (the engine calls this once, at simulation end). *)
+  (** The report for the current run so far. A labeled promise's owner is
+      the process context it was created in. Leak status is evaluated at
+      call time (the engine calls this once, at simulation end). *)
 end

@@ -1,11 +1,11 @@
-type machine = {
+type machine = Run.machine = {
   machine_id : int;
   dc : string;
   rack : string;
   mutable machine_processes : t list;
 }
 
-and t = {
+and t = Run.process = {
   pid : int;
   name : string;
   machine : machine;
@@ -17,17 +17,15 @@ and t = {
   mutable reboot_hooks : (unit -> unit) list;
 }
 
-let next_pid = ref 0
-let reset_pids () = next_pid := 0
-
 let fresh_machine ?(dc = "dc0") ?(rack = "rack0") machine_id =
   { machine_id; dc; rack; machine_processes = [] }
 
 let create ?(name = "process") machine =
-  incr next_pid;
+  let run = !Run.latest in
+  run.next_pid <- run.next_pid + 1;
   let p =
     {
-      pid = !next_pid;
+      pid = run.next_pid;
       name;
       machine;
       alive = true;

@@ -7,14 +7,14 @@
     every scheduled task captures the incarnation of its owning process and
     is dropped by the engine if the process has died or rebooted since. *)
 
-type machine = {
+type machine = Run.machine = {
   machine_id : int;
   dc : string;  (** datacenter / availability-zone fault domain *)
   rack : string;  (** rack fault domain within the DC *)
   mutable machine_processes : t list;
 }
 
-and t = {
+and t = Run.process = {
   pid : int;
   name : string;  (** human-readable role name, for traces *)
   machine : machine;
@@ -31,11 +31,9 @@ val fresh_machine : ?dc:string -> ?rack:string -> int -> machine
 (** [fresh_machine id] makes a machine with no processes yet. *)
 
 val create : ?name:string -> machine -> t
-(** Make a live process on [machine] (registers itself with the machine). *)
-
-val reset_pids : unit -> unit
-(** Restart pid allocation from 0. Called by {!Engine.run} so that reruns of
-    the same seed within one OS process assign identical pids — required for
+(** Make a live process on [machine] (registers itself with the machine).
+    Pids count from 1 in each {!Engine.run}, so reruns of the same seed
+    within one OS process assign identical pids — required for
     bit-identical metric dumps (the registry keys cells by pid). *)
 
 val is_live : t -> int -> bool

@@ -1,26 +1,13 @@
-type event = { te_time : float; te_name : string; te_fields : (string * string) list }
+type event = Run.event = { te_time : float; te_name : string; te_fields : (string * string) list }
 
-let buffer : event list ref = ref []
-let clock : (unit -> float) ref = ref (fun () -> 0.0)
-
-(* The engine registers itself here to fold every emitted event into its
-   running trace checksum (the double-run determinism oracle). Called on
-   every emit. *)
-let observer : (string -> unit) ref = ref (fun _ -> ())
-
-let reset () =
-  buffer := [];
-  clock := fun () -> 0.0
-
-let set_clock f = clock := f
-let set_observer f = observer := f
-let clear_observer () = observer := (fun _ -> ())
-
+(* Every event kind emitted during a run is folded into the run's trace
+   checksum (the double-run determinism oracle). *)
 let emit name fields =
-  !observer name;
-  buffer := { te_time = !clock (); te_name = name; te_fields = fields } :: !buffer
+  let run = !Run.latest in
+  if run.running then run.csum <- Run.fnv1a_string run.csum name;
+  run.events <- { te_time = run.clock; te_name = name; te_fields = fields } :: run.events
 
-let events () = List.rev !buffer
+let events () = List.rev !Run.latest.events
 
 let dump fmt () =
   List.iter
@@ -31,4 +18,4 @@ let dump fmt () =
     (events ())
 
 let count name =
-  List.fold_left (fun acc e -> if e.te_name = name then acc + 1 else acc) 0 !buffer
+  List.fold_left (fun acc e -> if e.te_name = name then acc + 1 else acc) 0 !Run.latest.events

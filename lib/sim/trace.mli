@@ -2,23 +2,13 @@
 
     Roles emit trace events (like FDB's TraceEvent); tests compare traces
     across runs to assert determinism, and the CLI can dump them for
-    debugging a failing seed. Collection is cheap and always on. *)
+    debugging a failing seed. Collection is cheap and always on. The trace
+    belongs to the current {!Run.t}: each {!Engine.run} starts an empty
+    one, every event kind emitted during the run is folded into the run's
+    checksum ({!Engine.last_run_checksum}), and the trace stays readable
+    after the run ends. *)
 
-type event = { te_time : float; te_name : string; te_fields : (string * string) list }
-
-val reset : unit -> unit
-(** Drop all collected events (called by {!Engine.run}). The simulated
-    clock source is also re-armed. *)
-
-val set_clock : (unit -> float) -> unit
-(** Install the time source (the engine installs its virtual clock). *)
-
-val set_observer : (string -> unit) -> unit
-(** Install a hook called with every emitted event name. The engine uses
-    it to fold event kinds into its run checksum; there is at most one
-    observer. *)
-
-val clear_observer : unit -> unit
+type event = Run.event = { te_time : float; te_name : string; te_fields : (string * string) list }
 
 val emit : string -> (string * string) list -> unit
 (** Record one event at the current time. *)

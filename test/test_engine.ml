@@ -150,23 +150,56 @@ let test_spawn_error_traced () =
   Alcotest.(check int) "actor error traced" 1 count
 
 let test_max_time_guard () =
+  (* The guard ends a buggified run by an exception after it has made
+     processes, fired more points and leaked a promise; none of that
+     reaches the next run, so the same seed observes what it did before. *)
+  let points n = List.init n (fun i -> String.make 1 (Char.chr (Char.code 'a' + i))) in
+  let fire names = List.iter (fun name -> ignore (Buggify.on ~p:1.0 name : bool)) names in
+  let observe () =
+    let pid =
+      Engine.run ~seed:7L ~buggify:true (fun () ->
+          let p = Process.create (Process.fresh_machine 1) in
+          fire (points 8);
+          Future.return p.Process.pid)
+    in
+    (pid, Engine.last_run_checksum (), Buggify.points_hit (), Engine.last_run_lifecycle ())
+  in
+  let first = observe () in
   Alcotest.(check bool) "max_time raises" true
     (try
-       Engine.run ~max_time:10.0 (fun () ->
+       Engine.run ~seed:7L ~buggify:true ~max_time:10.0 (fun () ->
+           let m = Process.fresh_machine 1 in
            let rec loop () =
+             let p = Process.create m in
+             let fut, _ = Future.make ~label:"test.guard" () in
+             Engine.with_process p (fun () -> Future.on_resolve fut (fun _ -> ()));
+             fire (List.rev (points 26));
              let* () = Engine.sleep 1.0 in
              loop ()
            in
            loop ())
-     with Failure _ -> true)
+     with Failure _ -> true);
+  Alcotest.(check bool) "same seed, same run after the abort" true (first = observe ())
 
 let test_no_nested_runs () =
-  Alcotest.(check bool) "nested run rejected" true
-    (Engine.run (fun () ->
-         Future.return
-           (try
-              Engine.run (fun () -> Future.return false)
-            with Failure _ -> true)))
+  let rejected, outer =
+    Engine.run (fun () ->
+        let m = Process.fresh_machine 1 in
+        let p1 = Process.create m in
+        Trace.emit "outer" [];
+        let* () = Engine.sleep 1.0 in
+        let rejected =
+          try Engine.run (fun () -> Future.return false) with Failure _ -> true
+        in
+        Trace.emit "outer" [];
+        let p2 = Process.create m in
+        let* () = Engine.sleep 1.0 in
+        Future.return
+          (rejected, (Trace.count "outer", p2.Process.pid - p1.Process.pid, Engine.now ())))
+  in
+  Alcotest.(check bool) "nested run rejected" true rejected;
+  Alcotest.(check (triple int int (float 1e-9)))
+    "outer trace, pids and clock undisturbed" (2, 1, 2.0) outer
 
 let test_buggify_off_by_default () =
   let fired =
@@ -183,7 +216,10 @@ let test_buggify_fires_when_enabled () =
       Engine.run ~seed:(Int64.of_int seed) ~buggify:true (fun () ->
           Future.return (Buggify.on ~p:1.0 "test_point"))
     in
-    if fired then fired_any := true
+    if fired then begin
+      fired_any := true;
+      Alcotest.(check bool) "inert once the run is over" false (Buggify.on ~p:1.0 "test_point")
+    end
   done;
   Alcotest.(check bool) "fires under some seed" true !fired_any
 

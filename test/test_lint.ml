@@ -55,6 +55,15 @@ let test_r4_library_only () =
     "lib/ code may not" 1
     (count_rule Lint.R4 (Lint.lint_source ~path:"lib/obs/status.ml" src))
 
+let test_r8_library_only () =
+  let src = "let cache = Hashtbl.create 16\n" in
+  Alcotest.(check int)
+    "bin/ drivers may keep process-wide state" 0
+    (count_rule Lint.R8 (Lint.lint_source ~path:"bin/tool.ml" src));
+  Alcotest.(check int)
+    "lib/ code may not" 1
+    (count_rule Lint.R8 (Lint.lint_source ~path:"lib/core/x.ml" src))
+
 let test_r3_annotated_ok () =
   let src = "let f p = ignore (Future.try_fulfill p () : bool)\n" in
   Alcotest.(check int)
@@ -261,6 +270,7 @@ let suite =
     Alcotest.test_case "golden: R6 discards" `Quick (golden "r6_discard");
     Alcotest.test_case "golden: R6 detach clean" `Quick (golden "r6_detach");
     Alcotest.test_case "golden: stale suppression" `Quick (golden "stale_suppression");
+    Alcotest.test_case "golden: R8 module-level state" `Quick (golden "r8_globals");
     Alcotest.test_case "golden: R6 json" `Quick (golden_json "r6_discard");
     Alcotest.test_case "R5 lib only" `Quick test_r5_lib_only;
     Alcotest.test_case "R5 literal bind" `Quick test_r5_bind_literal;
@@ -272,6 +282,7 @@ let suite =
     Alcotest.test_case "R1 det_rng exemption" `Quick test_r1_det_rng_exempt;
     Alcotest.test_case "R2 lib/util exemption" `Quick test_r2_util_exempt;
     Alcotest.test_case "R4 library only" `Quick test_r4_library_only;
+    Alcotest.test_case "R8 library only" `Quick test_r8_library_only;
     Alcotest.test_case "R3 annotated ok" `Quick test_r3_annotated_ok;
     Alcotest.test_case "open/alias Unix flagged" `Quick test_open_unix_flagged;
     Alcotest.test_case "same-line suppression" `Quick test_same_line_suppression;
