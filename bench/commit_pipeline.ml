@@ -1,10 +1,11 @@
-(* Commit-pipeline bench: the serial commit path (pipeline depth 1 — the
-   pre-pipeline [Proxy.commit_flush], kept verbatim inside proxy.ml as the
-   dispatch fallback) vs the bounded pipeline (depth
+(* Commit-pipeline bench: the serial commit path (pipeline depth 1,
+   [Proxy.commit_flush_serial]) vs the bounded pipeline (depth
    [Config.proxy_commit_pipeline_depth]) on a single-proxy cluster, under
    an open-loop blind-write load at several offered rates. Records
    committed txn/s and client-observed commit latency p50/p99 per load
-   into BENCH_commit.json, plus the speedup at the saturating load.
+   into BENCH_commit.json, plus the speedup at the saturating load. Fails
+   if that speedup drops below 2x or if the pipelined p50 at 2,000 offered
+   txn/s exceeds 2.6 ms.
 
    The batch cap is pinned small for the bench: with the default 512 a
    single batch absorbs the whole offered load and the comparison would
@@ -108,6 +109,10 @@ let write_json ~smoke ~depth ~batch_cap ~rows ~speedup =
   close_out oc;
   Printf.printf "wrote BENCH_commit.json\n%!"
 
+(* The low offered load and the pipelined commit p50 it must stay under. *)
+let low_load = 2_000.0
+let low_load_p50_ms = 2.6
+
 let run ?(smoke = false) () =
   Bench_util.header
     "Commit pipeline: serial batches (depth 1) vs overlapped in-flight batches";
@@ -115,8 +120,8 @@ let run ?(smoke = false) () =
   let batch_cap = 8 in
   let universe = 10_000 in
   let loads =
-    if smoke then [ 2_000.0; 6_000.0; 20_000.0 ]
-    else [ 2_000.0; 4_000.0; 8_000.0; 14_000.0; 20_000.0 ]
+    if smoke then [ low_load; 6_000.0; 20_000.0 ]
+    else [ low_load; 4_000.0; 8_000.0; 14_000.0; 20_000.0 ]
   in
   let warmup = 0.5 and measure = if smoke then 1.5 else 4.0 in
   let rows =
@@ -150,4 +155,14 @@ let run ?(smoke = false) () =
     failwith
       (Printf.sprintf
          "commit pipeline speedup regressed: %.2fx < 2x at saturating load"
-         speedup)
+         speedup);
+  (* Low-load floor: at 2,000 offered txn/s a batch waits on nothing but
+     its predecessor, so the commit latency is the round trips alone. *)
+  List.iter
+    (fun (offered, _, (pipelined : point)) ->
+      if offered = low_load && pipelined.p50_ms > low_load_p50_ms then
+        failwith
+          (Printf.sprintf
+             "commit latency at low load regressed: pipelined p50 %.2f ms > %.1f ms at %.0f/s"
+             pipelined.p50_ms low_load_p50_ms offered))
+    rows

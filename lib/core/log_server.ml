@@ -38,12 +38,19 @@ type t = {
   (* Long-poll peeks past [rcv], oldest first: (tag, from_version, reply).
      Any push that advances [rcv] past a peek's version answers it. *)
   mutable parked_peeks : (Types.tag * Types.version * Message.t Future.promise) list;
-  (* Records appended to disk but not yet synced, with their promises. *)
+  (* Records whose append was issued but that no sync has covered yet,
+     with their promises. *)
   mutable waiting_sync : (Types.version * unit Future.promise) list;
-  mutable sync_scheduled : bool;
+  mutable sync_scheduled : bool; (* a sync is in flight *)
+  (* The DV the first [Log_lock] reply reported ([Int64.max_int] while
+     unlocked). A push is never acknowledged above it: a record accepted
+     before the lock may become durable after it, but the recovery may
+     already have chosen a version below it. *)
+  mutable ack_limit : Types.version;
   mutable unpopped_bytes : int;
   (* metrics plane *)
   obs_append_lat : Fdb_obs.Registry.timer;
+  obs_sync_batch : Fdb_obs.Registry.timer;
   obs_pushes : Fdb_obs.Registry.counter;
   obs_push_bytes : Fdb_obs.Registry.counter;
   obs_dv : Fdb_obs.Registry.gauge;
@@ -127,37 +134,42 @@ let index_payload t (e : Message.log_entry) =
         tm_tags)
     e.Message.le_payload
 
-(* Group-commit: one sync covers every record appended before it. *)
+(* Group commit: one sync in flight. It covers every record appended
+   before it was issued; the records appended while it runs ride the next
+   one, issued as soon as it returns. *)
 let rec schedule_sync t =
   if not t.sync_scheduled then begin
     t.sync_scheduled <- true;
     let extra = Buggify.delay ~p:0.03 "tlog_slow_sync" /. 10.0 in
-    Engine.schedule ~after:(5e-4 +. extra) ~process:t.proc (fun () ->
-        t.sync_scheduled <- false;
+    Engine.spawn ~process:t.proc "tlog-sync" (fun () ->
+        let* () = if extra > 0.0 then Engine.sleep extra else Future.return () in
         let batch = List.rev t.waiting_sync in
         t.waiting_sync <- [];
-        if batch <> [] then
-          Engine.spawn ~process:t.proc "tlog-sync" (fun () ->
-              let* () = Disk.sync t.disk t.wal in
-              List.iter
-                (fun (lsn, promise) ->
-                  if lsn > t.dv then t.dv <- lsn;
-                  (* A false fulfil would lose a durability ack: trace it. *)
-                  if not (Future.try_fulfill promise ()) then
-                    Trace.emit "tlog_sync_ack_lost"
-                      [ ("lsn", Int64.to_string lsn) ])
-                batch;
-              if t.waiting_sync <> [] then schedule_sync t;
-              Future.return ()))
+        Fdb_obs.Registry.observe t.obs_sync_batch (float_of_int (List.length batch));
+        let* () = Disk.sync t.disk t.wal in
+        List.iter
+          (fun (lsn, promise) ->
+            if lsn > t.dv then t.dv <- lsn;
+            (* A false fulfil would lose a durability ack: trace it. *)
+            if not (Future.try_fulfill promise ()) then
+              Trace.emit "tlog_sync_ack_lost" [ ("lsn", Int64.to_string lsn) ])
+          batch;
+        t.sync_scheduled <- false;
+        if t.waiting_sync <> [] then schedule_sync t;
+        Future.return ())
   end
 
+(* The record joins the sync batch as soon as its append is issued: the
+   disk serves requests in order, so a sync issued after the append covers
+   it. *)
 let persist_entry t (e : Message.log_entry) =
   let t0 = Engine.now () in
   let record = Marshal.to_string (e : Message.log_entry) [] in
-  let* () = Disk.append t.disk t.wal record in
+  let appended = Disk.append t.disk t.wal record in
   let fut, promise = Future.make ~label:"tlog.sync_wait" () in
   t.waiting_sync <- (e.Message.le_lsn, promise) :: t.waiting_sync;
   schedule_sync t;
+  let* () = appended in
   Future.map fut (fun () ->
       Fdb_obs.Registry.observe t.obs_append_lat (Engine.now () -. t0);
       Fdb_obs.Registry.set_gauge t.obs_dv (Int64.to_float t.dv))
@@ -191,6 +203,11 @@ let wake_peeks t =
       ready
   end
 
+(* The reply to a push of [lsn] once it is durable. *)
+let push_reply t lsn =
+  if lsn > t.ack_limit then Message.Reject Error.Wrong_epoch
+  else Message.Log_push_ack { durable_version = min t.dv t.ack_limit }
+
 (* Accept an in-chain-order record: index it, persist it, and return the
    durability future. Then drain any pending successors and answer the
    peeks the new [rcv] has reached. *)
@@ -211,10 +228,7 @@ let rec accept t (e : Message.log_entry) =
          durable (the group-commit sync covers both appends). *)
       let succ_durable = accept t successor in
       Future.on_resolve succ_durable (fun _ ->
-          if
-            not
-              (Future.try_fulfill promise
-                 (Message.Log_push_ack { durable_version = t.dv }))
+          if not (Future.try_fulfill promise (push_reply t successor.Message.le_lsn))
           then
             Trace.emit "tlog_parked_ack_lost"
               [ ("lsn", Int64.to_string successor.Message.le_lsn) ])
@@ -328,12 +342,12 @@ let handle t (msg : Message.t) : Message.t Future.t =
       else if Det_tbl.mem t.entries lp_entry.Message.le_lsn then
         (* Duplicate push: wait for durability of what we already have. *)
         if t.dv >= lp_entry.Message.le_lsn then
-          Future.return (Message.Log_push_ack { durable_version = t.dv })
+          Future.return (push_reply t lp_entry.Message.le_lsn)
         else
           let fut, promise = Future.make ~label:"tlog.sync_wait" () in
           t.waiting_sync <- (lp_entry.Message.le_lsn, promise) :: t.waiting_sync;
           schedule_sync t;
-          Future.map fut (fun () -> Message.Log_push_ack { durable_version = t.dv })
+          Future.map fut (fun () -> push_reply t lp_entry.Message.le_lsn)
       else begin
         let bytes = entry_bytes lp_entry in
         Fdb_obs.Registry.incr ~by:bytes t.obs_push_bytes;
@@ -343,7 +357,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
         in
         if lp_entry.Message.le_prev = t.rcv then
           let* () = accept t lp_entry in
-          Future.return (Message.Log_push_ack { durable_version = t.dv })
+          Future.return (push_reply t lp_entry.Message.le_lsn)
         else if lp_entry.Message.le_prev > t.rcv then begin
           (* Out of order: park with our reply promise; [accept] of the
              predecessor fulfills it once this record is durable in order,
@@ -391,6 +405,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
       if ll_epoch > t.epoch then begin
         if not t.stopped then begin
           t.stopped <- true;
+          t.ack_limit <- t.dv;
           (* Parked pushes can never be unparked now: reply with a definite
              rejection rather than letting their RPCs run out the clock
              (a broken handler future would send no reply at all). *)
@@ -439,6 +454,42 @@ let handle t (msg : Message.t) : Message.t Future.t =
       Future.return Message.Ok_reply
   | _ -> Future.return (Message.Reject (Error.Internal "tlog: unexpected message"))
 
+(* A LogServer whose chain starts at [start_lsn], before any record. *)
+let make ctx proc ~disk ~epoch ~id ~start_lsn ~floor ~stopped =
+  let metric kind name =
+    kind ctx.Context.metrics ~role:Fdb_obs.Registry.Log ~process:proc.Process.pid name
+  in
+  {
+    proc;
+    epoch;
+    id;
+    disk;
+    wal = wal_file ~epoch ~id;
+    floor_file = floor_file_name ~epoch ~id;
+    floor;
+    stopped;
+    dv = start_lsn;
+    rcv = start_lsn;
+    kcv = 0L;
+    entries = Det_tbl.create ~size:1024 ();
+    next = Hashtbl.create 1024;
+    pending = Det_tbl.create ~size:16 ();
+    parked_peeks = [];
+    per_tag = Hashtbl.create 64;
+    pop_floor = Det_tbl.create ~size:64 ();
+    waiting_sync = [];
+    sync_scheduled = false;
+    ack_limit = Int64.max_int;
+    unpopped_bytes = 0;
+    obs_append_lat = metric Fdb_obs.Registry.histogram "append_latency";
+    obs_sync_batch = metric Fdb_obs.Registry.histogram "sync_batch_size";
+    obs_pushes = metric Fdb_obs.Registry.counter "pushes";
+    obs_push_bytes = metric Fdb_obs.Registry.counter "push_bytes";
+    obs_dv = metric Fdb_obs.Registry.gauge "durable_version";
+    obs_rcv = metric Fdb_obs.Registry.gauge "received_version";
+    obs_unpopped = metric Fdb_obs.Registry.gauge "unpopped_bytes";
+  }
+
 (* Rebuild from disk after a crash: keep the contiguous chain prefix (plus
    seeds, which sit below start_lsn); serve only recovery traffic. *)
 let resurrect ctx proc ~disk ~(meta : meta) =
@@ -452,46 +503,8 @@ let resurrect ctx proc ~disk ~(meta : meta) =
     | _ -> meta.m_start_lsn
   in
   let t =
-    {
-      proc;
-      epoch = meta.m_epoch;
-      id = meta.m_id;
-      disk;
-      wal = wal_file ~epoch:meta.m_epoch ~id:meta.m_id;
-      floor_file = floor_file_name ~epoch:meta.m_epoch ~id:meta.m_id;
-      floor;
-      stopped = true;
-      dv = meta.m_start_lsn;
-      rcv = meta.m_start_lsn;
-      kcv = 0L;
-      entries = Det_tbl.create ~size:1024 ();
-      next = Hashtbl.create 1024;
-      pending = Det_tbl.create ~size:4 ();
-      parked_peeks = [];
-      per_tag = Hashtbl.create 64;
-      pop_floor = Det_tbl.create ~size:64 ();
-      waiting_sync = [];
-      sync_scheduled = false;
-      unpopped_bytes = 0;
-      obs_append_lat =
-        Fdb_obs.Registry.histogram ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "append_latency";
-      obs_pushes =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "pushes";
-      obs_push_bytes =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "push_bytes";
-      obs_dv =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "durable_version";
-      obs_rcv =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "received_version";
-      obs_unpopped =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "unpopped_bytes";
-    }
+    make ctx proc ~disk ~epoch:meta.m_epoch ~id:meta.m_id ~start_lsn:meta.m_start_lsn ~floor
+      ~stopped:true
   in
   let parsed =
     List.filter_map
@@ -544,48 +557,7 @@ let resurrect ctx proc ~disk ~(meta : meta) =
 let create ctx proc ~disk ~epoch ~id ~start_lsn =
   let ep = Network.fresh_endpoint ctx.Context.net in
   let meta = { m_epoch = epoch; m_id = id; m_start_lsn = start_lsn; m_endpoint = ep } in
-  let t =
-    {
-      proc;
-      epoch;
-      id;
-      disk;
-      wal = wal_file ~epoch ~id;
-      floor_file = floor_file_name ~epoch ~id;
-      floor = start_lsn;
-      stopped = false;
-      dv = start_lsn;
-      rcv = start_lsn;
-      kcv = 0L;
-      entries = Det_tbl.create ~size:1024 ();
-      next = Hashtbl.create 1024;
-      pending = Det_tbl.create ~size:16 ();
-      parked_peeks = [];
-      per_tag = Hashtbl.create 64;
-      pop_floor = Det_tbl.create ~size:64 ();
-      waiting_sync = [];
-      sync_scheduled = false;
-      unpopped_bytes = 0;
-      obs_append_lat =
-        Fdb_obs.Registry.histogram ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "append_latency";
-      obs_pushes =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "pushes";
-      obs_push_bytes =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "push_bytes";
-      obs_dv =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "durable_version";
-      obs_rcv =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "received_version";
-      obs_unpopped =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Log
-          ~process:proc.Process.pid "unpopped_bytes";
-    }
-  in
+  let t = make ctx proc ~disk ~epoch ~id ~start_lsn ~floor:start_lsn ~stopped:false in
   Disk.attach disk proc;
   Network.register ctx.Context.net ep proc (handle t);
   Engine.spawn ~process:proc "tlog-prune" (fun () -> prune_loop t);

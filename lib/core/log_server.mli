@@ -8,7 +8,9 @@
     the CPU charge and the memory only once. Records are persisted
     strictly in LSN-chain order and acknowledged only once durable, so the
     Durable Version (DV) is always chain-contiguous — the property the
-    recovery's [RV = min DV] rule depends on. StorageServers peek their
+    recovery's [RV = min DV] rule depends on. One sync is in flight at a
+    time; it covers every record appended before it was issued. A locked
+    server never acknowledges a push above the DV its lock reply reported. StorageServers peek their
     tag's stream (including not-yet-durable entries, §2.4.3 "aggressively
     fetch") and pop what they have persisted. A peek past the received
     version is a long poll: it is answered by the first push that reaches

@@ -28,8 +28,6 @@ let storage_per_range_key = 1.2e-6
 let storage_per_apply = 2e-6
 let storage_per_apply_byte = 4e-9
 
-let grv_batch_interval = 5e-4
-let commit_batch_interval = 1e-3
 let storage_pull_backoff = 5e-3
 let storage_durable_interval = 0.25
 let heartbeat_interval = 0.25

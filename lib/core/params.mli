@@ -45,11 +45,6 @@ val storage_per_apply_byte : float
 
 (* {2 Protocol timing} *)
 
-val grv_batch_interval : float
-
-val commit_batch_interval : float
-(** How long a proxy gathers commits into one batch (§2.6). *)
-
 val storage_pull_backoff : float
 (** How long a StorageServer waits before peeking again after a failed
     pull. A successful pull is followed by the next peek at once: peeks

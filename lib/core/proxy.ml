@@ -24,13 +24,13 @@ type t = {
   (* GRV batching + rate limiting. [Queue] gives O(1) enqueue/dequeue and
      an O(1) length, replacing the former list + List.rev/split shuffles. *)
   grv_queue : Message.t Future.promise Queue.t;
-  mutable grv_flush_scheduled : bool;
+  mutable grv_flush_running : bool; (* one Seq_grv batch in flight at most *)
   mutable rate : float; (* transactions/second budget from the Ratekeeper *)
   mutable tokens : float;
   mutable last_refill : float;
   (* commit batching + pipelining *)
   commit_queue : pending_commit Queue.t;
-  mutable commit_flush_scheduled : bool;
+  mutable commit_flush_scheduled : bool; (* a flush is pending, or the serial loop runs *)
   mutable commit_inflight : int;
   (* The pipeline's two ordering chains, each pointing at the most recently
      launched batch. [chain_version] resolves once that batch holds its
@@ -49,6 +49,8 @@ type t = {
   obs_commit_lat : Fdb_obs.Registry.timer;
   obs_resolve_lat : Fdb_obs.Registry.timer;
   obs_logpush_lat : Fdb_obs.Registry.timer;
+  obs_grv_batch : Fdb_obs.Registry.timer;
+  obs_commit_batch : Fdb_obs.Registry.timer;
   obs_grv_served : Fdb_obs.Registry.counter;
   obs_attempts : Fdb_obs.Registry.counter;
   obs_commits : Fdb_obs.Registry.counter;
@@ -107,9 +109,15 @@ let dequeue_up_to q n =
   in
   go n []
 
+(* Group commit for read versions: at most one Seq_grv batch is in flight.
+   The loop owns [grv_flush_running] from its start until it finds the queue
+   empty; the requests that arrive while a batch awaits the Sequencer form
+   the next batch, sent as soon as that reply is back. *)
 let rec grv_flush t =
-  t.grv_flush_scheduled <- false;
-  if Queue.is_empty t.grv_queue then Future.return ()
+  if Queue.is_empty t.grv_queue then begin
+    t.grv_flush_running <- false;
+    Future.return ()
+  end
   else begin
     refill_tokens t;
     let available = int_of_float t.tokens in
@@ -120,7 +128,9 @@ let rec grv_flush t =
     end
     else begin
       let batch = dequeue_up_to t.grv_queue available in
-      t.tokens <- t.tokens -. float_of_int (List.length batch);
+      let n = List.length batch in
+      t.tokens <- t.tokens -. float_of_int n;
+      Fdb_obs.Registry.observe t.obs_grv_batch (float_of_int n);
       let* reply =
         holding t Error.Database_locked (Array.of_list batch) (fun () ->
             let* () = Engine.cpu t.proc Params.proxy_per_batch in
@@ -132,29 +142,22 @@ let rec grv_flush t =
                 die t "sequencer unreachable (grv)";
                 Future.return (Message.Reject Error.Database_locked)))
       in
-      (match reply with
-      | Message.Seq_grv_reply { read_version; grv_epoch } ->
-          List.iter
-            (fun p ->
-              ignore
-                (Future.try_fulfill p
-                   (Message.Grv_reply { gv_version = read_version; gv_epoch = grv_epoch })
-                 : bool))
-            batch
-      | _ ->
-          List.iter
-            (fun p ->
-              ignore (Future.try_fulfill p (Message.Reject Error.Database_locked) : bool))
-            batch);
-      if not (Queue.is_empty t.grv_queue) then grv_flush t else Future.return ()
+      let answer =
+        match reply with
+        | Message.Seq_grv_reply { read_version; grv_epoch } ->
+            Message.Grv_reply { gv_version = read_version; gv_epoch = grv_epoch }
+        | _ -> Message.Reject Error.Database_locked
+      in
+      List.iter (fun p -> ignore (Future.try_fulfill p answer : bool)) batch;
+      grv_flush t
     end
   end
 
-let schedule_grv_flush t =
-  if not t.grv_flush_scheduled then begin
-    t.grv_flush_scheduled <- true;
-    Engine.schedule ~after:Params.grv_batch_interval ~process:t.proc (fun () ->
-        Engine.spawn ~process:t.proc "proxy-grv-flush" (fun () -> grv_flush t))
+(* An arrival at an idle proxy starts the loop at once. *)
+let start_grv_flush t =
+  if not t.grv_flush_running then begin
+    t.grv_flush_running <- true;
+    Engine.spawn ~process:t.proc "proxy-grv-flush" (fun () -> grv_flush t)
   end
 
 (* ---------- commit path ---------- *)
@@ -326,9 +329,16 @@ let reply_batch promises verdicts reply =
       ignore (Future.try_fulfill promises.(i) answer : bool))
     verdicts
 
+(* Dequeue the next commit batch, up to the batch cap. *)
+let take_commit_batch t =
+  let batch = dequeue_up_to t.commit_queue t.ctx.Context.config.Config.max_commit_batch in
+  Fdb_obs.Registry.set_gauge t.obs_queue_depth (float_of_int (Queue.length t.commit_queue));
+  Fdb_obs.Registry.observe t.obs_commit_batch (float_of_int (List.length batch));
+  batch
+
 (* ---------- the serial commit path (pipeline depth 1) ----------
 
-   The pre-pipeline implementation, kept verbatim as the baseline the
+   The pre-pipeline implementation, kept as the baseline the
    commit-pipeline benchmark and the serial-vs-pipelined equivalence tests
    run against: one batch at a time, each awaited end-to-end (version RPC,
    resolve, log push, report) before the next starts. *)
@@ -407,27 +417,22 @@ let commit_batch t (batch : pending_commit list) =
         promises;
       Future.return ()
 
+(* Plain group commit: the loop owns [commit_flush_scheduled] until it finds
+   the queue empty, and each batch is whatever queued while the previous
+   one ran. *)
 let rec commit_flush_serial t =
-  t.commit_flush_scheduled <- false;
-  if Queue.is_empty t.commit_queue then Future.return ()
-  else if t.commit_inflight >= 1 then
-    (* A racing flush (scheduled while the running one awaited its batch)
-       must not start a second concurrent batch: depth 1 means one batch in
-       flight, full stop. The running loop drains the queue. *)
+  if Queue.is_empty t.commit_queue then begin
+    t.commit_flush_scheduled <- false;
     Future.return ()
+  end
   else begin
-    let batch =
-      dequeue_up_to t.commit_queue t.ctx.Context.config.Config.max_commit_batch
-    in
-    Fdb_obs.Registry.set_gauge t.obs_queue_depth
-      (float_of_int (Queue.length t.commit_queue));
+    let batch = take_commit_batch t in
     t.commit_inflight <- 1;
     Fdb_obs.Registry.set_gauge t.obs_inflight 1.0;
     let* () = commit_batch t batch in
     t.commit_inflight <- 0;
     Fdb_obs.Registry.set_gauge t.obs_inflight 0.0;
-    if not (Queue.is_empty t.commit_queue) then commit_flush_serial t
-    else Future.return ()
+    commit_flush_serial t
   end
 
 (* ---------- the pipelined commit path (§2.4.1 LSN chaining) ----------
@@ -575,16 +580,12 @@ let rec commit_flush_pipelined t =
     Future.return ()
   end
   else if
-    t.commit_inflight >= max 1 t.ctx.Context.config.Config.proxy_commit_pipeline_depth
+    t.commit_inflight >= t.ctx.Context.config.Config.proxy_commit_pipeline_depth
   then
-    (* Pipeline full: a completing batch re-runs the flush. *)
+    (* Pipeline full: a completing batch schedules the next flush. *)
     Future.return ()
   else begin
-    let batch =
-      dequeue_up_to t.commit_queue t.ctx.Context.config.Config.max_commit_batch
-    in
-    Fdb_obs.Registry.set_gauge t.obs_queue_depth
-      (float_of_int (Queue.length t.commit_queue));
+    let batch = take_commit_batch t in
     let version_gate = t.chain_version and prev_done = t.chain_done in
     let version_fut, version_ready = Future.make ~label:"proxy.chain_version" () in
     let done_fut, done_p = Future.make ~label:"proxy.chain_done" () in
@@ -599,24 +600,24 @@ let rec commit_flush_pipelined t =
         in
         t.commit_inflight <- t.commit_inflight - 1;
         Fdb_obs.Registry.set_gauge t.obs_inflight (float_of_int t.commit_inflight);
-        if Queue.is_empty t.commit_queue then Future.return ()
-        else commit_flush_pipelined t);
-    (* Keep launching while the depth and the queue allow. *)
-    if Queue.is_empty t.commit_queue then Future.return ()
-    else commit_flush_pipelined t
+        schedule_commit_flush t;
+        Future.return ());
+    schedule_commit_flush t;
+    Future.return ()
   end
 
-let commit_flush t =
-  if t.ctx.Context.config.Config.proxy_commit_pipeline_depth <= 1 then
-    commit_flush_serial t
-  else commit_flush_pipelined t
-
-let schedule_commit_flush t ~now =
-  if not t.commit_flush_scheduled then begin
+(* The next batch leaves once the last one launched holds its version
+   ([chain_version]), so it is whatever queued meanwhile. Depth 1 never
+   moves the chain: its loop starts at once and drains the queue itself. *)
+and schedule_commit_flush t =
+  if (not t.commit_flush_scheduled) && not (Queue.is_empty t.commit_queue) then begin
     t.commit_flush_scheduled <- true;
-    let delay = if now then 0.0 else Params.commit_batch_interval in
-    Engine.schedule ~after:delay ~process:t.proc (fun () ->
-        Engine.spawn ~process:t.proc "proxy-commit-flush" (fun () -> commit_flush t))
+    Engine.spawn ~process:t.proc "proxy-commit-flush" (fun () ->
+        if t.ctx.Context.config.Config.proxy_commit_pipeline_depth <= 1 then
+          commit_flush_serial t
+        else
+          let* () = t.chain_version in
+          commit_flush_pipelined t)
   end
 
 (* ---------- rate polling ---------- *)
@@ -661,7 +662,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
     | Message.Grv_req ->
         let fut, promise = Future.make ~label:"proxy.grv_reply" () in
         Queue.push promise t.grv_queue;
-        schedule_grv_flush t;
+        start_grv_flush t;
         let t0 = Engine.now () in
         Future.map fut (fun reply ->
             (match reply with
@@ -676,10 +677,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
         Queue.push (txn, promise) t.commit_queue;
         Fdb_obs.Registry.set_gauge t.obs_queue_depth
           (float_of_int (Queue.length t.commit_queue));
-        schedule_commit_flush t
-          ~now:
-            (Queue.length t.commit_queue
-            >= t.ctx.Context.config.Config.max_commit_batch);
+        schedule_commit_flush t;
         let t0 = Engine.now () in
         Future.map fut (fun reply ->
             (match reply with
@@ -708,7 +706,7 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
       kcv = recovery_version;
       dead = false;
       grv_queue = Queue.create ();
-      grv_flush_scheduled = false;
+      grv_flush_running = false;
       rate = 1e5;
       tokens = 2000.0;
       last_refill = Engine.now ();
@@ -722,6 +720,8 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
       obs_commit_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_latency";
       obs_resolve_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_resolve_latency";
       obs_logpush_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_logpush_latency";
+      obs_grv_batch = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "grv_batch_size";
+      obs_commit_batch = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_batch_size";
       obs_grv_served = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Proxy ~process:pid "grv_served";
       obs_attempts = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_attempts";
       obs_commits = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commits";

@@ -20,8 +20,11 @@
     re-orders out-of-order arrivals — while an in-order completion stage
     keeps [Seq_report]s LSN-ordered, the KCV monotone, and fails every
     in-flight batch after a failed one (see DESIGN.md "The commit
-    pipeline"). Depth 1 is the serial pre-pipeline path, kept verbatim as
-    the benchmark baseline. *)
+    pipeline"). Depth 1 is the serial path, the benchmark baseline.
+
+    No batch waits on a timer: a GRV batch is whatever queued while the
+    previous one awaited the Sequencer, and a commit batch whatever queued
+    until the previous one held its version. *)
 
 type t
 

@@ -1,6 +1,7 @@
 (* Roll-up: aggregate the per-process registry into a per-role
    status document in the spirit of FDB's `\xff\xff/status/json` — summed
-   counters, min/max gauges, merged latency histograms with percentiles.
+   counters, min/max gauges, merged latency histograms with percentiles,
+   and merged size histograms (those named [*_size], such as batch sizes).
    The document is machine-readable (sorted keys, canonical float rendering),
    so two runs of the same seed serialize to identical bytes. *)
 
@@ -20,7 +21,8 @@ type role_doc = {
   rd_processes : int;
   rd_counters : (string * int) list; (* summed across processes *)
   rd_gauges : (string * (float * float)) list; (* (min, max) across processes *)
-  rd_latencies : (string * lat) list; (* merged histograms *)
+  rd_latencies : (string * lat) list; (* merged histograms, in seconds *)
+  rd_sizes : (string * lat) list; (* merged histograms named [*_size], in items *)
 }
 
 type doc = { d_time : float; d_roles : role_doc list }
@@ -70,14 +72,19 @@ let snapshot ~now (reg : Registry.t) : doc =
           all_entries;
         if Det_tbl.length procs = 0 then None
         else
+          let sizes, latencies =
+            List.partition
+              (fun (n, _) -> String.ends_with ~suffix:"_size" n)
+              (List.map (fun (n, h) -> (n, lat_of_hist h)) (Det_tbl.to_sorted_list hists))
+          in
           Some
             {
               rd_role = Registry.role_name role;
               rd_processes = Det_tbl.length procs;
               rd_counters = Det_tbl.to_sorted_list counters;
               rd_gauges = Det_tbl.to_sorted_list gauges;
-              rd_latencies =
-                List.map (fun (n, h) -> (n, lat_of_hist h)) (Det_tbl.to_sorted_list hists);
+              rd_latencies = latencies;
+              rd_sizes = sizes;
             })
       Registry.all_roles
   in
@@ -127,6 +134,11 @@ let json_of_role_doc b (rd : role_doc) =
            (json_float (l.l_p50 *. 1e3))
            (json_float (l.l_p99 *. 1e3))
            (json_float (l.l_max *. 1e3))));
+  buf_kv b first "sizes"
+    (obj rd.rd_sizes (fun l ->
+         Printf.sprintf "{\"count\":%d,\"mean\":%s,\"p50\":%s,\"p99\":%s,\"max\":%s}"
+           l.l_count (json_float l.l_mean) (json_float l.l_p50) (json_float l.l_p99)
+           (json_float l.l_max)));
   Buffer.add_char b '}'
 
 let json_of_doc (d : doc) =

@@ -223,7 +223,7 @@ let test_push_failure_fails_later_batches () =
               outcomes := (i, outcome_of_exn e) :: !outcomes;
               Future.return ())
         in
-        (* Steady drip of commits, one per half batch interval, so
+        (* Steady drip of commits, one every 0.5 ms, so
            batches form continuously; kill a log mid-stream. *)
         let n = 60 in
         let rec drip i acc =
@@ -234,7 +234,7 @@ let test_push_failure_fails_later_batches () =
               | p :: _ -> Engine.kill p
               | [] -> Alcotest.fail "no tlog process found");
             let f = submit i in
-            let* () = Engine.sleep (Params.commit_batch_interval /. 2.0) in
+            let* () = Engine.sleep 5e-4 in
             drip (i + 1) (f :: acc)
           end
         in
@@ -312,6 +312,60 @@ let test_pipeline_metrics_registered () =
   Alcotest.(check bool) "per-stage logpush timer recorded" true (logpush_n > 0);
   Alcotest.(check bool) "commit_latency still recorded" true (commit_n > 0)
 
+(* ---------- batches leave when the previous one allows ---------- *)
+
+(* The summed count and total of one proxy histogram. *)
+let proxy_hist cluster name =
+  let module R = Fdb_obs.Registry in
+  List.fold_left
+    (fun (n, total) (_, h) -> (n + Fdb_util.Histogram.count h, total +. Fdb_util.Histogram.total h))
+    (0, 0.0)
+    (R.histograms (Cluster.metrics cluster) ~role:R.Proxy name)
+
+(* On an idle cluster nothing holds a request back: a GRV costs the proxy
+   one Sequencer round trip, and a commit its round trips alone. *)
+let test_idle_batches_leave_at_once () =
+  let grv_s, commit_s =
+    Engine.run ~seed:5L ~max_time:1e5 (fun () ->
+        let cluster = Cluster.create () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"idle" in
+        let* (_ : Types.version) = Client.get_read_version (Client.begin_tx db) in
+        let* () = Engine.sleep 1.0 in
+        let n0, total0 = proxy_hist cluster "grv_latency" in
+        let tx = Client.begin_tx db in
+        let* (_ : Types.version) = Client.get_read_version tx in
+        let n1, total1 = proxy_hist cluster "grv_latency" in
+        Client.set tx "idle/k" "v";
+        let t0 = Engine.now () in
+        let* (_ : Types.version) = Client.commit tx in
+        Future.return ((total1 -. total0) /. float_of_int (n1 - n0), Engine.now () -. t0))
+  in
+  Alcotest.(check bool) (Printf.sprintf "proxy GRV latency %.3f ms < 0.5 ms" (grv_s *. 1e3))
+    true (grv_s < 5e-4);
+  Alcotest.(check bool) (Printf.sprintf "client commit latency %.3f ms < 3 ms" (commit_s *. 1e3))
+    true (commit_s < 3e-3)
+
+(* 40 GRVs sent to one proxy at one instant are served in at most two
+   batches: the first request's batch and whatever queued behind it. *)
+let test_grv_burst_batches () =
+  let batches, served =
+    Engine.run ~seed:5L ~max_time:1e5 (fun () ->
+        let cluster = Cluster.create ~config:{ Config.default with Config.proxies = 1 } () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"burst" in
+        let* (_ : Types.version) = Client.get_read_version (Client.begin_tx db) in
+        let* () = Engine.sleep 1.0 in
+        let n0, served0 = proxy_hist cluster "grv_batch_size" in
+        let* (_ : Types.version list) =
+          Future.all (List.init 40 (fun _ -> Client.get_read_version (Client.begin_tx db)))
+        in
+        let n1, served1 = proxy_hist cluster "grv_batch_size" in
+        Future.return (n1 - n0, int_of_float (served1 -. served0)))
+  in
+  Alcotest.(check int) "40 GRVs served" 40 served;
+  Alcotest.(check bool) (Printf.sprintf "in at most 2 batches (%d)" batches) true (batches <= 2)
+
 (* ---------- knobs belong to the cluster ---------- *)
 
 (* Two clusters in one simulation, differing only in pipeline depth, take
@@ -372,4 +426,6 @@ let suite =
     Alcotest.test_case "pipeline metrics registered" `Quick
       test_pipeline_metrics_registered;
     Alcotest.test_case "knobs are per cluster" `Quick test_knobs_are_per_cluster;
+    Alcotest.test_case "idle batches leave at once" `Quick test_idle_batches_leave_at_once;
+    Alcotest.test_case "GRV burst batches" `Quick test_grv_burst_batches;
   ]

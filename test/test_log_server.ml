@@ -150,6 +150,74 @@ let test_lock_stops_pushes_and_reports () =
   Alcotest.(check int) "unpopped entries handed over" 1 n;
   Alcotest.(check bool) "post-lock push rejected" true rejected
 
+(* The received-version gauge of the one LogServer in [ctx]. *)
+let received_version ctx =
+  match Fdb_obs.Registry.gauges ctx.Context.metrics ~role:Fdb_obs.Registry.Log "received_version" with
+  | [ (_, v) ] -> Int64.of_float v
+  | _ -> -1L
+
+(* Resolve once the LogServer has accepted [lsn] (its sync still to come). *)
+let rec until_received ctx lsn =
+  if received_version ctx >= lsn then Future.return ()
+  else
+    let* () = Engine.sleep 1e-6 in
+    until_received ctx lsn
+
+(* A push accepted before a lock but made durable after it must not be
+   acknowledged above the DV the lock reply reported: the recovery may
+   already have chosen a version below it. *)
+let test_lock_caps_in_flight_acks () =
+  let lk_dv, reply =
+    Engine.run (fun () ->
+        let ctx, ep, client, _, push, _ = setup () in
+        let pushed = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let* () = until_received ctx 5L in
+        let* lock =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
+        in
+        let lk_dv =
+          match lock with Message.Log_lock_reply { lk_dv; _ } -> lk_dv | _ -> -1L
+        in
+        let* reply =
+          Future.catch
+            (fun () ->
+              let* r = pushed in
+              Future.return (Ok r))
+            (fun e -> Future.return (Error e))
+        in
+        Future.return (lk_dv, reply))
+  in
+  Alcotest.(check int64) "locked while the sync was in flight" 0L lk_dv;
+  match reply with
+  | Ok (Message.Log_push_ack { durable_version }) ->
+      Alcotest.failf "acked durable_version %Ld above the lock's DV %Ld" durable_version lk_dv
+  | Ok _ -> Alcotest.fail "unexpected push reply"
+  | Error (Error.Fdb Error.Wrong_epoch) -> ()
+  | Error e -> raise e
+
+(* Group commit: the records appended while one sync runs ride the next
+   sync together, not one sync each. *)
+let test_sync_covers_appends_made_during_it () =
+  let syncs, synced =
+    Engine.run (fun () ->
+        let ctx, _, _, _, push, _ = setup () in
+        let first = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let* () = until_received ctx 5L in
+        let rest =
+          List.map
+            (fun (lsn, prev) -> push lsn prev [ tagged [ 0 ] (Mutation.Set ("b", "2")) ])
+            [ (9L, 5L); (13L, 9L); (17L, 13L) ]
+        in
+        let* _ = Future.all (first :: rest) in
+        let module R = Fdb_obs.Registry in
+        match R.histograms ctx.Context.metrics ~role:R.Log "sync_batch_size" with
+        | [ (_, h) ] ->
+            Future.return (Fdb_util.Histogram.count h, Fdb_util.Histogram.total h)
+        | _ -> Future.return (-1, 0.0))
+  in
+  Alcotest.(check int) "two syncs for four records" 2 syncs;
+  Alcotest.(check (float 0.0)) "each record synced once" 4.0 synced
+
 let test_resurrect_after_prune () =
   (* The seed-502 regression at unit level: push, pop, wait for GC, crash,
      resurrect — the lock reply must still report the true durable version. *)
@@ -541,6 +609,9 @@ let suite =
     Alcotest.test_case "pop discards" `Quick test_pop_discards;
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
+    Alcotest.test_case "lock caps in-flight acks" `Quick test_lock_caps_in_flight_acks;
+    Alcotest.test_case "sync covers appends made during it" `Quick
+      test_sync_covers_appends_made_during_it;
     Alcotest.test_case "push charged once per mutation" `Quick test_push_charged_once;
     Alcotest.test_case "long poll wakes on any push" `Quick test_long_poll_wakes_on_any_push;
     Alcotest.test_case "long poll bound expires" `Quick test_long_poll_bound_expires;
