@@ -2,7 +2,8 @@
    contract"). Walks every .ml under the given roots (default lib bin
    bench), runs the Lint pass, runs R7 over every lib/ .mli among them
    against the .ml files under Lint.r7_reference_roots (test fixtures
-   excluded), prints file:line:col diagnostics (or a JSON
+   excluded) and, when the protocol file is among them, R9 against the same
+   files, prints file:line:col diagnostics (or a JSON
    array with --json), and exits non-zero on any violation. Also audits the
    whitelist: an entry that absorbed no diagnostic anywhere in the scanned
    tree is stale and reported as an error. Wired into `dune build @lint`,
@@ -61,11 +62,14 @@ let run_lint json whitelist_file roots =
          linting a subtree must not flag entries for files outside it. *)
       let used = Hashtbl.create 8 in
       let whitelist_used entry = Hashtbl.replace used entry () in
+      let implementations = List.map with_source implementations in
       let diags =
         List.concat_map (Lint.lint_file ~whitelist ~whitelist_used) files
-        @ Lint.dead_exports
-            ~interfaces:(List.map with_source interfaces)
-            ~implementations:(List.map with_source implementations)
+        @ Lint.dead_exports ~interfaces:(List.map with_source interfaces) ~implementations
+        @
+        if List.mem Lint.r9_protocol files then
+          Lint.one_sided_messages ~protocol:(with_source Lint.r9_protocol) ~implementations
+        else []
       in
       let scanned =
         List.map

@@ -269,13 +269,15 @@ let take_count n l =
    [Wrong_shard]) propagate immediately: every replica of the team would
    answer the same. A request counts as in flight from its send until its
    future resolves, whatever the outcome. *)
-let with_failover db ~team call =
+let with_failover db ~team ~timeout msg =
   let replicas = Array.of_list team in
   Rng.shuffle db.rng replicas;
   Array.stable_sort (fun a b -> compare db.inflight.(a) db.inflight.(b)) replicas;
   if db.inflight.(replicas.(0)) > 0 then Fdb_obs.Registry.incr db.obs_replica_busy;
   let send ss =
-    let reply = call ss in
+    let reply =
+      Context.rpc db.ctx ~timeout ~from:db.proc db.ctx.Context.storage_eps.(ss) msg
+    in
     db.inflight.(ss) <- db.inflight.(ss) + 1;
     Future.on_resolve reply (fun _ -> db.inflight.(ss) <- db.inflight.(ss) - 1);
     reply
@@ -312,16 +314,13 @@ let storage_get t key (version, rv_epoch) =
     let team = Shard_map.team_for_key db.ctx.Context.shard_map key in
     Future.catch
       (fun () ->
-        with_failover db ~team (fun ss ->
-            let ep = db.ctx.Context.storage_eps.(ss) in
-            let* reply =
-              Context.rpc db.ctx ~timeout:Params.client_read_timeout ~from:db.proc
-                ep
-                (Message.Storage_get { key; version; rv_epoch })
-            in
-            match reply with
-            | Message.Storage_get_reply v -> Future.return v
-            | _ -> Future.fail (Error.Fdb Error.Timed_out)))
+        let* reply =
+          with_failover db ~team ~timeout:Params.client_read_timeout
+            (Message.Storage_get { key; version; rv_epoch })
+        in
+        match reply with
+        | Message.Storage_get_reply v -> Future.return v
+        | _ -> Future.fail (Error.Fdb Error.Timed_out))
       (function
         | Error.Fdb Error.Wrong_shard when retries > 0 ->
             (* The shard map changed under us; [team_for_key] reads the
@@ -352,29 +351,23 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       let* outcome =
         Future.catch
           (fun () ->
-            let* batch =
-              with_failover db ~team (fun ss ->
-                  let ep = db.ctx.Context.storage_eps.(ss) in
-                  let* reply =
-                    Context.rpc db.ctx ~timeout:Params.client_read_timeout
-                      ~from:db.proc ep
-                      (Message.Storage_get_range
-                         {
-                           gr_from = f;
-                           gr_until = u;
-                           gr_version = version;
-                           gr_limit = row_limit - nrows;
-                           gr_byte_limit = byte_limit - nbytes;
-                           gr_reverse = reverse;
-                           gr_epoch = rv_epoch;
-                         })
-                  in
-                  match reply with
-                  | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-                      Future.return (rr_rows, rr_more)
-                  | _ -> Future.fail (Error.Fdb Error.Timed_out))
+            let* reply =
+              with_failover db ~team ~timeout:Params.client_read_timeout
+                (Message.Storage_get_range
+                   {
+                     gr_from = f;
+                     gr_until = u;
+                     gr_version = version;
+                     gr_limit = row_limit - nrows;
+                     gr_byte_limit = byte_limit - nbytes;
+                     gr_reverse = reverse;
+                     gr_epoch = rv_epoch;
+                   })
             in
-            Future.return (`Batch batch))
+            match reply with
+            | Message.Storage_get_range_reply { rr_rows; rr_more } ->
+                Future.return (`Batch (rr_rows, rr_more))
+            | _ -> Future.fail (Error.Fdb Error.Timed_out))
           (function
             | Error.Fdb Error.Wrong_shard when re_resolves > 0 ->
                 Future.return `Re_resolve
@@ -609,56 +602,16 @@ let selector_walk (sel : Key_selector.t) =
   if sel.sel_offset >= 1 then (`Forward, start, sel.sel_offset)
   else (`Reverse, start, 1 - sel.sel_offset)
 
-(* Resolution against storage alone: walk shard fragments in scan order,
-   asking each team to advance the walk ([Storage_get_key]); a fragment
-   that exhausts without resolving reports how many keys it consumed and
-   the walk continues in the next shard. The MVCC window on the server
-   makes this exact at the transaction's read version. *)
+(* Resolution against storage alone: the sequential fragment walk with a
+   row budget of [need], whose [need]-th row is the answer. The MVCC window
+   on the server makes this exact at the transaction's read version. *)
 let storage_resolve t (version, rv_epoch) ~start ~reverse ~need =
-  let db = t.db in
-  let rec whole retries =
-    let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
-    let frags =
-      let fs = Shard_map.shards_for_range db.ctx.Context.shard_map ~from ~until in
-      if reverse then List.rev fs else fs
-    in
-    let rec walk frags need =
-      match frags with
-      | [] -> Future.return None
-      | (f, u, team) :: rest ->
-          let* reply =
-            with_failover db ~team (fun ss ->
-                let ep = db.ctx.Context.storage_eps.(ss) in
-                let* r =
-                  Context.rpc db.ctx ~timeout:Params.client_read_timeout
-                    ~from:db.proc ep
-                    (Message.Storage_get_key
-                       {
-                         gk_from = f;
-                         gk_until = u;
-                         gk_reverse = reverse;
-                         gk_start = start;
-                         gk_need = need;
-                         gk_version = version;
-                         gk_epoch = rv_epoch;
-                       })
-                in
-                match r with
-                | Message.Storage_get_key_reply { kr_key; kr_seen } ->
-                    Future.return (kr_key, kr_seen)
-                | _ -> Future.fail (Error.Fdb Error.Timed_out))
-          in
-          (match reply with
-          | Some k, _ -> Future.return (Some k)
-          | None, seen -> walk rest (need - seen))
-    in
-    Future.catch
-      (fun () -> walk frags need)
-      (function
-        | Error.Fdb Error.Wrong_shard when retries > 0 -> whole (retries - 1)
-        | e -> Future.fail e)
+  let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
+  let* rows, _ =
+    seq_fragments t ~version ~rv_epoch ~reverse ~row_limit:need ~byte_limit:max_int
+      ~re_resolves:3 ~from ~until
   in
-  whole 3
+  Future.return (List.nth_opt rows (need - 1) |> Option.map fst)
 
 (* Resolution through the RYW merge: when the transaction has buffered
    writes or clears the storage answer alone is wrong, so walk merged
@@ -988,27 +941,18 @@ let rec watch_poll db w ~version ~epoch =
       Future.catch
         (fun () ->
           let* reply =
-            with_failover db ~team (fun ss ->
-                let ep = db.ctx.Context.storage_eps.(ss) in
-                let* r =
-                  Context.rpc db.ctx
-                    ~timeout:(Params.watch_poll_timeout +. 1.0)
-                    ~from:db.proc ep
-                    (Message.Ss_watch
-                       { w_key = w.wt_key; w_version = version; w_epoch = epoch })
-                in
-                match r with
-                | Message.Ss_watch_reply { wr_fired; wr_version } ->
-                    Future.return (wr_fired, wr_version)
-                | _ -> Future.fail (Error.Fdb Error.Timed_out))
+            with_failover db ~team ~timeout:(Params.watch_poll_timeout +. 1.0)
+              (Message.Ss_watch { w_key = w.wt_key; w_version = version; w_epoch = epoch })
           in
           match reply with
-          | true, v ->
+          | Message.Ss_watch_reply { wr_fired = true; wr_version = v } ->
               Trace.emit "client_watch_fire"
                 [ ("key", String.escaped w.wt_key); ("v", Int64.to_string v) ];
               ignore (Future.try_fulfill w.wt_promise () : bool);
               Future.return None
-          | false, v -> Future.return (Some v))
+          | Message.Ss_watch_reply { wr_fired = false; wr_version = v } ->
+              Future.return (Some v)
+          | _ -> Future.fail (Error.Fdb Error.Timed_out))
         (function
           | Error.Fdb Error.Wrong_shard ->
               Trace.emit "client_watch_re_resolve"

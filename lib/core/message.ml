@@ -49,8 +49,6 @@ type t =
   | Reject of Error.t
   | Paxos_req of Fdb_paxos.Wire.request
   | Paxos_resp of Fdb_paxos.Wire.response
-  | Worker_ping
-  | Worker_pong
   | Recruit_sequencer of { rs_ratekeeper : int option; rs_cc : int }
   | Recruit_proxy of {
       rp_epoch : Types.epoch;
@@ -132,7 +130,6 @@ type t =
       sr_history : (Types.epoch * Types.version) list;
       sr_logs : (int * int) list;
     }
-  | Ss_recover_ack of { version : Types.version }
   | Storage_get of { key : string; version : Types.version; rv_epoch : Types.epoch }
   | Storage_get_reply of string option
   | Storage_get_range of {
@@ -149,25 +146,6 @@ type t =
       rr_more : bool;
           (* true: the reply was cut by the row/byte budget; drain the rest
              of the range with a continuation round-trip *)
-    }
-  | Storage_get_key of {
-      gk_from : string; (* fragment to search, within one shard *)
-      gk_until : string;
-      gk_reverse : bool; (* walk direction *)
-      gk_start : string;
-          (* walk origin: forward walks consider keys >= gk_start, reverse
-             walks consider keys < gk_start (both clipped to the fragment) *)
-      gk_need : int; (* resolve to the gk_need-th visible key (>= 1) *)
-      gk_version : Types.version;
-      gk_epoch : Types.epoch;
-    }
-  | Storage_get_key_reply of {
-      kr_key : string option;
-          (* Some k: the walk resolved inside the fragment *)
-      kr_seen : int;
-          (* keys consumed toward the offset when the walk ran off the
-             fragment edge (kr_key = None): the client continues in the
-             next shard with gk_need reduced by this *)
     }
   | Rk_get_rate
   | Rk_rate of { tps : float }
@@ -198,8 +176,6 @@ let name = function
   | Reject _ -> "Reject"
   | Paxos_req _ -> "Paxos_req"
   | Paxos_resp _ -> "Paxos_resp"
-  | Worker_ping -> "Worker_ping"
-  | Worker_pong -> "Worker_pong"
   | Recruit_sequencer _ -> "Recruit_sequencer"
   | Recruit_proxy _ -> "Recruit_proxy"
   | Recruit_resolver _ -> "Recruit_resolver"
@@ -233,13 +209,10 @@ let name = function
   | Log_lock_reply _ -> "Log_lock_reply"
   | Log_seed _ -> "Log_seed"
   | Ss_recover _ -> "Ss_recover"
-  | Ss_recover_ack _ -> "Ss_recover_ack"
   | Storage_get _ -> "Storage_get"
   | Storage_get_reply _ -> "Storage_get_reply"
   | Storage_get_range _ -> "Storage_get_range"
   | Storage_get_range_reply _ -> "Storage_get_range_reply"
-  | Storage_get_key _ -> "Storage_get_key"
-  | Storage_get_key_reply _ -> "Storage_get_key_reply"
   | Rk_get_rate -> "Rk_get_rate"
   | Rk_rate _ -> "Rk_rate"
   | Ss_stats_req -> "Ss_stats_req"

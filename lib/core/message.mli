@@ -9,8 +9,9 @@ type key_range = string * string  (** [\[from, until)] *)
 
 (** A key selector on the wire (the FDB bindings' KeySelector): find the
     last key [<= sel_key] ([< sel_key] when [sel_or_equal] is false), then
-    move [sel_offset] keys forward in key order. The client decomposes
-    resolution into per-shard {!Storage_get_key} walks. *)
+    move [sel_offset] keys forward in key order. The client resolves it
+    with a sequential walk of {!Storage_get_range} reads whose row budget
+    is the keys still needed. *)
 type key_selector = { sel_key : string; sel_or_equal : bool; sel_offset : int }
 
 (** A client mutation as submitted to a Proxy; versionstamped operations are
@@ -70,8 +71,6 @@ type t =
   | Paxos_req of Fdb_paxos.Wire.request
   | Paxos_resp of Fdb_paxos.Wire.response
   (* worker agent *)
-  | Worker_ping
-  | Worker_pong
   | Recruit_sequencer of {
       rs_ratekeeper : int option;
       rs_cc : int;  (** the recruiting ClusterController's worker endpoint *)
@@ -170,7 +169,6 @@ type t =
       sr_history : (Types.epoch * Types.version) list;  (** roll back anything newer *)
       sr_logs : (int * int) list;
     }
-  | Ss_recover_ack of { version : Types.version }
   (* client <-> storage server *)
   | Storage_get of { key : string; version : Types.version; rv_epoch : Types.epoch }
   | Storage_get_reply of string option
@@ -188,23 +186,6 @@ type t =
       rr_more : bool;
           (** the reply was cut by a budget; the caller drains the rest of
               the range with continuation round-trips *)
-    }
-  | Storage_get_key of {
-      gk_from : string;  (** fragment to search, within one shard *)
-      gk_until : string;
-      gk_reverse : bool;  (** walk direction *)
-      gk_start : string;
-          (** walk origin: forward walks consider keys [>= gk_start],
-              reverse walks keys [< gk_start] (clipped to the fragment) *)
-      gk_need : int;  (** resolve to the gk_need-th visible key (>= 1) *)
-      gk_version : Types.version;
-      gk_epoch : Types.epoch;
-    }
-  | Storage_get_key_reply of {
-      kr_key : string option;  (** [Some k]: resolved inside the fragment *)
-      kr_seen : int;
-          (** keys consumed toward the offset when the walk ran off the
-              fragment edge ([kr_key = None]) *)
     }
   (* ratekeeper *)
   | Rk_get_rate

@@ -47,6 +47,10 @@ type t = {
          versions <= since are invisible for these keys, reads below since
          are Transaction_too_old, and durability passes skip re-applying
          popped mutations <= since. *)
+  mutable blind_atomics : (string * Types.version) list;
+      (* (key, version) of atomic ops applied to keys we do not serve yet:
+         before a move's snapshot lands their base is missing, so an install
+         whose snapshot lies below one of them must be refused *)
   mutable fetches_in_flight : int;
       (* durability passes pause while > 0: a pop racing the snapshot
          install could either land stale data after the install or be lost
@@ -177,6 +181,7 @@ let apply_mutation t v (m : Mutation.t) =
   let concrete =
     match m with
     | Mutation.Atomic (kind, key, operand) -> (
+        if not (in_shards t key) then t.blind_atomics <- (key, v) :: t.blind_atomics;
         let old_value = read_for_apply t v key in
         match Mutation.atomic_result kind ~old_value operand with
         | Some value -> Mutation.Set (key, value)
@@ -489,6 +494,7 @@ let make_durable t =
        persisted markers along with the in-memory entries. *)
     let retired, keep = List.partition (fun (_, _, since) -> since <= target) t.incoming in
     t.incoming <- keep;
+    t.blind_atomics <- List.filter (fun (_, v) -> v > target) t.blind_atomics;
     let clears = List.map (fun (lo, _, _) -> Mutation.Clear (movein_key lo)) retired in
     let marker = Mutation.Set (version_meta_key, Types.version_to_bytes target) in
     let* () = Pstore.apply t.pstore (muts @ clears @ [ marker ]) in
@@ -532,87 +538,40 @@ let read_at t version key =
   | Window.Cleared -> None
   | Window.Unknown -> Pstore.get t.pstore key
 
-(* Merge the persistent image and the window overlay for a range read.
-   Forward scan with chunked persistent reads; candidate keys come from
-   both sources, visibility is decided per key at [version]. Stops at the
-   row or byte budget (always returning at least one row when any is
-   visible); [more = true] reports a budget cut, so the caller knows to
-   drain the rest with a continuation round-trip. *)
-let range_read t version ~from ~until ~limit ~byte_limit =
-  let limit = min limit 10_000_000 in
-  let chunk_size = min limit 10_000 + 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let bytes = ref 0 in
-  let cursor = ref from in
-  let continue = ref true in
-  let more = ref false in
-  while !continue && !count < limit && !bytes < byte_limit && !cursor < until do
-    let chunk = Pstore.get_range t.pstore ~limit:chunk_size ~from:!cursor ~until () in
-    (* This pass covers [cursor, pass_until): either the whole remaining
-       range (chunk exhausted the store) or up to the chunk's last key. *)
-    let pass_until =
-      if List.length chunk < chunk_size then until
-      else Types.next_key (fst (List.nth chunk (List.length chunk - 1)))
-    in
-    let window_keys =
-      Window.keys_in_range t.window ~from:!cursor ~until:pass_until
-      |> List.filter (fun k -> not (List.mem_assoc k chunk))
-    in
-    let candidates = List.sort_uniq compare (List.map fst chunk @ window_keys) in
-    List.iter
-      (fun k ->
-        if !count >= limit || !bytes >= byte_limit then more := true
-        else
-          match read_at t version k with
-          | Some v ->
-              out := (k, v) :: !out;
-              incr count;
-              bytes := !bytes + String.length k + String.length v
-          | None -> ())
-      candidates;
-    cursor := pass_until;
-    if pass_until >= until then continue := false
-  done;
-  if !continue && !cursor < until then more := true;
-  (List.rev !out, !more)
+(* Merge two key sequences, each in scan order under [cmp], into one
+   without duplicates. *)
+let rec merge_keys cmp a b () =
+  match (a (), b ()) with
+  | Seq.Nil, rest | rest, Seq.Nil -> rest
+  | (Seq.Cons (x, a') as na), (Seq.Cons (y, b') as nb) ->
+      let c = cmp x y in
+      if c = 0 then Seq.Cons (x, merge_keys cmp a' b')
+      else if c < 0 then Seq.Cons (x, merge_keys cmp a' (fun () -> nb))
+      else Seq.Cons (y, merge_keys cmp (fun () -> na) b')
 
-let range_read_reverse t version ~from ~until ~limit ~byte_limit =
-  let out = ref [] in
-  let count = ref 0 in
-  let bytes = ref 0 in
-  let cursor = ref until in
-  let window_keys =
-    Window.keys_in_range t.window ~from ~until |> List.sort compare |> List.rev
-  in
-  let wk = ref window_keys in
-  let continue = ref true in
-  while !continue && !count < limit && !bytes < byte_limit do
-    let p = Pstore.prev_entry t.pstore ~before:!cursor in
-    let pk = match p with Some (k, _) when k >= from -> Some k | _ -> None in
-    let wkey = match !wk with k :: _ when k < !cursor -> Some k | _ -> None in
-    match (pk, wkey) with
-    | None, None -> continue := false
-    | _ ->
-        let k =
-          match (pk, wkey) with
-          | Some a, Some b -> if a > b then a else b
-          | Some a, None -> a
-          | None, Some b -> b
-          | None, None -> assert false
-        in
-        (match read_at t version k with
+(* A range read over the two-level stack: the persistent image's keys and
+   the window's keys, merged lazily in scan order (descending when
+   [reverse]); visibility is decided per key at [version]. Stops at the row
+   or byte budget (always returning at least one row when any is visible);
+   [more = true] only when a budget stopped the scan with a candidate left,
+   so the caller knows to drain the rest with a continuation round-trip. *)
+let range_read t version ~from ~until ~reverse ~limit ~byte_limit =
+  let cmp = if reverse then fun a b -> compare b a else compare in
+  let rec scan candidates acc count bytes =
+    match candidates () with
+    | Seq.Nil -> (List.rev acc, false)
+    | Seq.Cons _ when count >= limit || bytes >= byte_limit -> (List.rev acc, true)
+    | Seq.Cons (k, rest) -> (
+        match read_at t version k with
         | Some v ->
-            out := (k, v) :: !out;
-            incr count;
-            bytes := !bytes + String.length k + String.length v
-        | None -> ());
-        cursor := k;
-        wk := List.filter (fun x -> x < k) !wk
-  done;
-  (* [continue] still true here means a budget stop with candidates
-     possibly remaining below the cursor. *)
-  (List.rev !out, !continue)
+            scan rest ((k, v) :: acc) (count + 1) (bytes + String.length k + String.length v)
+        | None -> scan rest acc count bytes)
+  in
+  scan
+    (merge_keys cmp
+       (Pstore.keys t.pstore ~from ~until ~reverse)
+       (Window.keys t.window ~from ~until ~reverse))
+    [] 0 0
 
 (* ---------- RPC surface ---------- *)
 
@@ -639,6 +598,29 @@ let ensure_epoch t rv_epoch =
    it cheaply instead (the spiral breaker real storage servers have). *)
 let overloaded t =
   t.proc.Process.cpu_busy_until -. Engine.now () > Params.client_read_timeout
+
+(* The one admission gate of every read of [\[from, until)] at [version]:
+   the generation gate, the version wait, the MVCC window, shard ownership,
+   and a moved-in range's snapshot floor, in that order. [None] admits. *)
+let admit t ~version ~epoch ~from ~until =
+  let* current = ensure_epoch t epoch in
+  let* ok = if current then wait_for_version t version else Future.return false in
+  if not (current && ok) then Future.return (Some Error.Future_version)
+  else if version < Window.oldest t.window && Window.oldest t.window > 0L then begin
+    Trace.emit "ss_too_old"
+      [ ("ss", string_of_int t.id); ("rv", Int64.to_string version);
+        ("oldest", Int64.to_string (Window.oldest t.window));
+        ("version", Int64.to_string t.version);
+        ("kcv", Int64.to_string t.kcv);
+        ("durable", Int64.to_string t.durable) ];
+    Future.return (Some Error.Transaction_too_old)
+  end
+  else if not (covers t ~from ~until) then Future.return (Some Error.Wrong_shard)
+  else if version < incoming_floor_range t ~from ~until then
+    (* The range arrived here by shard movement and the fetched snapshot
+       cannot reconstruct state below its version: retryable. *)
+    Future.return (Some Error.Transaction_too_old)
+  else Future.return None
 
 (* ---------- shard movement: destination-side fetch (§2.5) ---------- *)
 
@@ -709,10 +691,16 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
               Engine.cpu t.proc
                 (Params.cpu (Params.storage_per_apply_byte *. float_of_int bytes))
             in
+            let in_range (k, _) = from <= k && k < until in
             if t.durable > version then
               Future.return
                 (Message.Reject (Error.Internal "fetch: snapshot below durable horizon"))
+            else if List.exists (fun ((_, v) as e) -> in_range e && v > version) t.blind_atomics
+            then
+              Future.return
+                (Message.Reject (Error.Internal "fetch: atomic op applied without its base"))
             else begin
+              t.blind_atomics <- List.filter (fun e -> not (in_range e)) t.blind_atomics;
               (* Floor registration and the pstore install are synchronous
                  with each other (no yield between them), so no durability
                  pass can interleave a pop. *)
@@ -752,121 +740,51 @@ let split_point t ~from ~until =
 let handle t (msg : Message.t) : Message.t Future.t =
   match msg with
   | Message.Seq_ping -> Future.return Message.Ok_reply
-  | Message.Storage_get { key; version; rv_epoch } ->
+  | Message.Storage_get { key; version; rv_epoch } -> (
       if overloaded t then Future.return (Message.Reject Error.Process_behind)
       else
       let t0 = Engine.now () in
       let* () = Engine.cpu t.proc (Params.cpu Params.storage_per_point_read) in
-      let* current = ensure_epoch t rv_epoch in
-      let* ok = if current then wait_for_version t version else Future.return false in
-      if not (current && ok) then Future.return (Message.Reject Error.Future_version)
-      else if version < Window.oldest t.window && Window.oldest t.window > 0L then begin
-        Trace.emit "ss_too_old"
-          [ ("ss", string_of_int t.id); ("rv", Int64.to_string version);
-            ("oldest", Int64.to_string (Window.oldest t.window));
-            ("version", Int64.to_string t.version);
-            ("kcv", Int64.to_string t.kcv);
-            ("durable", Int64.to_string t.durable) ];
-        Future.return (Message.Reject Error.Transaction_too_old)
-      end
-      else if not (in_shards t key) then
-        Future.return (Message.Reject Error.Wrong_shard)
-      else if version < incoming_floor t key then
-        (* The key arrived here by shard movement and the fetched snapshot
-           cannot reconstruct state below its version: retryable. *)
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else begin
-        Fdb_obs.Registry.incr t.obs_reads;
-        Fdb_obs.Registry.observe t.obs_read_lat (Engine.now () -. t0);
-        let value = read_at t version key in
-        note_read_traffic t key
-          (String.length key + match value with Some v -> String.length v | None -> 0);
-        Future.return (Message.Storage_get_reply value)
-      end
+      let* refused = admit t ~version ~epoch:rv_epoch ~from:key ~until:(Types.next_key key) in
+      match refused with
+      | Some e -> Future.return (Message.Reject e)
+      | None ->
+          Fdb_obs.Registry.incr t.obs_reads;
+          Fdb_obs.Registry.observe t.obs_read_lat (Engine.now () -. t0);
+          let value = read_at t version key in
+          note_read_traffic t key
+            (String.length key + match value with Some v -> String.length v | None -> 0);
+          Future.return (Message.Storage_get_reply value))
   | Message.Storage_get_range
-      { gr_from; gr_until; gr_version; gr_limit; gr_byte_limit; gr_reverse; gr_epoch } ->
+      { gr_from; gr_until; gr_version; gr_limit; gr_byte_limit; gr_reverse; gr_epoch } -> (
       Fdb_obs.Registry.incr t.obs_range_reqs;
-      if overloaded t then Future.return (Message.Reject Error.Process_behind)
-      else if
-        (* Buggify: an occasional spurious shed exercises the client's
-           replica-failover path under simulation. *)
-        Buggify.on ~p:0.1 "ss_flaky_range"
-      then Future.return (Message.Reject Error.Process_behind)
-      else
-      let* current = ensure_epoch t gr_epoch in
-      let* ok = if current then wait_for_version t gr_version else Future.return false in
-      if not (current && ok) then Future.return (Message.Reject Error.Future_version)
-      else if gr_version < Window.oldest t.window && Window.oldest t.window > 0L then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else if not (covers t ~from:gr_from ~until:gr_until) then
-        Future.return (Message.Reject Error.Wrong_shard)
-      else if gr_version < incoming_floor_range t ~from:gr_from ~until:gr_until then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else begin
-        let results, more =
-          if gr_reverse then
-            range_read_reverse t gr_version ~from:gr_from ~until:gr_until ~limit:gr_limit
-              ~byte_limit:gr_byte_limit
-          else
-            range_read t gr_version ~from:gr_from ~until:gr_until ~limit:gr_limit
-              ~byte_limit:gr_byte_limit
-        in
-        let* () =
-          Engine.cpu t.proc
-            (Params.cpu
-               (Params.storage_per_point_read
-               +. (Params.storage_per_range_key *. float_of_int (List.length results))))
-        in
-        note_read_traffic t gr_from
-          (List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 results);
-        Future.return (Message.Storage_get_range_reply { rr_rows = results; rr_more = more })
-      end
-  | Message.Storage_get_key
-      { gk_from; gk_until; gk_reverse; gk_start; gk_need; gk_version; gk_epoch } ->
-      (* Key-selector resolution (paper §2.2): walk gk_need visible keys at
-         the read version, inside one served fragment. Resolution runs
-         against the same MVCC window + persistent-store merge as range
-         reads, so a selector observes exactly the snapshot it should. *)
-      if overloaded t then Future.return (Message.Reject Error.Process_behind)
-      else if Buggify.on ~p:0.1 "ss_flaky_range" then
+      (* Buggify: an occasional spurious shed exercises the client's
+         replica-failover path under simulation. *)
+      if overloaded t || Buggify.on ~p:0.1 "ss_flaky_range" then
         Future.return (Message.Reject Error.Process_behind)
       else
-      let* current = ensure_epoch t gk_epoch in
-      let* ok = if current then wait_for_version t gk_version else Future.return false in
-      if not (current && ok) then Future.return (Message.Reject Error.Future_version)
-      else if gk_version < Window.oldest t.window && Window.oldest t.window > 0L then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else if not (covers t ~from:gk_from ~until:gk_until) then
-        Future.return (Message.Reject Error.Wrong_shard)
-      else if gk_version < incoming_floor_range t ~from:gk_from ~until:gk_until then
-        Future.return (Message.Reject Error.Transaction_too_old)
-      else begin
-        let need = max 1 gk_need in
-        let rows, _ =
-          if gk_reverse then
-            let until = if gk_start < gk_until then gk_start else gk_until in
-            range_read_reverse t gk_version ~from:gk_from ~until ~limit:need
-              ~byte_limit:max_int
-          else
-            let from = if gk_start > gk_from then gk_start else gk_from in
-            range_read t gk_version ~from ~until:gk_until ~limit:need ~byte_limit:max_int
-        in
-        let* () =
-          Engine.cpu t.proc
-            (Params.cpu
-               (Params.storage_per_point_read
-               +. (Params.storage_per_range_key *. float_of_int (List.length rows))))
-        in
-        let seen = List.length rows in
-        if seen >= need then
-          Future.return
-            (Message.Storage_get_key_reply
-               { kr_key = Some (fst (List.nth rows (need - 1))); kr_seen = seen })
-        else Future.return (Message.Storage_get_key_reply { kr_key = None; kr_seen = seen })
-      end
+      let* refused =
+        admit t ~version:gr_version ~epoch:gr_epoch ~from:gr_from ~until:gr_until
+      in
+      match refused with
+      | Some e -> Future.return (Message.Reject e)
+      | None ->
+          let rows, more =
+            range_read t gr_version ~from:gr_from ~until:gr_until ~reverse:gr_reverse
+              ~limit:gr_limit ~byte_limit:gr_byte_limit
+          in
+          let* () =
+            Engine.cpu t.proc
+              (Params.cpu
+                 (Params.storage_per_point_read
+                 +. (Params.storage_per_range_key *. float_of_int (List.length rows))))
+          in
+          note_read_traffic t gr_from
+            (List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows);
+          Future.return (Message.Storage_get_range_reply { rr_rows = rows; rr_more = more }))
   | Message.Ss_recover { sr_epoch; sr_rv; sr_history; sr_logs } ->
       adopt t ~epoch:sr_epoch ~rv:sr_rv ~history:sr_history ~logs:sr_logs;
-      Future.return (Message.Ss_recover_ack { version = t.version })
+      Future.return Message.Ok_reply
   | Message.Ss_stats_req ->
       let busy = t.proc.Process.cpu_busy_until -. Engine.now () in
       Future.return
@@ -995,6 +913,7 @@ let rec create ctx proc ~id ~disk =
       peek = None;
       refreshing = false;
       incoming;
+      blind_atomics = [];
       fetches_in_flight = 0;
       stats_ticks = 0;
       obs_read_lat =

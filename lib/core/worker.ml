@@ -24,7 +24,6 @@ let handle t (msg : Message.t) : Message.t Future.t =
   | Message.Recruit_log _ | Message.Recruit_proxy _ | Message.Recruit_resolver _
     when Buggify.on ~p:0.1 "worker_refuse_recruit" ->
       Future.return (Message.Reject (Error.Internal "buggify: recruit refused"))
-  | Message.Worker_ping -> Future.return Message.Worker_pong
   | Message.Seq_ping -> Future.return Message.Ok_reply
   | Message.Recruit_log { rl_epoch; rl_id; rl_start_lsn } ->
       let proc = role_process t (Printf.sprintf "tlog-%d.%d" rl_epoch rl_id) in

@@ -98,8 +98,11 @@ let get_range t ?(limit = max_int) ~from ~until () =
    with Exit -> ());
   List.rev !out
 
-let prev_entry t ~before =
-  KeyMap.find_last_opt (fun k -> k < before) t.map
+let keys t ~from ~until ~reverse =
+  if reverse then
+    let below, _, _ = KeyMap.split until t.map in
+    KeyMap.to_rev_seq below |> Seq.take_while (fun (k, _) -> k >= from) |> Seq.map fst
+  else KeyMap.to_seq_from from t.map |> Seq.take_while (fun (k, _) -> k < until) |> Seq.map fst
 
 let apply t mutations =
   let futures =

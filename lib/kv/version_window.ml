@@ -104,10 +104,11 @@ let last_change ?(floor = Int64.min_int) t key =
   | Some v, None | None, Some v -> Some v
   | Some a, Some b -> Some (if a > b then a else b)
 
-let keys_in_range t ~from ~until =
-  KeyMap.to_seq_from from t.per_key
-  |> Seq.take_while (fun (k, _) -> k < until)
-  |> Seq.map fst |> List.of_seq
+let keys t ~from ~until ~reverse =
+  if reverse then
+    let below, _, _ = KeyMap.split until t.per_key in
+    KeyMap.to_rev_seq below |> Seq.take_while (fun (k, _) -> k >= from) |> Seq.map fst
+  else KeyMap.to_seq_from from t.per_key |> Seq.take_while (fun (k, _) -> k < until) |> Seq.map fst
 
 (* Remove index entries for a mutation that is leaving the window. Events
    with version <= bound form the oldest suffix of each newest-first list. *)

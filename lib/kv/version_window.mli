@@ -27,8 +27,10 @@ val read : ?floor:int64 -> t -> int64 -> string -> read_result
     (default: none) are treated as nonexistent — used by a move destination
     whose persistent snapshot of the range already embodies them. *)
 
-val keys_in_range : t -> from:string -> until:string -> string list
-(** Keys with any window event in [\[from, until)], ascending. *)
+val keys : t -> from:string -> until:string -> reverse:bool -> string Seq.t
+(** Keys with any window event in [\[from, until)], in scan order:
+    ascending, or descending when [reverse]. Lazy, and a snapshot of the
+    window as it was when [keys] was called. *)
 
 val last_change : ?floor:int64 -> t -> string -> int64 option
 (** Newest version (> [floor]) at which any window event — per-key or a

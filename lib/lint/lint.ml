@@ -10,13 +10,15 @@
    R5 is the one non-local rule within a file: a small abstract
    interpretation over each function body that tracks, per syntactic
    mutable location, whether the code's knowledge of it predates a yield
-   point. See "the R5 pass" below. R7 is the one cross-file rule: it
+   point. See "the R5 pass" below. R7 and R9 are the cross-file rules: R7
    checks interfaces against the references every implementation makes
-   (see "R7: dead exports"). *)
+   (see "R7: dead exports"), R9 the protocol variant against the
+   constructors every other implementation builds and matches (see "R9:
+   one-sided protocol messages"). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
 
 let rule_name = function
   | R1 -> "R1"
@@ -27,6 +29,7 @@ let rule_name = function
   | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
+  | R9 -> "R9"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -37,6 +40,7 @@ let rule_of_string = function
   | "R6" -> Some R6
   | "R7" -> Some R7
   | "R8" -> Some R8
+  | "R9" -> Some R9
   | _ -> None
 
 let explain = function
@@ -114,6 +118,18 @@ let explain = function
        Engine.run creates); a role's state belongs in the value it creates.\n\
        The same call inside a function makes a fresh cell per call and is\n\
        fine. A cell that must stay global carries a reasoned suppression."
+  | R9 ->
+      "R9: no one-sided protocol messages.\n\
+       Every constructor of Message.t (lib/core/message.ml) must be built\n\
+       by some expression and matched by some pattern outside that file.\n\
+       A message nothing builds is a request no role sends, so its handler\n\
+       is dead; a message nothing matches is a reply every caller discards\n\
+       or a request no role serves. Either way it is protocol surface that\n\
+       costs review and hides dead code. Delete it, or reply with Ok_reply\n\
+       when the caller only needs the acknowledgement. Uses are counted\n\
+       from the untyped AST as qualified paths (Message.X, library wrapper\n\
+       included), so no file may open Message. A constructor that must stay\n\
+       one-sided carries a reasoned suppression on its line."
 
 type diagnostic = {
   d_file : string;
@@ -175,7 +191,7 @@ let applies rule path =
   | R4 -> String.starts_with ~prefix:"lib/" path
   (* The actor model lives under lib/; drivers and benches run Engine.run
      at top level and own their futures explicitly. *)
-  | R5 | R6 | R7 | R8 -> String.starts_with ~prefix:"lib/" path
+  | R5 | R6 | R7 | R8 | R9 -> String.starts_with ~prefix:"lib/" path
 
 let parse_whitelist src =
   String.split_on_char '\n' src
@@ -1108,6 +1124,75 @@ let dead_exports ~interfaces ~implementations =
                 (List.rev (exported [ modname ] [] sg));
               []))
     interfaces
+
+(* ---- R9: one-sided protocol messages ----
+
+   One pass collects the constructors of the protocol module that every
+   other implementation builds (expressions) and matches (patterns), by
+   qualified path; each constructor of the protocol's [type t] must be in
+   both sets. *)
+
+let r9_protocol = "lib/core/message.ml"
+
+let one_sided_messages ~protocol:(path, src) ~implementations =
+  let path = normalize path in
+  let modname =
+    String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+  in
+  let built = ref SSet.empty and matched = ref SSet.empty in
+  let note set (lid : Longident.t) =
+    match unwrap (flatten_lid lid) with
+    | [ m; c ] when m = modname -> set := SSet.add c !set
+    | _ -> ()
+  in
+  let open Ast_iterator in
+  let expr self (e : Parsetree.expression) =
+    (match e.pexp_desc with Pexp_construct ({ txt; _ }, _) -> note built txt | _ -> ());
+    default_iterator.expr self e
+  in
+  let pat self (p : Parsetree.pattern) =
+    (match p.ppat_desc with Ppat_construct ({ txt; _ }, _) -> note matched txt | _ -> ());
+    default_iterator.pat self p
+  in
+  let it = { default_iterator with expr; pat } in
+  List.iter
+    (fun (file, src) ->
+      if normalize file <> path then
+        match parse Parse.implementation ~path:file src with
+        | Ok ast -> it.structure it ast
+        | Error _ -> ())
+    implementations;
+  with_suppressions ~path src (fun violation ->
+      match parse Parse.implementation ~path src with
+      | Error d -> [ d ]
+      | Ok ast ->
+          List.iter
+            (fun (item : Parsetree.structure_item) ->
+              match item.pstr_desc with
+              | Pstr_type (_, decls) ->
+                  List.iter
+                    (fun (td : Parsetree.type_declaration) ->
+                      match td.ptype_kind with
+                      | Ptype_variant cds when td.ptype_name.txt = "t" ->
+                          List.iter
+                            (fun (cd : Parsetree.constructor_declaration) ->
+                              let c = cd.pcd_name.txt in
+                              let missing =
+                                (if SSet.mem c !built then [] else [ "built" ])
+                                @ if SSet.mem c !matched then [] else [ "matched" ]
+                              in
+                              if missing <> [] then
+                                violation R9 cd.pcd_loc
+                                  (modname ^ "." ^ c ^ " is never "
+                                  ^ String.concat " or " missing
+                                  ^ " outside " ^ path
+                                  ^ "; delete it, or suppress with the reason it must stay"))
+                            cds
+                      | _ -> ())
+                    decls
+              | _ -> ())
+            ast;
+          [])
 
 let read_file path =
   let ic = open_in_bin path in

@@ -36,6 +36,11 @@
       [Hashtbl.create], [Det_tbl.create], [Array.make], [Queue.create],
       [Buffer.create] or [Atomic.make]. A run's state lives in the record
       each [Engine.run] creates ([Fdb_sim.Run.t]).
+    - {b R9} no one-sided protocol messages ([lib/] only): every
+      constructor of the protocol variant ([type t] of {!r9_protocol}) must
+      be built by some expression and matched by some pattern in an
+      implementation other than the protocol's own. See
+      {!one_sided_messages}.
 
     Per-line suppressions: a comment holding the [fdb-lint] marker, a
     colon and [allow R2 -- reason] (spelled apart here so the scanner does
@@ -44,7 +49,7 @@
     diagnostic — and so is a stale one that no longer suppresses anything
     (the stale-suppression audit). *)
 
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
 val rule_name : rule -> string
 val rule_of_string : string -> rule option
@@ -120,3 +125,18 @@ val dead_exports :
     {!lint_source}; the whitelist does not, so every exemption is a
     per-line suppression with its reason. An implementation that does not
     parse contributes no references. *)
+
+val r9_protocol : string
+(** The protocol file R9 checks: [lib/core/message.ml]. *)
+
+val one_sided_messages :
+  protocol:string * string -> implementations:(string * string) list -> diagnostic list
+(** R9 over the protocol's [(repo-relative path, source)] and the
+    implementations that may use it: each constructor of the protocol's
+    [type t] that no implementation other than the protocol's own builds
+    in an expression, or that none matches in a pattern. A use is a
+    qualified path through the protocol's module name (the library
+    wrapper [Fdb_x.] is dropped); opens and aliases are not followed.
+    Suppressions and the stale-suppression audit apply to the protocol
+    file as in {!lint_source}. An implementation that does not parse
+    contributes no uses. *)

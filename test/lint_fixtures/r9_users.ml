@@ -1,0 +1,11 @@
+(* Fixture: qualified and wrapped uses of R9_proto, in expressions and in
+   patterns. A bare constructor is not a use. *)
+let send () = R9_proto.Both
+let send_wrapped () = Fdb_fixture.R9_proto.Sent_only
+let payload = R9_proto.Payload { x = 1 }
+
+let serve = function
+  | R9_proto.Both -> 1
+  | Fdb_fixture.R9_proto.Served_only | R9_proto.Payload _ -> 2
+  | Unused -> 3
+  | _ -> 0

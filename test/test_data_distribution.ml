@@ -155,6 +155,85 @@ let test_cutover_atomicity () =
   Alcotest.(check int) "no read observed a half-moved shard" 0 bad_reads;
   Alcotest.(check bool) "destination serves after cutover" true team_changed
 
+(* ---------- atomic ops that race a newcomer's fetch ---------- *)
+
+(* From begin_move on, a newcomer applies the moving range's stream, but an
+   atomic op it applies before its snapshot lands has no base to apply to.
+   Commit atomic adds while the fetch is slowed (the sources are busy, so
+   the newcomer's drain waits on them): once the move settles, committed
+   or aborted, every replica of the key's team must hold the committed
+   sum. *)
+let test_atomic_ops_during_fetch () =
+  let want, got =
+    Engine.run ~seed:37L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.test_small () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"at-writer" in
+        let key = "at/counter" in
+        let le n = String.init 8 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+        let* () = Client.run db (fun tx -> Client.set tx key (le 1000); Future.return ()) in
+        let* () = Engine.sleep 1.0 in
+        let ctx = Cluster.context cluster in
+        let sm = ctx.Context.shard_map in
+        let lo, _ = Shard_map.shard_range_for_key sm key in
+        let src = Shard_map.team_for_key sm key in
+        let n_ss = Array.length ctx.Context.storage_eps in
+        let newcomer = List.find (fun s -> not (List.mem s src)) (List.init n_ss Fun.id) in
+        let dst = List.sort compare (newcomer :: List.tl src) in
+        (* Keep the sources' cores busy for a while (under the load-shedding
+           bound): the fetch's drain waits behind that work. *)
+        let ss_proc ss =
+          List.find
+            (fun p -> p.Process.name = Printf.sprintf "storage-%d" ss)
+            (Cluster.worker_machines cluster).(ss / ctx.Context.config.Config.storage_per_machine)
+              .Process.machine_processes
+        in
+        let hogs = List.map (fun ss -> Engine.cpu (ss_proc ss) 0.5) src in
+        let stop = ref false and adds = ref 0 in
+        let rec writer () =
+          if !stop then Future.return ()
+          else
+            let* () =
+              Client.run db (fun tx ->
+                  Client.atomic_op tx Fdb_kv.Mutation.Add key (le 1);
+                  Future.return ())
+            in
+            incr adds;
+            let* () = Engine.sleep 0.05 in
+            writer ()
+        in
+        let writer_done = writer () in
+        let* _moved =
+          Data_distributor.move_shard ctx ~proc:(probe_proc "at-mover") ~db ~lo ~dst
+        in
+        stop := true;
+        let* () = writer_done in
+        let* () = Future.all_unit hogs in
+        let* () = Engine.sleep 1.0 in
+        let* version, rv_epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let proc = probe_proc "at-reader" in
+        let* got =
+          Future.all
+            (List.map
+               (fun ss ->
+                 let* reply =
+                   Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(ss)
+                     (Message.Storage_get { key; version; rv_epoch })
+                 in
+                 match reply with
+                 | Message.Storage_get_reply (Some v) ->
+                     Future.return (ss, Some (Char.code v.[0] + (256 * Char.code v.[1])))
+                 | _ -> Future.return (ss, None))
+               (Shard_map.team_for_key sm key))
+        in
+        Future.return (1000 + !adds, got))
+  in
+  List.iter
+    (fun (ss, v) ->
+      Alcotest.(check (option int)) (Printf.sprintf "ss %d holds the committed sum" ss)
+        (Some want) v)
+    got
+
 (* ---------- move-during-everything swarm ---------- *)
 
 (* Bank, ring and the random-ops soup run under fault injection and
@@ -174,5 +253,6 @@ let suite =
     Alcotest.test_case "stale generation gets Wrong_shard" `Quick
       test_stale_generation_wrong_shard;
     Alcotest.test_case "cutover atomicity" `Quick test_cutover_atomicity;
+    Alcotest.test_case "atomic ops during a fetch" `Quick test_atomic_ops_during_fetch;
     Alcotest.test_case "move during everything" `Slow test_move_during_everything;
   ]

@@ -3,7 +3,8 @@
    .expected file holds the diagnostics (with line:col) the pass must
    produce. Fixtures are linted as if they lived under lib/ so that the
    library-only rule R4 applies. The R7 fixture is one interface plus the
-   implementations that may reference it. *)
+   implementations that may reference it; the R9 fixture is one protocol
+   variant plus the implementations that build and match it. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -105,8 +106,8 @@ let test_whitelist () =
 
 let test_whitelist_rejects_unknown_rule () =
   Alcotest.check_raises "unknown rule"
-    (Failure "lint whitelist: unknown rule R9") (fun () ->
-      let (_ : Lint.whitelist) = Lint.parse_whitelist "R9 lib/core/x.ml\n" in
+    (Failure "lint whitelist: unknown rule R10") (fun () ->
+      let (_ : Lint.whitelist) = Lint.parse_whitelist "R10 lib/core/x.ml\n" in
       ())
 
 let golden_json name () =
@@ -245,6 +246,20 @@ let test_r7_lib_only () =
        (Lint.dead_exports ~interfaces:[ ("bin/tool.mli", "val v : int\n") ]
           ~implementations:[]))
 
+(* R9 is cross-file too: the protocol fixture plus its users. *)
+let golden_r9 () =
+  let got =
+    render
+      (Lint.one_sided_messages
+         ~protocol:("lib/lint_fixtures/r9_proto.ml", fixture "r9_proto.ml")
+         ~implementations:
+           [
+             ("lib/lint_fixtures/r9_proto.ml", fixture "r9_proto.ml");
+             ("lib/core/r9_users.ml", fixture "r9_users.ml");
+           ])
+  in
+  Alcotest.(check string) "r9_proto" (fixture "r9_proto.expected") got
+
 let test_explain_covers_all_rules () =
   List.iter
     (fun r ->
@@ -294,4 +309,5 @@ let suite =
     Alcotest.test_case "R7 reference forms" `Quick test_r7_reference_forms;
     Alcotest.test_case "R7 own module excluded" `Quick test_r7_own_module_excluded;
     Alcotest.test_case "R7 lib only" `Quick test_r7_lib_only;
+    Alcotest.test_case "golden: R9 one-sided messages" `Quick golden_r9;
   ]

@@ -15,7 +15,9 @@
    - least-loaded replica choice: concurrent sub-reads of one handle
      spread over distinct team members, and every in-flight count
      returns to zero after failovers;
-   - transaction options ([tx_options]) plumbing. *)
+   - transaction options ([tx_options]) plumbing;
+   - the storage scan contract: one server's [Storage_get_range] replies,
+     forward and reverse, against a model at every budget. *)
 
 open Fdb_sim
 open Fdb_core
@@ -266,13 +268,13 @@ let test_failover_identical_data () =
 (* ---------- shard-map change mid-read (regression) ---------- *)
 
 let test_shard_move_mid_read () =
-  (* A wide range read is in flight when every shard's team is reassigned
-     from its highest-id member to its lowest-id member. The stale
-     fragments hit Wrong_shard, must re-resolve against the live map, and
-     the read must come back complete — the pre-fix behavior silently
-     truncated (no covers check) or failed outright. *)
+  (* A wide range read and a key-selector walk are in flight when every
+     shard's team is reassigned from its highest-id member to its lowest-id
+     member. The stale fragments hit Wrong_shard, must re-resolve against
+     the live map, and both must come back complete — the pre-fix behavior
+     silently truncated (no covers check) or failed outright. *)
   let expected = List.init 80 (fun i -> (key i, value i)) in
-  let rows, re_resolves =
+  let rows, resolved, re_resolves =
     with_cluster ~seed:5L (fun cluster ->
         let ctx = Cluster.context cluster in
         let sm = ctx.Context.shard_map in
@@ -294,6 +296,11 @@ let test_shard_move_mid_read () =
            per-shard sub-reads synchronously, against the pinned teams... *)
         let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
         let read = Client.range_all tx (Range_query.prefix ~limit:200 "rp/" ()) in
+        (* A selector walk is a sequential range read: its first fragment is
+           on the wire too, and its remainder must re-resolve. *)
+        let resolved =
+          Client.get_key tx (Client.Key_selector.first_greater_or_equal ~offset:60 "rp/")
+        in
         (* ...and yank every shard to the lowest-id member while those
            requests are on the wire. Both members held the data from the
            start (set_team models no data movement), so the servers the
@@ -316,12 +323,140 @@ let test_shard_move_mid_read () =
             (Trace.count "client_range_re_resolve")
             (Trace.count "shard_map_update")
             (Trace.count "client_read_failover");
-        Future.return (rows, Trace.count "client_range_re_resolve"))
+        let* resolved = resolved in
+        Future.return (rows, resolved, Trace.count "client_range_re_resolve"))
   in
   Alcotest.(check bool) "no rows lost across the shard move" true (rows = expected);
+  Alcotest.(check string) "the selector resolves across the shard move"
+    (model_resolve (List.map fst expected)
+       (Client.Key_selector.first_greater_or_equal ~offset:60 "rp/"))
+    resolved;
   Alcotest.(check bool)
     (Printf.sprintf "the stale fragments re-resolved (%d)" re_resolves)
     true (re_resolves > 0)
+
+(* ---------- the storage scan contract, both directions ---------- *)
+
+(* One storage server answers [Storage_get_range] from its persistent image
+   overlaid by its MVCC window. Give a range keys in both: durable rows,
+   then window sets that override some of them, point clears, a range
+   clear, a re-set inside the cleared span and window-only keys (the
+   lowest and highest keys of the range are visible, so a scan that
+   returns every visible row has no candidate left). At every row and
+   byte budget, in both directions, the reply must hold the first visible
+   rows in scan order, and [rr_more] must say whether a visible row is
+   left. *)
+let ckey i = Printf.sprintf "sc/%03d" i
+
+let scan_model =
+  let durable = List.init 30 (fun i -> (ckey i, Printf.sprintf "p%03d" i)) in
+  let m = M.of_seq (List.to_seq durable) in
+  let m = List.fold_left (fun m i -> M.add (ckey i) (Printf.sprintf "w%03d" i) m) m [ 0; 4; 8; 20 ] in
+  let m = List.fold_left (fun m i -> M.remove (ckey i) m) m [ 3; 9; 25 ] in
+  let m = M.filter (fun k _ -> k < ckey 12 || k >= ckey 17) m in
+  M.bindings (M.add (ckey 14) "back" (M.add "sc/005a" "new" (M.add "sc/zz" "top" m)))
+
+let test_scan_contract () =
+  let from = ckey 0 and until = "sc0" in
+  let model = scan_model in
+  let replies =
+    with_cluster (fun cluster ->
+        let ctx = Cluster.context cluster in
+        let sm = ctx.Context.shard_map in
+        let lo, hi = Shard_map.shard_range_for_key sm from in
+        if not (lo <= from && until <= hi) then Alcotest.fail "the range spans shards";
+        let ss = List.hd (Shard_map.team_for_key sm from) in
+        let proc =
+          Process.create ~name:"scan-probe" (Process.fresh_machine ~dc:"dc1" 920_000)
+        in
+        let call msg =
+          Context.rpc ctx ~timeout:5.0 ~from:proc ctx.Context.storage_eps.(ss) msg
+        in
+        let db = Cluster.client cluster ~name:"scan" in
+        let commit ops = Client.run db (fun tx -> ops tx; Future.return ()) in
+        let* () =
+          commit (fun tx ->
+              List.iter (fun i -> Client.set tx (ckey i) (Printf.sprintf "p%03d" i))
+                (List.init 30 Fun.id))
+        in
+        let* durable_floor, _ = Client.run db (fun tx -> Client.read_snapshot tx) in
+        (* Versions only advance on commits: tick until the server's durable
+           horizon passes the rows, so they live in its persistent image. *)
+        let rec until_durable () =
+          let* () = commit (fun tx -> Client.set tx "zz/tick" "") in
+          let* () = Engine.sleep 0.2 in
+          let* stats = call Message.Ss_stats_req in
+          match stats with
+          | Message.Ss_stats { ss_durable; _ } when ss_durable >= durable_floor ->
+              Future.return ()
+          | _ -> until_durable ()
+        in
+        let* () = until_durable () in
+        let* () =
+          commit (fun tx ->
+              List.iter (fun i -> Client.set tx (ckey i) (Printf.sprintf "w%03d" i))
+                [ 0; 4; 8; 20 ];
+              List.iter (fun i -> Client.clear tx (ckey i)) [ 3; 9; 25 ];
+              Client.clear_range tx ~from:(ckey 12) ~until:(ckey 17);
+              Client.set tx "sc/005a" "new";
+              Client.set tx "sc/007a" "gone";
+              Client.set tx "sc/zz" "top")
+        in
+        let* () =
+          commit (fun tx ->
+              Client.set tx (ckey 14) "back";
+              Client.clear tx "sc/007a")
+        in
+        let* version, rv_epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let read ~reverse ~limit ~byte_limit =
+          let* reply =
+            call
+              (Message.Storage_get_range
+                 {
+                   gr_from = from;
+                   gr_until = until;
+                   gr_version = version;
+                   gr_limit = limit;
+                   gr_byte_limit = byte_limit;
+                   gr_reverse = reverse;
+                   gr_epoch = rv_epoch;
+                 })
+          in
+          match reply with
+          | Message.Storage_get_range_reply { rr_rows; rr_more } ->
+              Future.return ((reverse, limit, byte_limit), (rr_rows, rr_more))
+          | _ -> Alcotest.fail "unexpected reply"
+        in
+        let n = List.length model in
+        let* replies =
+          Future.all
+            (List.concat_map
+               (fun reverse ->
+                 List.concat_map
+                   (fun limit ->
+                     List.map
+                       (fun byte_limit -> read ~reverse ~limit ~byte_limit)
+                       [ 1; 25; 60; max_int ])
+                   [ 1; 3; n - 1; n; n + 5 ])
+               [ false; true ])
+        in
+        Future.return replies)
+  in
+  List.iter
+    (fun ((reverse, limit, byte_limit), (rows, more)) ->
+      let case = Printf.sprintf "reverse=%b limit=%d bytes=%d" reverse limit byte_limit in
+      let visible = if reverse then List.rev model else model in
+      (* The budgets are checked before each row, so the first row always
+         fits. *)
+      let rec take acc count bytes = function
+        | (k, v) :: rest when count < limit && bytes < byte_limit ->
+            take ((k, v) :: acc) (count + 1) (bytes + String.length k + String.length v) rest
+        | _ -> List.rev acc
+      in
+      let want = take [] 0 0 visible in
+      Alcotest.(check (list (pair string string))) (case ^ ": rows") want rows;
+      Alcotest.(check bool) (case ^ ": more") (List.length want < List.length visible) more)
+    replies
 
 (* ---------- least-loaded replica choice ---------- *)
 
@@ -601,4 +736,5 @@ let suite =
     Alcotest.test_case "in-flight counts settle after failover" `Quick
       test_inflight_settles_after_failover;
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
+    Alcotest.test_case "scan contract, both directions" `Quick test_scan_contract;
   ]

@@ -69,8 +69,9 @@ let test_vw_version_regression_rejected () =
 let test_vw_keys_in_range () =
   let w = Version_window.create () in
   List.iter (fun k -> Version_window.apply w 10L (Mutation.Set (k, k))) [ "a"; "c"; "e" ];
-  Alcotest.(check (list string)) "subset" [ "a"; "c" ]
-    (Version_window.keys_in_range w ~from:"a" ~until:"d")
+  let keys ~reverse = List.of_seq (Version_window.keys w ~from:"a" ~until:"d" ~reverse) in
+  Alcotest.(check (list string)) "subset" [ "a"; "c" ] (keys ~reverse:false);
+  Alcotest.(check (list string)) "subset, reversed" [ "c"; "a" ] (keys ~reverse:true)
 
 (* --- Mutation / atomic ops --- *)
 
@@ -247,18 +248,39 @@ let test_ps_crash_before_snapshot_sync () =
   Alcotest.(check int) "all entries back" 20 entries;
   Alcotest.(check int) "seq restored" 20 seq
 
-let test_ps_prev_entry () =
+let test_ps_keys () =
   let r =
     with_store (fun _disk store ->
         let* () =
-          Persistent_store.apply store [ Mutation.Set ("a", "1"); Mutation.Set ("c", "3") ]
+          Persistent_store.apply store
+            (List.map (fun k -> Mutation.Set (k, k)) [ "a"; "b"; "c"; "d" ])
+        in
+        let keys ~from ~until ~reverse =
+          List.of_seq (Persistent_store.keys store ~from ~until ~reverse)
         in
         Future.return
-          ( Persistent_store.prev_entry store ~before:"c",
-            Persistent_store.prev_entry store ~before:"a" ))
+          [
+            keys ~from:"b" ~until:"d" ~reverse:false;
+            keys ~from:"b" ~until:"d" ~reverse:true;
+            keys ~from:"" ~until:"\xff" ~reverse:false;
+            keys ~from:"" ~until:"\xff" ~reverse:true;
+            keys ~from:"bb" ~until:"c0" ~reverse:true;
+            keys ~from:"c" ~until:"c" ~reverse:false;
+            keys ~from:"c" ~until:"c" ~reverse:true;
+          ])
   in
-  Alcotest.(check (option (pair string string))) "prev" (Some ("a", "1")) (fst r);
-  Alcotest.(check (option (pair string string))) "none" None (snd r)
+  Alcotest.(check (list (list string)))
+    "from inclusive, until exclusive, both directions"
+    [
+      [ "b"; "c" ];
+      [ "c"; "b" ];
+      [ "a"; "b"; "c"; "d" ];
+      [ "d"; "c"; "b"; "a" ];
+      [ "c" ];
+      [];
+      [];
+    ]
+    r
 
 let qcheck_vw_matches_naive =
   (* Random single-key histories: window reads must match a naive replay. *)
@@ -324,5 +346,5 @@ let suite =
       test_ps_checkpoint_keeps_one_snapshot;
     Alcotest.test_case "persistent crash before snapshot sync" `Quick
       test_ps_crash_before_snapshot_sync;
-    Alcotest.test_case "persistent prev entry" `Quick test_ps_prev_entry;
+    Alcotest.test_case "persistent keys" `Quick test_ps_keys;
   ]
