@@ -4,7 +4,7 @@
    sweeps. See EXPERIMENTS.md for paper-vs-measured discussion. *)
 
 let available =
-  [ "micro"; "conflict"; "range"; "commit"; "rebalance"; "fig3"; "fig7"; "fig8"; "fig9"; "fig10"; "ablation" ]
+  [ "micro"; "conflict"; "engine"; "range"; "commit"; "rebalance"; "fig3"; "fig7"; "fig8"; "fig9"; "fig10"; "ablation" ]
 
 let () =
   let only = ref [] in
@@ -19,7 +19,7 @@ let () =
       ("--quick", Arg.Set quick, "  smaller sweeps (fig8/fig10)");
       ( "--smoke",
         Arg.Set smoke,
-        "  CI smoke: tiny measurement quotas, skip simulations (conflict)" );
+        "  CI smoke: tiny measurement quotas, skip simulations (conflict, engine)" );
     ]
   in
   Arg.parse spec (fun s -> only := s :: !only) "fdb benchmark harness";
@@ -30,6 +30,7 @@ let () =
     (if !quick then " (quick)" else "");
   if want "micro" then Micro.run ();
   if want "conflict" then Conflict.run ~smoke:!smoke ();
+  if want "engine" then Engine_cost.run ~smoke:!smoke ();
   if want "range" then Range_read.run ~smoke:!smoke ();
   if want "commit" then Commit_pipeline.run ~smoke:!smoke ();
   if want "rebalance" then Rebalance.run ~smoke:!smoke ();

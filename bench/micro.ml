@@ -2,7 +2,8 @@
    - the §2.4.2 Resolver claim: one single-threaded Resolver handles ~280K
      TPS, each transaction checking one read range and noting one write
      range in the version-augmented skiplist;
-   - skiplist primitives and future/engine overhead (substrate ablations). *)
+   - the history's two primitives and future overhead (substrate
+     ablations). *)
 
 open Bechamel
 open Toolkit
@@ -32,24 +33,28 @@ let resolver_txn () =
     if Int64.rem !version 50_000L = 0L then
       Fdb_kv.Range_version_map.expire rvm ~before:(Int64.sub !version 50_000L)
 
-let skiplist_insert () =
+(* Point writes at random keys: the resolver's note_write, growing the
+   history as it goes. *)
+let rvm_note_write () =
   let rng = Rng.create 3L in
-  let sl = Fdb_kv.Skiplist.create ~rng () in
-  let i = ref 0 in
+  let rvm = Fdb_kv.Range_version_map.create ~rng () in
+  let version = ref 0L in
   fun () ->
-    incr i;
-    Fdb_kv.Skiplist.insert sl (Printf.sprintf "%08d" (Rng.int rng 1_000_000)) !i
+    let k = Printf.sprintf "%08d" (Rng.int rng 1_000_000) in
+    version := Int64.add !version 1L;
+    Fdb_kv.Range_version_map.note_write rvm ~from:k ~until:(k ^ "\x00") !version
 
-let skiplist_search () =
+(* Point conflict checks against a ~100k-entry history. *)
+let rvm_max_version () =
   let rng = Rng.create 3L in
-  let sl = Fdb_kv.Skiplist.create ~rng () in
-  for i = 0 to 100_000 do
-    Fdb_kv.Skiplist.insert sl (Printf.sprintf "%08d" (Rng.int rng 1_000_000)) i
+  let rvm = Fdb_kv.Range_version_map.create ~rng () in
+  for i = 0 to 50_000 do
+    let k = Printf.sprintf "%08d" (Rng.int rng 1_000_000) in
+    Fdb_kv.Range_version_map.note_write rvm ~from:k ~until:(k ^ "\x00") (Int64.of_int i)
   done;
   fun () ->
-    ignore
-      (Fdb_kv.Skiplist.find_less_equal sl (Printf.sprintf "%08d" (Rng.int rng 1_000_000))
-       : (string * int) option)
+    let k = Printf.sprintf "%08d" (Rng.int rng 1_000_000) in
+    ignore (Fdb_kv.Range_version_map.max_version rvm ~from:k ~until:(k ^ "\x00") : int64)
 
 let future_chain () =
   fun () ->
@@ -62,8 +67,8 @@ let future_chain () =
 let tests =
   [
     ("resolver-check+note (one txn)", resolver_txn ());
-    ("skiplist insert", skiplist_insert ());
-    ("skiplist find_less_equal (100k)", skiplist_search ());
+    ("rvm note_write (point)", rvm_note_write ());
+    ("rvm max_version (point, 100k)", rvm_max_version ());
     ("future make/bind/fulfill", future_chain ());
   ]
 

@@ -4,7 +4,10 @@
 
     An entry at key [k] with version [v] means: the range from [k] to the
     next entry's key was last modified at commit version [v]. The map always
-    covers the whole keyspace (a root entry at [""]). *)
+    covers the whole keyspace (a root entry at [""]). Versions are held as
+    native ints, so they must stay below [2^62]; {!note_write} and
+    {!max_version} allocate nothing but new entries and the returned
+    version. *)
 
 type t
 
@@ -13,7 +16,8 @@ val create : rng:Fdb_util.Det_rng.t -> unit -> t
 
 val note_write : t -> from:string -> until:string -> int64 -> unit
 (** Record that [\[from, until)] was modified at the given commit version
-    (expected monotonically non-decreasing across calls). *)
+    (expected monotonically non-decreasing across calls). One descent to
+    [from], one level-0 walk to [until], one bottom-up refresh. *)
 
 val max_version : t -> from:string -> until:string -> int64
 (** Largest commit version recorded for any key in [\[from, until)] —
@@ -33,7 +37,9 @@ val entry_count : t -> int
 
 val work : t -> int
 (** Cumulative skiplist links traversed by all operations so far — the
-    conflict-check cost meter the resolver publishes per batch. *)
+    conflict-check cost meter the resolver publishes per batch, and the
+    measure benches and tests use to check the O(log n) bound. *)
 
 val check_invariants : t -> bool
-(** Underlying skiplist structural + annotation self-check (property tests). *)
+(** Structural self-check (keys strictly sorted at every level, entry count)
+    plus every link annotation recomputed from level 0 (property tests). *)

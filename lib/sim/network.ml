@@ -128,14 +128,17 @@ let call t ?(timeout = 5.0) ?bytes ~from ep payload =
   let fut, promise = Future.make () in
   Hashtbl.replace t.pending rpc_id promise;
   post t ?bytes ~from ep ~rpc_id payload;
+  (* The timer finds the promise by id rather than capturing it, so a
+     delivered reply is not kept alive until the timeout fires. *)
   Engine.schedule ~after:timeout (fun () ->
-      if Hashtbl.mem t.pending rpc_id then begin
-        Hashtbl.remove t.pending rpc_id;
-        (* The promise was still registered, so a false break means the
-           caller got neither reply nor timeout — a lost wakeup. *)
-        if not (Future.try_break promise Engine.Timed_out) then
-          Trace.emit "rpc_timeout_lost" [ ("rpc_id", string_of_int rpc_id) ]
-      end);
+      match Hashtbl.find_opt t.pending rpc_id with
+      | None -> ()
+      | Some promise ->
+          Hashtbl.remove t.pending rpc_id;
+          (* The promise was still registered, so a false break means the
+             caller got neither reply nor timeout — a lost wakeup. *)
+          if not (Future.try_break promise Engine.Timed_out) then
+            Trace.emit "rpc_timeout_lost" [ ("rpc_id", string_of_int rpc_id) ]);
   fut
 
 let send t ?bytes ~from ep payload = post t ?bytes ~from ep ~rpc_id:0 payload

@@ -1,19 +1,27 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes rather than a [mutable int64]
+   field, so a draw reads and writes it unboxed: with [mix64] and
+   [next_int64] inlined, [int] and [bool] allocate nothing, and [float]
+   only the float it returns. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 seed;
+  t
 
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] next_int64 t =
+  let state = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 state;
+  mix64 state
 
-let split t = { state = next_int64 t }
+let split t = create (next_int64 t)
 
 let int t bound =
   assert (bound > 0);

@@ -1,161 +1,6 @@
 open Fdb_kv
 module Rng = Fdb_util.Det_rng
 
-let mk_skiplist () = Skiplist.create ~rng:(Rng.create 7L) ()
-
-let test_skiplist_basic () =
-  let sl = mk_skiplist () in
-  Skiplist.insert sl "b" 2;
-  Skiplist.insert sl "a" 1;
-  Skiplist.insert sl "c" 3;
-  Alcotest.(check int) "length" 3 (Skiplist.length sl);
-  Alcotest.(check (option int)) "find a" (Some 1) (Skiplist.find sl "a");
-  Alcotest.(check (option int)) "find missing" None (Skiplist.find sl "x");
-  Skiplist.insert sl "a" 10;
-  Alcotest.(check (option int)) "replace" (Some 10) (Skiplist.find sl "a");
-  Alcotest.(check int) "length unchanged on replace" 3 (Skiplist.length sl);
-  Alcotest.(check (list (pair string int))) "sorted"
-    [ ("a", 10); ("b", 2); ("c", 3) ]
-    (Skiplist.to_list sl)
-
-let test_skiplist_find_less_equal () =
-  let sl = mk_skiplist () in
-  List.iter (fun k -> Skiplist.insert sl k k) [ "b"; "d"; "f" ];
-  Alcotest.(check (option (pair string string))) "exact" (Some ("d", "d"))
-    (Skiplist.find_less_equal sl "d");
-  Alcotest.(check (option (pair string string))) "between" (Some ("d", "d"))
-    (Skiplist.find_less_equal sl "e");
-  Alcotest.(check (option (pair string string))) "before all" None
-    (Skiplist.find_less_equal sl "a");
-  Alcotest.(check (option (pair string string))) "after all" (Some ("f", "f"))
-    (Skiplist.find_less_equal sl "z")
-
-let test_skiplist_remove () =
-  let sl = mk_skiplist () in
-  List.iter (fun k -> Skiplist.insert sl k ()) [ "a"; "b"; "c" ];
-  Alcotest.(check bool) "removed" true (Skiplist.remove sl "b");
-  Alcotest.(check bool) "already gone" false (Skiplist.remove sl "b");
-  Alcotest.(check (option unit)) "gone" None (Skiplist.find sl "b");
-  Alcotest.(check int) "length" 2 (Skiplist.length sl);
-  Alcotest.(check bool) "invariants" true (Skiplist.check_invariants sl)
-
-let test_skiplist_range_ops () =
-  let sl = mk_skiplist () in
-  List.iter (fun i -> Skiplist.insert sl (Printf.sprintf "k%02d" i) i) (List.init 20 Fun.id);
-  let seen = ref [] in
-  Skiplist.iter_range sl ~from:"k05" ~until:"k10" (fun _ v -> seen := v :: !seen);
-  Alcotest.(check (list int)) "range" [ 5; 6; 7; 8; 9 ] (List.rev !seen);
-  let removed = Skiplist.remove_range sl ~from:"k05" ~until:"k10" in
-  Alcotest.(check int) "removed count" 5 removed;
-  Alcotest.(check int) "remaining" 15 (Skiplist.length sl)
-
-let qcheck_skiplist_model =
-  (* Compare against Stdlib.Map over random op sequences. *)
-  let op_gen =
-    QCheck.Gen.(
-      pair (int_range 0 2) (pair (int_range 0 30) (int_range 0 100)))
-  in
-  QCheck.Test.make ~name:"skiplist matches Map model" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 200) op_gen))
-    (fun ops ->
-      let sl = Skiplist.create ~rng:(Rng.create 13L) () in
-      let model = ref [] in
-      List.iter
-        (fun (op, (ki, v)) ->
-          let k = Printf.sprintf "key%03d" ki in
-          match op with
-          | 0 ->
-              Skiplist.insert sl k v;
-              model := (k, v) :: List.remove_assoc k !model
-          | 1 ->
-              let present = List.mem_assoc k !model in
-              let removed = Skiplist.remove sl k in
-              if present <> removed then failwith "remove mismatch";
-              model := List.remove_assoc k !model
-          | _ ->
-              if Skiplist.find sl k <> List.assoc_opt k !model then
-                failwith "find mismatch")
-        ops;
-      let expected = List.sort compare !model in
-      Skiplist.to_list sl = expected && Skiplist.check_invariants sl)
-
-(* ---------- augmented-skiplist model suite ----------
-
-   The version annotations on tower links (link_max / link_pairmin) are pure
-   acceleration: every query must answer exactly what a naive sorted
-   assoc-list would, and [check_invariants] (annotation = level-0
-   recomputation of its sublist) must hold after every mutation. *)
-
-let qcheck_augmented_skiplist_model =
-  (* Reference semantics over a sorted (key, version) list. *)
-  let model_max_in_range entries ~from ~until =
-    List.fold_left
-      (fun best (k, v) -> if k >= from && k < until && v > best then v else best)
-      Int64.min_int entries
-  in
-  (* A node is coalescible iff it and its predecessor are both below the
-     floor; the head sentinel counts as never-old, so the first entry always
-     survives. Removed entries are themselves old, so original-predecessor
-     oldness and surviving-predecessor oldness agree and one left-to-right
-     pass suffices. *)
-  let model_coalesce entries floor =
-    let prev_old = ref false in
-    List.filter
-      (fun (_, v) ->
-        let old = v < floor in
-        let keep = not (old && !prev_old) in
-        prev_old := old;
-        keep)
-      entries
-  in
-  let op_gen =
-    QCheck.Gen.(
-      quad (int_range 0 4) (int_range 0 25) (int_range 0 25) (int_range 0 50))
-  in
-  QCheck.Test.make ~name:"augmented skiplist matches assoc-list model" ~count:300
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 120) op_gen))
-    (fun ops ->
-      let sl = Skiplist.create ~measure:Fun.id ~rng:(Rng.create 29L) () in
-      let model = ref [] in
-      let key i = Printf.sprintf "k%02d" i in
-      let sorted () = List.sort compare !model in
-      List.iter
-        (fun (op, a, b, v) ->
-          let from = key (min a b) and until = key (max a b) in
-          (match op with
-          | 0 ->
-              Skiplist.insert sl (key a) (Int64.of_int v);
-              model :=
-                (key a, Int64.of_int v) :: List.remove_assoc (key a) !model
-          | 1 ->
-              let removed = Skiplist.remove sl (key a) in
-              if removed <> List.mem_assoc (key a) !model then
-                failwith "remove mismatch";
-              model := List.remove_assoc (key a) !model
-          | 2 ->
-              let n = Skiplist.remove_range sl ~from ~until in
-              let keep, drop =
-                List.partition (fun (k, _) -> k < from || k >= until) !model
-              in
-              if n <> List.length drop then failwith "remove_range count";
-              model := keep
-          | 3 ->
-              if
-                Skiplist.max_in_range sl ~from ~until
-                <> model_max_in_range !model ~from ~until
-              then failwith "max_in_range mismatch"
-          | _ ->
-              let floor = Int64.of_int v in
-              let survivors = model_coalesce (sorted ()) floor in
-              let n = Skiplist.coalesce_below sl floor in
-              if n <> List.length !model - List.length survivors then
-                failwith "coalesce count";
-              model := survivors);
-          if not (Skiplist.check_invariants sl) then
-            failwith "annotation invariant broken")
-        ops;
-      Skiplist.to_list sl = sorted ())
-
 (* ---------- range-version-map reference model ----------
 
    The pre-augmentation implementation, re-expressed over a plain sorted
@@ -215,7 +60,9 @@ end
 
 let qcheck_rvm_expire_model =
   (* note_write at monotonically increasing versions (the resolver's usage),
-     interleaved with expiry at random floors and max_version probes. *)
+     interleaved with expiry at random floors and max_version probes. Ranges
+     are letter spans, point ranges [k ^ "\000"], ranges from the root [""],
+     and ranges that start or end on a boundary the history already holds. *)
   let op_gen =
     QCheck.Gen.(quad (int_range 0 5) (int_range 0 11) (int_range 0 11) (int_range 0 80))
   in
@@ -227,12 +74,23 @@ let qcheck_rvm_expire_model =
       let m = Range_version_map.create ~rng:(Rng.create 31L) () in
       let r = Rvm_ref.create () in
       let version = ref 0L in
+      let range a b x =
+        let lo = letter (min a b) and hi = letter (max a b + 1) in
+        match x mod 5 with
+        | 0 | 1 -> (lo, hi)
+        | 2 -> (letter a, letter a ^ "\000")
+        | 3 -> ("", hi)
+        | _ ->
+            let entries = r.Rvm_ref.entries in
+            let bound, _ = List.nth entries (x mod List.length entries) in
+            if b mod 2 = 0 then (bound, hi) else (lo, bound)
+      in
       List.iter
         (fun (op, a, b, x) ->
           (match op with
           | 0 | 1 | 2 ->
               version := Int64.add !version 1L;
-              let from = letter (min a b) and until = letter (max a b + 1) in
+              let from, until = range a b x in
               Range_version_map.note_write m ~from ~until !version;
               Rvm_ref.note_write r ~from ~until !version
           | 3 ->
@@ -240,11 +98,13 @@ let qcheck_rvm_expire_model =
               Range_version_map.expire m ~before:floor;
               Rvm_ref.expire r ~before:floor
           | _ ->
-              let from = letter (min a b) and until = letter (max a b + 1) in
+              let from, until = range a b x in
               if
                 Range_version_map.max_version m ~from ~until
                 <> Rvm_ref.max_version r ~from ~until
               then failwith "max_version mismatch");
+          if Range_version_map.entry_count m <> List.length r.Rvm_ref.entries then
+            failwith "entry_count mismatch";
           if not (Range_version_map.check_invariants m) then
             failwith "annotation invariant broken")
         ops;
@@ -255,8 +115,8 @@ let qcheck_rvm_expire_model =
           Range_version_map.max_version m ~from ~until
           = Rvm_ref.max_version r ~from ~until)
         (List.init 12 Fun.id)
-      && Range_version_map.max_version m ~from:"a" ~until:"z"
-         = Rvm_ref.max_version r ~from:"a" ~until:"z")
+      && Range_version_map.max_version m ~from:"" ~until:"z"
+         = Rvm_ref.max_version r ~from:"" ~until:"z")
 
 let test_rvm_basic () =
   let m = Range_version_map.create ~rng:(Rng.create 3L) () in
@@ -336,12 +196,6 @@ let qcheck_rvm_model =
 
 let suite =
   [
-    Alcotest.test_case "skiplist basic" `Quick test_skiplist_basic;
-    Alcotest.test_case "skiplist find_less_equal" `Quick test_skiplist_find_less_equal;
-    Alcotest.test_case "skiplist remove" `Quick test_skiplist_remove;
-    Alcotest.test_case "skiplist range ops" `Quick test_skiplist_range_ops;
-    QCheck_alcotest.to_alcotest qcheck_skiplist_model;
-    QCheck_alcotest.to_alcotest qcheck_augmented_skiplist_model;
     Alcotest.test_case "range_version_map basic" `Quick test_rvm_basic;
     Alcotest.test_case "range_version_map layering" `Quick test_rvm_layering;
     Alcotest.test_case "range_version_map single key" `Quick test_rvm_single_key;

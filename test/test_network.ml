@@ -145,6 +145,32 @@ let test_send_one_way () =
   in
   Alcotest.(check int) "delivered" 9 r
 
+(* A delivered reply must not stay reachable from the pending timeout
+   timer: after the reply lands and before the timeout fires, a full major
+   collection frees the reply payload. *)
+let test_reply_not_retained_by_timer () =
+  let w = Weak.create 1 in
+  let freed =
+    Engine.run (fun () ->
+        let net : msg Network.t = Network.create () in
+        let m1 = Process.fresh_machine ~dc:"dc1" 1 in
+        let client = Process.create ~name:"client" m1 in
+        let server = Process.create ~name:"server" m1 in
+        let ep = Network.fresh_endpoint net in
+        Network.register net ep server (function
+          | Ping n ->
+              let reply = Pong (n + 1) in
+              Weak.set w 0 (Some reply);
+              Future.return reply
+          | Pong _ -> Future.fail Exit);
+        let* reply = Network.call net ~timeout:5.0 ~from:client ep (Ping 1) in
+        let delivered = match reply with Pong n -> n = 2 | Ping _ -> false in
+        let* () = Engine.sleep 1.0 in
+        Gc.full_major ();
+        Future.return (delivered && not (Weak.check w 0)))
+  in
+  Alcotest.(check bool) "reply freed before the timeout fires" true freed
+
 let suite =
   [
     Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
@@ -156,4 +182,5 @@ let suite =
     Alcotest.test_case "clog delays" `Quick test_clog_delays;
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;
+    Alcotest.test_case "reply not retained by timer" `Quick test_reply_not_retained_by_timer;
   ]
