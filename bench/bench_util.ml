@@ -12,6 +12,11 @@ module Histogram = Fdb_util.Histogram
    service times 10x (Params.cpu_scale); shapes are preserved. *)
 let default_scale = 10.0
 
+(* Process CPU time, for the benches that measure the OCaml code's own cost
+   rather than the simulated cluster's virtual-clock time. *)
+(* fdb-lint: allow R1 -- the code's own CPU cost is the metric *)
+let cpu () = Sys.time ()
+
 let with_sim ?(seed = 42L) ?(cpu_scale = default_scale) config body =
   Engine.run ~seed ~max_time:1e6 (fun () ->
       Params.cpu_scale := cpu_scale;
