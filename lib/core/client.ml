@@ -29,12 +29,11 @@ end
 
 type tx_options = {
   opt_timeout : float option;
-  opt_retry_limit : int option;
   opt_max_read_bytes : int option;
 }
 
 let default_options =
-  { opt_timeout = None; opt_retry_limit = None; opt_max_read_bytes = None }
+  { opt_timeout = None; opt_max_read_bytes = None }
 
 type db = {
   ctx : Context.t;
@@ -254,14 +253,6 @@ let take_budget ?(keep_one = false) rows ~rows_left ~bytes_left =
   in
   go [] 0 0 rows
 
-let take_count n l =
-  let rec go acc n = function
-    | [] -> (List.rev acc, false)
-    | _ when n <= 0 -> (List.rev acc, true)
-    | x :: tl -> go (x :: acc) (n - 1) tl
-  in
-  go [] n l
-
 (* Try each replica of [team] in order of this handle's in-flight
    requests to it, fewest first (FDB's [loadBalance]); ties keep a
    Det_rng-shuffled order. Fail over on communication errors and
@@ -336,9 +327,9 @@ let storage_get t key (version, rv_epoch) =
    the given budgets, following [rr_more] continuations against the same
    replica team. Returns (rows, drained); [drained = false] means a budget
    ran out first. A [Wrong_shard] mid-walk means the shard map changed
-   under the read: re-resolve the remainder against the live map and keep
-   going (bounded by [re_resolves]) so continuations never silently
-   truncate. *)
+   under the read: re-resolve the remainder against the live map and walk
+   it sequentially (bounded by [re_resolves]) so continuations never
+   silently truncate. *)
 let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
     ~re_resolves ~team ~from ~until =
   let db = t.db in
@@ -377,7 +368,7 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       | `Re_resolve ->
           Trace.emit "client_range_re_resolve" [ ("from", f); ("until", u) ];
           let* rows, drained =
-            seq_fragments t ~version ~rv_epoch ~reverse
+            ranged_fetch t ~fanout:1 ~version ~rv_epoch ~reverse
               ~row_limit:(row_limit - nrows) ~byte_limit:(byte_limit - nbytes)
               ~re_resolves:(re_resolves - 1) ~from:f ~until:u
           in
@@ -400,88 +391,54 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
   in
   go (if reverse then until else from) [] 0 0
 
-(* Sequential walk over the (freshly resolved) fragments of a range — the
-   re-resolution path after a [Wrong_shard]. *)
-and seq_fragments t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
-    ~re_resolves ~from ~until =
-  let frags =
-    let fs = Shard_map.shards_for_range t.db.ctx.Context.shard_map ~from ~until in
-    if reverse then List.rev fs else fs
-  in
-  let rec walk frags acc nrows nbytes =
-    match frags with
-    | [] -> Future.return (List.concat (List.rev acc), true)
-    | _ when nrows >= row_limit || nbytes >= byte_limit ->
-        Future.return (List.concat (List.rev acc), false)
-    | (f, u, team) :: rest ->
-        let* rows, drained =
-          fragment_fetch t ~version ~rv_epoch ~reverse
-            ~row_limit:(row_limit - nrows) ~byte_limit:(byte_limit - nbytes)
-            ~re_resolves ~team ~from:f ~until:u
-        in
-        if not drained then
-          Future.return (List.concat (List.rev (rows :: acc)), false)
-        else
-          walk rest (rows :: acc) (nrows + List.length rows)
-            (nbytes + bytes_of_rows rows)
-  in
-  walk frags [] 0 0
-
-(* The parallel pipeline: per-shard sub-reads issued concurrently with a
-   bounded fan-out window (§2.4.1: clients talk to StorageServers
+(* The one fragment walker: per-shard sub-reads issued concurrently with a
+   bounded window of [fanout] (§2.4.1: clients talk to StorageServers
    directly, one team per shard). Fragments are consumed strictly in scan
-   order; completing one launches the next, so at most [client_range_fanout]
-   sub-reads are in flight. In-flight fragments each carry the full
-   remaining budget — they may over-fetch (bounded by fanout × budget) but
-   never under-fetch, so trimming happens client-side. *)
-let ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit
-    ~byte_limit =
+   order; consuming fragment i launches fragment i + [fanout] with the
+   budget still unspent, and only if the read goes on. The first [fanout]
+   fragments carry the full budget and may over-fetch (bounded by fanout ×
+   budget), so trimming happens client-side. [fanout = 1] is the
+   sequential walk. *)
+and ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+    ~re_resolves ~from ~until =
   let db = t.db in
-  let fragments =
+  let frags =
     let fs = Shard_map.shards_for_range db.ctx.Context.shard_map ~from ~until in
-    if reverse then List.rev fs else fs
+    Array.of_list (if reverse then List.rev fs else fs)
   in
-  let frags = Array.of_list fragments in
   let n = Array.length frags in
-  let fanout = max 1 Params.client_range_fanout in
   Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int (min fanout (max n 1)));
-  if n = 0 then Future.return ([], true)
-  else begin
-    let tasks = Array.make n None in
-    let launch i =
-      if i < n && tasks.(i) = None then
-        let f, u, team = frags.(i) in
-        tasks.(i) <-
-          Some
-            (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
-               ~re_resolves:3 ~team ~from:f ~until:u)
+  let tasks = Array.make n None in
+  let launch i ~row_limit ~byte_limit =
+    if i < n then
+      let f, u, team = frags.(i) in
+      tasks.(i) <-
+        Some
+          (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+             ~re_resolves ~team ~from:f ~until:u)
+  in
+  for i = 0 to fanout - 1 do
+    launch i ~row_limit ~byte_limit
+  done;
+  let rec consume i acc nrows nbytes =
+    let* rows, drained = Option.get tasks.(i) in
+    let rows, cut =
+      take_budget rows ~keep_one:(nrows = 0) ~rows_left:(row_limit - nrows)
+        ~bytes_left:(byte_limit - nbytes)
     in
-    for i = 0 to min fanout n - 1 do
-      launch i
-    done;
-    let rec consume i acc nrows nbytes =
-      if i >= n then Future.return (List.concat (List.rev acc), true)
-      else if nrows >= row_limit || nbytes >= byte_limit then
-        Future.return (List.concat (List.rev acc), false)
-      else begin
-        launch i;
-        let task = Option.get tasks.(i) in
-        let* rows, drained = task in
-        launch (i + fanout);
-        let rows, cut =
-          take_budget rows ~keep_one:(nrows = 0) ~rows_left:(row_limit - nrows)
-            ~bytes_left:(byte_limit - nbytes)
-        in
-        let acc = rows :: acc in
-        if cut || not drained then
-          Future.return (List.concat (List.rev acc), false)
-        else
-          consume (i + 1) acc (nrows + List.length rows)
-            (nbytes + bytes_of_rows rows)
-      end
-    in
-    consume 0 [] 0 0
-  end
+    let acc = rows :: acc in
+    let nrows = nrows + List.length rows and nbytes = nbytes + bytes_of_rows rows in
+    if cut || not drained then Future.return (List.concat (List.rev acc), false)
+    else if i + 1 >= n then Future.return (List.concat (List.rev acc), true)
+    else if nrows >= row_limit || nbytes >= byte_limit then
+      Future.return (List.concat (List.rev acc), false)
+    else begin
+      launch (i + fanout) ~row_limit:(row_limit - nrows)
+        ~byte_limit:(byte_limit - nbytes);
+      consume (i + 1) acc nrows nbytes
+    end
+  in
+  if n = 0 then Future.return ([], true) else consume 0 [] 0 0
 
 (* ---------- reads with read-your-writes ---------- *)
 
@@ -525,11 +482,12 @@ let get ?(snapshot = false) t key =
    budget cut the read short. Because the storage rows are span-complete,
    atomic-op base values come straight from the fetched map — no extra
    point reads. *)
-let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
-    ~byte_limit ~conflict =
+let read_merged t ~fanout ~snap:(version, rv_epoch) ~from ~until ~reverse
+    ~row_limit ~byte_limit ~conflict =
   let byte_limit = remaining_read_budget t ~want:byte_limit in
   let* storage_rows, drained =
-    ranged_fetch t ~version ~rv_epoch ~from ~until ~reverse ~row_limit ~byte_limit
+    ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+      ~re_resolves:3 ~from ~until
   in
   let got_bytes = bytes_of_rows storage_rows in
   t.read_bytes <- t.read_bytes + got_bytes;
@@ -572,7 +530,7 @@ let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
       let bindings = KeyMap.bindings merged in
       if reverse then List.rev bindings else bindings
   in
-  let kept, trimmed = take_count row_limit rows in
+  let kept, trimmed = take_budget rows ~rows_left:row_limit ~bytes_left:max_int in
   let continuation =
     if trimmed then
       match List.rev kept with
@@ -592,6 +550,28 @@ let budgets mode ~rows =
       (min rows Params.range_rows_per_batch, Params.range_bytes_per_req)
   | `Exact n -> (min rows (max 1 n), Params.range_bytes_want_all)
 
+(* The one batch loop: drain [\[from, until)] through [read_merged]
+   batches, stitching continuations, until the range is exhausted or
+   [limit] rows are in hand. *)
+let collect t ~fanout ~snap ~mode ~limit ~reverse ~from ~until =
+  let rec loop ~from ~until acc collected =
+    let remaining = limit - collected in
+    if remaining <= 0 || from >= until then Future.return (List.concat (List.rev acc))
+    else
+      let row_limit, byte_limit = budgets mode ~rows:remaining in
+      let* rows, continuation =
+        read_merged t ~fanout ~snap ~from ~until ~reverse ~row_limit ~byte_limit
+          ~conflict:false
+      in
+      let acc = rows :: acc in
+      match continuation with
+      | None -> Future.return (List.concat (List.rev acc))
+      | Some c ->
+          let from, until = if reverse then (from, c) else (c, until) in
+          loop ~from ~until acc (collected + List.length rows)
+  in
+  loop ~from ~until [] 0
+
 (* ---------- key-selector resolution ---------- *)
 
 (* Normalize a selector into a walk: [`Forward] finds the [need]-th key
@@ -602,54 +582,18 @@ let selector_walk (sel : Key_selector.t) =
   if sel.sel_offset >= 1 then (`Forward, start, sel.sel_offset)
   else (`Reverse, start, 1 - sel.sel_offset)
 
-(* Resolution against storage alone: the sequential fragment walk with a
-   row budget of [need], whose [need]-th row is the answer. The MVCC window
-   on the server makes this exact at the transaction's read version. *)
-let storage_resolve t (version, rv_epoch) ~start ~reverse ~need =
-  let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
-  let* rows, _ =
-    seq_fragments t ~version ~rv_epoch ~reverse ~row_limit:need ~byte_limit:max_int
-      ~re_resolves:3 ~from ~until
-  in
-  Future.return (List.nth_opt rows (need - 1) |> Option.map fst)
-
-(* Resolution through the RYW merge: when the transaction has buffered
-   writes or clears the storage answer alone is wrong, so walk merged
-   batches instead. *)
-let merged_nth t snap ~start ~reverse ~need =
-  let rec loop ~from ~until need =
-    if from >= until then Future.return None
-    else
-      let* rows, continuation =
-        read_merged t ~snap ~from ~until ~reverse ~row_limit:need
-          ~byte_limit:Params.range_bytes_want_all ~conflict:false
-      in
-      let n = List.length rows in
-      if n >= need then Future.return (Some (fst (List.nth rows (need - 1))))
-      else
-        match continuation with
-        | None -> Future.return None
-        | Some c ->
-            let from, until = if reverse then (from, c) else (c, until) in
-            loop ~from ~until (need - n)
-  in
-  if reverse then loop ~from:"" ~until:start need
-  else loop ~from:start ~until:Types.key_space_end need
-
-(* Resolve a selector to a concrete key, clamped to [""] /
-   [Types.key_space_end] when the walk runs off the edge of the key space
-   (the standard FDB clamp). *)
+(* Resolve a selector to a concrete key: the [need]-th row of a snapshot
+   batch walk from [start], through the RYW merge so buffered writes and
+   clears count. Clamped to [""] / [Types.key_space_end] when the walk runs
+   off the edge of the key space (the standard FDB clamp). *)
 let resolve_key t snap sel =
   let dir, start, need = selector_walk sel in
   let reverse = dir = `Reverse in
-  let* resolved =
-    if nothing_buffered t then
-      storage_resolve t snap ~start ~reverse ~need
-    else merged_nth t snap ~start ~reverse ~need
-  in
+  let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
+  let* rows = collect t ~fanout:1 ~snap ~mode:`Want_all ~limit:need ~reverse ~from ~until in
   Future.return
-    (match resolved with
-    | Some k -> k
+    (match List.nth_opt rows (need - 1) with
+    | Some (k, _) -> k
     | None -> if reverse then "" else Types.key_space_end)
 
 let get_key ?(snapshot = false) t sel =
@@ -718,15 +662,13 @@ let range t (q : Range_query.t) =
       budgets q.rq_mode ~rows:(min 1_000_000 q.rq_limit)
     in
     let* rows, continuation =
-      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit
-        ~byte_limit ~conflict:(not q.rq_snapshot)
+      read_merged t ~fanout:Params.client_range_fanout ~snap ~from ~until
+        ~reverse:q.rq_reverse ~row_limit ~byte_limit ~conflict:(not q.rq_snapshot)
     in
     Future.return { batch_rows = rows; batch_continuation = continuation }
 
 (* Drain the query to a list: conflict on the whole span up front (the
-   result logically depends on all of it), then loop [read_merged] batches,
-   stitching continuations, until the range is exhausted or [rq_limit] rows
-   are in hand. *)
+   result logically depends on all of it), then run the batch loop. *)
 let range_all t (q : Range_query.t) =
   check_not_committed t;
   let* from, until = query_bounds t q in
@@ -734,26 +676,8 @@ let range_all t (q : Range_query.t) =
   else begin
     let* snap = snapshot_info t in
     if not q.rq_snapshot then add_read_conflict_range t ~from ~until;
-    let reverse = q.rq_reverse in
-    let rec loop ~from ~until acc collected =
-      let remaining = q.rq_limit - collected in
-      if remaining <= 0 then Future.return (List.concat (List.rev acc))
-      else begin
-        let row_limit, byte_limit = budgets q.rq_mode ~rows:remaining in
-        let* rows, continuation =
-          read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit
-            ~conflict:false
-        in
-        let acc = rows :: acc in
-        match continuation with
-        | None -> Future.return (List.concat (List.rev acc))
-        | Some c ->
-            let from, until = if reverse then (from, c) else (c, until) in
-            if from >= until then Future.return (List.concat (List.rev acc))
-            else loop ~from ~until acc (collected + List.length rows)
-      end
-    in
-    loop ~from ~until [] 0
+    collect t ~fanout:Params.client_range_fanout ~snap ~mode:q.rq_mode
+      ~limit:q.rq_limit ~reverse:q.rq_reverse ~from ~until
   end
 
 (* ---------- writes ---------- *)
@@ -1027,14 +951,8 @@ let classify_exn : exn -> Error.t option = function
 
 (* ---------- retry loop ---------- *)
 
-let run db ?max_attempts ?options f =
+let run db ?(max_attempts = 64) ?options f =
   let options = Option.value options ~default:default_options in
-  let retry_limit =
-    match (options.opt_retry_limit, max_attempts) with
-    | Some n, _ -> n
-    | None, Some n -> n
-    | None, None -> 64
-  in
   let deadline = Option.map (fun s -> Engine.now () +. s) options.opt_timeout in
   let rec attempt n backoff =
     let t = begin_tx ~options db in
@@ -1060,7 +978,7 @@ let run db ?max_attempts ?options f =
       (fun exn ->
         match classify_exn exn with
         | Some e
-          when Error.is_retryable e && n < retry_limit
+          when Error.is_retryable e && n < max_attempts
                && (match deadline with
                   | None -> true
                   | Some d -> Engine.now () < d) ->
@@ -1077,24 +995,8 @@ let run db ?max_attempts ?options f =
    a transaction raised into [Some err], and [Client.Error.retryable] is
    the single authority [run] keys its retry decision off. *)
 module Error = struct
-  type t = Error.t =
-    | Not_committed
-    | Commit_unknown_result
-    | Transaction_too_old
-    | Future_version
-    | Process_behind
-    | Wrong_shard
-    | Timed_out
-    | Database_locked
-    | Key_too_large
-    | Value_too_large
-    | Transaction_too_large
-    | Key_outside_legal_range
-    | Used_during_commit
-    | Wrong_epoch
-    | Internal of string
+  include Error
 
   let retryable = Error.is_retryable
   let classify = classify_exn
-  let to_string = Error.to_string
 end

@@ -91,14 +91,13 @@ end
 
 type tx_options = {
   opt_timeout : float option;  (** overall [run] deadline, seconds *)
-  opt_retry_limit : int option;  (** max [run] attempts *)
   opt_max_read_bytes : int option;
       (** per-transaction cap on bytes fetched from storage; exceeding it
           fails the read with [Transaction_too_large] *)
 }
 
 val default_options : tx_options
-(** All [None]: no deadline, default retry limit, unbounded reads. *)
+(** All [None]: no deadline, unbounded reads. *)
 
 (** {2 Transactions} *)
 
@@ -218,7 +217,7 @@ val run :
 (** Standard retry loop: run the body, commit, and retry (with capped
     exponential backoff) on retryable errors. The body must be idempotent
     under retry, as in FDB. [options] is threaded into every attempt's
-    transaction; [opt_retry_limit] overrides [max_attempts] and
+    transaction; [max_attempts] (default 64) caps the attempts and
     [opt_timeout] bounds the whole loop, failing with [Timed_out]. *)
 
 val versionstamp_placeholder : string

@@ -13,7 +13,6 @@ type t = {
   mutable epoch : Types.epoch;
   mutable proxies : int list;
   mutable logs : (int * int) list;
-  mutable rv : Types.version;
   mutable recovered : bool;
   (* when the sequencer failure that began the running recovery was
      declared; [None] while recovered *)
@@ -36,7 +35,6 @@ let state_reply t =
       st_epoch = t.epoch;
       st_proxies = t.proxies;
       st_logs = t.logs;
-      st_recovery_version = t.rv;
       st_recovered = t.recovered;
       st_dd = t.dd;
     }
@@ -60,12 +58,11 @@ let await_state t =
 (* Adopt the sequencer's view of its generation. A reply that would
    un-recover the generation we already know recovered is older than what
    we have (a ping answered before the recovery notice arrived): drop it. *)
-let learn t ~epoch ~recovered ~proxies ~logs ~rv =
+let learn t ~epoch ~recovered ~proxies ~logs =
   if not (t.recovered && (not recovered) && epoch = t.epoch) then begin
     t.epoch <- epoch;
     t.proxies <- proxies;
     t.logs <- logs;
-    t.rv <- rv;
     t.recovered <- recovered;
     if recovered then begin
       (match t.failed_at with
@@ -80,8 +77,8 @@ let learn t ~epoch ~recovered ~proxies ~logs ~rv =
     end
   end
 
-let note_recovered t ~sequencer ~epoch ~proxies ~logs ~rv =
-  if t.active && t.seq = Some sequencer then learn t ~epoch ~recovered:true ~proxies ~logs ~rv
+let note_recovered t ~sequencer ~epoch ~proxies ~logs =
+  if t.active && t.seq = Some sequencer then learn t ~epoch ~recovered:true ~proxies ~logs
 
 (* Ask workers round-robin until one hosts the role. *)
 let recruit t msg =
@@ -113,9 +110,9 @@ let ping t ep =
       in
       match reply with
       | Message.Ok_reply -> Future.return `Alive
-      | Message.Seq_pong { sp_epoch; sp_recovered; sp_proxies; sp_logs; sp_rv } ->
+      | Message.Seq_pong { sp_epoch; sp_recovered; sp_proxies; sp_logs } ->
           learn t ~epoch:sp_epoch ~recovered:sp_recovered ~proxies:sp_proxies
-            ~logs:sp_logs ~rv:sp_rv;
+            ~logs:sp_logs;
           Future.return `Alive
       | _ -> Future.return `Dead)
     (fun _ -> Future.return `Dead)
@@ -208,7 +205,6 @@ let start ctx proc =
       epoch = 0;
       proxies = [];
       logs = [];
-      rv = 0L;
       recovered = false;
       failed_at = None;
       waiters = [];

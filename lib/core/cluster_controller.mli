@@ -30,7 +30,6 @@ val note_recovered :
   epoch:Types.epoch ->
   proxies:int list ->
   logs:(int * int) list ->
-  rv:Types.version ->
   unit
 (** The sequencer at endpoint [sequencer] finished its recovery (its
     [Cc_recovered] notice). Ignored unless it is the current sequencer. *)

@@ -181,7 +181,7 @@ let move_shard ctx ~proc ~db ~lo ~dst =
                                     })
                              in
                              match reply with
-                             | Message.Ss_fetch_ack _ -> Future.return true
+                             | Message.Ss_fetch_ack -> Future.return true
                              | _ -> Future.return false)
                            (fun _ -> Future.return false))
                        newcomers)
@@ -191,20 +191,16 @@ let move_shard ctx ~proc ~db ~lo ~dst =
 
 (* ---------- rebalancing (splits, merges, moves under skew) ---------- *)
 
-let hex_of_key k =
-  String.concat "" (List.init (String.length k) (fun i -> Printf.sprintf "%02x" (Char.code k.[i])))
-
 (* Read+write byte delta for [ss]'s copy of the shard at [lo] since the
    last sample (per-shard counters are published by the storage servers). *)
 let traffic_delta t ss lo =
-  let hex = hex_of_key lo in
   let cur =
     Registry.counter_value t.ctx.Context.metrics ~role:Registry.Storage ~process:ss
-      (Printf.sprintf "shard_read_bytes:%s" hex)
+      (Storage_server.shard_metric "shard_read_bytes" lo)
     + Registry.counter_value t.ctx.Context.metrics ~role:Registry.Storage ~process:ss
-        (Printf.sprintf "shard_write_bytes:%s" hex)
+        (Storage_server.shard_metric "shard_write_bytes" lo)
   in
-  let key = Printf.sprintf "%d/%s" ss hex in
+  let key = Printf.sprintf "%d/%s" ss lo in
   let prev = Option.value ~default:0 (Det_tbl.find_opt t.prev_traffic key) in
   Det_tbl.replace t.prev_traffic key cur;
   max 0 (cur - prev)
@@ -214,7 +210,7 @@ let shard_size t team lo =
     (fun acc ss ->
       match
         Registry.gauge_value t.ctx.Context.metrics ~role:Registry.Storage ~process:ss
-          (Printf.sprintf "shard_size_bytes:%s" (hex_of_key lo))
+          (Storage_server.shard_metric "shard_size_bytes" lo)
       with
       | Some v -> max acc (int_of_float v)
       | None -> acc)

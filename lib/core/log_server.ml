@@ -24,8 +24,6 @@ type t = {
   (* All entries by LSN (seeds + pushes); enumerated during prune and
      recovery hand-off, so iteration order must be LSN-defined. *)
   entries : (Types.version, Message.log_entry) Det_tbl.t;
-  (* Chain index: prev LSN -> entry LSN (point lookups only). *)
-  next : (Types.version, Types.version) Hashtbl.t;
   (* Pushes that arrived before their predecessor, keyed by the missing
      prev LSN, with the reply promise their push RPC is blocked on. With a
      pipelined proxy this is a hot path: batch N+1's push routinely lands
@@ -213,7 +211,6 @@ let push_reply t lsn =
    peeks the new [rcv] has reached. *)
 let rec accept t (e : Message.log_entry) =
   Det_tbl.replace t.entries e.Message.le_lsn e;
-  Hashtbl.replace t.next e.Message.le_prev e.Message.le_lsn;
   t.rcv <- e.Message.le_lsn;
   if e.Message.le_kcv > t.kcv then t.kcv <- e.Message.le_kcv;
   index_payload t e;
@@ -262,48 +259,42 @@ let do_pop t tag up_to =
   end
 
 (* Discard fully-popped entries (the paper's log GC): an entry is dead once
-   every tag this server has seen traffic for has popped past it. The new
-   chain floor is made durable BEFORE records are dropped — otherwise a
-   rebooted server would understate its durable version and drag the next
-   recovery's RV below acknowledged commits. *)
+   every tag this server has seen traffic for has popped past it. Only the
+   dead LSN prefix goes: the WAL drops records by count from its head, so
+   a dead entry above a live one (a tag whose storage server is down) must
+   wait for it. The new chain floor is made durable BEFORE records are
+   dropped — otherwise a rebooted server would understate its durable
+   version and drag the next recovery's RV below acknowledged commits. *)
 let prune t =
   if Det_tbl.length t.pop_floor > 0 then begin
     let global_floor =
       Det_tbl.fold (fun _ v acc -> min v acc) t.pop_floor Int64.max_int
     in
-    let doomed =
-      Det_tbl.fold
-        (fun lsn (e : Message.log_entry) acc ->
-          let unpopped =
-            List.exists
-              (fun tm -> List.exists (fun tag -> lsn > floor_of t tag) tm.Message.tm_tags)
-              e.Message.le_payload
-          in
-          if lsn <= global_floor && not unpopped then lsn :: acc else acc)
-        t.entries []
+    let dead lsn (e : Message.log_entry) =
+      lsn <= global_floor
+      && List.for_all
+           (fun tm -> List.for_all (fun tag -> lsn <= floor_of t tag) tm.Message.tm_tags)
+           e.Message.le_payload
     in
-    if doomed = [] then Future.return ()
-    else begin
-      let new_floor = List.fold_left max t.floor doomed in
-      let* () =
-        Disk.write_file t.disk t.floor_file (Types.version_to_bytes new_floor)
-      in
-      let* () = Disk.sync t.disk t.floor_file in
-      (* Monotone re-read after the disk yields (rule R5): never let a
-         slow cleanup regress a floor a faster one already advanced. *)
-      if new_floor > t.floor then t.floor <- new_floor;
-      List.iter
-        (fun lsn ->
-          (match Det_tbl.find_opt t.entries lsn with
-          | Some e -> Hashtbl.remove t.next e.Message.le_prev
-          | None -> ());
-          Det_tbl.remove t.entries lsn)
-        doomed;
-      (* Dead entries are a prefix of the WAL (appends are chain-ordered),
-         so rotate them out of the simulated disk as well. *)
-      Disk.drop_prefix t.disk t.wal (List.length doomed);
-      Future.return ()
-    end
+    (* The dead prefix, newest first. *)
+    let rec prefix acc = function
+      | (lsn, e) :: rest when dead lsn e -> prefix (lsn :: acc) rest
+      | _ -> acc
+    in
+    match prefix [] (Det_tbl.to_sorted_list t.entries) with
+    | [] -> Future.return ()
+    | doomed ->
+        let new_floor = max t.floor (List.hd doomed) in
+        let* () =
+          Disk.write_file t.disk t.floor_file (Types.version_to_bytes new_floor)
+        in
+        let* () = Disk.sync t.disk t.floor_file in
+        (* Monotone re-read after the disk yields (rule R5): never let a
+           slow cleanup regress a floor a faster one already advanced. *)
+        if new_floor > t.floor then t.floor <- new_floor;
+        List.iter (Det_tbl.remove t.entries) doomed;
+        Disk.drop_prefix t.disk t.wal (List.length doomed);
+        Future.return ()
   end
   else Future.return ()
 
@@ -472,7 +463,6 @@ let make ctx proc ~disk ~epoch ~id ~start_lsn ~floor ~stopped =
     rcv = start_lsn;
     kcv = 0L;
     entries = Det_tbl.create ~size:1024 ();
-    next = Hashtbl.create 1024;
     pending = Det_tbl.create ~size:16 ();
     parked_peeks = [];
     per_tag = Hashtbl.create 64;
@@ -537,7 +527,6 @@ let resurrect ctx proc ~disk ~(meta : meta) =
     | (lsn, e) :: _ ->
         Det_tbl.remove scratch lsn;
         Det_tbl.replace t.entries lsn e;
-        Hashtbl.replace t.next v lsn;
         index_payload t e;
         if e.Message.le_kcv > t.kcv then t.kcv <- e.Message.le_kcv;
         chain lsn

@@ -72,7 +72,6 @@ type t =
       st_epoch : Types.epoch;
       st_proxies : int list;
       st_logs : (int * int) list;
-      st_recovery_version : Types.version;
       st_recovered : bool;
       st_dd : int option; (* DataDistributor worker, when recruited *)
     }
@@ -82,14 +81,12 @@ type t =
       sp_recovered : bool;
       sp_proxies : int list;
       sp_logs : (int * int) list;
-      sp_rv : Types.version;
     }
   | Cc_recovered of {
       cr_sequencer : int;
       cr_epoch : Types.epoch;
       cr_proxies : int list;
       cr_logs : (int * int) list;
-      cr_rv : Types.version;
     }
   | Proxy_retire of { pr_epoch : Types.epoch }
   | Grv_req
@@ -151,11 +148,8 @@ type t =
   | Rk_rate of { tps : float }
   | Ss_stats_req
   | Ss_stats of {
-      ss_version : Types.version;
       ss_durable : Types.version;
-      ss_window_events : int;
       ss_lag : float;
-      ss_busy : float;
     }
   | Ss_fetch_shard of {
       fs_from : string;
@@ -164,7 +158,7 @@ type t =
       fs_epoch : Types.epoch;
       fs_sources : int list; (* current team members to fetch from *)
     }
-  | Ss_fetch_ack of { fa_rows : int; fa_bytes : int }
+  | Ss_fetch_ack
   | Ss_split_point of { spl_from : string; spl_until : string }
   | Ss_split_point_reply of { spl_key : string option }
       (* median-by-bytes key of the range, when one strictly inside exists *)
@@ -218,7 +212,7 @@ let name = function
   | Ss_stats_req -> "Ss_stats_req"
   | Ss_stats _ -> "Ss_stats"
   | Ss_fetch_shard _ -> "Ss_fetch_shard"
-  | Ss_fetch_ack _ -> "Ss_fetch_ack"
+  | Ss_fetch_ack -> "Ss_fetch_ack"
   | Ss_split_point _ -> "Ss_split_point"
   | Ss_split_point_reply _ -> "Ss_split_point_reply"
   | Ss_watch _ -> "Ss_watch"

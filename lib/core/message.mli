@@ -98,7 +98,6 @@ type t =
       st_epoch : Types.epoch;
       st_proxies : int list;
       st_logs : (int * int) list;
-      st_recovery_version : Types.version;
       st_recovered : bool;
       st_dd : int option;  (** DataDistributor worker, when recruited *)
     }
@@ -108,14 +107,12 @@ type t =
       sp_recovered : bool;
       sp_proxies : int list;
       sp_logs : (int * int) list;
-      sp_rv : Types.version;
     }
   | Cc_recovered of {
       cr_sequencer : int;  (** the sequencer's endpoint *)
       cr_epoch : Types.epoch;
       cr_proxies : int list;
       cr_logs : (int * int) list;
-      cr_rv : Types.version;
     }
       (** one-way, sequencer -> ClusterController: this generation has
           recovered (the CC need not wait for its next ping) *)
@@ -192,11 +189,8 @@ type t =
   | Rk_rate of { tps : float }
   | Ss_stats_req
   | Ss_stats of {
-      ss_version : Types.version;
       ss_durable : Types.version;
-      ss_window_events : int;
       ss_lag : float;  (** seconds behind the log stream *)
-      ss_busy : float;  (** CPU queue depth in seconds (read overload) *)
     }
   (* data distributor <-> storage server *)
   | Ss_fetch_shard of {
@@ -208,7 +202,7 @@ type t =
       fs_epoch : Types.epoch;
       fs_sources : int list;  (** current team members to fetch from *)
     }
-  | Ss_fetch_ack of { fa_rows : int; fa_bytes : int }
+  | Ss_fetch_ack
   | Ss_split_point of { spl_from : string; spl_until : string }
   | Ss_split_point_reply of { spl_key : string option }
       (** median-by-bytes key of the range, when one strictly inside exists *)

@@ -135,17 +135,10 @@ let recruit_one t ~offset ~used msg =
   in
   attempt 0
 
-(* Key-range partition for resolvers: even two-byte-prefix split, mirroring
-   Shard_map's boundaries. *)
+(* Key-range partition for resolvers: the same even split as the initial
+   shards. *)
 let resolver_ranges n =
-  let boundary i =
-    if i = 0 then ""
-    else if i >= n then Types.system_key_space_end
-    else
-      let x = i * 65536 / n in
-      String.init 2 (fun b -> Char.chr ((x lsr (8 * (1 - b))) land 0xff))
-  in
-  List.init n (fun i -> (boundary i, boundary (i + 1)))
+  List.init n (fun i -> (Shard_map.boundary n i, Shard_map.boundary n (i + 1)))
 
 (* New LogServer [i]'s share of the hand-off: the mutations with a tag it
    replicates, each keeping only those tags. *)
@@ -321,7 +314,6 @@ let recover t =
              cr_epoch = t.epoch;
              cr_proxies = t.proxies;
              cr_logs = t.logs;
-             cr_rv = rv;
            });
       (* Phase 6: the "special recovery transaction": tell StorageServers
          the RV, the new logs, and the new epoch. *)
@@ -396,7 +388,6 @@ let handle t (msg : Message.t) : Message.t Future.t =
                sp_recovered = t.recovered;
                sp_proxies = t.proxies;
                sp_logs = t.logs;
-               sp_rv = t.rv;
              })
     | Message.Seq_grv ->
         if not t.recovered then Future.return (Message.Reject Error.Database_locked)

@@ -26,6 +26,11 @@ type t
 val build : Config.t -> t
 (** Deterministic initial placement for a deployment. *)
 
+val boundary : int -> int -> string
+(** [boundary n i]: the start of the [i]th of [n] even two-byte-prefix
+    splits of the key space ([""] at 0; the system key space end at [n]).
+    The initial shards and the resolvers' key ranges both use it. *)
+
 val shard_count : t -> int
 
 val generation : t -> int

@@ -79,8 +79,11 @@ type t = {
   shard_size_gauges : (string, Fdb_obs.Registry.gauge) Fdb_util.Det_tbl.t;
 }
 
-let hex_of_key k =
-  String.concat "" (List.init (String.length k) (fun i -> Printf.sprintf "%02x" (Char.code k.[i])))
+(* The per-shard metric [stem] of the shard starting at [lo]: the storage
+   servers publish these and the DataDistributor reads them. *)
+let shard_metric stem lo =
+  stem ^ ":"
+  ^ String.concat "" (List.init (String.length lo) (fun i -> Printf.sprintf "%02x" (Char.code lo.[i])))
 
 let time_version () = Int64.of_float (Engine.now () *. Types.versions_per_second)
 
@@ -131,12 +134,12 @@ let incoming_floor_range t ~from ~until =
     (fun acc (lo, hi, since) -> if lo < until && from < hi && since > acc then since else acc)
     Int64.min_int t.incoming
 
-(* Value visible at [v] while applying version [v] itself: within one
-   commit version, later mutations must observe earlier ones (atomic ops
-   stack), so the probe version is the version being applied. *)
-let read_for_apply t v key =
-  match Window.read ~floor:(incoming_floor t key) t.window v key with
-  | Window.Value value -> Some value
+(* The value of [key] at [version]. Applying version [v] reads at [v]
+   itself: within one commit version, later mutations must observe earlier
+   ones (atomic ops stack). *)
+let read_at t version key =
+  match Window.read ~floor:(incoming_floor t key) t.window version key with
+  | Window.Value v -> Some v
   | Window.Cleared -> None
   | Window.Unknown -> Pstore.get t.pstore key
 
@@ -182,7 +185,7 @@ let apply_mutation t v (m : Mutation.t) =
     match m with
     | Mutation.Atomic (kind, key, operand) -> (
         if not (in_shards t key) then t.blind_atomics <- (key, v) :: t.blind_atomics;
-        let old_value = read_for_apply t v key in
+        let old_value = read_at t v key in
         match Mutation.atomic_result kind ~old_value operand with
         | Some value -> Mutation.Set (key, value)
         | None -> Mutation.Clear key)
@@ -199,7 +202,7 @@ let shard_counter t cache stem lo =
   Fdb_util.Det_tbl.find_or_add cache lo (fun () ->
       Fdb_obs.Registry.counter t.ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
         ~process:t.id
-        (Printf.sprintf "%s:%s" stem (hex_of_key lo)))
+        (shard_metric stem lo))
 
 let note_read_traffic t key bytes =
   if bytes > 0 then
@@ -439,7 +442,7 @@ let publish_shard_sizes t =
         Fdb_util.Det_tbl.find_or_add t.shard_size_gauges lo (fun () ->
             Fdb_obs.Registry.gauge t.ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
               ~process:t.id
-              (Printf.sprintf "shard_size_bytes:%s" (hex_of_key lo)))
+              (shard_metric "shard_size_bytes" lo))
       in
       Fdb_obs.Registry.set_gauge g (float_of_int bytes))
     (served_shards t)
@@ -531,12 +534,6 @@ let wait_for_version t v =
       (fun () -> Future.map (Engine.timeout Params.storage_read_wait fut) (fun () -> true))
       (function Engine.Timed_out -> Future.return false | e -> raise e)
   end
-
-let read_at t version key =
-  match Window.read ~floor:(incoming_floor t key) t.window version key with
-  | Window.Value v -> Some v
-  | Window.Cleared -> None
-  | Window.Unknown -> Pstore.get t.pstore key
 
 (* Merge two key sequences, each in scan order under [cmp], into one
    without duplicates. *)
@@ -718,7 +715,7 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
                 [ ("ss", string_of_int t.id); ("lo", String.escaped from);
                   ("rows", string_of_int rows);
                   ("since", Int64.to_string version) ];
-              Future.return (Message.Ss_fetch_ack { fa_rows = rows; fa_bytes = bytes })
+              Future.return Message.Ss_fetch_ack
             end)
   end
 
@@ -786,16 +783,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
       adopt t ~epoch:sr_epoch ~rv:sr_rv ~history:sr_history ~logs:sr_logs;
       Future.return Message.Ok_reply
   | Message.Ss_stats_req ->
-      let busy = t.proc.Process.cpu_busy_until -. Engine.now () in
-      Future.return
-        (Message.Ss_stats
-           {
-             ss_version = t.version;
-             ss_durable = t.durable;
-             ss_window_events = Window.event_count t.window;
-             ss_lag = lag_seconds t;
-             ss_busy = (if busy > 0.0 then busy else 0.0);
-           })
+      Future.return (Message.Ss_stats { ss_durable = t.durable; ss_lag = lag_seconds t })
   | Message.Ss_fetch_shard { fs_from; fs_until; fs_version; fs_epoch; fs_sources } ->
       (* Buggify: an occasionally failing fetch exercises the DD's
          abort-and-retry path under simulation. *)

@@ -18,3 +18,8 @@ val create :
 (** Open (recovering from disk if present) storage server [id], register
     its well-known endpoint, start the pull/durability loops, and install
     the boot thunk that re-creates everything after a crash. *)
+
+val shard_metric : string -> string -> string
+(** [shard_metric stem lo]: the name of the per-shard metric [stem]
+    ([shard_read_bytes], [shard_write_bytes], [shard_size_bytes]) of the
+    shard starting at [lo], as storage servers publish it. *)

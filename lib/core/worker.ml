@@ -65,11 +65,11 @@ let handle t (msg : Message.t) : Message.t Future.t =
       match t.cc with
       | Some cc -> Cluster_controller.await_state cc
       | None -> Future.return (Message.Reject (Error.Internal "not the cluster controller")))
-  | Message.Cc_recovered { cr_sequencer; cr_epoch; cr_proxies; cr_logs; cr_rv } ->
+  | Message.Cc_recovered { cr_sequencer; cr_epoch; cr_proxies; cr_logs } ->
       (match t.cc with
       | Some cc ->
           Cluster_controller.note_recovered cc ~sequencer:cr_sequencer ~epoch:cr_epoch
-            ~proxies:cr_proxies ~logs:cr_logs ~rv:cr_rv
+            ~proxies:cr_proxies ~logs:cr_logs
       | None -> ());
       Future.return Message.Ok_reply
   | _ -> Future.return (Message.Reject (Error.Internal "worker: unexpected message"))

@@ -10,7 +10,6 @@ type t = {
   mutable map : string KeyMap.t;
   mutable seq : int;
   mutable wal_len : int;
-  mutable bytes : int;
 }
 
 type wal_record = { wr_seq : int; wr_mut : Mutation.t }
@@ -35,9 +34,6 @@ let apply_mutation_to_map map (m : Mutation.t) =
   | Mutation.Clear_range (a, b) ->
       KeyMap.filter (fun k _ -> k < a || k >= b) map
   | Mutation.Atomic _ -> invalid_arg "Persistent_store: unmaterialized atomic"
-
-let recompute_bytes map =
-  KeyMap.fold (fun k v acc -> acc + String.length k + String.length v) map 0
 
 let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
   let wal_file = prefix ^ ".wal" and snap_file = prefix ^ ".snap" in
@@ -81,7 +77,6 @@ let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
       map;
       seq;
       wal_len = seq - seq0;
-      bytes = recompute_bytes map;
     }
 
 let get t key = KeyMap.find_opt key t.map
@@ -110,21 +105,6 @@ let apply t mutations =
       (fun m ->
         t.seq <- t.seq + 1;
         t.wal_len <- t.wal_len + 1;
-        (match m with
-        | Mutation.Set (k, v) ->
-            (match KeyMap.find_opt k t.map with
-            | Some old -> t.bytes <- t.bytes - String.length k - String.length old
-            | None -> ());
-            t.bytes <- t.bytes + String.length k + String.length v
-        | Mutation.Clear k -> (
-            match KeyMap.find_opt k t.map with
-            | Some old -> t.bytes <- t.bytes - String.length k - String.length old
-            | None -> ())
-        | Mutation.Clear_range (a, b) ->
-            KeyMap.to_seq_from a t.map
-            |> Seq.iter (fun (k, v) ->
-                   if k < b then t.bytes <- t.bytes - String.length k - String.length v)
-        | Mutation.Atomic _ -> invalid_arg "Persistent_store: unmaterialized atomic");
         t.map <- apply_mutation_to_map t.map m;
         Disk.append t.disk t.wal_file (encode_wal { wr_seq = t.seq; wr_mut = m }))
       mutations

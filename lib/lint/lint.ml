@@ -126,9 +126,13 @@ let explain = function
        is dead; a message nothing matches is a reply every caller discards\n\
        or a request no role serves. Either way it is protocol surface that\n\
        costs review and hides dead code. Delete it, or reply with Ok_reply\n\
-       when the caller only needs the acknowledgement. Uses are counted\n\
-       from the untyped AST as qualified paths (Message.X, library wrapper\n\
-       included), so no file may open Message. A constructor that must stay\n\
+       when the caller only needs the acknowledgement. Likewise every field\n\
+       of a constructor's inline record must be read outside that file, by\n\
+       a record pattern or a field access: a field nothing reads is state\n\
+       the sender computes and ships for nobody. Constructor uses are\n\
+       counted from the untyped AST as qualified paths (Message.X, library\n\
+       wrapper included), so no file may open Message; field reads are\n\
+       counted by field name. A constructor or field that must stay\n\
        one-sided carries a reasoned suppression on its line."
 
 type diagnostic = {
@@ -1129,8 +1133,10 @@ let dead_exports ~interfaces ~implementations =
 
    One pass collects the constructors of the protocol module that every
    other implementation builds (expressions) and matches (patterns), by
-   qualified path; each constructor of the protocol's [type t] must be in
-   both sets. *)
+   qualified path, and the record fields they read (record patterns and
+   field accesses), by name; each constructor of the protocol's [type t]
+   must be in both sets, and each field of its inline records must be
+   read. *)
 
 let r9_protocol = "lib/core/message.ml"
 
@@ -1139,7 +1145,8 @@ let one_sided_messages ~protocol:(path, src) ~implementations =
   let modname =
     String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
   in
-  let built = ref SSet.empty and matched = ref SSet.empty in
+  let built = ref SSet.empty and matched = ref SSet.empty and read = ref SSet.empty in
+  let note_field (lid : Longident.t) = read := SSet.add (Longident.last lid) !read in
   let note set (lid : Longident.t) =
     match unwrap (flatten_lid lid) with
     | [ m; c ] when m = modname -> set := SSet.add c !set
@@ -1147,11 +1154,17 @@ let one_sided_messages ~protocol:(path, src) ~implementations =
   in
   let open Ast_iterator in
   let expr self (e : Parsetree.expression) =
-    (match e.pexp_desc with Pexp_construct ({ txt; _ }, _) -> note built txt | _ -> ());
+    (match e.pexp_desc with
+    | Pexp_construct ({ txt; _ }, _) -> note built txt
+    | Pexp_field (_, { txt; _ }) -> note_field txt
+    | _ -> ());
     default_iterator.expr self e
   in
   let pat self (p : Parsetree.pattern) =
-    (match p.ppat_desc with Ppat_construct ({ txt; _ }, _) -> note matched txt | _ -> ());
+    (match p.ppat_desc with
+    | Ppat_construct ({ txt; _ }, _) -> note matched txt
+    | Ppat_record (fields, _) -> List.iter (fun ({ Location.txt; _ }, _) -> note_field txt) fields
+    | _ -> ());
     default_iterator.pat self p
   in
   let it = { default_iterator with expr; pat } in
@@ -1186,7 +1199,18 @@ let one_sided_messages ~protocol:(path, src) ~implementations =
                                   (modname ^ "." ^ c ^ " is never "
                                   ^ String.concat " or " missing
                                   ^ " outside " ^ path
-                                  ^ "; delete it, or suppress with the reason it must stay"))
+                                  ^ "; delete it, or suppress with the reason it must stay");
+                              match cd.pcd_args with
+                              | Pcstr_record lds ->
+                                  List.iter
+                                    (fun (ld : Parsetree.label_declaration) ->
+                                      if not (SSet.mem ld.pld_name.txt !read) then
+                                        violation R9 ld.pld_loc
+                                          (modname ^ "." ^ c ^ "." ^ ld.pld_name.txt
+                                         ^ " is never read outside " ^ path
+                                         ^ "; delete it, or suppress with the reason it must stay"))
+                                    lds
+                              | Pcstr_tuple _ -> ())
                             cds
                       | _ -> ())
                     decls

@@ -39,8 +39,8 @@
     - {b R9} no one-sided protocol messages ([lib/] only): every
       constructor of the protocol variant ([type t] of {!r9_protocol}) must
       be built by some expression and matched by some pattern in an
-      implementation other than the protocol's own. See
-      {!one_sided_messages}.
+      implementation other than the protocol's own, and each field of its
+      inline record read there. See {!one_sided_messages}.
 
     Per-line suppressions: a comment holding the [fdb-lint] marker, a
     colon and [allow R2 -- reason] (spelled apart here so the scanner does
@@ -134,9 +134,12 @@ val one_sided_messages :
 (** R9 over the protocol's [(repo-relative path, source)] and the
     implementations that may use it: each constructor of the protocol's
     [type t] that no implementation other than the protocol's own builds
-    in an expression, or that none matches in a pattern. A use is a
-    qualified path through the protocol's module name (the library
-    wrapper [Fdb_x.] is dropped); opens and aliases are not followed.
+    in an expression, or that none matches in a pattern, and each field of
+    a constructor's inline record that none reads in a record pattern or
+    a field access. A constructor use is a qualified path through the
+    protocol's module name (the library wrapper [Fdb_x.] is dropped);
+    opens and aliases are not followed. A field read is counted by the
+    field's name.
     Suppressions and the stale-suppression audit apply to the protocol
     file as in {!lint_source}. An implementation that does not parse
     contributes no uses. *)

@@ -6,6 +6,7 @@ let payload = R9_proto.Payload { x = 1 }
 
 let serve = function
   | R9_proto.Both -> 1
-  | Fdb_fixture.R9_proto.Served_only | R9_proto.Payload _ -> 2
+  | Fdb_fixture.R9_proto.Served_only -> 2
+  | R9_proto.Payload { x } -> x
   | Unused -> 3
   | _ -> 0

@@ -260,6 +260,15 @@ let golden_r9 () =
   in
   Alcotest.(check string) "r9_proto" (fixture "r9_proto.expected") got
 
+let golden_r9_fields () =
+  let got =
+    render
+      (Lint.one_sided_messages
+         ~protocol:("lib/lint_fixtures/r9_fields.ml", fixture "r9_fields.ml")
+         ~implementations:[ ("lib/core/r9_fields_users.ml", fixture "r9_fields_users.ml") ])
+  in
+  Alcotest.(check string) "r9_fields" (fixture "r9_fields.expected") got
+
 let test_explain_covers_all_rules () =
   List.iter
     (fun r ->
@@ -310,4 +319,5 @@ let suite =
     Alcotest.test_case "R7 own module excluded" `Quick test_r7_own_module_excluded;
     Alcotest.test_case "R7 lib only" `Quick test_r7_lib_only;
     Alcotest.test_case "golden: R9 one-sided messages" `Quick golden_r9;
+    Alcotest.test_case "golden: R9 unread message fields" `Quick golden_r9_fields;
   ]

@@ -243,6 +243,34 @@ let test_resurrect_after_prune () =
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
+let test_prune_keeps_live_records () =
+  (* LSN 9 holds a tag that never pops (its storage server is down), while
+     LSNs 5 and 12 pop. GC may drop only the dead prefix (LSN 5): dropping
+     two WAL records by count would lose 9 and keep the dead 12, so the
+     rebooted server's lock reply would lose 9's mutations. *)
+  let r =
+    Engine.run (fun () ->
+        let ctx, ep, client, proc, push, _ = setup () in
+        let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let* _ = push 9L 5L [ tagged [ 1 ] (Mutation.Set ("b", "2")) ] in
+        let* _ = push 12L 9L [ tagged [ 0 ] (Mutation.Set ("c", "3")) ] in
+        let* _ =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep
+            (Message.Log_pop { tag = 0; up_to = 12L })
+        in
+        let* () = Engine.sleep 5.0 in
+        Engine.reboot proc ~delay:0.2 ();
+        let* () = Engine.sleep 1.0 in
+        let* reply =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
+        in
+        match reply with
+        | Message.Log_lock_reply { lk_entries; _ } ->
+            Future.return (List.map (fun e -> e.Message.le_lsn) lk_entries)
+        | _ -> Future.return [])
+  in
+  Alcotest.(check (list int64)) "unpopped records survive prune + crash" [ 12L; 9L ] r
+
 (* ---------- long-poll peeks ---------- *)
 
 (* A peek past the received version parks until a push reaches it, even a
@@ -609,6 +637,7 @@ let suite =
     Alcotest.test_case "pop discards" `Quick test_pop_discards;
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
+    Alcotest.test_case "prune keeps live records" `Quick test_prune_keeps_live_records;
     Alcotest.test_case "lock caps in-flight acks" `Quick test_lock_caps_in_flight_acks;
     Alcotest.test_case "sync covers appends made during it" `Quick
       test_sync_covers_appends_made_during_it;

@@ -1,8 +1,8 @@
 (* The range-read pipeline and selector/streaming client API:
 
    - qcheck model tests: key-selector resolution ([Client.get_key]) against
-     a pure sorted-list model, on both the storage path (clean transaction)
-     and the RYW path (buffered sets/clears in the transaction);
+     a pure sorted-list model, on a clean transaction ("storage path") and
+     with buffered sets/clears in the transaction ("RYW path");
    - qcheck model test: continuation-stitched [Client.range] batches against a
      reference assoc list, with rows big enough that the per-round-trip
      byte budget forces a single scan through many stitched batches, RYW
@@ -16,6 +16,7 @@
      spread over distinct team members, and every in-flight count
      returns to zero after failovers;
    - transaction options ([tx_options]) plumbing;
+   - a read that a budget cuts short launches no sub-read past the cut;
    - the storage scan contract: one server's [Storage_get_range] replies,
      forward and reverse, against a model at every budget. *)
 
@@ -334,6 +335,46 @@ let test_shard_move_mid_read () =
   Alcotest.(check bool)
     (Printf.sprintf "the stale fragments re-resolved (%d)" re_resolves)
     true (re_resolves > 0)
+
+(* ---------- a cut-short read stops launching ---------- *)
+
+let test_cut_read_stops_launching () =
+  (* 8 shards of 10 keys; a 5-row read fills its budget in the first
+     shard. The first [client_range_fanout] sub-reads are on the wire from
+     the start, but consuming the first one ends the read, so it must
+     launch no further sub-read past the cut. *)
+  let skey i = Printf.sprintf "cs/%03d" i in
+  let config =
+    { Config.test_small with shard_boundaries = List.init 7 (fun s -> skey ((s + 1) * 10)) }
+  in
+  let rows, requests =
+    with_cluster ~config (fun cluster ->
+        let db = Cluster.client cluster ~name:"cut" in
+        let* () =
+          Client.run db (fun tx ->
+              for i = 0 to 79 do
+                Client.set tx (skey i) (value i)
+              done;
+              Future.return ())
+        in
+        let range_requests () =
+          Fdb_obs.Registry.sum_counter (Cluster.metrics cluster)
+            ~role:Fdb_obs.Registry.Storage "range_requests"
+        in
+        let tx = Client.begin_tx db in
+        let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
+        let before = range_requests () in
+        let* batch = Client.range tx (Range_query.prefix ~limit:5 "cs/" ()) in
+        (* Let a stray sub-read land before counting. *)
+        let* () = Engine.sleep 0.5 in
+        Future.return (batch.Client.batch_rows, range_requests () - before))
+  in
+  Alcotest.(check (list (pair string string)))
+    "the first 5 rows"
+    (List.init 5 (fun i -> (skey i, value i)))
+    rows;
+  Alcotest.(check int) "one sub-read per initial fragment, none past the cut"
+    Params.client_range_fanout requests
 
 (* ---------- the storage scan contract, both directions ---------- *)
 
@@ -736,5 +777,7 @@ let suite =
     Alcotest.test_case "in-flight counts settle after failover" `Quick
       test_inflight_settles_after_failover;
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
+    Alcotest.test_case "a cut-short read stops launching" `Quick
+      test_cut_read_stops_launching;
     Alcotest.test_case "scan contract, both directions" `Quick test_scan_contract;
   ]
