@@ -16,6 +16,14 @@ let rpc t ?timeout ?bytes ~from ep msg =
     | Message.Reject e -> Future.fail (Error.Fdb e)
     | reply -> Future.return reply)
 
+let ping t ~from ep =
+  Future.catch
+    (fun () ->
+      Future.map
+        (Network.call t.net ~timeout:Params.heartbeat_timeout ~from ep Message.Seq_ping)
+        (function Message.Ok_reply -> true | _ -> false))
+    (fun _ -> Future.return false)
+
 let paxos_transport t ~from =
   {
     Fdb_paxos.Wire.endpoints = t.coordinator_eps;

@@ -36,6 +36,11 @@ val rpc :
     [Reject e] reply is raised as [Error.Fdb e] so callers pattern-match
     only success shapes. *)
 
+val ping : t -> from:Fdb_sim.Process.t -> int -> bool Fdb_sim.Future.t
+(** Liveness probe: [Seq_ping] to [ep] with a {!Params.heartbeat_timeout}
+    timeout; true only on an [Ok_reply], false on any other reply, a
+    rejection or a timeout. Never fails. *)
+
 val paxos_transport : t -> from:Fdb_sim.Process.t -> Fdb_paxos.Wire.transport
 (** Coordinator transport for Paxos clients running on [from]. *)
 

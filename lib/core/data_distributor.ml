@@ -32,7 +32,6 @@ type t = {
   ctx : Context.t;
   proc : Process.t;
   db : Client.db;
-  alive_ss : bool array;
   mutable unhealthy : int;
   mutable zero_replica : bool;
   min_shards : int; (* never merge below the initial shard count *)
@@ -48,28 +47,16 @@ type t = {
 (* ---------- health monitoring ---------- *)
 
 let probe t =
-  let checks =
-    Array.to_list
-      (Array.mapi
-         (fun i ep ->
-           Future.catch
-             (fun () ->
-               let* reply =
-                 Context.rpc t.ctx ~timeout:1.0 ~from:t.proc ep Message.Ss_stats_req
-               in
-               match reply with
-               | Message.Ss_stats _ -> Future.return (i, true)
-               | _ -> Future.return (i, false))
-             (fun _ -> Future.return (i, false)))
-         t.ctx.Context.storage_eps)
+  let* alive =
+    Future.all
+      (List.map (Context.ping t.ctx ~from:t.proc) (Array.to_list t.ctx.Context.storage_eps))
   in
-  let* results = Future.all checks in
-  List.iter (fun (i, ok) -> t.alive_ss.(i) <- ok) results;
+  let alive = Array.of_list alive in
   let teams = Shard_map.tag_teams t.ctx.Context.shard_map in
   let unhealthy = ref 0 and zero = ref false in
   Array.iter
     (fun team ->
-      let live = List.length (List.filter (fun ss -> t.alive_ss.(ss)) team) in
+      let live = List.length (List.filter (fun ss -> alive.(ss)) team) in
       if live < List.length team then incr unhealthy;
       if live = 0 then zero := true)
     teams;
@@ -181,7 +168,7 @@ let move_shard ctx ~proc ~db ~lo ~dst =
                                     })
                              in
                              match reply with
-                             | Message.Ss_fetch_ack -> Future.return true
+                             | Message.Ok_reply -> Future.return true
                              | _ -> Future.return false)
                            (fun _ -> Future.return false))
                        newcomers)
@@ -408,7 +395,6 @@ let create ctx proc =
       ctx;
       proc;
       db = Client.create_db ctx proc;
-      alive_ss = Array.make (Array.length ctx.Context.storage_eps) true;
       unhealthy = 0;
       zero_replica = false;
       min_shards = Shard_map.shard_count ctx.Context.shard_map;

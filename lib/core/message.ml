@@ -158,64 +158,8 @@ type t =
       fs_epoch : Types.epoch;
       fs_sources : int list; (* current team members to fetch from *)
     }
-  | Ss_fetch_ack
   | Ss_split_point of { spl_from : string; spl_until : string }
   | Ss_split_point_reply of { spl_key : string option }
       (* median-by-bytes key of the range, when one strictly inside exists *)
   | Ss_watch of { w_key : string; w_version : Types.version; w_epoch : Types.epoch }
   | Ss_watch_reply of { wr_fired : bool; wr_version : Types.version }
-
-let name = function
-  | Ok_reply -> "Ok_reply"
-  | Reject _ -> "Reject"
-  | Paxos_req _ -> "Paxos_req"
-  | Paxos_resp _ -> "Paxos_resp"
-  | Recruit_sequencer _ -> "Recruit_sequencer"
-  | Recruit_proxy _ -> "Recruit_proxy"
-  | Recruit_resolver _ -> "Recruit_resolver"
-  | Recruit_log _ -> "Recruit_log"
-  | Recruit_ratekeeper -> "Recruit_ratekeeper"
-  | Recruit_data_distributor -> "Recruit_data_distributor"
-  | Recruited _ -> "Recruited"
-  | Cc_get_state -> "Cc_get_state"
-  | Cc_state _ -> "Cc_state"
-  | Seq_ping -> "Seq_ping"
-  | Seq_pong _ -> "Seq_pong"
-  | Cc_recovered _ -> "Cc_recovered"
-  | Proxy_retire _ -> "Proxy_retire"
-  | Grv_req -> "Grv_req"
-  | Grv_reply _ -> "Grv_reply"
-  | Commit_req _ -> "Commit_req"
-  | Commit_reply _ -> "Commit_reply"
-  | Seq_grv -> "Seq_grv"
-  | Seq_grv_reply _ -> "Seq_grv_reply"
-  | Seq_version -> "Seq_version"
-  | Seq_version_reply _ -> "Seq_version_reply"
-  | Seq_report _ -> "Seq_report"
-  | Resolve_req _ -> "Resolve_req"
-  | Resolve_reply _ -> "Resolve_reply"
-  | Log_push _ -> "Log_push"
-  | Log_push_ack _ -> "Log_push_ack"
-  | Log_peek _ -> "Log_peek"
-  | Log_peek_reply _ -> "Log_peek_reply"
-  | Log_pop _ -> "Log_pop"
-  | Log_lock _ -> "Log_lock"
-  | Log_lock_reply _ -> "Log_lock_reply"
-  | Log_seed _ -> "Log_seed"
-  | Ss_recover _ -> "Ss_recover"
-  | Storage_get _ -> "Storage_get"
-  | Storage_get_reply _ -> "Storage_get_reply"
-  | Storage_get_range _ -> "Storage_get_range"
-  | Storage_get_range_reply _ -> "Storage_get_range_reply"
-  | Rk_get_rate -> "Rk_get_rate"
-  | Rk_rate _ -> "Rk_rate"
-  | Ss_stats_req -> "Ss_stats_req"
-  | Ss_stats _ -> "Ss_stats"
-  | Ss_fetch_shard _ -> "Ss_fetch_shard"
-  | Ss_fetch_ack -> "Ss_fetch_ack"
-  | Ss_split_point _ -> "Ss_split_point"
-  | Ss_split_point_reply _ -> "Ss_split_point_reply"
-  | Ss_watch _ -> "Ss_watch"
-  | Ss_watch_reply _ -> "Ss_watch_reply"
-
-let pp fmt m = Format.pp_print_string fmt (name m)

@@ -202,7 +202,7 @@ type t =
       fs_epoch : Types.epoch;
       fs_sources : int list;  (** current team members to fetch from *)
     }
-  | Ss_fetch_ack
+      (** replied [Ok_reply] once the snapshot is installed *)
   | Ss_split_point of { spl_from : string; spl_until : string }
   | Ss_split_point_reply of { spl_key : string option }
       (** median-by-bytes key of the range, when one strictly inside exists *)
@@ -215,6 +215,3 @@ type t =
   | Ss_watch_reply of { wr_fired : bool; wr_version : Types.version }
       (** [wr_fired = true]: the key changed at [wr_version]. [false]: no
           change observed through [wr_version] — re-register from there *)
-
-val pp : Format.formatter -> t -> unit
-(** Constructor name only (tracing). *)

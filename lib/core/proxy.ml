@@ -567,18 +567,9 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
 
 let rec commit_flush_pipelined t =
   t.commit_flush_scheduled <- false;
+  (* [die] empties the queue and [handle] refuses new requests once dead,
+     so a dead proxy always takes the first branch. *)
   if Queue.is_empty t.commit_queue then Future.return ()
-  else if t.dead then begin
-    (* Queued requests were never assigned a version: definitely not
-       committed, so a retryable reject is safe. *)
-    Queue.iter
-      (fun (_, p) ->
-        ignore (Future.try_fulfill p (Message.Reject Error.Database_locked) : bool))
-      t.commit_queue;
-    Queue.clear t.commit_queue;
-    Fdb_obs.Registry.set_gauge t.obs_queue_depth 0.0;
-    Future.return ()
-  end
   else if
     t.commit_inflight >= t.ctx.Context.config.Config.proxy_commit_pipeline_depth
   then

@@ -17,31 +17,10 @@ let lag_limit = 2.0 (* seconds of storage lag before throttling *)
 let window_limit = 2_000_000 (* buffered window events before throttling *)
 let busy_limit = 0.2 (* seconds of storage CPU queue before throttling *)
 
-(* A storage server that has not refreshed its heartbeat gauge within this
-   long is presumed dead (the RPC path used a 1 s timeout the same way). *)
-let stale_after = 1.0
-
-(* Read each live storage server's (lag, window_events, busy) from the
-   shared metrics plane instead of a per-server stats RPC scatter: the
-   samples are at most one heartbeat interval old, exactly like the
-   replies of the old scatter were one ratekeeper interval old. *)
-let collect t =
-  let reg = t.ctx.Context.metrics in
-  let now = Engine.now () in
-  Registry.gauges reg ~role:Registry.Storage "heartbeat"
-  |> List.filter_map (fun (ss, hb) ->
-         if now -. hb > stale_after then None
-         else
-           let g name =
-             Option.value ~default:0.0
-               (Registry.gauge_value reg ~role:Registry.Storage ~process:ss name)
-           in
-           Some (g "lag", int_of_float (g "window_events"), g "busy"))
-
 let control_loop t =
   let rec loop () =
     let* () = Engine.sleep Params.ratekeeper_interval in
-    let stats = collect t in
+    let stats = Storage_server.live_load t.ctx.Context.metrics ~now:(Engine.now ()) in
     let worst_lag, worst_window, worst_busy =
       List.fold_left
         (fun (lag, win, busy) (ss_lag, ss_window_events, ss_busy) ->

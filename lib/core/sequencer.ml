@@ -351,20 +351,7 @@ let monitor t =
         let targets =
           t.proxies @ List.map snd t.resolvers @ List.map snd t.logs
         in
-        let checks =
-          List.map
-            (fun ep ->
-              Future.catch
-                (fun () ->
-                  let* reply =
-                    Context.rpc t.ctx ~timeout:Params.heartbeat_timeout ~from:t.proc ep
-                      Message.Seq_ping
-                  in
-                  match reply with Message.Ok_reply -> Future.return true | _ -> Future.return false)
-                (fun _ -> Future.return false))
-            targets
-        in
-        let* oks = Future.all checks in
+        let* oks = Future.all (List.map (Context.ping t.ctx ~from:t.proc) targets) in
         if List.exists not oks then begin
           die t "role failure detected";
           Future.return ()

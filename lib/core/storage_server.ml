@@ -414,9 +414,9 @@ let pull_loop t =
 
 (* ---------- metrics publication (the shared metrics plane) ---------- *)
 
-(* The Ratekeeper and the Status workload read these gauges instead of
-   issuing a stats RPC scatter; the heartbeat gauge doubles as a liveness
-   signal (a dead process stops publishing). *)
+(* The Ratekeeper and the Status workload read these gauges through
+   [live_load] instead of issuing a stats RPC scatter; the heartbeat gauge
+   doubles as a liveness signal (a dead process stops publishing). *)
 let publish_stats t =
   let busy = t.proc.Process.cpu_busy_until -. Engine.now () in
   Fdb_obs.Registry.set_gauge t.obs_lag (lag_seconds t);
@@ -426,6 +426,17 @@ let publish_stats t =
   Fdb_obs.Registry.set_gauge t.obs_durable (Int64.to_float t.durable);
   Fdb_obs.Registry.set_gauge t.obs_heartbeat (Engine.now ())
 
+let live_load reg ~now =
+  let module R = Fdb_obs.Registry in
+  R.gauges reg ~role:R.Storage "heartbeat"
+  |> List.filter_map (fun (ss, hb) ->
+         if now -. hb > Params.heartbeat_timeout then None
+         else
+           let g name =
+             Option.value ~default:0.0 (R.gauge_value reg ~role:R.Storage ~process:ss name)
+           in
+           Some (g "lag", int_of_float (g "window_events"), g "busy"))
+
 (* Per-shard persistent size: a pstore range scan, so only refreshed every
    8th stats tick (~2 s) — cheap enough, fresh enough for DD split/merge
    decisions. *)
@@ -433,10 +444,10 @@ let publish_shard_sizes t =
   List.iter
     (fun (lo, hi) ->
       let bytes =
-        List.fold_left
+        Seq.fold_left
           (fun a (k, v) -> a + String.length k + String.length v)
           0
-          (Pstore.get_range t.pstore ~from:lo ~until:hi ())
+          (Pstore.range t.pstore ~from:lo ~until:hi ~reverse:false)
       in
       let g =
         Fdb_util.Det_tbl.find_or_add t.shard_size_gauges lo (fun () ->
@@ -566,7 +577,7 @@ let range_read t version ~from ~until ~reverse ~limit ~byte_limit =
   in
   scan
     (merge_keys cmp
-       (Pstore.keys t.pstore ~from ~until ~reverse)
+       (Seq.map fst (Pstore.range t.pstore ~from ~until ~reverse))
        (Window.keys t.window ~from ~until ~reverse))
     [] 0 0
 
@@ -621,12 +632,38 @@ let admit t ~version ~epoch ~from ~until =
 
 (* ---------- shard movement: destination-side fetch (§2.5) ---------- *)
 
+let drain ctx ~proc ep ~from ~until ~version ~epoch =
+  let rec loop cursor acc =
+    let* reply =
+      Context.rpc ctx ~timeout:2.0 ~from:proc ep
+        (Message.Storage_get_range
+           {
+             gr_from = cursor;
+             gr_until = until;
+             gr_version = version;
+             gr_limit = max_int;
+             gr_byte_limit = Params.range_bytes_want_all;
+             gr_reverse = false;
+             gr_epoch = epoch;
+           })
+    in
+    match reply with
+    | Message.Storage_get_range_reply { rr_rows; rr_more } -> (
+        match List.rev_append rr_rows acc with
+        | ((last, _) :: _ as acc) when rr_more && rr_rows <> [] ->
+            loop (Types.next_key last) acc
+        | acc -> Future.return (List.rev acc))
+    | _ -> Future.fail (Error.Fdb (Error.Internal "drain: unexpected reply"))
+  in
+  loop from []
+
 (* Drain a committed snapshot of [from, until) at [version] from the current
    team, install it in the pstore under a [movein] floor, and ack. The DD
    has already begun the move, so our own tLog tag carries every mutation
    above [version] for the range — the floor makes window entries at or
    below it invisible (the snapshot embodies them) and the durable path
-   skips re-applying them. *)
+   skips re-applying them. A failed source is skipped and the next one is
+   drained from [from] again. *)
 let fetch_shard t ~from ~until ~version ~epoch ~sources =
   let srcs = Array.of_list (List.filter (fun ss -> ss <> t.id) sources) in
   if Array.length srcs = 0 then
@@ -640,50 +677,27 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
     Future.protect
       ~finally:(fun () -> t.fetches_in_flight <- t.fetches_in_flight - 1)
       (fun () ->
-        let rec drain attempt cursor acc rows bytes =
+        let rec fetch attempt =
           if attempt > 3 * Array.length srcs then Future.return None
-          else begin
+          else
             let src = srcs.(attempt mod Array.length srcs) in
-            let retry () =
-              let* () = Engine.sleep 0.2 in
-              drain (attempt + 1) cursor acc rows bytes
-            in
             Future.catch
               (fun () ->
-                let* reply =
-                  Context.rpc t.ctx ~timeout:2.0 ~from:t.proc
-                    t.ctx.Context.storage_eps.(src)
-                    (Message.Storage_get_range
-                       {
-                         gr_from = cursor;
-                         gr_until = until;
-                         gr_version = version;
-                         gr_limit = max_int;
-                         gr_byte_limit = Params.range_bytes_want_all;
-                         gr_reverse = false;
-                         gr_epoch = epoch;
-                       })
-                in
-                match reply with
-                | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-                    let bytes =
-                      List.fold_left
-                        (fun a (k, v) -> a + String.length k + String.length v)
-                        bytes rr_rows
-                    in
-                    let rows = rows + List.length rr_rows in
-                    if rr_more && rr_rows <> [] then
-                      let last = fst (List.nth rr_rows (List.length rr_rows - 1)) in
-                      drain attempt (Types.next_key last) (rr_rows :: acc) rows bytes
-                    else Future.return (Some (List.concat (List.rev (rr_rows :: acc)), rows, bytes))
-                | _ -> retry ())
-              (fun _ -> retry ())
-          end
+                Future.map
+                  (drain t.ctx ~proc:t.proc t.ctx.Context.storage_eps.(src) ~from ~until
+                     ~version ~epoch)
+                  Option.some)
+              (fun _ ->
+                let* () = Engine.sleep 0.2 in
+                fetch (attempt + 1))
         in
-        let* fetched = drain 0 from [] 0 0 in
+        let* fetched = fetch 0 in
         match fetched with
         | None -> Future.return (Message.Reject (Error.Internal "fetch: no source answered"))
-        | Some (kvs, rows, bytes) ->
+        | Some kvs ->
+            let bytes =
+              List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 kvs
+            in
             let* () =
               Engine.cpu t.proc
                 (Params.cpu (Params.storage_per_apply_byte *. float_of_int bytes))
@@ -713,26 +727,25 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
               let* () = Pstore.commit t.pstore in
               Trace.emit "ss_shard_fetched"
                 [ ("ss", string_of_int t.id); ("lo", String.escaped from);
-                  ("rows", string_of_int rows);
+                  ("rows", string_of_int (List.length kvs));
                   ("since", Int64.to_string version) ];
-              Future.return Message.Ss_fetch_ack
+              Future.return Message.Ok_reply
             end)
   end
 
 (* Median-by-bytes key of a range (DD's organic split point). *)
 let split_point t ~from ~until =
-  let rows = Pstore.get_range t.pstore ~from ~until () in
-  let total = List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows in
-  let acc = ref 0 and found = ref None in
-  if total > 0 then
-    List.iter
-      (fun (k, v) ->
-        if !found = None then begin
-          if !acc * 2 >= total && k > from then found := Some k;
-          acc := !acc + String.length k + String.length v
-        end)
-      rows;
-  match !found with Some k when k > from && k < until -> Some k | _ -> None
+  let rows = Pstore.range t.pstore ~from ~until ~reverse:false in
+  let size (k, v) = String.length k + String.length v in
+  let total = Seq.fold_left (fun a kv -> a + size kv) 0 rows in
+  let rec median acc rows =
+    match rows () with
+    | Seq.Nil -> None
+    | Seq.Cons (((k, _) as kv), rest) ->
+        if acc * 2 >= total && k > from then Some k else median (acc + size kv) rest
+  in
+  if total = 0 then None
+  else match median 0 rows with Some k when k < until -> Some k | _ -> None
 
 let handle t (msg : Message.t) : Message.t Future.t =
   match msg with
@@ -873,7 +886,9 @@ let rec create ctx proc ~id ~disk =
      a fetched snapshot — replayed mutations at or below the floor must stay
      invisible/unapplied exactly as before the crash. *)
   let incoming =
-    Pstore.get_range pstore ~from:movein_prefix ~until:(Types.strinc movein_prefix) ()
+    Pstore.range pstore ~from:movein_prefix ~until:(Types.strinc movein_prefix)
+      ~reverse:false
+    |> List.of_seq
     |> List.filter_map (fun (k, v) ->
            if String.length v < 8 then None
            else begin

@@ -23,3 +23,24 @@ val shard_metric : string -> string -> string
 (** [shard_metric stem lo]: the name of the per-shard metric [stem]
     ([shard_read_bytes], [shard_write_bytes], [shard_size_bytes]) of the
     shard starting at [lo], as storage servers publish it. *)
+
+val live_load : Fdb_obs.Registry.t -> now:float -> (float * int * float) list
+(** [(lag, window_events, busy)] of every storage server whose heartbeat
+    gauge is at most {!Params.heartbeat_timeout} old at [now], read from
+    the gauges the servers publish each heartbeat: the one reader of
+    storage load (the Ratekeeper, the status report). A server that
+    stopped publishing (dead, partitioned from its own loop) drops out. *)
+
+val drain :
+  Context.t ->
+  proc:Fdb_sim.Process.t ->
+  int ->
+  from:string ->
+  until:string ->
+  version:Types.version ->
+  epoch:Types.epoch ->
+  (string * string) list Fdb_sim.Future.t
+(** Every row of [\[from, until)] at [version] from the storage server at
+    endpoint [ep], in key order, drained by continuation round-trips (2 s
+    timeout each). Fails on a rejection, a timeout or any other reply; the
+    caller owns the retry policy. *)

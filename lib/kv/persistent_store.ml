@@ -81,23 +81,11 @@ let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
 
 let get t key = KeyMap.find_opt key t.map
 
-let get_range t ?(limit = max_int) ~from ~until () =
-  let out = ref [] in
-  let n = ref 0 in
-  (try
-     KeyMap.to_seq_from from t.map
-     |> Seq.iter (fun (k, v) ->
-            if k >= until || !n >= limit then raise Exit;
-            out := (k, v) :: !out;
-            incr n)
-   with Exit -> ());
-  List.rev !out
-
-let keys t ~from ~until ~reverse =
+let range t ~from ~until ~reverse =
   if reverse then
     let below, _, _ = KeyMap.split until t.map in
-    KeyMap.to_rev_seq below |> Seq.take_while (fun (k, _) -> k >= from) |> Seq.map fst
-  else KeyMap.to_seq_from from t.map |> Seq.take_while (fun (k, _) -> k < until) |> Seq.map fst
+    KeyMap.to_rev_seq below |> Seq.take_while (fun (k, _) -> k >= from)
+  else KeyMap.to_seq_from from t.map |> Seq.take_while (fun (k, _) -> k < until)
 
 let apply t mutations =
   let futures =

@@ -21,14 +21,12 @@ val recover :
 val get : t -> string -> string option
 (** Point read from the in-memory image (the B-tree cache). *)
 
-val get_range : t -> ?limit:int -> from:string -> until:string -> unit -> (string * string) list
-(** Ascending entries with [from <= key < until], at most [limit]. *)
-
-val keys : t -> from:string -> until:string -> reverse:bool -> string Seq.t
-(** Keys with [from <= key < until] in scan order: ascending, or descending
-    when [reverse]. Lazy, so a budgeted scan touches only the keys it
-    consumes; the sequence reads the image as it was when [keys] was
-    called (the map is immutable), so later {!apply}s do not disturb it. *)
+val range : t -> from:string -> until:string -> reverse:bool -> (string * string) Seq.t
+(** Entries with [from <= key < until] in scan order: ascending, or
+    descending when [reverse]. Lazy, so a budgeted scan or a fold touches
+    only the entries it consumes and builds no list; the sequence reads the
+    image as it was when [range] was called (the map is immutable), so
+    later {!apply}s do not disturb it. *)
 
 val apply : t -> Mutation.t list -> unit Fdb_sim.Future.t
 (** Apply a batch in order: updates the image and appends WAL records.

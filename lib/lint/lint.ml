@@ -50,8 +50,9 @@ let explain = function
        control, so two runs of the same seed diverge and a failing seed no\n\
        longer reproduces. Use Engine.now for time and a seeded\n\
        Fdb_util.Det_rng stream (Engine.fork_rng) for randomness. The only\n\
-       exemptions are lib/util/det_rng.ml itself and files listed in the\n\
-       checked-in whitelist."
+       file exempt is lib/util/det_rng.ml itself; code that times its own\n\
+       CPU cost (bench helpers, the lint driver's runtime budget) wraps\n\
+       Sys.time in one cpu () helper under a reasoned per-line suppression."
   | R2 ->
       "R2: no raw Hashtbl enumeration outside lib/util.\n\
        Hashtbl.iter/fold/to_seq order depends on the hash of the keys and\n\
@@ -177,8 +178,6 @@ let diagnostics_to_json diags =
   | _ ->
       "[\n  " ^ String.concat ",\n  " (List.map diagnostic_to_json diags) ^ "\n]"
 
-type whitelist = (rule * string) list
-
 (* ---- paths and rule applicability ---- *)
 
 let normalize path =
@@ -196,30 +195,6 @@ let applies rule path =
   (* The actor model lives under lib/; drivers and benches run Engine.run
      at top level and own their futures explicitly. *)
   | R5 | R6 | R7 | R8 | R9 -> String.starts_with ~prefix:"lib/" path
-
-let parse_whitelist src =
-  String.split_on_char '\n' src
-  |> List.concat_map (fun line ->
-         let line =
-           match String.index_opt line '#' with
-           | Some i -> String.sub line 0 i
-           | None -> line
-         in
-         let line = String.trim line in
-         if line = "" then []
-         else
-           match String.index_opt line ' ' with
-           | None ->
-               failwith
-                 ("lint whitelist: malformed line (want \"RULE path\"): " ^ line)
-           | Some i -> (
-               let r = String.sub line 0 i in
-               let p =
-                 String.trim (String.sub line i (String.length line - i))
-               in
-               match rule_of_string r with
-               | Some rule -> [ (rule, normalize p) ]
-               | None -> failwith ("lint whitelist: unknown rule " ^ r)))
 
 (* ---- suppression comments ----
    A comment of the form "fdb-lint" ":" "allow RULE -- reason" (spelled out
@@ -927,31 +902,27 @@ let parse parser ~path src =
           d_msg = "parse error: " ^ Printexc.to_string exn;
         }
 
-(* Run [check violation] over one file with its suppressions and the
-   whitelist applied, then the stale-suppression audit. [check] returns
-   any tooling diagnostics (a parse error). *)
-let with_suppressions ?(whitelist = []) ?whitelist_used ~path src check =
+(* Run [check violation] over one file with its suppressions applied, then
+   the stale-suppression audit. [check] returns any tooling diagnostics (a
+   parse error). *)
+let with_suppressions ~path src check =
   let diags = ref [] in
   let supp, supp_errs = scan_suppressions ~path src in
   List.iter (fun d -> diags := d :: !diags) supp_errs;
   let violation rule (loc : Location.t) msg =
     if applies rule path then begin
-      if List.mem (rule, path) whitelist then (
-        match whitelist_used with Some f -> f (rule, path) | None -> ())
-      else begin
-        let line = loc.loc_start.Lexing.pos_lnum in
-        let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
-        match
-          List.find_opt
-            (fun s -> s.s_rule = rule && List.mem line s.s_lines)
-            supp
-        with
-        | Some s -> s.s_used <- true
-        | None ->
-            diags :=
-              { d_file = path; d_line = line; d_col = col; d_rule = Some rule; d_msg = msg }
-              :: !diags
-      end
+      let line = loc.loc_start.Lexing.pos_lnum in
+      let col = loc.loc_start.Lexing.pos_cnum - loc.loc_start.Lexing.pos_bol in
+      match
+        List.find_opt
+          (fun s -> s.s_rule = rule && List.mem line s.s_lines)
+          supp
+      with
+      | Some s -> s.s_used <- true
+      | None ->
+          diags :=
+            { d_file = path; d_line = line; d_col = col; d_rule = Some rule; d_msg = msg }
+            :: !diags
     end
   in
   List.iter (fun d -> diags := d :: !diags) (check violation);
@@ -976,9 +947,9 @@ let with_suppressions ?(whitelist = []) ?whitelist_used ~path src check =
     (fun a b -> compare (a.d_line, a.d_col, a.d_msg) (b.d_line, b.d_col, b.d_msg))
     !diags
 
-let lint_source ?whitelist ?whitelist_used ~path src =
+let lint_source ~path src =
   let path = normalize path in
-  with_suppressions ?whitelist ?whitelist_used ~path src (fun violation ->
+  with_suppressions ~path src (fun violation ->
       match parse Parse.implementation ~path src with
       | Error d -> [ d ]
       | Ok ast ->
@@ -1224,6 +1195,6 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let lint_file ?whitelist ?whitelist_used ?as_path path =
+let lint_file ?as_path path =
   let logical = match as_path with Some p -> p | None -> path in
-  lint_source ?whitelist ?whitelist_used ~path:logical (read_file path)
+  lint_source ~path:logical (read_file path)

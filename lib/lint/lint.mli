@@ -6,8 +6,8 @@
     every [lib/] [.mli]):
 
     - {b R1} no wall-clock or ambient randomness: [Unix.*], [Sys.time],
-      [Stdlib.Random] are forbidden outside [Fdb_util.Det_rng] and the
-      whitelist.
+      [Stdlib.Random] are forbidden outside [Fdb_util.Det_rng]; every
+      other exemption is a per-line suppression with its reason.
     - {b R2} no raw [Hashtbl.iter]/[fold]/[to_seq] outside [lib/util]:
       iteration order must come from [Fdb_util.Det_tbl]'s key-sorted
       enumeration.
@@ -75,33 +75,13 @@ val diagnostics_to_json : diagnostic list -> string
     [{"file":…,"line":…,"col":…,"rule":…,"msg":…}] objects, in the same
     order as the input. Tooling diagnostics render with ["rule":"lint"]. *)
 
-type whitelist = (rule * string) list
-(** Exempt (rule, repo-relative file) pairs. *)
-
-val parse_whitelist : string -> whitelist
-(** Parse the checked-in whitelist file contents: one [RULE path] pair per
-    line, [#] comments and blank lines ignored. Unknown rules raise
-    [Failure]. *)
-
-val lint_source :
-  ?whitelist:whitelist ->
-  ?whitelist_used:(rule * string -> unit) ->
-  path:string ->
-  string ->
-  diagnostic list
+val lint_source : path:string -> string -> diagnostic list
 (** [lint_source ~path src] lints source text [src] as if it lived at
     repo-relative [path] (which decides rule applicability: R2 is waived
     under [lib/util/], R4/R5/R6/R8 apply only under [lib/]). Diagnostics come
-    back in (line, col) order. [whitelist_used] is invoked once per
-    diagnostic a whitelist entry absorbs — the driver uses it for the
-    stale-whitelist audit (an entry that absorbs nothing is an error). *)
+    back in (line, col) order. *)
 
-val lint_file :
-  ?whitelist:whitelist ->
-  ?whitelist_used:(rule * string -> unit) ->
-  ?as_path:string ->
-  string ->
-  diagnostic list
+val lint_file : ?as_path:string -> string -> diagnostic list
 (** Read and lint one file. [as_path] overrides the repo-relative path used
     for rule applicability and reporting (tests lint fixture files as if
     they sat under [lib/]). *)
@@ -122,9 +102,8 @@ val dead_exports :
     or a bare or partial path in a file that opens the module ([open],
     [let open], [M.( … )]). Record fields and labels are not references.
     Suppressions and the stale-suppression audit apply per interface as in
-    {!lint_source}; the whitelist does not, so every exemption is a
-    per-line suppression with its reason. An implementation that does not
-    parse contributes no references. *)
+    {!lint_source}. An implementation that does not parse contributes no
+    references. *)
 
 val r9_protocol : string
 (** The protocol file R9 checks: [lib/core/message.ml]. *)

@@ -3,37 +3,14 @@ open Fdb_core
 open Future.Syntax
 
 let read_replica ctx proc ~ep ~from ~until ~version ~epoch =
-  (* Drain the whole shard with continuation round-trips: replies are
-     bounded by the byte budget and flag [rr_more] when cut short. *)
-  let rec drain cursor acc =
-    let* reply =
-      Context.rpc ctx ~timeout:2.0 ~from:proc ep
-        (Message.Storage_get_range
-           {
-             gr_from = cursor;
-             gr_until = until;
-             gr_version = version;
-             gr_limit = max_int;
-             gr_byte_limit = Params.range_bytes_want_all;
-             gr_reverse = false;
-             gr_epoch = epoch;
-           })
-    in
-    match reply with
-    | Message.Storage_get_range_reply { rr_rows = []; _ } ->
-        Future.return (Some (List.concat (List.rev acc)))
-    | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-        if rr_more then
-          let last = fst (List.hd (List.rev rr_rows)) in
-          drain (Types.next_key last) (rr_rows :: acc)
-        else Future.return (Some (List.concat (List.rev (rr_rows :: acc))))
-    | _ -> Future.return None
-  in
   let rec attempt n =
     if n = 0 then Future.return None
     else
       Future.catch
-        (fun () -> drain from [])
+        (fun () ->
+          Future.map
+            (Storage_server.drain ctx ~proc ep ~from ~until ~version ~epoch)
+            Option.some)
         (fun _ ->
           let* () = Engine.sleep 0.5 in
           attempt (n - 1))

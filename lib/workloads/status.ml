@@ -43,10 +43,6 @@ type t = {
   st_last_recovery_s : float;
 }
 
-(* A storage server whose heartbeat gauge is older than this is counted as
-   unresponsive (mirrors the old 1 s stats-RPC timeout). *)
-let responsive_within = 1.0
-
 let merged_hist reg ~role name =
   let dst = Histogram.create () in
   List.iter
@@ -85,18 +81,7 @@ let gather cluster =
   in
   (* Storage plane: the heartbeat gauges every server publishes. *)
   let reg = ctx.Context.metrics in
-  let now = Engine.now () in
-  let responsive =
-    Registry.gauges reg ~role:Registry.Storage "heartbeat"
-    |> List.filter_map (fun (ss, hb) ->
-           if now -. hb > responsive_within then None
-           else
-             let g name =
-               Option.value ~default:0.0
-                 (Registry.gauge_value reg ~role:Registry.Storage ~process:ss name)
-             in
-             Some (g "lag", int_of_float (g "window_events")))
-  in
+  let responsive = Storage_server.live_load reg ~now:(Engine.now ()) in
   (* Transaction plane: proxy counters and latency histograms, all epochs. *)
   let grv_h = merged_hist reg ~role:Registry.Proxy "grv_latency" in
   let commit_h = merged_hist reg ~role:Registry.Proxy "commit_latency" in
@@ -140,8 +125,8 @@ let gather cluster =
       st_logs = logs;
       st_storage_total = Array.length ctx.Context.storage_eps;
       st_storage_responsive = List.length responsive;
-      st_max_lag = List.fold_left (fun a (l, _) -> Float.max a l) 0.0 responsive;
-      st_max_window_events = List.fold_left (fun a (_, w) -> max a w) 0 responsive;
+      st_max_lag = List.fold_left (fun a (l, _, _) -> Float.max a l) 0.0 responsive;
+      st_max_window_events = List.fold_left (fun a (_, w, _) -> max a w) 0 responsive;
       st_storage_shards_min = List.fold_left min shards_max shards_per_ss;
       st_storage_shards_max = shards_max;
       st_grv_served = Registry.sum_counter reg ~role:Registry.Proxy "grv_served";

@@ -62,8 +62,8 @@ let one_trial seed =
       Disk.crash disk;
       let* store' = Persistent_store.recover ~disk ~prefix:"s" () in
       let recovered =
-        Persistent_store.get_range store' ~from:"" ~until:"z" ()
-        |> List.fold_left (fun m (k, v) -> M.add k v m) M.empty
+        Persistent_store.range store' ~from:"" ~until:"z" ~reverse:false
+        |> Seq.fold_left (fun m (k, v) -> M.add k v m) M.empty
       in
       Future.return (List.exists (M.equal ( = ) recovered) !acceptable))
 

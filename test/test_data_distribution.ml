@@ -39,6 +39,40 @@ let test_dd_metrics_registered () =
     st.Status.st_unhealthy_teams;
   Alcotest.(check bool) "no data-loss risk" false st.Status.st_data_loss_risk
 
+(* ---------- a dead storage server shows in both health views ---------- *)
+
+(* The DD's team health comes from [Context.ping], the status report's
+   responsive count from [Storage_server.live_load]'s heartbeat gauges: a
+   killed server must drop out of both within 3 s and come back to both
+   after a reboot. *)
+let test_dead_storage_both_views () =
+  let view st = (st.Status.st_unhealthy_teams, st.Status.st_storage_responsive) in
+  let total, healthy, dead, rebooted =
+    Engine.run ~seed:23L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.default () in
+        let* () = Cluster.wait_ready cluster in
+        let* () = Engine.sleep 3.0 in
+        let* healthy = Status.gather cluster in
+        let victim =
+          Array.to_list (Cluster.worker_machines cluster)
+          |> List.concat_map (fun m -> m.Process.machine_processes)
+          |> List.find (fun p ->
+                 p.Process.alive && String.starts_with ~prefix:"storage-" p.Process.name)
+        in
+        Engine.kill victim;
+        let* () = Engine.sleep 3.0 in
+        let* dead = Status.gather cluster in
+        Engine.reboot victim ~delay:0.5 ();
+        let* () = Engine.sleep 5.0 in
+        let* rebooted = Status.gather cluster in
+        Future.return (healthy.Status.st_storage_total, view healthy, view dead, view rebooted))
+  in
+  Alcotest.(check (pair int int)) "healthy: no unhealthy team, all responsive" (0, total)
+    healthy;
+  Alcotest.(check bool) "dead: the DD's ping marks a team unhealthy" true (fst dead >= 1);
+  Alcotest.(check int) "dead: live_load drops the server" (total - 1) (snd dead);
+  Alcotest.(check (pair int int)) "rebooted: healthy again" (0, total) rebooted
+
 (* ---------- set_team bumps generation; stale reads get Wrong_shard ---------- *)
 
 let test_stale_generation_wrong_shard () =
@@ -250,6 +284,8 @@ let test_move_during_everything () =
 let suite =
   [
     Alcotest.test_case "dd metrics registered" `Quick test_dd_metrics_registered;
+    Alcotest.test_case "a dead storage server shows in both views" `Quick
+      test_dead_storage_both_views;
     Alcotest.test_case "stale generation gets Wrong_shard" `Quick
       test_stale_generation_wrong_shard;
     Alcotest.test_case "cutover atomicity" `Quick test_cutover_atomicity;

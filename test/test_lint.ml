@@ -95,21 +95,6 @@ let test_suppression_wrong_rule () =
   Alcotest.(check int) "suppressing R1 does not silence R2" 1
     (count_rule Lint.R2 (Lint.lint_source ~path:"lib/core/x.ml" src))
 
-let test_whitelist () =
-  let wl = Lint.parse_whitelist "# comment\n\nR2 lib/core/x.ml\n" in
-  Alcotest.(check int) "parsed one entry" 1 (List.length wl);
-  let src = "let f t = Hashtbl.fold (fun _ v a -> v + a) t 0\n" in
-  Alcotest.(check int) "whitelisted file is exempt" 0
-    (List.length (Lint.lint_source ~whitelist:wl ~path:"lib/core/x.ml" src));
-  Alcotest.(check int) "other files still checked" 1
-    (List.length (Lint.lint_source ~whitelist:wl ~path:"lib/core/y.ml" src))
-
-let test_whitelist_rejects_unknown_rule () =
-  Alcotest.check_raises "unknown rule"
-    (Failure "lint whitelist: unknown rule R10") (fun () ->
-      let (_ : Lint.whitelist) = Lint.parse_whitelist "R10 lib/core/x.ml\n" in
-      ())
-
 let golden_json name () =
   let file = Filename.concat "lint_fixtures" (name ^ ".ml") in
   let as_path = "lib/lint_fixtures/" ^ name ^ ".ml" in
@@ -173,24 +158,6 @@ let test_r6_future_type_only () =
   let src = "let f x = ignore (count x : int)\n" in
   Alcotest.(check int) "annotated non-future ignore passes R6" 0
     (count_rule Lint.R6 (Lint.lint_source ~path:"lib/core/x.ml" src))
-
-let test_whitelist_used_callback () =
-  let wl = Lint.parse_whitelist "R2 lib/core/x.ml\n" in
-  let hits = ref [] in
-  let src = "let f t = Hashtbl.fold (fun _ v a -> v + a) t 0\n" in
-  let (_ : Lint.diagnostic list) =
-    Lint.lint_source ~whitelist:wl
-      ~whitelist_used:(fun e -> hits := e :: !hits)
-      ~path:"lib/core/x.ml" src
-  in
-  Alcotest.(check int) "callback fired once" 1 (List.length !hits);
-  hits := [];
-  let (_ : Lint.diagnostic list) =
-    Lint.lint_source ~whitelist:wl
-      ~whitelist_used:(fun e -> hits := e :: !hits)
-      ~path:"lib/core/clean.ml" "let x = 1\n"
-  in
-  Alcotest.(check int) "no hit on a clean file" 0 (List.length !hits)
 
 (* R7 is cross-file: the golden fixture is one interface plus the
    implementations that may reference it, each given the repo-relative path
@@ -302,7 +269,6 @@ let suite =
     Alcotest.test_case "R5 construction is not a yield" `Quick
       test_r5_future_construction_no_yield;
     Alcotest.test_case "R6 future types only" `Quick test_r6_future_type_only;
-    Alcotest.test_case "whitelist-used callback" `Quick test_whitelist_used_callback;
     Alcotest.test_case "R1 det_rng exemption" `Quick test_r1_det_rng_exempt;
     Alcotest.test_case "R2 lib/util exemption" `Quick test_r2_util_exempt;
     Alcotest.test_case "R4 library only" `Quick test_r4_library_only;
@@ -311,8 +277,6 @@ let suite =
     Alcotest.test_case "open/alias Unix flagged" `Quick test_open_unix_flagged;
     Alcotest.test_case "same-line suppression" `Quick test_same_line_suppression;
     Alcotest.test_case "suppression rule mismatch" `Quick test_suppression_wrong_rule;
-    Alcotest.test_case "whitelist" `Quick test_whitelist;
-    Alcotest.test_case "whitelist unknown rule" `Quick test_whitelist_rejects_unknown_rule;
     Alcotest.test_case "explain all rules" `Quick test_explain_covers_all_rules;
     Alcotest.test_case "golden: R7 dead exports" `Quick golden_r7;
     Alcotest.test_case "R7 reference forms" `Quick test_r7_reference_forms;

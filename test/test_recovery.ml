@@ -507,7 +507,7 @@ let proxy_death_releases_waiters ~depth () =
         let answer f =
           match Future.peek f with
           | Some (Message.Reject e) -> Error.to_string e
-          | Some m -> Format.asprintf "%a" Message.pp m
+          | Some _ -> "unexpected reply"
           | None -> "pending"
         in
         let answers =

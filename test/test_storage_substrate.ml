@@ -132,7 +132,7 @@ let test_ps_basic () =
         Future.return
           ( Persistent_store.get store "a",
             Persistent_store.get store "b",
-            Persistent_store.get_range store ~from:"a" ~until:"z" () ))
+            List.of_seq (Persistent_store.range store ~from:"a" ~until:"z" ~reverse:false) ))
   in
   let a, b, range = r in
   Alcotest.(check (option string)) "a" (Some "1") a;
@@ -145,9 +145,8 @@ let test_ps_clear_range_and_limit () =
         let muts = List.init 10 (fun i -> Mutation.Set (Printf.sprintf "k%d" i, "v")) in
         let* () = Persistent_store.apply store muts in
         let* () = Persistent_store.apply store [ Mutation.Clear_range ("k3", "k7") ] in
-        Future.return
-          ( Persistent_store.get_range store ~from:"k0" ~until:"k9\xff" (),
-            Persistent_store.get_range store ~limit:2 ~from:"k0" ~until:"k9\xff" () ))
+        let range = Persistent_store.range store ~from:"k0" ~until:"k9\xff" ~reverse:false in
+        Future.return (List.of_seq range, List.of_seq (Seq.take 2 range)))
   in
   let all, limited = r in
   Alcotest.(check int) "cleared range" 6 (List.length all);
@@ -256,7 +255,7 @@ let test_ps_keys () =
             (List.map (fun k -> Mutation.Set (k, k)) [ "a"; "b"; "c"; "d" ])
         in
         let keys ~from ~until ~reverse =
-          List.of_seq (Persistent_store.keys store ~from ~until ~reverse)
+          List.of_seq (Seq.map fst (Persistent_store.range store ~from ~until ~reverse))
         in
         Future.return
           [
