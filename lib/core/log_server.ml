@@ -78,6 +78,11 @@ let logs_for_tag ~n_logs ~replication tag =
 let replicates ~n_logs ~replication li tag =
   (li - (tag mod n_logs) + n_logs) mod n_logs < min replication n_logs
 
+type Disk.record += Wal_entry of Message.log_entry
+
+let append_entry t (e : Message.log_entry) =
+  Disk.append t.disk t.wal ~bytes:(Disk.encoded_size e) (Wal_entry e)
+
 let entry_bytes (e : Message.log_entry) =
   List.fold_left
     (fun acc tm -> acc + Fdb_kv.Mutation.byte_size tm.Message.tm_mutation)
@@ -162,8 +167,7 @@ let rec schedule_sync t =
    it. *)
 let persist_entry t (e : Message.log_entry) =
   let t0 = Engine.now () in
-  let record = Marshal.to_string (e : Message.log_entry) [] in
-  let appended = Disk.append t.disk t.wal record in
+  let appended = append_entry t e in
   let fut, promise = Future.make ~label:"tlog.sync_wait" () in
   t.waiting_sync <- (e.Message.le_lsn, promise) :: t.waiting_sync;
   schedule_sync t;
@@ -285,8 +289,10 @@ let prune t =
     | [] -> Future.return ()
     | doomed ->
         let new_floor = max t.floor (List.hd doomed) in
+        let floor_bytes = Types.version_to_bytes new_floor in
         let* () =
-          Disk.write_file t.disk t.floor_file (Types.version_to_bytes new_floor)
+          Disk.write_file t.disk t.floor_file ~bytes:(String.length floor_bytes)
+            (Disk.Raw floor_bytes)
         in
         let* () = Disk.sync t.disk t.floor_file in
         (* Monotone re-read after the disk yields (rule R5): never let a
@@ -435,12 +441,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
             index_payload t e
           end)
         ls_entries;
-      let* () =
-        Future.all_unit
-          (List.map
-             (fun e -> Disk.append t.disk t.wal (Marshal.to_string (e : Message.log_entry) []))
-             ls_entries)
-      in
+      let* () = Future.all_unit (List.map (append_entry t) ls_entries) in
       let* () = Disk.sync t.disk t.wal in
       Future.return Message.Ok_reply
   | _ -> Future.return (Message.Reject (Error.Internal "tlog: unexpected message"))
@@ -489,19 +490,24 @@ let resurrect ctx proc ~disk ~(meta : meta) =
   in
   let floor =
     match floor_bytes with
-    | Some b when String.length b >= 8 -> max meta.m_start_lsn (Types.version_of_bytes b)
+    | Some (Disk.Raw b) when String.length b >= 8 ->
+        max meta.m_start_lsn (Types.version_of_bytes b)
     | _ -> meta.m_start_lsn
   in
   let t =
     make ctx proc ~disk ~epoch:meta.m_epoch ~id:meta.m_id ~start_lsn:meta.m_start_lsn ~floor
       ~stopped:true
   in
-  let parsed =
-    List.filter_map
-      (fun r ->
-        match (Marshal.from_string r 0 : Message.log_entry) with
-        | e -> Some e
-        | exception _ -> None)
+  (* The entries are read back as copies, distinct from the ones the live
+     LogServers hold. Recovery merges the entries of several servers into
+     one record, and a record's charge (its Marshal length) counts a value
+     shared by two of its parts once: the stored values themselves would
+     shrink the charges of every recovery after a LogServer crash. *)
+  let entries =
+    List.map
+      (function
+        | Wal_entry e -> Disk.copy e
+        | _ -> invalid_arg "Log_server: not a WAL record")
       records
   in
   (* Seeds (lsn <= start) and already-pruned-floor records are durable
@@ -520,7 +526,7 @@ let resurrect ctx proc ~disk ~(meta : meta) =
       end
       else if e.Message.le_lsn > floor then
         Det_tbl.replace scratch e.Message.le_lsn e)
-    parsed;
+    entries;
   let rec chain v =
     let candidates = Det_tbl.fold (fun lsn e acc -> if e.Message.le_prev = v then (lsn, e) :: acc else acc) scratch [] in
     match candidates with

@@ -24,6 +24,12 @@
 
 type t
 
+type Fdb_sim.Disk.record +=
+  | Wal_entry of Message.log_entry
+        (** A WAL record: the entry itself, shared with the server's
+            in-memory log and charged its encoded size. A resurrected server
+            works on copies of these ({!Fdb_sim.Disk.copy}). *)
+
 val create :
   Context.t ->
   Fdb_sim.Process.t ->

@@ -202,6 +202,22 @@ let shards_for_range t ~from ~until =
     List.rev !out
   end
 
+(* Membership by binary search: the shard holding a key is the one
+   [shard_index] finds, unless the key lies at or past its end (the system
+   key space end). *)
+let serves_key t ss key =
+  let s = t.shards.(shard_index t key) in
+  key < s.s_hi && List.mem ss s.s_team
+
+let serves_range t ss ~from ~until =
+  let s = t.shards.(shard_index t from) in
+  until <= s.s_hi && List.mem ss s.s_team
+
+let applies_key t ss key =
+  let s = t.shards.(shard_index t key) in
+  key < s.s_hi
+  && (List.mem ss s.s_team || match s.s_dst with Some dst -> List.mem ss dst | None -> false)
+
 let shards_of_storage t ss = t.per_ss_read.(ss)
 let apply_ranges_of_storage t ss = t.per_ss_apply.(ss)
 

@@ -52,6 +52,18 @@ val shards_for_range :
   t -> from:string -> until:string -> (string * string * int list) list
 (** Serving fragments tiling [\[from, until)]: [(frag_lo, frag_hi, team)]. *)
 
+val serves_key : t -> int -> string -> bool
+(** [serves_key t ss key]: server [ss] serves reads for [key] (read view).
+    O(log shards). *)
+
+val serves_range : t -> int -> from:string -> until:string -> bool
+(** A single shard whose read team holds [ss] covers the non-empty
+    [\[from, until)]. O(log shards). *)
+
+val applies_key : t -> int -> string -> bool
+(** [ss] applies mutations to [key]: it is in the serving or the incoming
+    team of the key's shard (apply view). O(log shards). *)
+
 val shards_of_storage : t -> int -> (string * string) list
 (** Ranges server [ss] currently {e serves reads for} (its read view). *)
 

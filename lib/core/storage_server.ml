@@ -102,17 +102,13 @@ let served_shards t = Shard_map.shards_of_storage t.ctx.Context.shard_map t.id
    and must be buffered so the post-snapshot suffix is not lost). *)
 let applied_shards t = Shard_map.apply_ranges_of_storage t.ctx.Context.shard_map t.id
 
-let in_shards t key =
-  List.exists (fun (lo, hi) -> lo <= key && key < hi) (served_shards t)
-
-let in_applied_shards t key =
-  List.exists (fun (lo, hi) -> lo <= key && key < hi) (applied_shards t)
+let in_shards t key = Shard_map.serves_key t.ctx.Context.shard_map t.id key
+let in_applied_shards t key = Shard_map.applies_key t.ctx.Context.shard_map t.id key
 
 (* Does this server serve the whole [from, until)? Client sub-reads are
    per-shard fragments, so a single served range must cover it. *)
 let covers t ~from ~until =
-  from >= until
-  || List.exists (fun (lo, hi) -> lo <= from && until <= hi) (served_shards t)
+  from >= until || Shard_map.serves_range t.ctx.Context.shard_map t.id ~from ~until
 
 let clip_to_shards t ~from ~until =
   List.filter_map

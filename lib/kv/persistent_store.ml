@@ -13,19 +13,13 @@ type t = {
 }
 
 type wal_record = { wr_seq : int; wr_mut : Mutation.t }
-type snapshot = { sn_seq : int; sn_entries : (string * string) list }
 
-let encode_wal r : string = Marshal.to_string (r : wal_record) []
-let decode_wal (s : string) : wal_record option =
-  match (Marshal.from_string s 0 : wal_record) with
-  | r -> Some r
-  | exception _ -> None
+(* A checkpoint holds the image itself: the map is immutable, so the record
+   shares its structure with the live image instead of holding a second
+   copy of the store. *)
+type snapshot = { sn_seq : int; sn_map : string KeyMap.t }
 
-let encode_snap s : string = Marshal.to_string (s : snapshot) []
-let decode_snap (s : string) : snapshot option =
-  match (Marshal.from_string s 0 : snapshot) with
-  | sn -> Some sn
-  | exception _ -> None
+type Disk.record += Wal of wal_record | Snapshot of snapshot
 
 let apply_mutation_to_map map (m : Mutation.t) =
   match m with
@@ -38,34 +32,25 @@ let apply_mutation_to_map map (m : Mutation.t) =
 let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
   let wal_file = prefix ^ ".wal" and snap_file = prefix ^ ".snap" in
   let* snaps = Disk.read_all disk snap_file in
-  let base =
-    List.fold_left
-      (fun acc rec_ ->
-        match decode_snap rec_ with
-        | Some sn -> (
-            match acc with
-            | Some best when best.sn_seq >= sn.sn_seq -> acc
-            | _ -> Some sn)
-        | None -> acc)
-      None snaps
-  in
   let map0, seq0 =
-    match base with
-    | Some sn ->
-        (List.fold_left (fun m (k, v) -> KeyMap.add k v m) KeyMap.empty sn.sn_entries,
-         sn.sn_seq)
-    | None -> (KeyMap.empty, 0)
+    List.fold_left
+      (fun (map, seq) -> function
+        | Snapshot sn when sn.sn_seq > seq -> (sn.sn_map, sn.sn_seq)
+        | Snapshot _ -> (map, seq)
+        | _ -> invalid_arg "Persistent_store: not a snapshot record")
+      (KeyMap.empty, 0) snaps
   in
+  let map0 = Disk.copy map0 in
   let* wal = Disk.read_all disk wal_file in
   (* Replay the contiguous suffix: skip records covered by the snapshot,
-     stop at the first gap (torn tail after a buggified crash). *)
+     stop at the first gap (torn tail after a buggified crash). Like the
+     image, each replayed mutation is read back as a copy. *)
   let map, seq =
     List.fold_left
-      (fun (map, seq) rec_ ->
-        match decode_wal rec_ with
-        | Some r when r.wr_seq <= seq -> (map, seq)
-        | Some r when r.wr_seq = seq + 1 -> (apply_mutation_to_map map r.wr_mut, r.wr_seq)
-        | Some _ | None -> (map, seq) (* gap or corruption: ignore the rest *))
+      (fun (map, seq) -> function
+        | Wal r when r.wr_seq = seq + 1 -> (apply_mutation_to_map map (Disk.copy r.wr_mut), r.wr_seq)
+        | Wal _ -> (map, seq) (* covered by the snapshot, or past a gap *)
+        | _ -> invalid_arg "Persistent_store: not a WAL record")
       (map0, seq0) wal
   in
   Future.return
@@ -94,7 +79,8 @@ let apply t mutations =
         t.seq <- t.seq + 1;
         t.wal_len <- t.wal_len + 1;
         t.map <- apply_mutation_to_map t.map m;
-        Disk.append t.disk t.wal_file (encode_wal { wr_seq = t.seq; wr_mut = m }))
+        let r = { wr_seq = t.seq; wr_mut = m } in
+        Disk.append t.disk t.wal_file ~bytes:(Disk.encoded_size r) (Wal r))
       mutations
   in
   Future.all_unit futures
@@ -102,10 +88,12 @@ let apply t mutations =
 (* Append, sync, drop, then delete the WAL: older snapshots go only once a
    newer one is durable, so a crash never leaves an unsynced snapshot as
    the only copy. Dropping keeps the newest durable record, which covers
-   every older one (snapshots are appended in sequence order). *)
+   every older one (snapshots are appended in sequence order). A snapshot
+   is charged as its encoding on disk, the sequence number and the sorted
+   bindings. *)
 let checkpoint t =
-  let snapshot = { sn_seq = t.seq; sn_entries = KeyMap.bindings t.map } in
-  let* () = Disk.append t.disk t.snap_file (encode_snap snapshot) in
+  let bytes = Disk.encoded_size (t.seq, KeyMap.bindings t.map) in
+  let* () = Disk.append t.disk t.snap_file ~bytes (Snapshot { sn_seq = t.seq; sn_map = t.map }) in
   let* () = Disk.sync t.disk t.snap_file in
   let durable = Disk.durable_count t.disk t.snap_file in
   if durable > 1 then Disk.drop_prefix t.disk t.snap_file (durable - 1);

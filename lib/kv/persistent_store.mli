@@ -3,12 +3,15 @@
 
     An ordered in-memory map backed by a write-ahead log on a simulated
     {!Fdb_sim.Disk}: mutations append sequenced WAL records; {!commit}
-    syncs them; a checkpoint (full snapshot record) is taken when the WAL
-    grows long, after which older snapshots are dropped and the WAL is
-    truncated, so the snapshot file holds one record. {!recover} rebuilds the
-    map from the newest durable snapshot plus the contiguous WAL suffix —
-    torn tails (buggified crashes) are detected via sequence-number gaps
-    and discarded, so recovery never surfaces unsynced data as durable. *)
+    syncs them; a checkpoint (a snapshot record holding the image) is taken
+    when the WAL grows long, after which older snapshots are dropped and the
+    WAL is truncated, so the snapshot file holds one record. Records are
+    values: a snapshot is the immutable map itself, sharing structure with
+    the live image, and each record is charged the size of its encoding.
+    {!recover} rebuilds the map from copies ({!Fdb_sim.Disk.copy}) of the
+    newest durable snapshot plus the contiguous WAL suffix — torn tails
+    (buggified crashes) are detected via sequence-number gaps and discarded,
+    so recovery never surfaces unsynced data as durable. *)
 
 type t
 

@@ -15,28 +15,29 @@ type t = {
 
 type persisted = (string * (Wire.ballot * (Wire.ballot * string) option)) list
 
+type Disk.record += Registers of persisted
+
 let recover ~disk ~file () =
   let* contents = Disk.read_file disk file in
   let regs = Det_tbl.create ~size:8 () in
   (match contents with
   | None -> ()
-  | Some s -> (
-      match (Marshal.from_string s 0 : persisted) with
-      | entries ->
-          List.iter
-            (fun (name, (promised, accepted)) ->
-              Det_tbl.replace regs name { promised; accepted })
-            entries
-      | exception _ -> ()));
+  | Some (Registers entries) ->
+      List.iter
+        (fun (name, (promised, accepted)) -> Det_tbl.replace regs name { promised; accepted })
+        (Disk.copy entries)
+  | Some _ -> invalid_arg "Paxos server: not a register file");
   Future.return { disk; file; regs }
 
 (* Det_tbl.fold is name-sorted, so the persisted image of the register
-   file is canonical: two runs of a seed write identical bytes. *)
+   file is canonical: two runs of a seed write identical records. *)
 let persist t =
   let entries =
     Det_tbl.fold (fun name st acc -> (name, (st.promised, st.accepted)) :: acc) t.regs []
   in
-  let* () = Disk.write_file t.disk t.file (Marshal.to_string (entries : persisted) []) in
+  let* () =
+    Disk.write_file t.disk t.file ~bytes:(Disk.encoded_size entries) (Registers entries)
+  in
   Disk.sync t.disk t.file
 
 let get_reg t name =

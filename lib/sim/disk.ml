@@ -1,7 +1,17 @@
-module Rng = Fdb_util.Det_rng
 module Det_tbl = Fdb_util.Det_tbl
 
-type file = { mutable records : string list (* reversed *); mutable durable : int }
+type record = ..
+type record += Raw of string
+
+let encoded_size v = String.length (Marshal.to_string v [])
+let copy v = Marshal.from_string (Marshal.to_string v []) 0
+
+type file = {
+  mutable records : record list; (* reversed *)
+  mutable count : int; (* List.length records *)
+  mutable dropped : int; (* records ever removed from the front; never falls *)
+  mutable durable : int;
+}
 
 type t = {
   seek : float;
@@ -34,21 +44,28 @@ let get_file t name =
   match Det_tbl.find_opt t.files name with
   | Some f -> f
   | None ->
-      let f = { records = []; durable = 0 } in
+      let f = { records = []; count = 0; dropped = 0; durable = 0 } in
       Det_tbl.add t.files name f;
       f
 
-let append t name record =
+let transfer t bytes =
+  t.written <- t.written +. float_of_int bytes;
+  disk_op t (t.seek +. (float_of_int bytes /. t.bytes_per_sec))
+
+let append t name ~bytes record =
   let f = get_file t name in
   f.records <- record :: f.records;
-  t.written <- t.written +. float_of_int (String.length record);
-  disk_op t (t.seek +. (float_of_int (String.length record) /. t.bytes_per_sec))
+  f.count <- f.count + 1;
+  transfer t bytes
 
 let sync t name =
   let f = get_file t name in
-  let n = List.length f.records in
+  (* The file's end, counted from its first record ever written, so that a
+     drop or rewrite while the sync runs does not move it. *)
+  let upto = f.dropped + f.count in
   Future.bind (disk_op t t.sync_latency) (fun () ->
       (* Only what was buffered when sync was issued is made durable. *)
+      let n = min f.count (upto - f.dropped) in
       if n > f.durable then f.durable <- n;
       Future.return ())
 
@@ -59,12 +76,13 @@ let read_all t name =
       let records = List.rev f.records in
       Future.map (disk_op t t.seek) (fun () -> records)
 
-let write_file t name contents =
+let write_file t name ~bytes record =
   let f = get_file t name in
-  f.records <- [ contents ];
+  f.dropped <- f.dropped + f.count;
+  f.records <- [ record ];
+  f.count <- 1;
   f.durable <- 0;
-  t.written <- t.written +. float_of_int (String.length contents);
-  disk_op t (t.seek +. (float_of_int (String.length contents) /. t.bytes_per_sec))
+  transfer t bytes
 
 let read_file t name =
   let v =
@@ -78,18 +96,18 @@ let delete t name =
   Det_tbl.remove t.files name;
   disk_op t t.seek
 
-(* Iterate files in name order: the corrupting branch draws from the
-   engine RNG per unsynced record, so enumeration order is part of the
+(* Iterate files in name order: the buggified branch draws from the engine
+   RNG per unsynced record, so enumeration order is part of the
    deterministic replay contract. *)
 let crash t =
-  let corrupting = Buggify.on ~p:0.5 "disk_partial_write" in
+  let partial = Buggify.on ~p:0.5 "disk_partial_write" in
   Det_tbl.iter
     (fun _ f ->
       let all = Array.of_list (List.rev f.records) in
       let n = Array.length all in
       let keep = Array.sub all 0 (min f.durable n) |> Array.to_list in
       let survivors =
-        if corrupting && n > f.durable then begin
+        if partial && n > f.durable then begin
           (* Unsynced records land out of order: a random subset survives.
              Consumers must detect the resulting gaps via sequence numbers. *)
           let extra = ref [] in
@@ -101,7 +119,8 @@ let crash t =
         else keep
       in
       f.records <- List.rev survivors;
-      f.durable <- min f.durable (List.length survivors))
+      f.count <- List.length survivors;
+      f.durable <- min f.durable f.count)
     t.files
 
 let attach t p = Process.on_reboot p (fun () -> crash t)
@@ -115,9 +134,10 @@ let drop_prefix t name n =
   match Det_tbl.find_opt t.files name with
   | None -> ()
   | Some f ->
-      let total = List.length f.records in
-      let n = min n total in
-      (* records is newest-first: keep the newest (total - n). *)
+      let n = min n f.count in
+      (* records is newest-first: keep the newest (count - n). *)
       let rec take k l = if k = 0 then [] else match l with [] -> [] | x :: tl -> x :: take (k - 1) tl in
-      f.records <- take (total - n) f.records;
+      f.records <- take (f.count - n) f.records;
+      f.count <- f.count - n;
+      f.dropped <- f.dropped + n;
       f.durable <- max 0 (f.durable - n)

@@ -1,13 +1,26 @@
 open Fdb_sim
 open Future.Syntax
 
+(* Raw records charged one byte per character. *)
+let append d file s = Disk.append d file ~bytes:(String.length s) (Disk.Raw s)
+let write_file d file s = Disk.write_file d file ~bytes:(String.length s) (Disk.Raw s)
+let raw = function Disk.Raw s -> s | _ -> "?"
+
+let read_all d file =
+  let* records = Disk.read_all d file in
+  Future.return (List.map raw records)
+
+let read_file d file =
+  let* record = Disk.read_file d file in
+  Future.return (Option.map raw record)
+
 let test_append_read_back () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.append d "log" "a" in
-        let* () = Disk.append d "log" "b" in
-        let* recs = Disk.read_all d "log" in
+        let* () = append d "log" "a" in
+        let* () = append d "log" "b" in
+        let* recs = read_all d "log" in
         Future.return recs)
   in
   Alcotest.(check (list string)) "append order" [ "a"; "b" ] r
@@ -16,11 +29,11 @@ let test_unsynced_lost_on_crash () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.append d "log" "a" in
+        let* () = append d "log" "a" in
         let* () = Disk.sync d "log" in
-        let* () = Disk.append d "log" "b" in
+        let* () = append d "log" "b" in
         Disk.crash d;
-        let* recs = Disk.read_all d "log" in
+        let* recs = read_all d "log" in
         Future.return recs)
   in
   Alcotest.(check (list string)) "only synced survives" [ "a" ] r
@@ -29,12 +42,12 @@ let test_synced_survives_crash () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.append d "log" "a" in
-        let* () = Disk.append d "log" "b" in
+        let* () = append d "log" "a" in
+        let* () = append d "log" "b" in
         let* () = Disk.sync d "log" in
         Disk.crash d;
         Disk.crash d;
-        let* recs = Disk.read_all d "log" in
+        let* recs = read_all d "log" in
         Future.return recs)
   in
   Alcotest.(check (list string)) "all synced survive double crash" [ "a"; "b" ] r
@@ -43,9 +56,9 @@ let test_write_file_read_file () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.write_file d "state" "v1" in
-        let* () = Disk.write_file d "state" "v2" in
-        let* v = Disk.read_file d "state" in
+        let* () = write_file d "state" "v1" in
+        let* () = write_file d "state" "v2" in
+        let* v = read_file d "state" in
         Future.return v)
   in
   Alcotest.(check (option string)) "last write wins" (Some "v2") r
@@ -54,11 +67,11 @@ let test_unsynced_file_lost () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.write_file d "state" "v1" in
+        let* () = write_file d "state" "v1" in
         let* () = Disk.sync d "state" in
-        let* () = Disk.write_file d "state" "v2" in
+        let* () = write_file d "state" "v2" in
         Disk.crash d;
-        let* v = Disk.read_file d "state" in
+        let* v = read_file d "state" in
         Future.return v)
   in
   (* write_file truncates, so after the crash the unsynced truncate+write is
@@ -70,8 +83,8 @@ let test_missing_file () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* recs = Disk.read_all d "nope" in
-        let* v = Disk.read_file d "nope" in
+        let* recs = read_all d "nope" in
+        let* v = read_file d "nope" in
         Future.return (recs, v))
   in
   Alcotest.(check (pair (list string) (option string))) "missing" ([], None) r
@@ -83,22 +96,29 @@ let test_attach_crashes_on_kill () =
         let p = Process.create m in
         let d = Disk.create () in
         Disk.attach d p;
-        let* () = Disk.append d "log" "a" in
+        let* () = append d "log" "a" in
         Engine.kill p;
-        let* recs = Disk.read_all d "log" in
+        let* recs = read_all d "log" in
         Future.return recs)
   in
   Alcotest.(check (list string)) "dropped via hook" [] r
 
+(* A record costs seek + bytes / bandwidth for the bytes its writer
+   declares, whatever the record holds. *)
 let test_disk_op_takes_time () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create ~seek:0.001 ~bytes_per_sec:1000.0 () in
         let t0 = Engine.now () in
-        let* () = Disk.append d "log" (String.make 1000 'x') in
-        Future.return (Engine.now () -. t0))
+        let* () = Disk.append d "log" ~bytes:1000 (Disk.Raw "x") in
+        let t1 = Engine.now () in
+        let* () = Disk.write_file d "state" ~bytes:250 (Disk.Raw "") in
+        Future.return (t1 -. t0, Engine.now () -. t1, Disk.bytes_written d))
   in
-  Alcotest.(check bool) "seek + transfer" true (r >= 1.0)
+  let append, write, written = r in
+  Alcotest.(check (float 1e-9)) "append: seek + 1000 B" 1.001 append;
+  Alcotest.(check (float 1e-9)) "write_file: seek + 250 B" 0.251 write;
+  Alcotest.(check (float 0.0)) "declared bytes counted" 1250.0 written
 
 let test_disk_queueing () =
   let r =
@@ -106,7 +126,7 @@ let test_disk_queueing () =
         let d = Disk.create ~seek:1.0 ~bytes_per_sec:1e12 () in
         let done1 = ref 0.0 and done2 = ref 0.0 in
         let j out () =
-          let* () = Disk.append d "log" "x" in
+          let* () = append d "log" "x" in
           out := Engine.now ();
           Future.return ()
         in
@@ -121,12 +141,76 @@ let test_delete () =
   let r =
     Engine.run (fun () ->
         let d = Disk.create () in
-        let* () = Disk.append d "log" "a" in
+        let* () = append d "log" "a" in
         let* () = Disk.delete d "log" in
-        let* recs = Disk.read_all d "log" in
+        let* recs = read_all d "log" in
         Future.return recs)
   in
   Alcotest.(check (list string)) "deleted" [] r
+
+(* The record count a sync makes durable stays in step with crash and
+   drop_prefix. *)
+let test_sync_after_drop_and_crash () =
+  let r =
+    Engine.run (fun () ->
+        let d = Disk.create () in
+        let* () = append d "log" "a" in
+        let* () = append d "log" "b" in
+        let* () = append d "log" "c" in
+        Disk.drop_prefix d "log" 1;
+        let* () = Disk.sync d "log" in
+        let* () = append d "log" "d" in
+        Disk.crash d;
+        let* after_crash = read_all d "log" in
+        let* () = append d "log" "e" in
+        let* () = Disk.sync d "log" in
+        Disk.crash d;
+        let* after_sync = read_all d "log" in
+        Future.return (after_crash, after_sync, Disk.durable_count d "log"))
+  in
+  let after_crash, after_sync, durable = r in
+  Alcotest.(check (list string)) "drop, sync, crash" [ "b"; "c" ] after_crash;
+  Alcotest.(check (list string)) "append, sync, crash" [ "b"; "c"; "e" ] after_sync;
+  Alcotest.(check int) "durable count" 3 durable
+
+(* A sync covers the records buffered when it was issued, wherever a drop
+   or rewrite that runs while the disk serves it moves them. *)
+let test_drop_during_sync () =
+  let r =
+    Engine.run (fun () ->
+        let d = Disk.create ~sync_latency:1.0 () in
+        let* () = append d "log" "a" in
+        let* () = append d "log" "b" in
+        let* () = append d "log" "c" in
+        let* () = write_file d "snap" "s1" in
+        let log_sync = Disk.sync d "log" in
+        let snap_sync = Disk.sync d "snap" in
+        Disk.drop_prefix d "log" 2;
+        let late_log = append d "log" "d" in
+        let late_snap = write_file d "snap" "s2" in
+        let* () = log_sync in
+        let* () = snap_sync in
+        let* () = late_log in
+        let* () = late_snap in
+        let durable = (Disk.durable_count d "log", Disk.durable_count d "snap") in
+        Disk.crash d;
+        let* log = read_all d "log" in
+        let* snap = read_all d "snap" in
+        Future.return (durable, log, snap))
+  in
+  let durable, log, snap = r in
+  Alcotest.(check (pair int int)) "durable counts" (1, 0) durable;
+  Alcotest.(check (list string)) "log after crash" [ "c" ] log;
+  Alcotest.(check (list string)) "snap after crash" [] snap
+
+(* A copy is equal, shares nothing with the original, and keeps the
+   original's own sharing. *)
+let test_copy () =
+  let s = String.make 3 'x' in
+  let c = Disk.copy (s, s) in
+  Alcotest.(check (pair string string)) "equal" (s, s) c;
+  Alcotest.(check bool) "fresh" true (fst c != s);
+  Alcotest.(check bool) "inner sharing kept" true (fst c == snd c)
 
 let suite =
   [
@@ -140,4 +224,7 @@ let suite =
     Alcotest.test_case "ops take time" `Quick test_disk_op_takes_time;
     Alcotest.test_case "fcfs queueing" `Quick test_disk_queueing;
     Alcotest.test_case "delete" `Quick test_delete;
+    Alcotest.test_case "sync after drop and crash" `Quick test_sync_after_drop_and_crash;
+    Alcotest.test_case "drop during a slow sync" `Quick test_drop_during_sync;
+    Alcotest.test_case "copy" `Quick test_copy;
   ]

@@ -243,6 +243,58 @@ let test_resurrect_after_prune () =
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
+(* The WAL holds the pushed entries themselves, not an encoding of them;
+   a resurrected server hands recovery equal copies, so the entries it
+   returns share nothing with the live servers' (the byte charge of a
+   merged recovery record depends on that sharing). *)
+let test_wal_holds_entries () =
+  let r =
+    Engine.run (fun () ->
+        let ctx = mini_ctx () in
+        let machine = Process.fresh_machine 1 in
+        let proc = Process.create ~name:"tlog-test" machine in
+        let client = Process.create ~name:"pusher" machine in
+        let disk = Disk.create () in
+        let _, ep = Log_server.create ctx proc ~disk ~epoch:1 ~id:0 ~start_lsn:0L in
+        let pushed =
+          [ entry ~lsn:5L ~prev:0L [ tagged [ 0 ] (Mutation.Set ("a", String.make 3 'x')) ];
+            entry ~lsn:9L ~prev:5L [ tagged [ 0; 1 ] (Mutation.Set ("b", String.make 3 'y')) ] ]
+        in
+        let* () =
+          Future.all_unit
+            (List.map
+               (fun e ->
+                 let* _ =
+                   Context.rpc ctx ~timeout:5.0 ~from:client ep
+                     (Message.Log_push { lp_epoch = 1; lp_entry = e })
+                 in
+                 Future.return ())
+               pushed)
+        in
+        let* wal = Disk.read_all disk "tlog-1-0.wal" in
+        let stored =
+          List.map (function Log_server.Wal_entry e -> e | _ -> Alcotest.fail "foreign record") wal
+        in
+        Engine.reboot proc ~delay:0.2 ();
+        let* () = Engine.sleep 1.0 in
+        let* reply =
+          Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
+        in
+        match reply with
+        | Message.Log_lock_reply { lk_entries; _ } ->
+            Future.return (pushed, stored, List.rev lk_entries)
+        | _ -> Future.fail Exit)
+  in
+  let pushed, stored, handed_off = r in
+  Alcotest.(check int) "one record per push" (List.length pushed) (List.length stored);
+  Alcotest.(check bool) "records are the pushed entries" true (List.for_all2 ( == ) pushed stored);
+  Alcotest.(check bool) "hand-off equals the pushes" true (handed_off = pushed);
+  let mutations es =
+    List.concat_map (fun e -> List.map (fun tm -> tm.Message.tm_mutation) e.Message.le_payload) es
+  in
+  Alcotest.(check bool) "hand-off mutations are copies" true
+    (List.for_all2 ( != ) (mutations pushed) (mutations handed_off))
+
 let test_prune_keeps_live_records () =
   (* LSN 9 holds a tag that never pops (its storage server is down), while
      LSNs 5 and 12 pop. GC may drop only the dead prefix (LSN 5): dropping
@@ -638,6 +690,7 @@ let suite =
     Alcotest.test_case "lock stops pushes" `Quick test_lock_stops_pushes_and_reports;
     Alcotest.test_case "resurrect after prune" `Quick test_resurrect_after_prune;
     Alcotest.test_case "prune keeps live records" `Quick test_prune_keeps_live_records;
+    Alcotest.test_case "WAL holds the pushed entries" `Quick test_wal_holds_entries;
     Alcotest.test_case "lock caps in-flight acks" `Quick test_lock_caps_in_flight_acks;
     Alcotest.test_case "sync covers appends made during it" `Quick
       test_sync_covers_appends_made_during_it;

@@ -224,6 +224,42 @@ let check_range_agreement m ~from ~until =
   if from < until then walk from fragments
   else Alcotest.(check int) "empty range" 0 (List.length fragments)
 
+(* The O(log shards) membership tests must agree with the per-server range
+   lists they replace, at shard edges and past the last shard. *)
+let check_membership ~keys m =
+  let within ranges key = List.exists (fun (lo, hi) -> lo <= key && key < hi) ranges in
+  for ss = 0 to Config.storage_count config - 1 do
+    let read = Shard_map.shards_of_storage m ss and apply = Shard_map.apply_ranges_of_storage m ss in
+    List.iter
+      (fun key ->
+        Alcotest.(check bool) "serves_key" (within read key) (Shard_map.serves_key m ss key);
+        Alcotest.(check bool) "applies_key" (within apply key) (Shard_map.applies_key m ss key);
+        List.iter
+          (fun until ->
+            if key < until then
+              Alcotest.(check bool) "serves_range"
+                (List.exists (fun (lo, hi) -> lo <= key && until <= hi) read)
+                (Shard_map.serves_range m ss ~from:key ~until))
+          keys)
+      keys
+  done
+
+let test_membership () =
+  in_engine @@ fun () ->
+  let m = Shard_map.build config in
+  let keys () =
+    let edges = Array.to_list (Shard_map.ranges m) |> List.map fst in
+    (Types.system_key_space_end :: "\xff\xff/x" :: edges) @ List.map Types.next_key edges
+  in
+  check_membership ~keys:(keys ()) m;
+  let lo, _ = Shard_map.shard_range_for_key m "k" in
+  let team = Shard_map.team_for_key m "k" in
+  let dst = List.filter (fun ss -> not (List.mem ss team)) [ 0; 1; 2; 3; 4; 5 ] in
+  Alcotest.(check bool) "begin_move" true
+    (Result.is_ok (Shard_map.begin_move m ~lo ~dst:[ List.hd dst ]));
+  Alcotest.(check bool) "split" true (Result.is_ok (Shard_map.split m ~at:"a"));
+  check_membership ~keys:(keys ()) m
+
 let probe_ranges = [ ("", Types.key_space_end); ("a", "z"); ("k", "k\x00"); ("", "k") ]
 
 let test_split_edge_cases () =
@@ -379,6 +415,8 @@ let gen_model_ops =
            (1, map (fun i -> Op_abort i) small_nat);
          ]))
 
+let membership_probes = [ ""; "a"; "k"; "kaa"; "kaa\x00"; "kcc"; "kf"; "kff"; "z"; "\xff\xff" ]
+
 let qcheck_model_agreement =
   let n_ss = Config.storage_count Config.default in
   QCheck.Test.make ~name:"split/merge/move agree with flat reference" ~count:150
@@ -460,6 +498,7 @@ let qcheck_model_agreement =
               else Alcotest.(check int) "generation unchanged" g0 (Shard_map.generation m);
               (* boundaries: coverage and non-overlap, and equal to the model *)
               check_tiles m;
+              check_membership ~keys:membership_probes m;
               Alcotest.(check (list (pair string string)))
                 "boundaries match model"
                 (List.map (fun e -> (e.Model.lo, e.Model.hi)) !model)
@@ -494,5 +533,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_placement;
     Alcotest.test_case "split edge cases" `Quick test_split_edge_cases;
     Alcotest.test_case "merge whole keyspace" `Quick test_merge_whole_keyspace;
+    Alcotest.test_case "membership by binary search" `Quick test_membership;
     QCheck_alcotest.to_alcotest qcheck_model_agreement;
   ]

@@ -247,6 +247,63 @@ let test_ps_crash_before_snapshot_sync () =
   Alcotest.(check int) "all entries back" 20 entries;
   Alcotest.(check int) "seq restored" 20 seq
 
+(* Every record is charged its encoded size: a WAL record as its sequence
+   number and mutation, a snapshot as its sequence number and sorted
+   bindings. The strings are all distinct, so no sharing shrinks an
+   encoding. *)
+let test_ps_charges_encoded_size () =
+  let kv i = (Printf.sprintf "k%03d" i, Printf.sprintf "v%d" i) in
+  let r =
+    Engine.run (fun () ->
+        let disk = Disk.create () in
+        let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:10 () in
+        let* () =
+          Persistent_store.apply store
+            (List.init 10 (fun i -> let k, v = kv i in Mutation.Set (k, v)))
+        in
+        let wal = Disk.bytes_written disk in
+        let* () = Persistent_store.commit store in
+        Future.return (wal, Disk.bytes_written disk -. wal))
+  in
+  let wal, snapshot = r in
+  let wal_bytes =
+    List.init 10 (fun i -> let k, v = kv i in Disk.encoded_size (i + 1, Mutation.Set (k, v)))
+  in
+  Alcotest.(check (float 0.0)) "WAL records" (float_of_int (List.fold_left ( + ) 0 wal_bytes)) wal;
+  Alcotest.(check (float 0.0)) "snapshot record"
+    (float_of_int (Disk.encoded_size (10, List.init 10 kv)))
+    snapshot
+
+(* A reboot reads back copies, from the snapshot and from the WAL alike:
+   equal values that share nothing with the ones written. *)
+let test_ps_reboot_reads_copies () =
+  let a = String.make 3 'a' and b = String.make 3 'b' and c = String.make 3 'c' in
+  let r =
+    Engine.run (fun () ->
+        let disk = Disk.create () in
+        let* store = Persistent_store.recover ~disk ~prefix:"ss0" ~checkpoint_every:2 () in
+        let set k v =
+          let* () = Persistent_store.apply store [ Mutation.Set (k, v) ] in
+          Persistent_store.commit store
+        in
+        (* a and b go into the checkpoint, c stays in the WAL. *)
+        let* () = set "a" a in
+        let* () = set "b" b in
+        let* () = set "c" c in
+        let before = Persistent_store.get store "a" in
+        Disk.crash disk;
+        let* store' = Persistent_store.recover ~disk ~prefix:"ss0" () in
+        Future.return (before, List.map (Persistent_store.get store') [ "a"; "b"; "c" ]))
+  in
+  let before, after = r in
+  Alcotest.(check bool) "the live image holds the value set" true
+    (match before with Some v -> v == a | None -> false);
+  Alcotest.(check (list (option string))) "all back" [ Some a; Some b; Some c ] after;
+  List.iter2
+    (fun v got ->
+      Alcotest.(check bool) "a copy" true (match got with Some g -> g != v | None -> false))
+    [ a; b; c ] after
+
 let test_ps_keys () =
   let r =
     with_store (fun _disk store ->
@@ -346,4 +403,6 @@ let suite =
     Alcotest.test_case "persistent crash before snapshot sync" `Quick
       test_ps_crash_before_snapshot_sync;
     Alcotest.test_case "persistent keys" `Quick test_ps_keys;
+    Alcotest.test_case "persistent charges encoded size" `Quick test_ps_charges_encoded_size;
+    Alcotest.test_case "persistent reboot reads copies" `Quick test_ps_reboot_reads_copies;
   ]
