@@ -99,13 +99,11 @@ let run () =
                     (fun ep ->
                       Future.catch
                         (fun () ->
-                          let* reply =
+                          let+ { Message.ss_lag; _ } =
                             Context.rpc ctx ~timeout:1.0 ~from:probe ep
                               Message.Ss_stats_req
                           in
-                          match reply with
-                          | Message.Ss_stats { ss_lag; _ } -> Future.return (Some ss_lag)
-                          | _ -> Future.return None)
+                          Some ss_lag)
                         (fun _ -> Future.return None))
                     ctx.Context.storage_eps))
           in

@@ -29,7 +29,7 @@ let sequential_get_range ctx proc rng ~version ~epoch ~from ~until ~limit =
         let ep = ctx.Context.storage_eps.(replicas.(i)) in
         Future.catch
           (fun () ->
-            let* reply =
+            let* { Message.rr_rows; rr_more } =
               Context.rpc ctx ~timeout:Params.client_read_timeout ~from:proc ep
                 (Message.Storage_get_range
                    {
@@ -42,17 +42,11 @@ let sequential_get_range ctx proc rng ~version ~epoch ~from ~until ~limit =
                      gr_epoch = epoch;
                    })
             in
-            match reply with
-            | Message.Storage_get_range_reply { rr_rows = []; _ } ->
-                Future.return (List.rev acc)
-            | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-                if rr_more && List.length acc + List.length rr_rows < remaining
-                then
-                  let last = fst (List.hd (List.rev rr_rows)) in
-                  attempt i last_err (Types.next_key last)
-                    (List.rev_append rr_rows acc)
-                else Future.return (List.rev (List.rev_append rr_rows acc))
-            | _ -> Future.fail (Error.Fdb Error.Timed_out))
+            if rr_rows = [] then Future.return (List.rev acc)
+            else if rr_more && List.length acc + List.length rr_rows < remaining then
+              let last = fst (List.hd (List.rev rr_rows)) in
+              attempt i last_err (Types.next_key last) (List.rev_append rr_rows acc)
+            else Future.return (List.rev (List.rev_append rr_rows acc)))
           (function
             | Error.Fdb Error.Transaction_too_old as e -> Future.fail e
             | Engine.Timed_out -> attempt (i + 1) (Error.Fdb Error.Timed_out) f []

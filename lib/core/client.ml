@@ -96,15 +96,11 @@ let refresh db =
         | Some machine ->
             Future.catch
               (fun () ->
-                let* reply =
+                let+ { Message.st_proxies; st_recovered; _ } =
                   Context.rpc db.ctx ~timeout:1.0 ~from:db.proc
                     db.ctx.Context.worker_eps.(machine) Message.Cc_get_state
                 in
-                (match reply with
-                | Message.Cc_state { st_proxies; st_recovered = true; _ } ->
-                    db.proxies <- Array.of_list st_proxies
-                | _ -> ());
-                Future.return ())
+                if st_recovered then db.proxies <- Array.of_list st_proxies)
               (fun _ -> Future.return ()))
   end
 
@@ -199,11 +195,8 @@ let snapshot_info t =
   | Some f -> f
   | None ->
       let f =
-        let* reply = proxy_call t.db Message.Grv_req in
-        match reply with
-        | Message.Grv_reply { gv_version; gv_epoch } ->
-            Future.return (gv_version, gv_epoch)
-        | _ -> Error.fail Error.Timed_out
+        let+ { Message.gv_version; gv_epoch } = proxy_call t.db Message.Grv_req in
+        (gv_version, gv_epoch)
       in
       t.read_version <- Some f;
       f
@@ -305,13 +298,8 @@ let storage_get t key (version, rv_epoch) =
     let team = Shard_map.team_for_key db.ctx.Context.shard_map key in
     Future.catch
       (fun () ->
-        let* reply =
-          with_failover db ~team ~timeout:Params.client_read_timeout
-            (Message.Storage_get { key; version; rv_epoch })
-        in
-        match reply with
-        | Message.Storage_get_reply v -> Future.return v
-        | _ -> Future.fail (Error.Fdb Error.Timed_out))
+        with_failover db ~team ~timeout:Params.client_read_timeout
+          (Message.Storage_get { key; version; rv_epoch }))
       (function
         | Error.Fdb Error.Wrong_shard when retries > 0 ->
             (* The shard map changed under us; [team_for_key] reads the
@@ -342,7 +330,7 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       let* outcome =
         Future.catch
           (fun () ->
-            let* reply =
+            let+ { Message.rr_rows; rr_more } =
               with_failover db ~team ~timeout:Params.client_read_timeout
                 (Message.Storage_get_range
                    {
@@ -355,10 +343,7 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
                      gr_epoch = rv_epoch;
                    })
             in
-            match reply with
-            | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-                Future.return (`Batch (rr_rows, rr_more))
-            | _ -> Future.fail (Error.Fdb Error.Timed_out))
+            `Batch (rr_rows, rr_more))
           (function
             | Error.Fdb Error.Wrong_shard when re_resolves > 0 ->
                 Future.return `Re_resolve
@@ -803,30 +788,25 @@ let do_commit t =
     in
     match proxy with
     | None -> Error.fail Error.Timed_out (* never sent: definitely not committed *)
-    | Some ep -> (
-        let* reply =
-          Future.catch
-            (fun () ->
-              Context.rpc t.db.ctx ~timeout:8.0 ~from:t.db.proc ep
-                (Message.Commit_req req))
-            (function
-              | Engine.Timed_out | Error.Fdb Error.Wrong_epoch ->
-                  (* The proxy may belong to a dead generation: refresh, or
-                     a client that only sends blind writes (no GRV step)
-                     would keep sending to it forever. *)
-                  let* () = refresh t.db in
-                  Error.fail Error.Commit_unknown_result
-              | Error.Fdb Error.Database_locked ->
-                  (* Definite no-commit from a proxy of a dead generation:
-                     refresh so the retry loop reaches the new proxies
-                     (blind writes have no GRV step to do it for them). *)
-                  let* () = refresh t.db in
-                  Error.fail Error.Database_locked
-              | e -> Future.fail e)
-        in
-        match reply with
-        | Message.Commit_reply version -> Future.return version
-        | _ -> Error.fail Error.Commit_unknown_result)
+    | Some ep ->
+        Future.catch
+          (fun () ->
+            Context.rpc t.db.ctx ~timeout:8.0 ~from:t.db.proc ep
+              (Message.Commit_req req))
+          (function
+            | Engine.Timed_out | Error.Fdb Error.Wrong_epoch ->
+                (* The proxy may belong to a dead generation: refresh, or
+                   a client that only sends blind writes (no GRV step)
+                   would keep sending to it forever. *)
+                let* () = refresh t.db in
+                Error.fail Error.Commit_unknown_result
+            | Error.Fdb Error.Database_locked ->
+                (* Definite no-commit from a proxy of a dead generation:
+                   refresh so the retry loop reaches the new proxies
+                   (blind writes have no GRV step to do it for them). *)
+                let* () = refresh t.db in
+                Error.fail Error.Database_locked
+            | e -> Future.fail e)
   end
 
 (* ---------- watches ---------- *)
@@ -864,19 +844,17 @@ let rec watch_poll db w ~version ~epoch =
     let* next =
       Future.catch
         (fun () ->
-          let* reply =
+          let+ { Message.wr_fired; wr_version = v } =
             with_failover db ~team ~timeout:(Params.watch_poll_timeout +. 1.0)
               (Message.Ss_watch { w_key = w.wt_key; w_version = version; w_epoch = epoch })
           in
-          match reply with
-          | Message.Ss_watch_reply { wr_fired = true; wr_version = v } ->
-              Trace.emit "client_watch_fire"
-                [ ("key", String.escaped w.wt_key); ("v", Int64.to_string v) ];
-              ignore (Future.try_fulfill w.wt_promise () : bool);
-              Future.return None
-          | Message.Ss_watch_reply { wr_fired = false; wr_version = v } ->
-              Future.return (Some v)
-          | _ -> Future.fail (Error.Fdb Error.Timed_out))
+          if wr_fired then begin
+            Trace.emit "client_watch_fire"
+              [ ("key", String.escaped w.wt_key); ("v", Int64.to_string v) ];
+            ignore (Future.try_fulfill w.wt_promise () : bool);
+            None
+          end
+          else Some v)
         (function
           | Error.Fdb Error.Wrong_shard ->
               Trace.emit "client_watch_re_resolve"

@@ -23,7 +23,7 @@ let create ?(config = Config.default) () =
   (match Config.validate config with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Cluster.create: " ^ msg));
-  let net : Message.t Network.t = Network.create () in
+  let net : Message.envelope Network.t = Network.create () in
   let hosts =
     Array.init config.Config.machines (fun i ->
         let machine =

@@ -30,14 +30,13 @@ type t = {
 let recovery_wait_bound = 0.75
 
 let state_reply t =
-  Message.Cc_state
-    {
-      st_epoch = t.epoch;
-      st_proxies = t.proxies;
-      st_logs = t.logs;
-      st_recovered = t.recovered;
-      st_dd = t.dd;
-    }
+  {
+    Message.st_epoch = t.epoch;
+    st_proxies = t.proxies;
+    st_logs = t.logs;
+    st_recovered = t.recovered;
+    st_dd = t.dd;
+  }
 
 let release_waiters t =
   List.iter
@@ -57,7 +56,7 @@ let await_state t =
 
 (* Adopt the sequencer's view of its generation. A reply that would
    un-recover the generation we already know recovered is older than what
-   we have (a ping answered before the recovery notice arrived): drop it. *)
+   we have (a probe answered before the recovery notice arrived): drop it. *)
 let learn t ~epoch ~recovered ~proxies ~logs =
   if not (t.recovered && (not recovered) && epoch = t.epoch) then begin
     t.epoch <- epoch;
@@ -89,43 +88,34 @@ let recruit t msg =
       t.pick <- (t.pick + 1) mod machines;
       Future.catch
         (fun () ->
-          let* reply =
+          let+ endpoint =
             Context.rpc t.ctx ~timeout:1.0 ~from:t.proc
               t.ctx.Context.worker_eps.(t.pick) msg
           in
-          match reply with
-          | Message.Recruited { endpoint } -> Future.return (Some endpoint)
-          | _ -> attempt (tries + 1))
+          Some endpoint)
         (fun _ -> attempt (tries + 1))
     end
   in
   attempt 0
 
-let ping t ep =
+(* The sequencer's liveness probe also carries its view of the generation. *)
+let probe_sequencer t ep =
   Future.catch
     (fun () ->
-      let* reply =
+      let+ { Message.sp_epoch; sp_recovered; sp_proxies; sp_logs } =
         Context.rpc t.ctx ~timeout:Params.heartbeat_timeout ~from:t.proc ep
-          Message.Seq_ping
+          Message.Seq_status
       in
-      match reply with
-      | Message.Ok_reply -> Future.return `Alive
-      | Message.Seq_pong { sp_epoch; sp_recovered; sp_proxies; sp_logs } ->
-          learn t ~epoch:sp_epoch ~recovered:sp_recovered ~proxies:sp_proxies
-            ~logs:sp_logs;
-          Future.return `Alive
-      | _ -> Future.return `Dead)
-    (fun _ -> Future.return `Dead)
+      learn t ~epoch:sp_epoch ~recovered:sp_recovered ~proxies:sp_proxies ~logs:sp_logs;
+      true)
+    (fun _ -> Future.return false)
 
 let ensure_singleton t current msg set =
   match current with
   | Some ep ->
-      let* status = ping t ep in
-      (match status with
-      | `Alive -> Future.return ()
-      | `Dead ->
-          set None;
-          Future.return ())
+      let* alive = Context.ping t.ctx ~from:t.proc ep in
+      if not alive then set None;
+      Future.return ()
   | None ->
       let* ep = recruit t msg in
       set ep;
@@ -145,8 +135,7 @@ let sequencer_failed t =
         ("proxies", String.concat "," (List.map string_of_int t.proxies)) ];
     List.iter
       (fun ep ->
-        Network.send t.ctx.Context.net ~from:t.proc ep
-          (Message.Proxy_retire { pr_epoch = t.epoch }))
+        Context.send t.ctx ~from:t.proc ep (Message.Proxy_retire { pr_epoch = t.epoch }))
       t.proxies;
     t.proxies <- []
   end
@@ -176,13 +165,13 @@ let supervise t =
       let* () =
         match t.seq with
         | Some ep ->
-            let* status = ping t ep in
-            (match status with
-            | `Alive -> Future.return ()
-            | `Dead ->
-                sequencer_failed t;
-                (* Recruit the replacement in the same tick. *)
-                recruit_sequencer t)
+            let* alive = probe_sequencer t ep in
+            if alive then Future.return ()
+            else begin
+              sequencer_failed t;
+              (* Recruit the replacement in the same tick. *)
+              recruit_sequencer t
+            end
         | None -> recruit_sequencer t
       in
       loop ()

@@ -19,8 +19,8 @@ val start : Context.t -> Fdb_sim.Process.t -> t
 val stop : t -> unit
 (** Step down (lease lost). *)
 
-val await_state : t -> Message.t Fdb_sim.Future.t
-(** The [Cc_state] snapshot for clients, once no recovery is running:
+val await_state : t -> Message.cc_state Fdb_sim.Future.t
+(** The snapshot [Cc_get_state] answers, once no recovery is running:
     while one is, the answer waits until the new generation has recovered,
     or at most 0.75 s (then it reports the recovery still running). *)
 

@@ -1,7 +1,7 @@
 open Fdb_sim
 
 type t = {
-  net : Message.t Network.t;
+  net : Message.envelope Network.t;
   config : Config.t;
   shard_map : Shard_map.t;
   coordinator_eps : int list;
@@ -11,29 +11,33 @@ type t = {
   mutable dd_movement : bool; (* the DataDistributor's movement switch *)
 }
 
-let rpc t ?timeout ?bytes ~from ep msg =
-  Future.bind (Network.call t.net ?timeout ?bytes ~from ep msg) (function
-    | Message.Reject e -> Future.fail (Error.Fdb e)
-    | reply -> Future.return reply)
+let rpc t ?timeout ?bytes ~from ep req =
+  Future.bind
+    (Network.call t.net ?timeout ?bytes ~from ep (fun reply -> Message.Call (req, reply)))
+    (function Ok v -> Future.return v | Error e -> Future.fail (Error.Fdb e))
+
+let send t ?bytes ~from ep req = Network.send t.net ?bytes ~from ep (Message.Cast req)
+
+type handler = { handle : 'r. 'r Message.req -> ('r, Error.t) result Future.t }
+
+let serve t ep proc { handle } =
+  Network.register t.net ep proc (function
+    | Message.Call (req, reply) -> Network.Reply (handle req, reply)
+    | Message.Cast req -> Network.Done (handle req))
 
 let ping t ~from ep =
   Future.catch
     (fun () ->
       Future.map
-        (Network.call t.net ~timeout:Params.heartbeat_timeout ~from ep Message.Seq_ping)
-        (function Message.Ok_reply -> true | _ -> false))
+        (Network.call t.net ~timeout:Params.heartbeat_timeout ~from ep (fun reply ->
+             Message.Call (Message.Ping, reply)))
+        Result.is_ok)
     (fun _ -> Future.return false)
 
 let paxos_transport t ~from =
   {
     Fdb_paxos.Wire.endpoints = t.coordinator_eps;
-    call =
-      (fun ep req ->
-        Future.bind
-          (Network.call t.net ~timeout:1.0 ~from ep (Message.Paxos_req req))
-          (function
-            | Message.Paxos_resp r -> Future.return r
-            | _ -> Future.fail (Error.Fdb (Error.Internal "bad paxos reply"))));
+    call = (fun ep req -> rpc t ~timeout:1.0 ~from ep (Message.Paxos_req req));
   }
 
 let proposer_id (p : Process.t) = p.Process.pid

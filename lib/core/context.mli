@@ -8,7 +8,7 @@
     and the coordinated state, as in the paper. *)
 
 type t = {
-  net : Message.t Fdb_sim.Network.t;
+  net : Message.envelope Fdb_sim.Network.t;
   config : Config.t;
   shard_map : Shard_map.t;
   coordinator_eps : int list;  (** the "cluster file" *)
@@ -30,16 +30,31 @@ val rpc :
   ?bytes:int ->
   from:Fdb_sim.Process.t ->
   int ->
-  Message.t ->
-  Message.t Fdb_sim.Future.t
-(** {!Fdb_sim.Network.call} specialized to the cluster message type; a
-    [Reject e] reply is raised as [Error.Fdb e] so callers pattern-match
-    only success shapes. *)
+  'r Message.req ->
+  'r Fdb_sim.Future.t
+(** Send [req] to endpoint [ep] and wait for its answer, of the type the
+    request names. Fails with [Error.Fdb e] when the handler answers
+    [Error e], and with {!Fdb_sim.Engine.Timed_out} when no answer comes
+    (see {!Fdb_sim.Network.call}). *)
+
+val send : t -> ?bytes:int -> from:Fdb_sim.Process.t -> int -> unit Message.req -> unit
+(** One-way, best-effort delivery of a [unit req]: no answer comes back,
+    and a handler error is only traced. *)
+
+type handler = { handle : 'r. 'r Message.req -> ('r, Error.t) result Fdb_sim.Future.t }
+(** A role's request handler. [Ok v] answers [v]; [Error e] answers an
+    error the caller's {!rpc} raises as [Error.Fdb e]. A handler future
+    that fails (or a handler that raises) sends nothing: the network
+    traces [rpc_handler_error] and the caller times out. *)
+
+val serve : t -> int -> Fdb_sim.Process.t -> handler -> unit
+(** Install [handler] for endpoint [ep], owned by [proc]'s current
+    incarnation: {!rpc} requests get their answer, {!send} messages none. *)
 
 val ping : t -> from:Fdb_sim.Process.t -> int -> bool Fdb_sim.Future.t
-(** Liveness probe: [Seq_ping] to [ep] with a {!Params.heartbeat_timeout}
-    timeout; true only on an [Ok_reply], false on any other reply, a
-    rejection or a timeout. Never fails. *)
+(** Liveness probe: [Ping] to [ep] with a {!Params.heartbeat_timeout}
+    timeout; true only when the role answers [Ok ()], false on an error
+    answer or a timeout. Never fails. *)
 
 val paxos_transport : t -> from:Fdb_sim.Process.t -> Fdb_paxos.Wire.transport
 (** Coordinator transport for Paxos clients running on [from]. *)

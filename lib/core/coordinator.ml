@@ -3,13 +3,11 @@ open Future.Syntax
 
 let serve ctx proc ~disk ~endpoint =
   let* server = Fdb_paxos.Server.recover ~disk ~file:"paxos-state" () in
-  Network.register ctx.Context.net endpoint proc (fun msg ->
-      match (msg : Message.t) with
-      | Message.Paxos_req r ->
-          Future.map (Fdb_paxos.Server.handle server r) (fun resp ->
-              Message.Paxos_resp resp)
-      | Message.Seq_ping -> Future.return Message.Ok_reply
-      | _ -> Future.return (Message.Reject (Error.Internal "coordinator: unexpected message")));
+  let handle : type r. r Message.req -> (r, Error.t) result Future.t = function
+    | Message.Paxos_req r -> Future.map (Fdb_paxos.Server.handle server r) Result.ok
+    | _ -> Future.return (Error (Error.Internal "coordinator: unexpected message"))
+  in
+  Context.serve ctx endpoint proc { handle };
   Future.return ()
 
 let start ctx proc ~disk ~endpoint =

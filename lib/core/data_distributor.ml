@@ -155,7 +155,7 @@ let move_shard ctx ~proc ~db ~lo ~dst =
                        (fun ss ->
                          Future.catch
                            (fun () ->
-                             let* reply =
+                             let+ () =
                                Context.rpc ctx ~timeout:20.0 ~from:proc
                                  ctx.Context.storage_eps.(ss)
                                  (Message.Ss_fetch_shard
@@ -167,9 +167,7 @@ let move_shard ctx ~proc ~db ~lo ~dst =
                                       fs_sources = src_team;
                                     })
                              in
-                             match reply with
-                             | Message.Ok_reply -> Future.return true
-                             | _ -> Future.return false)
+                             true)
                            (fun _ -> Future.return false))
                        newcomers)
                 in
@@ -209,13 +207,11 @@ let split_point t team ~from ~until =
     | ss :: rest ->
         Future.catch
           (fun () ->
-            let* reply =
+            let* key =
               Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.ctx.Context.storage_eps.(ss)
                 (Message.Ss_split_point { spl_from = from; spl_until = until })
             in
-            match reply with
-            | Message.Ss_split_point_reply { spl_key = Some k } -> Future.return (Some k)
-            | _ -> ask rest)
+            if Option.is_some key then Future.return key else ask rest)
           (fun _ -> ask rest)
   in
   ask team
@@ -381,10 +377,10 @@ let rebalance_loop t =
   in
   loop ()
 
-let handle _t (msg : Message.t) : Message.t Future.t =
-  match msg with
-  | Message.Seq_ping -> Future.return Message.Ok_reply
-  | _ -> Future.return (Message.Reject (Error.Internal "dd: unexpected message"))
+let handle (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping -> Future.return (Ok ())
+  | _ -> Future.return (Error (Error.Internal "dd: unexpected message"))
 
 let create ctx proc =
   let ep = Network.fresh_endpoint ctx.Context.net in
@@ -409,7 +405,7 @@ let create ctx proc =
   in
   Registry.set_gauge t.obs_unhealthy 0.0;
   Registry.set_gauge t.obs_loss_risk 0.0;
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle };
   Engine.spawn ~process:proc "data-distributor" (fun () -> monitor_loop t);
   Engine.spawn ~process:proc "dd-rebalance" (fun () -> rebalance_loop t);
   (t, ep)

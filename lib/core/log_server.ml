@@ -28,14 +28,15 @@ type t = {
      prev LSN, with the reply promise their push RPC is blocked on. With a
      pipelined proxy this is a hot path: batch N+1's push routinely lands
      while batch N is still on the wire. *)
-  pending : (Types.version, Message.log_entry * Message.t Future.promise) Det_tbl.t;
+  pending : (Types.version, Message.log_entry * (Types.version, Error.t) result Future.promise) Det_tbl.t;
   (* Per-tag view: the unpopped entries holding the tag, newest first. A
      peek reads the tag's mutations out of each entry it returns. *)
   per_tag : (Types.tag, (Types.version * Message.log_entry) list ref) Hashtbl.t;
   pop_floor : (Types.tag, Types.version) Det_tbl.t;
   (* Long-poll peeks past [rcv], oldest first: (tag, from_version, reply).
      Any push that advances [rcv] past a peek's version answers it. *)
-  mutable parked_peeks : (Types.tag * Types.version * Message.t Future.promise) list;
+  mutable parked_peeks :
+    (Types.tag * Types.version * (Message.peek_reply, Error.t) result Future.promise) list;
   (* Records whose append was issued but that no sync has covered yet,
      with their promises. *)
   mutable waiting_sync : (Types.version * unit Future.promise) list;
@@ -188,8 +189,7 @@ let tag_entries t tag ~from_version =
   match Hashtbl.find_opt t.per_tag tag with None -> [] | Some l -> take [] !l
 
 let peek_reply t tag ~from_version =
-  Message.Log_peek_reply
-    { pk_entries = tag_entries t tag ~from_version; pk_end = t.rcv; pk_kcv = t.kcv }
+  Ok { Message.pk_entries = tag_entries t tag ~from_version; pk_end = t.rcv; pk_kcv = t.kcv }
 
 (* Answer every parked peek that [rcv] has reached, whatever its tag: an
    idle tag's storage server still needs its version to move. *)
@@ -205,10 +205,9 @@ let wake_peeks t =
       ready
   end
 
-(* The reply to a push of [lsn] once it is durable. *)
+(* The reply to a push of [lsn] once it is durable: our durable version. *)
 let push_reply t lsn =
-  if lsn > t.ack_limit then Message.Reject Error.Wrong_epoch
-  else Message.Log_push_ack { durable_version = min t.dv t.ack_limit }
+  if lsn > t.ack_limit then Error Error.Wrong_epoch else Ok (min t.dv t.ack_limit)
 
 (* Accept an in-chain-order record: index it, persist it, and return the
    durability future. Then drain any pending successors and answer the
@@ -328,14 +327,12 @@ let unpopped_durable_entries t =
         | None -> acc)
     t.entries []
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  match msg with
-  | Message.Seq_ping ->
-      if t.stopped then Future.return (Message.Reject Error.Wrong_epoch)
-      else Future.return Message.Ok_reply
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping ->
+      if t.stopped then Future.return (Error Error.Wrong_epoch) else Future.return (Ok ())
   | Message.Log_push { lp_epoch; lp_entry } ->
-      if t.stopped || lp_epoch <> t.epoch then
-        Future.return (Message.Reject Error.Wrong_epoch)
+      if t.stopped || lp_epoch <> t.epoch then Future.return (Error Error.Wrong_epoch)
       else if Det_tbl.mem t.entries lp_entry.Message.le_lsn then
         (* Duplicate push: wait for durability of what we already have. *)
         if t.dv >= lp_entry.Message.le_lsn then
@@ -367,7 +364,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
                duplicated traffic, which may safely fail. *)
             Trace.emit "tlog_park_dup"
               [ ("lsn", Int64.to_string lp_entry.Message.le_lsn) ];
-            Future.return (Message.Reject (Error.Internal "tlog: park slot taken"))
+            Future.return (Error (Error.Internal "tlog: park slot taken"))
           end
           else begin
             let fut, promise = Future.make ~label:"tlog.park" () in
@@ -384,20 +381,20 @@ let handle t (msg : Message.t) : Message.t Future.t =
                 | Some (_, p) when p == promise ->
                     Det_tbl.remove t.pending prev;
                     Future.fulfill promise
-                      (Message.Reject (Error.Internal "tlog: predecessor never came"))
+                      (Error (Error.Internal "tlog: predecessor never came"))
                 | Some _ | None -> ());
             fut
           end
         end
-        else Future.return (Message.Reject (Error.Internal "tlog: chain regression"))
+        else Future.return (Error (Error.Internal "tlog: chain regression"))
       end
   | Message.Log_peek { tag; from_version } ->
-      if t.stopped then Future.return (Message.Reject Error.Wrong_epoch)
+      if t.stopped then Future.return (Error Error.Wrong_epoch)
       else if from_version > t.rcv then park_peek t tag ~from_version
       else Future.return (peek_reply t tag ~from_version)
   | Message.Log_pop { tag; up_to } ->
       do_pop t tag up_to;
-      Future.return Message.Ok_reply
+      Future.return (Ok ())
   | Message.Log_lock { ll_epoch } ->
       if ll_epoch > t.epoch then begin
         if not t.stopped then begin
@@ -410,7 +407,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
           Det_tbl.reset t.pending;
           List.iter
             (fun ((e : Message.log_entry), promise) ->
-              if not (Future.try_fulfill promise (Message.Reject Error.Wrong_epoch))
+              if not (Future.try_fulfill promise (Error Error.Wrong_epoch))
               then
                 Trace.emit "tlog_parked_ack_lost"
                   [ ("lsn", Int64.to_string e.Message.le_lsn) ])
@@ -419,17 +416,16 @@ let handle t (msg : Message.t) : Message.t Future.t =
           t.parked_peeks <- [];
           List.iter
             (fun (_, _, promise) ->
-              ignore (Future.try_fulfill promise (Message.Reject Error.Wrong_epoch) : bool))
+              ignore (Future.try_fulfill promise (Error Error.Wrong_epoch) : bool))
             peeks;
           Trace.emit "tlog_locked"
             [ ("id", string_of_int t.id); ("epoch", string_of_int t.epoch);
               ("by", string_of_int ll_epoch); ("dv", Int64.to_string t.dv) ]
         end;
         Future.return
-          (Message.Log_lock_reply
-             { lk_kcv = t.kcv; lk_dv = t.dv; lk_entries = unpopped_durable_entries t })
+          (Ok { Message.lk_kcv = t.kcv; lk_dv = t.dv; lk_entries = unpopped_durable_entries t })
       end
-      else Future.return (Message.Reject Error.Wrong_epoch)
+      else Future.return (Error Error.Wrong_epoch)
   | Message.Log_seed { ls_entries } ->
       (* Recovery hand-off: pre-existing durable history. Persist before
          acking; it is already below our start LSN so it joins per-tag
@@ -443,8 +439,8 @@ let handle t (msg : Message.t) : Message.t Future.t =
         ls_entries;
       let* () = Future.all_unit (List.map (append_entry t) ls_entries) in
       let* () = Disk.sync t.disk t.wal in
-      Future.return Message.Ok_reply
-  | _ -> Future.return (Message.Reject (Error.Internal "tlog: unexpected message"))
+      Future.return (Ok ())
+  | _ -> Future.return (Error (Error.Internal "tlog: unexpected message"))
 
 (* A LogServer whose chain starts at [start_lsn], before any record. *)
 let make ctx proc ~disk ~epoch ~id ~start_lsn ~floor ~stopped =
@@ -543,7 +539,7 @@ let resurrect ctx proc ~disk ~(meta : meta) =
   t.rcv <- dv;
   Fdb_obs.Registry.set_gauge t.obs_dv (Int64.to_float dv);
   Fdb_obs.Registry.set_gauge t.obs_rcv (Int64.to_float dv);
-  Network.register ctx.Context.net meta.m_endpoint proc (handle t);
+  Context.serve ctx meta.m_endpoint proc { handle = (fun req -> handle t req) };
   Trace.emit "tlog_resurrected"
     [ ("id", string_of_int meta.m_id); ("epoch", string_of_int meta.m_epoch);
       ("dv", Int64.to_string dv) ];
@@ -554,7 +550,7 @@ let create ctx proc ~disk ~epoch ~id ~start_lsn =
   let meta = { m_epoch = epoch; m_id = id; m_start_lsn = start_lsn; m_endpoint = ep } in
   let t = make ctx proc ~disk ~epoch ~id ~start_lsn ~floor:start_lsn ~stopped:false in
   Disk.attach disk proc;
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "tlog-prune" (fun () -> prune_loop t);
   (* The boot thunk captures the identity (modelling an on-disk manifest):
      after a crash the process comes back as a stopped log server able to

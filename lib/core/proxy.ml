@@ -2,7 +2,14 @@ open Fdb_sim
 open Future.Syntax
 module Mutation = Fdb_kv.Mutation
 
-type pending_commit = Message.txn_request * Message.t Future.promise
+(* What a client's request is answered with: a value or a definite error. *)
+type 'r answer = ('r, Error.t) result Future.promise
+
+type pending_commit = Message.txn_request * Types.version answer
+
+(* Answer promises held by a batch in flight, with the error [die] answers
+   them with. *)
+type held = Held : Error.t * 'r answer array -> held
 
 (* Fate of one batch in the pipeline's in-order completion chain. A batch
    may resolve and push concurrently with its predecessors, but it learns
@@ -23,7 +30,7 @@ type t = {
   mutable dead : bool;
   (* GRV batching + rate limiting. [Queue] gives O(1) enqueue/dequeue and
      an O(1) length, replacing the former list + List.rev/split shuffles. *)
-  grv_queue : Message.t Future.promise Queue.t;
+  grv_queue : Message.read_version answer Queue.t;
   mutable grv_flush_running : bool; (* one Seq_grv batch in flight at most *)
   mutable rate : float; (* transactions/second budget from the Ratekeeper *)
   mutable tokens : float;
@@ -41,9 +48,8 @@ type t = {
      LSN order and t.kcv advances monotonically. *)
   mutable chain_version : unit Future.t;
   mutable chain_done : batch_outcome Future.t;
-  (* Reply promises of the GRV and commit batches in flight, each with the
-     error [die] answers them with. *)
-  mutable in_flight : (Error.t * Message.t Future.promise array) list;
+  (* The GRV and commit batches in flight. *)
+  mutable in_flight : held list;
   (* metrics plane handles (no-ops when the registry is disabled) *)
   obs_grv_lat : Fdb_obs.Registry.timer;
   obs_commit_lat : Fdb_obs.Registry.timer;
@@ -73,20 +79,20 @@ let die t reason =
   if not t.dead then begin
     t.dead <- true;
     Trace.emit "proxy_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ];
-    let reject err p = ignore (Future.try_fulfill p (Message.Reject err) : bool) in
+    let reject err p = ignore (Future.try_fulfill p (Error err) : bool) in
     Queue.iter (reject Error.Database_locked) t.grv_queue;
     Queue.clear t.grv_queue;
     Queue.iter (fun (_, p) -> reject Error.Database_locked p) t.commit_queue;
     Queue.clear t.commit_queue;
     Fdb_obs.Registry.set_gauge t.obs_queue_depth 0.0;
-    List.iter (fun (err, promises) -> Array.iter (reject err) promises) t.in_flight;
+    List.iter (function Held (err, promises) -> Array.iter (reject err) promises) t.in_flight;
     t.in_flight <- []
   end
 
 (* Run [f] with [promises] registered as in flight, so [die] answers them
    with [err]. *)
 let holding t err promises f =
-  let held = (err, promises) in
+  let held = Held (err, promises) in
   t.in_flight <- held :: t.in_flight;
   Future.protect
     ~finally:(fun () -> t.in_flight <- List.filter (fun h -> h != held) t.in_flight)
@@ -131,22 +137,18 @@ let rec grv_flush t =
       let n = List.length batch in
       t.tokens <- t.tokens -. float_of_int n;
       Fdb_obs.Registry.observe t.obs_grv_batch (float_of_int n);
-      let* reply =
+      let* answer =
         holding t Error.Database_locked (Array.of_list batch) (fun () ->
             let* () = Engine.cpu t.proc Params.proxy_per_batch in
             Future.catch
               (fun () ->
-                Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_grv)
+                Future.map
+                  (Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_grv)
+                  Result.ok)
               (fun _ ->
                 (* Our sequencer is unreachable: this generation is over. *)
                 die t "sequencer unreachable (grv)";
-                Future.return (Message.Reject Error.Database_locked)))
-      in
-      let answer =
-        match reply with
-        | Message.Seq_grv_reply { read_version; grv_epoch } ->
-            Message.Grv_reply { gv_version = read_version; gv_epoch = grv_epoch }
-        | _ -> Message.Reject Error.Database_locked
+                Future.return (Error Error.Database_locked)))
       in
       List.iter (fun p -> ignore (Future.try_fulfill p answer : bool)) batch;
       grv_flush t
@@ -220,14 +222,9 @@ let resolve_batch t lsn prev txns =
         in
         Future.catch
           (fun () ->
-            let* reply =
-              Context.rpc t.ctx ~timeout:Resolver.resolve_timeout ~from:t.proc ep
-                (Message.Resolve_req
-                   { rs_epoch = t.epoch; rs_lsn = lsn; rs_prev = prev; rs_txns = clipped })
-            in
-            match reply with
-            | Message.Resolve_reply verdicts -> Future.return verdicts
-            | _ -> Future.return (Array.make n Message.V_conflict))
+            Context.rpc t.ctx ~timeout:Resolver.resolve_timeout ~from:t.proc ep
+              (Message.Resolve_req
+                 { rs_epoch = t.epoch; rs_lsn = lsn; rs_prev = prev; rs_txns = clipped }))
           (fun _ -> Future.return (Array.make n Message.V_conflict)))
       t.resolvers
   in
@@ -288,13 +285,11 @@ let push_to_logs t entries =
         let bytes = Log_server.entry_bytes entry in
         Future.catch
           (fun () ->
-            let* reply =
+            let+ _durable =
               Context.rpc t.ctx ~timeout:Log_server.push_timeout ~bytes ~from:t.proc ep
                 (Message.Log_push { lp_epoch = t.epoch; lp_entry = entry })
             in
-            match reply with
-            | Message.Log_push_ack _ -> Future.return true
-            | _ -> Future.return false)
+            true)
           (fun _ -> Future.return false))
       t.logs
   in
@@ -323,11 +318,23 @@ let reply_batch promises verdicts reply =
       let answer =
         match verdict with
         | Message.V_commit -> reply
-        | Message.V_conflict -> Message.Reject Error.Not_committed
-        | Message.V_too_old -> Message.Reject Error.Transaction_too_old
+        | Message.V_conflict -> Error Error.Not_committed
+        | Message.V_too_old -> Error Error.Transaction_too_old
       in
       ignore (Future.try_fulfill promises.(i) answer : bool))
     verdicts
+
+(* One commit version for a batch; [None] once our sequencer is
+   unreachable, which ends this generation. *)
+let fetch_version t =
+  Future.catch
+    (fun () ->
+      Future.map
+        (Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_version)
+        Option.some)
+    (fun _ ->
+      die t "sequencer unreachable (commit)";
+      Future.return None)
 
 (* Dequeue the next commit batch, up to the batch cap. *)
 let take_commit_batch t =
@@ -359,22 +366,16 @@ let commit_batch t (batch : pending_commit list) =
   (* Buggify: an unusually slow proxy exercises pipelining and timeouts. *)
   let* () = Engine.sleep (Buggify.delay ~p:0.05 "proxy_slow_commit" /. 20.0) in
   (* One commit version for the whole batch (§2.6 Transaction batching). *)
-  let* version_reply =
-    Future.catch
-      (fun () -> Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_version)
-      (fun _ ->
-        die t "sequencer unreachable (commit)";
-        Future.return (Message.Reject Error.Database_locked))
-  in
-  match version_reply with
-  | Message.Seq_version_reply { version = lsn; prev } ->
+  let* version = fetch_version t in
+  match version with
+  | Some { Message.version = lsn; prev } ->
       let* verdicts = resolve_batch t lsn prev txns in
       let committed_mutations = committed_payload lsn txns verdicts in
       let entries = entries_for_batch t lsn prev ~kcv:t.kcv committed_mutations in
       let* all_acked = push_to_logs t entries in
       if not all_acked then begin
         (* Durability unknown: recovery will decide. Fail the epoch. *)
-        reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
+        reply_batch promises verdicts (Error Error.Commit_unknown_result);
         die t "log push failed";
         Future.return ()
       end
@@ -389,31 +390,31 @@ let commit_batch t (batch : pending_commit list) =
         let* reported =
           Future.catch
             (fun () ->
-              let* _ =
+              let+ () =
                 Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer
                   (Message.Seq_report { committed = lsn })
               in
-              Future.return true)
+              true)
             (fun _ -> Future.return false)
         in
         if not reported then begin
           (* Durable but unannounced: only a new generation restores the
              GRV guarantee; clients must treat the outcome as unknown. *)
-          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Error Error.Commit_unknown_result);
           die t "sequencer unreachable (report)";
           Future.return ()
         end
         else begin
           Trace.emit "proxy_commit_done"
             [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-          reply_batch promises verdicts (Message.Commit_reply lsn);
+          reply_batch promises verdicts (Ok lsn);
           Future.return ()
         end
       end
-  | _ ->
+  | None ->
       (* No version, nothing logged: definitely not committed. *)
       Array.iter
-        (fun p -> ignore (Future.try_fulfill p (Message.Reject Error.Database_locked) : bool))
+        (fun p -> ignore (Future.try_fulfill p (Error Error.Database_locked) : bool))
         promises;
       Future.return ()
 
@@ -461,7 +462,7 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
   in
   let reject_all err =
     Array.iter
-      (fun p -> ignore (Future.try_fulfill p (Message.Reject err) : bool))
+      (fun p -> ignore (Future.try_fulfill p (Error err) : bool))
       promises
   in
   let* () =
@@ -483,17 +484,10 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
     finish Batch_failed
   end
   else
-    let* version_reply =
-      Future.catch
-        (fun () ->
-          Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_version)
-        (fun _ ->
-          die t "sequencer unreachable (commit)";
-          Future.return (Message.Reject Error.Database_locked))
-    in
+    let* version = fetch_version t in
     release_version ();
-    match version_reply with
-    | Message.Seq_version_reply { version = lsn; prev } ->
+    match version with
+    | Some { Message.version = lsn; prev } ->
         (* Buggify: stall THIS batch after it already holds its LSN — later
            batches fetch theirs and race ahead, so their resolves and
            pushes arrive out of chain order and exercise the parking lots
@@ -516,12 +510,12 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           (* An earlier LSN failed the epoch. Our push may or may not
              survive the coming recovery: never report or reply success
              past a failed LSN. *)
-          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Error Error.Commit_unknown_result);
           finish Batch_failed
         end
         else if not all_acked then begin
           (* Durability unknown: recovery will decide. Fail the epoch. *)
-          reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
+          reply_batch promises verdicts (Error Error.Commit_unknown_result);
           die t "log push failed";
           finish Batch_failed
         end
@@ -535,28 +529,28 @@ let commit_batch_pipelined t ~version_gate ~version_ready ~prev_done ~done_p
           let* reported =
             Future.catch
               (fun () ->
-                let* _ =
+                let+ () =
                   Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer
                     (Message.Seq_report { committed = lsn })
                 in
-                Future.return true)
+                true)
               (fun _ -> Future.return false)
           in
           if not reported then begin
             (* Durable but unannounced: only a new generation restores the
                GRV guarantee; clients must treat the outcome as unknown. *)
-            reply_batch promises verdicts (Message.Reject Error.Commit_unknown_result);
+            reply_batch promises verdicts (Error Error.Commit_unknown_result);
             die t "sequencer unreachable (report)";
             finish Batch_failed
           end
           else begin
             Trace.emit "proxy_commit_done"
               [ ("lsn", Int64.to_string lsn); ("kcv", Int64.to_string t.kcv) ];
-            reply_batch promises verdicts (Message.Commit_reply lsn);
+            reply_batch promises verdicts (Ok lsn);
             finish Batch_ok
           end
         end
-    | _ ->
+    | None ->
         (* No version, nothing logged: definitely not committed. This batch
            is a no-op in the chain — its fate is its predecessor's. *)
         reject_all Error.Database_locked;
@@ -624,16 +618,10 @@ let rate_loop t =
           let* () =
             Future.catch
               (fun () ->
-                let* reply =
-                  Context.rpc t.ctx ~timeout:1.0 ~from:t.proc rk Message.Rk_get_rate
-                in
-                (match reply with
-                | Message.Rk_rate { tps } ->
-                    (* The budget is cluster-wide; each proxy admits its
-                       share (FDB hands out per-proxy budgets the same way). *)
-                    t.rate <- tps /. float_of_int (max 1 t.ctx.Context.config.Config.proxies)
-                | _ -> ());
-                Future.return ())
+                let+ tps = Context.rpc t.ctx ~timeout:1.0 ~from:t.proc rk Message.Rk_get_rate in
+                (* The budget is cluster-wide; each proxy admits its share
+                   (FDB hands out per-proxy budgets the same way). *)
+                t.rate <- tps /. float_of_int (max 1 t.ctx.Context.config.Config.proxies))
               (fun _ -> Future.return ())
           in
           loop ()
@@ -642,25 +630,24 @@ let rate_loop t =
 
 (* ---------- RPC surface ---------- *)
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  if t.dead then Future.return (Message.Reject Error.Wrong_epoch)
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  if t.dead then Future.return (Error Error.Wrong_epoch)
   else
-    match msg with
-    | Message.Seq_ping -> Future.return Message.Ok_reply
+    match req with
+    | Message.Ping -> Future.return (Ok ())
     | Message.Proxy_retire { pr_epoch } ->
         if pr_epoch >= t.epoch then die t "retired by the cluster controller";
-        Future.return Message.Ok_reply
+        Future.return (Ok ())
     | Message.Grv_req ->
         let fut, promise = Future.make ~label:"proxy.grv_reply" () in
         Queue.push promise t.grv_queue;
         start_grv_flush t;
         let t0 = Engine.now () in
         Future.map fut (fun reply ->
-            (match reply with
-            | Message.Grv_reply _ ->
-                Fdb_obs.Registry.incr t.obs_grv_served;
-                Fdb_obs.Registry.observe t.obs_grv_lat (Engine.now () -. t0)
-            | _ -> ());
+            if Result.is_ok reply then begin
+              Fdb_obs.Registry.incr t.obs_grv_served;
+              Fdb_obs.Registry.observe t.obs_grv_lat (Engine.now () -. t0)
+            end;
             reply)
     | Message.Commit_req txn ->
         Fdb_obs.Registry.incr t.obs_attempts;
@@ -672,14 +659,14 @@ let handle t (msg : Message.t) : Message.t Future.t =
         let t0 = Engine.now () in
         Future.map fut (fun reply ->
             (match reply with
-            | Message.Commit_reply _ ->
+            | Ok _ ->
                 Fdb_obs.Registry.incr t.obs_commits;
                 Fdb_obs.Registry.observe t.obs_commit_lat (Engine.now () -. t0)
-            | Message.Reject Error.Not_committed -> Fdb_obs.Registry.incr t.obs_conflicts
-            | Message.Reject Error.Transaction_too_old -> Fdb_obs.Registry.incr t.obs_too_old
-            | _ -> ());
+            | Error Error.Not_committed -> Fdb_obs.Registry.incr t.obs_conflicts
+            | Error Error.Transaction_too_old -> Fdb_obs.Registry.incr t.obs_too_old
+            | Error _ -> ());
             reply)
-    | _ -> Future.return (Message.Reject (Error.Internal "proxy: unexpected message"))
+    | _ -> Future.return (Error (Error.Internal "proxy: unexpected message"))
 
 let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_version =
   let ep = Network.fresh_endpoint ctx.Context.net in
@@ -722,6 +709,6 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
       obs_queue_depth = Fdb_obs.Registry.gauge reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_queue_depth";
     }
   in
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "proxy-rate" (fun () -> rate_loop t);
   (t, ep)

@@ -41,7 +41,7 @@ val create :
 
 val is_dead : t -> bool
 
-val handle : t -> Message.t -> Message.t Fdb_sim.Future.t
+val handle : t -> 'r Message.req -> ('r, Error.t) result Fdb_sim.Future.t
 (** The request handler the proxy's endpoint serves (exposed so tests can
     drive a proxy without the network's latency). *)
 

@@ -46,11 +46,11 @@ let control_loop t =
   in
   loop ()
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  match msg with
-  | Message.Seq_ping -> Future.return Message.Ok_reply
-  | Message.Rk_get_rate -> Future.return (Message.Rk_rate { tps = t.rate })
-  | _ -> Future.return (Message.Reject (Error.Internal "ratekeeper: unexpected message"))
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping -> Future.return (Ok ())
+  | Message.Rk_get_rate -> Future.return (Ok t.rate)
+  | _ -> Future.return (Error (Error.Internal "ratekeeper: unexpected message"))
 
 let create ctx proc =
   let ep = Network.fresh_endpoint ctx.Context.net in
@@ -66,6 +66,6 @@ let create ctx proc =
     }
   in
   Registry.set_gauge t.obs_rate t.rate;
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "ratekeeper" (fun () -> control_loop t);
   (t, ep)

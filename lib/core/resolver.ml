@@ -2,6 +2,9 @@ open Fdb_sim
 open Future.Syntax
 module Rvm = Fdb_kv.Range_version_map
 
+type txns = (Types.version * Message.key_range list * Message.key_range list) array
+type answer = (Message.resolver_verdict array, Error.t) result
+
 type t = {
   ctx : Context.t;
   proc : Process.t;
@@ -9,8 +12,9 @@ type t = {
   range : Message.key_range;
   rvm : Rvm.t;
   mutable last_lsn : Types.version;
-  (* Batches whose predecessor has not arrived yet, keyed by their prev. *)
-  parked : (Types.version, Message.t * Message.t Future.promise) Fdb_util.Det_tbl.t;
+  (* Batches whose predecessor has not arrived yet, keyed by their prev:
+     the batch's LSN, its transactions and its waiter. *)
+  parked : (Types.version, Types.version * txns * answer Future.promise) Fdb_util.Det_tbl.t;
   (* Replay cache so duplicate deliveries get consistent verdicts, plus the
      cached LSNs in arrival order: they are assigned monotonically, so the
      expiry loop pops the below-floor prefix instead of scanning the table. *)
@@ -83,8 +87,8 @@ let rec process t lsn prev txns =
     Trace.emit "resolver_stale_process"
       [ ("lsn", Int64.to_string lsn); ("prev", Int64.to_string prev) ];
     match Fdb_util.Det_tbl.find_opt t.verdicts lsn with
-    | Some v -> Future.return (Message.Resolve_reply v)
-    | None -> Future.return (Message.Reject (Error.Internal "stale resolve"))
+    | Some v -> Future.return (Ok v)
+    | None -> Future.return (Error (Error.Internal "stale resolve"))
   end
   else begin
   let work_before = Rvm.work t.rvm in
@@ -105,28 +109,28 @@ let rec process t lsn prev txns =
   Queue.push lsn t.verdict_lsns;
   (* Unpark the successor, if it already arrived. *)
   (match Fdb_util.Det_tbl.find_opt t.parked lsn with
-  | Some (Message.Resolve_req { rs_lsn; rs_prev; rs_txns; _ }, promise) ->
+  | Some (next, next_txns, promise) ->
       Fdb_util.Det_tbl.remove t.parked lsn;
       Fdb_obs.Registry.set_gauge t.obs_parked
         (float_of_int (Fdb_util.Det_tbl.length t.parked));
       Engine.spawn ~process:t.proc "resolver-unpark" (fun () ->
-          let* reply = process t rs_lsn rs_prev rs_txns in
+          let* reply = process t next lsn next_txns in
           ignore (Future.try_fulfill promise reply : bool);
           Future.return ())
-  | Some _ | None -> ());
-  Future.return (Message.Resolve_reply verdicts)
+  | None -> ());
+  Future.return (Ok verdicts)
   end
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  match msg with
-  | Message.Seq_ping -> Future.return Message.Ok_reply
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping -> Future.return (Ok ())
   | Message.Resolve_req { rs_epoch; rs_lsn; rs_prev; rs_txns } ->
-      if rs_epoch <> t.epoch then Future.return (Message.Reject Error.Wrong_epoch)
+      if rs_epoch <> t.epoch then Future.return (Error Error.Wrong_epoch)
       else if rs_lsn <= t.last_lsn then (
         (* Duplicate delivery: replay the original verdicts. *)
         match Fdb_util.Det_tbl.find_opt t.verdicts rs_lsn with
-        | Some v -> Future.return (Message.Resolve_reply v)
-        | None -> Future.return (Message.Reject (Error.Internal "stale resolve")))
+        | Some v -> Future.return (Ok v)
+        | None -> Future.return (Error (Error.Internal "stale resolve")))
       else if rs_prev = t.last_lsn then process t rs_lsn rs_prev rs_txns
       else begin
         (* Out of order: park until the chain catches up. A batch is already
@@ -138,10 +142,10 @@ let handle t (msg : Message.t) : Message.t Future.t =
         | Some _ ->
             Trace.emit "resolver_park_dup"
               [ ("lsn", Int64.to_string rs_lsn); ("prev", Int64.to_string rs_prev) ];
-            Future.return (Message.Reject (Error.Internal "duplicate parked resolve"))
+            Future.return (Error (Error.Internal "duplicate parked resolve"))
         | None ->
             let fut, promise = Future.make ~label:"resolver.park" () in
-            Fdb_util.Det_tbl.replace t.parked rs_prev (msg, promise);
+            Fdb_util.Det_tbl.replace t.parked rs_prev (rs_lsn, rs_txns, promise);
             Fdb_obs.Registry.set_gauge t.obs_parked
               (float_of_int (Fdb_util.Det_tbl.length t.parked));
             Trace.emit "resolver_park"
@@ -153,15 +157,15 @@ let handle t (msg : Message.t) : Message.t Future.t =
                and the chain keeps moving. *)
             Engine.schedule ~after:resolve_timeout ~process:t.proc (fun () ->
                 match Fdb_util.Det_tbl.find_opt t.parked rs_prev with
-                | Some (_, p) when p == promise ->
+                | Some (_, _, p) when p == promise ->
                     ignore
                       (Future.try_fulfill promise
-                         (Message.Reject (Error.Internal "resolver: predecessor never came"))
+                         (Error (Error.Internal "resolver: predecessor never came"))
                         : bool)
                 | Some _ | None -> ());
             fut
       end
-  | _ -> Future.return (Message.Reject (Error.Internal "resolver: unexpected message"))
+  | _ -> Future.return (Error (Error.Internal "resolver: unexpected message"))
 
 (* Coalesce history that has left the MVCC window (§2.4.2: "modified keys
    expire after the MVCC window"). *)
@@ -213,6 +217,6 @@ let create ctx proc ~epoch ~range ~start_lsn =
       obs_parked = Fdb_obs.Registry.gauge reg ~role:Fdb_obs.Registry.Resolver ~process:pid "parked_batches";
     }
   in
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "resolver-expiry" (fun () -> expiry_loop t);
   (t, ep)

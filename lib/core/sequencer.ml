@@ -53,10 +53,7 @@ let lock_old_logs t (old : Message.coordinated_state) =
                (Message.Log_lock { ll_epoch = t.epoch }))
             (fun reply ->
               decr outstanding;
-              (match reply with
-              | Ok (Message.Log_lock_reply { lk_kcv; lk_dv; lk_entries }) ->
-                  got := (i, (lk_kcv, lk_dv, lk_entries)) :: !got
-              | _ -> ());
+              (match reply with Ok r -> got := (i, r) :: !got | Error _ -> ());
               if Future.is_pending quorum
                  && (List.length !got >= needed || !outstanding = 0)
               then
@@ -77,11 +74,11 @@ let lock_old_logs t (old : Message.coordinated_state) =
    from the first responder holding it, so an entry rebuilt from several
    servers may carry a mutation once per contributing server (hand-off is
    rare; it is not deduplicated). *)
-let merge_entries (replies : (Types.version * Types.version * Message.log_entry list) list) rv =
+let merge_entries (replies : Message.lock_reply list) rv =
   let module Det_tbl = Fdb_util.Det_tbl in
   let table : (Types.version, Message.log_entry) Det_tbl.t = Det_tbl.create ~size:1024 () in
   List.iter
-    (fun (_, _, entries) ->
+    (fun { Message.lk_entries; _ } ->
       List.iter
         (fun (e : Message.log_entry) ->
           if e.Message.le_lsn <= rv then
@@ -100,7 +97,7 @@ let merge_entries (replies : (Types.version * Types.version * Message.log_entry 
                         Message.le_payload =
                           existing.Message.le_payload @ extra.Message.le_payload;
                       }))
-        entries)
+        lk_entries)
     replies;
   (* LSN-sorted by Det_tbl's key order already. *)
   List.map snd (Det_tbl.to_sorted_list table)
@@ -121,15 +118,11 @@ let recruit_one t ~offset ~used msg =
       else
         Future.catch
           (fun () ->
-            let* reply =
-              Context.rpc t.ctx ~timeout:1.0 ~from:t.proc
-                t.ctx.Context.worker_eps.(m) msg
+            let+ endpoint =
+              Context.rpc t.ctx ~timeout:1.0 ~from:t.proc t.ctx.Context.worker_eps.(m) msg
             in
-            match reply with
-            | Message.Recruited { endpoint } ->
-                used := m :: !used;
-                Future.return endpoint
-            | _ -> Future.fail (Error.Fdb (Error.Internal "bad recruit reply")))
+            used := m :: !used;
+            endpoint)
           (fun _ -> attempt (d + 1))
     end
   in
@@ -155,11 +148,7 @@ let seed_new_logs t ~entries ~log_eps ~replication =
         let mine = seed_entries ~entries ~n_logs ~replication i in
         if mine = [] then Future.return ()
         else
-          let* _ =
-            Context.rpc t.ctx ~timeout:5.0 ~from:t.proc ep
-              (Message.Log_seed { ls_entries = mine })
-          in
-          Future.return ())
+          Context.rpc t.ctx ~timeout:5.0 ~from:t.proc ep (Message.Log_seed { ls_entries = mine }))
       log_eps
   in
   Future.all_unit seeds
@@ -170,17 +159,9 @@ let broadcast_ss_recover t =
       Engine.spawn ~process:t.proc "ss-recover-cast" (fun () ->
           Future.catch
             (fun () ->
-              let* _ =
-                Context.rpc t.ctx ~timeout:2.0 ~from:t.proc ep
-                  (Message.Ss_recover
-                     {
-                       sr_epoch = t.epoch;
-                       sr_rv = t.rv;
-                       sr_history = t.rv_history;
-                       sr_logs = t.logs;
-                     })
-              in
-              Future.return ())
+              Context.rpc t.ctx ~timeout:2.0 ~from:t.proc ep
+                (Message.Ss_recover
+                   { sr_epoch = t.epoch; sr_rv = t.rv; sr_history = t.rv_history; sr_logs = t.logs }))
             (fun _ -> Future.return ())))
     t.ctx.Context.storage_eps
 
@@ -203,9 +184,9 @@ let recover t =
     | Some o when o.Message.cs_logs = [] -> Future.return (o.Message.cs_recovery_version, [])
     | Some o ->
         let* replies = lock_old_logs t o in
-        let pev = List.fold_left (fun acc (kcv, _, _) -> max acc kcv) 0L replies in
+        let pev = List.fold_left (fun acc r -> max acc r.Message.lk_kcv) 0L replies in
         let rv =
-          List.fold_left (fun acc (_, dv, _) -> min acc dv) Int64.max_int replies
+          List.fold_left (fun acc r -> min acc r.Message.lk_dv) Int64.max_int replies
         in
         let rv = max rv pev in
         let entries = merge_entries replies rv in
@@ -305,9 +286,9 @@ let recover t =
       t.recovered <- true;
       Trace.emit "recovery_complete"
         [ ("epoch", string_of_int t.epoch); ("rv", Int64.to_string rv) ];
-      (* Tell the ClusterController now rather than at its next ping: it
+      (* Tell the ClusterController now rather than at its next probe: it
          holds clients' state requests until the new proxies exist. *)
-      Network.send t.ctx.Context.net ~from:t.proc t.cc
+      Context.send t.ctx ~from:t.proc t.cc
         (Message.Cc_recovered
            {
              cr_sequencer = t.ep;
@@ -363,28 +344,28 @@ let monitor t =
 
 (* ---------- request handling ---------- *)
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  if t.dead then Future.return (Message.Reject Error.Wrong_epoch)
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  if t.dead then Future.return (Error Error.Wrong_epoch)
   else
-    match msg with
-    | Message.Seq_ping ->
+    match req with
+    | Message.Seq_status ->
         Future.return
-          (Message.Seq_pong
+          (Ok
              {
-               sp_epoch = t.epoch;
+               Message.sp_epoch = t.epoch;
                sp_recovered = t.recovered;
                sp_proxies = t.proxies;
                sp_logs = t.logs;
              })
     | Message.Seq_grv ->
-        if not t.recovered then Future.return (Message.Reject Error.Database_locked)
+        if not t.recovered then Future.return (Error Error.Database_locked)
         else if Buggify.on ~p:0.01 "seq_grv_reject" then
-          Future.return (Message.Reject Error.Database_locked)
+          Future.return (Error Error.Database_locked)
         else
           let* () = Engine.cpu t.proc Params.sequencer_per_request in
-          Future.return (Message.Seq_grv_reply { read_version = t.committed; grv_epoch = t.epoch })
+          Future.return (Ok { Message.gv_version = t.committed; gv_epoch = t.epoch })
     | Message.Seq_version ->
-        if not t.recovered then Future.return (Message.Reject Error.Database_locked)
+        if not t.recovered then Future.return (Error Error.Database_locked)
         else begin
           let* () = Engine.cpu t.proc Params.sequencer_per_request in
           let v =
@@ -393,7 +374,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
           in
           let prev = t.last_version in
           t.last_version <- v;
-          Future.return (Message.Seq_version_reply { version = v; prev })
+          Future.return (Ok { Message.version = v; prev })
         end
     | Message.Seq_report { committed } ->
         (* A pipelined proxy keeps several batches in flight and serializes
@@ -404,8 +385,8 @@ let handle t (msg : Message.t) : Message.t Future.t =
            so [t.committed] never exposes a non-durable prefix. *)
         if committed > t.committed then t.committed <- committed;
         Trace.emit "seq_report" [ ("lsn", Int64.to_string committed) ];
-        Future.return Message.Ok_reply
-    | _ -> Future.return (Message.Reject (Error.Internal "sequencer: unexpected message"))
+        Future.return (Ok ())
+    | _ -> Future.return (Error (Error.Internal "sequencer: unexpected message"))
 
 let create ctx proc ~ratekeeper ~cc =
   let ep = Network.fresh_endpoint ctx.Context.net in
@@ -428,7 +409,7 @@ let create ctx proc ~ratekeeper ~cc =
       logs = [];
     }
   in
-  Network.register ctx.Context.net ep proc (handle t);
+  Context.serve ctx ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "sequencer-recovery" (fun () ->
       Future.catch
         (fun () -> recover t)

@@ -14,21 +14,17 @@ type t
 
 val create : Context.t -> Fdb_sim.Process.t -> ratekeeper:int option -> cc:int -> t * int
 (** Instantiate on a process and return its endpoint. Registration and the
-    recovery actor start immediately; the sequencer serves
-    [Reject Database_locked] until recovery completes, then sends
+    recovery actor start immediately; the sequencer answers
+    [Error Database_locked] until recovery completes, then sends
     [Cc_recovered] to the ClusterController at endpoint [cc]. Once dead it
-    stays registered and answers everything with [Reject Wrong_epoch]. *)
+    stays registered and answers everything with [Error Wrong_epoch]. *)
 
 (** {2 Recovery hand-off} (exposed for tests) *)
 
-val merge_entries :
-  (Types.version * Types.version * Message.log_entry list) list ->
-  Types.version ->
-  Message.log_entry list
-(** [merge_entries replies rv]: the old LogServers' [Log_lock] replies
-    [(kcv, dv, unpopped entries)] merged into one LSN-ordered list at or
-    below [rv]. Each tag's stream at an LSN comes from the first reply that
-    holds it. *)
+val merge_entries : Message.lock_reply list -> Types.version -> Message.log_entry list
+(** [merge_entries replies rv]: the unpopped entries of the old LogServers'
+    [Log_lock] answers merged into one LSN-ordered list at or below [rv].
+    Each tag's stream at an LSN comes from the first reply that holds it. *)
 
 val seed_entries :
   entries:Message.log_entry list -> n_logs:int -> replication:int -> int -> Message.log_entry list

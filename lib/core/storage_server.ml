@@ -37,7 +37,7 @@ type t = {
   mutable logs : (int * int) list;
   mutable waiters : (Types.version * unit Future.promise) list;
   mutable stale_pulls : int; (* consecutive failed peeks *)
-  mutable peek : Message.t Future.promise option;
+  mutable peek : Message.peek_reply Future.promise option;
       (* the in-flight peek's reply, which adopting a newer generation
          breaks: that peek went to the old generation's logs *)
   mutable refreshing : bool; (* single-flight coordinator consultation *)
@@ -368,14 +368,11 @@ let pull_once t =
       t.peek <- Some deliver;
       Future.catch
         (fun () ->
-          let* reply = reply in
-          match reply with
-          | Message.Log_peek_reply { pk_entries; pk_end; pk_kcv } ->
-              t.stale_pulls <- 0;
-              (* fdb-lint: allow R5 -- deliberate pre-RPC snapshot: entries apply under the epoch in force when the peek was issued (Wrong_epoch protocol) *)
-              let* () = apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv in
-              Future.return true
-          | _ -> Future.return false)
+          let* { Message.pk_entries; pk_end; pk_kcv } = reply in
+          t.stale_pulls <- 0;
+          (* fdb-lint: allow R5 -- deliberate pre-RPC snapshot: entries apply under the epoch in force when the peek was issued (Wrong_epoch protocol) *)
+          let* () = apply_entries t ~as_of_epoch pk_entries pk_end pk_kcv in
+          Future.return true)
         (function
           | Future.Cancelled _ ->
               (* [adopt] abandoned the peek: pull from the new logs now. *)
@@ -515,8 +512,7 @@ let make_durable t =
     (* Tell the logs this data no longer needs them. *)
     List.iter
       (fun (_, ep) ->
-        Network.send t.ctx.Context.net ~from:t.proc ep
-          (Message.Log_pop { tag = t.id; up_to = target }))
+        Context.send t.ctx ~from:t.proc ep (Message.Log_pop { tag = t.id; up_to = target }))
       t.logs;
     Future.return ()
   end
@@ -630,7 +626,7 @@ let admit t ~version ~epoch ~from ~until =
 
 let drain ctx ~proc ep ~from ~until ~version ~epoch =
   let rec loop cursor acc =
-    let* reply =
+    let* { Message.rr_rows; rr_more } =
       Context.rpc ctx ~timeout:2.0 ~from:proc ep
         (Message.Storage_get_range
            {
@@ -643,13 +639,9 @@ let drain ctx ~proc ep ~from ~until ~version ~epoch =
              gr_epoch = epoch;
            })
     in
-    match reply with
-    | Message.Storage_get_range_reply { rr_rows; rr_more } -> (
-        match List.rev_append rr_rows acc with
-        | ((last, _) :: _ as acc) when rr_more && rr_rows <> [] ->
-            loop (Types.next_key last) acc
-        | acc -> Future.return (List.rev acc))
-    | _ -> Future.fail (Error.Fdb (Error.Internal "drain: unexpected reply"))
+    match List.rev_append rr_rows acc with
+    | (last, _) :: _ as acc when rr_more && rr_rows <> [] -> loop (Types.next_key last) acc
+    | acc -> Future.return (List.rev acc)
   in
   loop from []
 
@@ -663,11 +655,11 @@ let drain ctx ~proc ep ~from ~until ~version ~epoch =
 let fetch_shard t ~from ~until ~version ~epoch ~sources =
   let srcs = Array.of_list (List.filter (fun ss -> ss <> t.id) sources) in
   if Array.length srcs = 0 then
-    Future.return (Message.Reject (Error.Internal "fetch: no source replica"))
+    Future.return (Error (Error.Internal "fetch: no source replica"))
   else if t.durable > version then
     (* Our durable horizon already passed the snapshot version: data above
        it is in the pstore and would be wiped by the install. *)
-    Future.return (Message.Reject (Error.Internal "fetch: snapshot below durable horizon"))
+    Future.return (Error (Error.Internal "fetch: snapshot below durable horizon"))
   else begin
     t.fetches_in_flight <- t.fetches_in_flight + 1;
     Future.protect
@@ -689,7 +681,7 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
         in
         let* fetched = fetch 0 in
         match fetched with
-        | None -> Future.return (Message.Reject (Error.Internal "fetch: no source answered"))
+        | None -> Future.return (Error (Error.Internal "fetch: no source answered"))
         | Some kvs ->
             let bytes =
               List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 kvs
@@ -700,12 +692,10 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
             in
             let in_range (k, _) = from <= k && k < until in
             if t.durable > version then
-              Future.return
-                (Message.Reject (Error.Internal "fetch: snapshot below durable horizon"))
+              Future.return (Error (Error.Internal "fetch: snapshot below durable horizon"))
             else if List.exists (fun ((_, v) as e) -> in_range e && v > version) t.blind_atomics
             then
-              Future.return
-                (Message.Reject (Error.Internal "fetch: atomic op applied without its base"))
+              Future.return (Error (Error.Internal "fetch: atomic op applied without its base"))
             else begin
               t.blind_atomics <- List.filter (fun e -> not (in_range e)) t.blind_atomics;
               (* Floor registration and the pstore install are synchronous
@@ -725,7 +715,7 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
                 [ ("ss", string_of_int t.id); ("lo", String.escaped from);
                   ("rows", string_of_int (List.length kvs));
                   ("since", Int64.to_string version) ];
-              Future.return Message.Ok_reply
+              Future.return (Ok ())
             end)
   end
 
@@ -743,37 +733,37 @@ let split_point t ~from ~until =
   if total = 0 then None
   else match median 0 rows with Some k when k < until -> Some k | _ -> None
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  match msg with
-  | Message.Seq_ping -> Future.return Message.Ok_reply
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping -> Future.return (Ok ())
   | Message.Storage_get { key; version; rv_epoch } -> (
-      if overloaded t then Future.return (Message.Reject Error.Process_behind)
+      if overloaded t then Future.return (Error Error.Process_behind)
       else
       let t0 = Engine.now () in
       let* () = Engine.cpu t.proc (Params.cpu Params.storage_per_point_read) in
       let* refused = admit t ~version ~epoch:rv_epoch ~from:key ~until:(Types.next_key key) in
       match refused with
-      | Some e -> Future.return (Message.Reject e)
+      | Some e -> Future.return (Error e)
       | None ->
           Fdb_obs.Registry.incr t.obs_reads;
           Fdb_obs.Registry.observe t.obs_read_lat (Engine.now () -. t0);
           let value = read_at t version key in
           note_read_traffic t key
             (String.length key + match value with Some v -> String.length v | None -> 0);
-          Future.return (Message.Storage_get_reply value))
+          Future.return (Ok value))
   | Message.Storage_get_range
       { gr_from; gr_until; gr_version; gr_limit; gr_byte_limit; gr_reverse; gr_epoch } -> (
       Fdb_obs.Registry.incr t.obs_range_reqs;
       (* Buggify: an occasional spurious shed exercises the client's
          replica-failover path under simulation. *)
       if overloaded t || Buggify.on ~p:0.1 "ss_flaky_range" then
-        Future.return (Message.Reject Error.Process_behind)
+        Future.return (Error Error.Process_behind)
       else
       let* refused =
         admit t ~version:gr_version ~epoch:gr_epoch ~from:gr_from ~until:gr_until
       in
       match refused with
-      | Some e -> Future.return (Message.Reject e)
+      | Some e -> Future.return (Error e)
       | None ->
           let rows, more =
             range_read t gr_version ~from:gr_from ~until:gr_until ~reverse:gr_reverse
@@ -787,23 +777,23 @@ let handle t (msg : Message.t) : Message.t Future.t =
           in
           note_read_traffic t gr_from
             (List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows);
-          Future.return (Message.Storage_get_range_reply { rr_rows = rows; rr_more = more }))
+          Future.return (Ok { Message.rr_rows = rows; rr_more = more }))
   | Message.Ss_recover { sr_epoch; sr_rv; sr_history; sr_logs } ->
       adopt t ~epoch:sr_epoch ~rv:sr_rv ~history:sr_history ~logs:sr_logs;
-      Future.return Message.Ok_reply
+      Future.return (Ok ())
   | Message.Ss_stats_req ->
-      Future.return (Message.Ss_stats { ss_durable = t.durable; ss_lag = lag_seconds t })
+      Future.return (Ok { Message.ss_durable = t.durable; ss_lag = lag_seconds t })
   | Message.Ss_fetch_shard { fs_from; fs_until; fs_version; fs_epoch; fs_sources } ->
       (* Buggify: an occasionally failing fetch exercises the DD's
          abort-and-retry path under simulation. *)
       if Buggify.on ~p:0.05 "dd_fetch_abort" then
-        Future.return (Message.Reject (Error.Internal "buggified fetch abort"))
+        Future.return (Error (Error.Internal "buggified fetch abort"))
       else
         fetch_shard t ~from:fs_from ~until:fs_until ~version:fs_version ~epoch:fs_epoch
           ~sources:fs_sources
   | Message.Ss_split_point { spl_from; spl_until } ->
       let* () = Engine.cpu t.proc (Params.cpu Params.storage_per_point_read) in
-      Future.return (Message.Ss_split_point_reply { spl_key = split_point t ~from:spl_from ~until:spl_until })
+      Future.return (Ok (split_point t ~from:spl_from ~until:spl_until))
   | Message.Ss_watch { w_key; w_version; w_epoch } ->
       (* Long-poll change notification (layer watches). Registration-time
          catch-up consults the window's per-key history, so a change that
@@ -812,16 +802,16 @@ let handle t (msg : Message.t) : Message.t Future.t =
          rather than being lost. *)
       Fdb_obs.Registry.incr t.obs_watch_reqs;
       let* current = ensure_epoch t w_epoch in
-      if not current then Future.return (Message.Reject Error.Future_version)
+      if not current then Future.return (Error Error.Future_version)
       else if not (in_shards t w_key) then
-        Future.return (Message.Reject Error.Wrong_shard)
+        Future.return (Error Error.Wrong_shard)
       else if
         (w_version < Window.oldest t.window && Window.oldest t.window > 0L)
         || w_version < incoming_floor t w_key
       then
         (* The window cannot prove the key unchanged since [w_version]: the
            client treats this as a conservative wake and re-checks. *)
-        Future.return (Message.Reject Error.Transaction_too_old)
+        Future.return (Error Error.Transaction_too_old)
       else begin
         match Window.last_change ~floor:(incoming_floor t w_key) t.window w_key with
         | Some cv when cv > w_version ->
@@ -829,7 +819,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
             Trace.emit "ss_watch_catchup"
               [ ("ss", string_of_int t.id); ("key", String.escaped w_key);
                 ("v", Int64.to_string cv) ];
-            Future.return (Message.Ss_watch_reply { wr_fired = true; wr_version = cv })
+            Future.return (Ok { Message.wr_fired = true; wr_version = cv })
         | _ ->
             t.watch_seq <- t.watch_seq + 1;
             let id = t.watch_seq in
@@ -844,7 +834,7 @@ let handle t (msg : Message.t) : Message.t Future.t =
             Future.catch
               (fun () ->
                 let* v = Engine.timeout Params.watch_poll_timeout fut in
-                Future.return (Message.Ss_watch_reply { wr_fired = true; wr_version = v }))
+                Future.return (Ok { Message.wr_fired = true; wr_version = v }))
               (function
                 | Engine.Timed_out ->
                     (* Poll window over: drop the registration (re-reading
@@ -861,14 +851,12 @@ let handle t (msg : Message.t) : Message.t Future.t =
                       (* The shard moved away mid-poll: a registration here
                          would never fire again — send the client back to
                          re-resolution. *)
-                      Future.return (Message.Reject Error.Wrong_shard)
+                      Future.return (Error Error.Wrong_shard)
                     else
-                      Future.return
-                        (Message.Ss_watch_reply
-                           { wr_fired = false; wr_version = t.version })
+                      Future.return (Ok { Message.wr_fired = false; wr_version = t.version })
                 | e -> Future.fail e)
       end
-  | _ -> Future.return (Message.Reject (Error.Internal "storage: unexpected message"))
+  | _ -> Future.return (Error (Error.Internal "storage: unexpected message"))
 
 let rec create ctx proc ~id ~disk =
   let* pstore = Pstore.recover ~disk ~prefix:(Printf.sprintf "ss%d" id) () in
@@ -957,7 +945,7 @@ let rec create ctx proc ~id ~disk =
   in
   publish_stats t;
   Disk.attach disk proc;
-  Network.register ctx.Context.net t.ep proc (handle t);
+  Context.serve ctx t.ep proc { handle = (fun req -> handle t req) };
   Engine.spawn ~process:proc "ss-pull" (fun () -> pull_loop t);
   Engine.spawn ~process:proc "ss-durable" (fun () -> durable_loop t);
   Engine.spawn ~process:proc "ss-stats" (fun () -> stats_loop t);

@@ -42,5 +42,5 @@ val drain :
   (string * string) list Fdb_sim.Future.t
 (** Every row of [\[from, until)] at [version] from the storage server at
     endpoint [ep], in key order, drained by continuation round-trips (2 s
-    timeout each). Fails on a rejection, a timeout or any other reply; the
+    timeout each). Fails on an error answer or a timeout; the
     caller owns the retry policy. *)

@@ -17,62 +17,49 @@ let role_process t name = Process.create ~name t.host.h_machine
    paper's one-SSD-per-LogServer binding. *)
 let log_disk t = t.host.h_disks.(0)
 
-let handle t (msg : Message.t) : Message.t Future.t =
-  match msg with
+let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
+  let hosted proc create =
+    let _, ep = create proc in
+    Future.return (Ok ep)
+  in
+  match req with
   (* Buggify: refuse a recruitment now and then so recovery's walk-on
      placement path gets exercised. *)
-  | Message.Recruit_log _ | Message.Recruit_proxy _ | Message.Recruit_resolver _
+  | (Message.Recruit_log _ | Message.Recruit_proxy _ | Message.Recruit_resolver _)
     when Buggify.on ~p:0.1 "worker_refuse_recruit" ->
-      Future.return (Message.Reject (Error.Internal "buggify: recruit refused"))
-  | Message.Seq_ping -> Future.return Message.Ok_reply
+      Future.return (Error (Error.Internal "buggify: recruit refused"))
   | Message.Recruit_log { rl_epoch; rl_id; rl_start_lsn } ->
-      let proc = role_process t (Printf.sprintf "tlog-%d.%d" rl_epoch rl_id) in
-      let _, ep =
-        Log_server.create t.ctx proc ~disk:(log_disk t) ~epoch:rl_epoch ~id:rl_id
-          ~start_lsn:rl_start_lsn
-      in
-      Future.return (Message.Recruited { endpoint = ep })
+      hosted (role_process t (Printf.sprintf "tlog-%d.%d" rl_epoch rl_id)) (fun proc ->
+          Log_server.create t.ctx proc ~disk:(log_disk t) ~epoch:rl_epoch ~id:rl_id
+            ~start_lsn:rl_start_lsn)
   | Message.Recruit_resolver { rr_epoch; rr_range; rr_start_lsn } ->
-      let proc = role_process t (Printf.sprintf "resolver-%d" rr_epoch) in
-      let _, ep =
-        Resolver.create t.ctx proc ~epoch:rr_epoch ~range:rr_range
-          ~start_lsn:rr_start_lsn
-      in
-      Future.return (Message.Recruited { endpoint = ep })
+      hosted (role_process t (Printf.sprintf "resolver-%d" rr_epoch)) (fun proc ->
+          Resolver.create t.ctx proc ~epoch:rr_epoch ~range:rr_range ~start_lsn:rr_start_lsn)
   | Message.Recruit_proxy
       { rp_epoch; rp_sequencer; rp_resolvers; rp_logs; rp_ratekeeper; rp_recovery_version }
     ->
-      let proc = role_process t (Printf.sprintf "proxy-%d" rp_epoch) in
-      let _, ep =
-        Proxy.create t.ctx proc ~epoch:rp_epoch ~sequencer:rp_sequencer
-          ~resolvers:rp_resolvers ~logs:rp_logs ~ratekeeper:rp_ratekeeper
-          ~recovery_version:rp_recovery_version
-      in
-      Future.return (Message.Recruited { endpoint = ep })
+      hosted (role_process t (Printf.sprintf "proxy-%d" rp_epoch)) (fun proc ->
+          Proxy.create t.ctx proc ~epoch:rp_epoch ~sequencer:rp_sequencer
+            ~resolvers:rp_resolvers ~logs:rp_logs ~ratekeeper:rp_ratekeeper
+            ~recovery_version:rp_recovery_version)
   | Message.Recruit_sequencer { rs_ratekeeper; rs_cc } ->
-      let proc = role_process t "sequencer" in
-      let _, ep = Sequencer.create t.ctx proc ~ratekeeper:rs_ratekeeper ~cc:rs_cc in
-      Future.return (Message.Recruited { endpoint = ep })
-  | Message.Recruit_ratekeeper ->
-      let proc = role_process t "ratekeeper" in
-      let _, ep = Ratekeeper.create t.ctx proc in
-      Future.return (Message.Recruited { endpoint = ep })
+      hosted (role_process t "sequencer") (fun proc ->
+          Sequencer.create t.ctx proc ~ratekeeper:rs_ratekeeper ~cc:rs_cc)
+  | Message.Recruit_ratekeeper -> hosted (role_process t "ratekeeper") (Ratekeeper.create t.ctx)
   | Message.Recruit_data_distributor ->
-      let proc = role_process t "data-distributor" in
-      let _, ep = Data_distributor.create t.ctx proc in
-      Future.return (Message.Recruited { endpoint = ep })
+      hosted (role_process t "data-distributor") (Data_distributor.create t.ctx)
   | Message.Cc_get_state -> (
       match t.cc with
-      | Some cc -> Cluster_controller.await_state cc
-      | None -> Future.return (Message.Reject (Error.Internal "not the cluster controller")))
+      | Some cc -> Future.map (Cluster_controller.await_state cc) Result.ok
+      | None -> Future.return (Error (Error.Internal "not the cluster controller")))
   | Message.Cc_recovered { cr_sequencer; cr_epoch; cr_proxies; cr_logs } ->
       (match t.cc with
       | Some cc ->
           Cluster_controller.note_recovered cc ~sequencer:cr_sequencer ~epoch:cr_epoch
             ~proxies:cr_proxies ~logs:cr_logs
       | None -> ());
-      Future.return Message.Ok_reply
-  | _ -> Future.return (Message.Reject (Error.Internal "worker: unexpected message"))
+      Future.return (Ok ())
+  | _ -> Future.return (Error (Error.Internal "worker: unexpected message"))
 
 let start_election t proc =
   if t.machine_id < t.ctx.Context.config.Config.cc_candidates then begin
@@ -100,7 +87,7 @@ let start_election t proc =
 
 let boot t () =
   let proc = t.proc in
-  Network.register t.ctx.Context.net t.ep proc (handle t);
+  Context.serve t.ctx t.ep proc { handle = (fun req -> handle t req) };
   t.cc <- None;
   start_election t proc
 

@@ -121,20 +121,22 @@ let explain = function
        fine. A cell that must stay global carries a reasoned suppression."
   | R9 ->
       "R9: no one-sided protocol messages.\n\
-       Every constructor of Message.t (lib/core/message.ml) must be built\n\
-       by some expression and matched by some pattern outside that file.\n\
-       A message nothing builds is a request no role sends, so its handler\n\
-       is dead; a message nothing matches is a reply every caller discards\n\
-       or a request no role serves. Either way it is protocol surface that\n\
-       costs review and hides dead code. Delete it, or reply with Ok_reply\n\
-       when the caller only needs the acknowledgement. Likewise every field\n\
-       of a constructor's inline record must be read outside that file, by\n\
-       a record pattern or a field access: a field nothing reads is state\n\
-       the sender computes and ships for nobody. Constructor uses are\n\
-       counted from the untyped AST as qualified paths (Message.X, library\n\
-       wrapper included), so no file may open Message; field reads are\n\
-       counted by field name. A constructor or field that must stay\n\
-       one-sided carries a reasoned suppression on its line."
+       Every constructor of the request type [type _ req] in\n\
+       lib/core/message.ml must be built by some expression and matched by\n\
+       some pattern outside that file. A request nothing builds is one no\n\
+       role sends, so its handler arm is dead; a request nothing matches is\n\
+       one no role serves, so every caller times out. Either way it is\n\
+       protocol surface that costs review and hides dead code: delete it.\n\
+       Likewise every field of every record the file declares (answer\n\
+       records and the requests' inline records alike) must be read outside\n\
+       it, by a record pattern or a field access: a field nothing reads is\n\
+       state the sender computes and ships for nobody. A protocol file that\n\
+       declares no [type _ req] is itself a diagnostic, so the rule cannot\n\
+       pass by checking nothing. Constructor uses are counted from the\n\
+       untyped AST as qualified paths (Message.X, library wrapper\n\
+       included), so no file may open Message; field reads are counted by\n\
+       field name. A constructor or field that must stay one-sided carries\n\
+       a reasoned suppression on its line."
 
 type diagnostic = {
   d_file : string;
@@ -1105,11 +1107,12 @@ let dead_exports ~interfaces ~implementations =
    One pass collects the constructors of the protocol module that every
    other implementation builds (expressions) and matches (patterns), by
    qualified path, and the record fields they read (record patterns and
-   field accesses), by name; each constructor of the protocol's [type t]
-   must be in both sets, and each field of its inline records must be
-   read. *)
+   field accesses), by name; each constructor of the protocol's request
+   type [type _ req] must be in both sets, and each field of every record
+   the protocol declares (plain or inline) must be read. *)
 
 let r9_protocol = "lib/core/message.ml"
+let r9_request_type = "req"
 
 let one_sided_messages ~protocol:(path, src) ~implementations =
   let path = normalize path in
@@ -1150,6 +1153,27 @@ let one_sided_messages ~protocol:(path, src) ~implementations =
       match parse Parse.implementation ~path src with
       | Error d -> [ d ]
       | Ok ast ->
+          let unread owner lds =
+            List.iter
+              (fun (ld : Parsetree.label_declaration) ->
+                if not (SSet.mem ld.pld_name.txt !read) then
+                  violation R9 ld.pld_loc
+                    (modname ^ "." ^ owner ^ "." ^ ld.pld_name.txt ^ " is never read outside "
+                   ^ path ^ "; delete it, or suppress with the reason it must stay"))
+              lds
+          in
+          let one_sided (cd : Parsetree.constructor_declaration) =
+            let c = cd.pcd_name.txt in
+            let missing =
+              (if SSet.mem c !built then [] else [ "built" ])
+              @ if SSet.mem c !matched then [] else [ "matched" ]
+            in
+            if missing <> [] then
+              violation R9 cd.pcd_loc
+                (modname ^ "." ^ c ^ " is never " ^ String.concat " or " missing ^ " outside "
+               ^ path ^ "; delete it, or suppress with the reason it must stay")
+          in
+          let requests = ref false in
           List.iter
             (fun (item : Parsetree.structure_item) ->
               match item.pstr_desc with
@@ -1157,37 +1181,35 @@ let one_sided_messages ~protocol:(path, src) ~implementations =
                   List.iter
                     (fun (td : Parsetree.type_declaration) ->
                       match td.ptype_kind with
-                      | Ptype_variant cds when td.ptype_name.txt = "t" ->
+                      | Ptype_record lds -> unread td.ptype_name.txt lds
+                      | Ptype_variant cds ->
+                          let is_requests = td.ptype_name.txt = r9_request_type in
+                          if is_requests then requests := true;
                           List.iter
                             (fun (cd : Parsetree.constructor_declaration) ->
-                              let c = cd.pcd_name.txt in
-                              let missing =
-                                (if SSet.mem c !built then [] else [ "built" ])
-                                @ if SSet.mem c !matched then [] else [ "matched" ]
-                              in
-                              if missing <> [] then
-                                violation R9 cd.pcd_loc
-                                  (modname ^ "." ^ c ^ " is never "
-                                  ^ String.concat " or " missing
-                                  ^ " outside " ^ path
-                                  ^ "; delete it, or suppress with the reason it must stay");
+                              if is_requests then one_sided cd;
                               match cd.pcd_args with
-                              | Pcstr_record lds ->
-                                  List.iter
-                                    (fun (ld : Parsetree.label_declaration) ->
-                                      if not (SSet.mem ld.pld_name.txt !read) then
-                                        violation R9 ld.pld_loc
-                                          (modname ^ "." ^ c ^ "." ^ ld.pld_name.txt
-                                         ^ " is never read outside " ^ path
-                                         ^ "; delete it, or suppress with the reason it must stay"))
-                                    lds
+                              | Pcstr_record lds -> unread cd.pcd_name.txt lds
                               | Pcstr_tuple _ -> ())
                             cds
-                      | _ -> ())
+                      | Ptype_abstract | Ptype_open -> ())
                     decls
               | _ -> ())
             ast;
-          [])
+          if !requests then []
+          else
+            [
+              {
+                d_file = path;
+                d_line = 1;
+                d_col = 0;
+                d_rule = Some R9;
+                d_msg =
+                  path ^ " declares no [type _ " ^ r9_request_type
+                  ^ "] variant, so R9 checks no request; declare the protocol's \
+                     requests there";
+              };
+            ])
 
 let read_file path =
   let ic = open_in_bin path in

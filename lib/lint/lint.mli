@@ -37,10 +37,12 @@
       [Buffer.create] or [Atomic.make]. A run's state lives in the record
       each [Engine.run] creates ([Fdb_sim.Run.t]).
     - {b R9} no one-sided protocol messages ([lib/] only): every
-      constructor of the protocol variant ([type t] of {!r9_protocol}) must
-      be built by some expression and matched by some pattern in an
-      implementation other than the protocol's own, and each field of its
-      inline record read there. See {!one_sided_messages}.
+      constructor of the protocol's request type ([type _ req] of
+      {!r9_protocol}) must be built by some expression and matched by some
+      pattern in an implementation other than the protocol's own, and each
+      field of every record the protocol declares read there; a protocol
+      with no request type is itself a diagnostic. See
+      {!one_sided_messages}.
 
     Per-line suppressions: a comment holding the [fdb-lint] marker, a
     colon and [allow R2 -- reason] (spelled apart here so the scanner does
@@ -112,13 +114,16 @@ val one_sided_messages :
   protocol:string * string -> implementations:(string * string) list -> diagnostic list
 (** R9 over the protocol's [(repo-relative path, source)] and the
     implementations that may use it: each constructor of the protocol's
-    [type t] that no implementation other than the protocol's own builds
-    in an expression, or that none matches in a pattern, and each field of
-    a constructor's inline record that none reads in a record pattern or
-    a field access. A constructor use is a qualified path through the
-    protocol's module name (the library wrapper [Fdb_x.] is dropped);
-    opens and aliases are not followed. A field read is counted by the
-    field's name.
+    [type _ req] that no implementation other than the protocol's own
+    builds in an expression, or that none matches in a pattern, and each
+    field of a record the protocol declares (a plain record type or a
+    constructor's inline record, of any type) that none reads in a record
+    pattern or a field access. A protocol that declares no [type _ req]
+    yields one diagnostic on its first line instead, so the rule never
+    passes by checking nothing. A constructor use is a qualified path
+    through the protocol's module name (the library wrapper [Fdb_x.] is
+    dropped); opens and aliases are not followed. A field read is counted
+    by the field's name.
     Suppressions and the stale-suppression audit apply to the protocol
     file as in {!lint_source}. An implementation that does not parse
     contributes no uses. *)

@@ -2,7 +2,14 @@ module Rng = Fdb_util.Det_rng
 
 type endpoint = int
 
-type 'm handler = { h_proc : Process.t; h_inc : int; h_fn : 'm -> 'm Future.t }
+type 'r reply = { rpc_id : int; reply_to : Process.t; promise : 'r Future.promise }
+
+type answer = Reply : 'r Future.t * 'r reply -> answer | Done : _ Future.t -> answer
+
+(* A call's promise with its answer type hidden: the timer only breaks it. *)
+type pending = Pending : 'r Future.promise -> pending
+
+type 'm handler = { h_proc : Process.t; h_inc : int; h_fn : 'm -> answer }
 
 type 'm t = {
   rng : Rng.t;
@@ -10,7 +17,7 @@ type 'm t = {
   partitions : (int * int, unit) Hashtbl.t;
   clogged : (int, float) Hashtbl.t;
   handlers : (endpoint, 'm handler) Hashtbl.t;
-  pending : (int, 'm Future.promise) Hashtbl.t;
+  pending : (int, pending) Hashtbl.t;
   mutable next_endpoint : int;
   mutable next_rpc : int;
 }
@@ -73,10 +80,26 @@ let route t ~(src : Process.machine) ~(dst : Process.machine) ~bytes =
     Some (base +. jitter +. transmit +. clog)
   end
 
-type 'm wire = Request of { rpc_id : int; reply_to : Process.t; payload : 'm }
+let handler_error ep exn =
+  Trace.emit "rpc_handler_error"
+    [ ("exn", Printexc.to_string exn); ("endpoint", string_of_int ep) ]
 
-(* Deliver a request to [ep]'s handler; route the response back. *)
-let deliver t ep (Request { rpc_id; reply_to; payload }) =
+(* Route [resp] back to the caller, unless its timeout already fired. *)
+let respond t (h : _ handler) { rpc_id; reply_to; promise } resp =
+  match route t ~src:h.h_proc.Process.machine ~dst:reply_to.Process.machine ~bytes:0 with
+  | None -> ()
+  | Some delay ->
+      Engine.schedule ~after:delay ~process:reply_to (fun () ->
+          if Hashtbl.mem t.pending rpc_id then begin
+            Hashtbl.remove t.pending rpc_id;
+            (* A false here is a reply the caller will never see: surface
+               it, don't drop it. *)
+            if not (Future.try_fulfill promise resp) then
+              Trace.emit "rpc_reply_lost" [ ("rpc_id", string_of_int rpc_id) ]
+          end)
+
+(* Deliver a message to [ep]'s handler; route the answer back, if any. *)
+let deliver t ep payload =
   match Hashtbl.find_opt t.handlers ep with
   | None -> () (* no such endpoint (yet / anymore): caller times out *)
   | Some h ->
@@ -84,61 +107,40 @@ let deliver t ep (Request { rpc_id; reply_to; payload }) =
       else
         Engine.with_process h.h_proc (fun () ->
             match h.h_fn payload with
-            | exception exn ->
-                Trace.emit "rpc_handler_error"
-                  [ ("exn", Printexc.to_string exn); ("endpoint", string_of_int ep) ]
-            | resp_fut ->
-                Future.on_resolve resp_fut (function
-                  | Error exn ->
-                      Trace.emit "rpc_handler_error"
-                        [ ("exn", Printexc.to_string exn); ("endpoint", string_of_int ep) ]
-                  | Ok resp -> (
-                      if rpc_id = 0 then () (* one-way *)
-                      else
-                        match
-                          route t ~src:h.h_proc.Process.machine
-                            ~dst:reply_to.Process.machine ~bytes:0
-                        with
-                        | None -> ()
-                        | Some delay ->
-                            Engine.schedule ~after:delay ~process:reply_to (fun () ->
-                                match Hashtbl.find_opt t.pending rpc_id with
-                                | None -> () (* already timed out *)
-                                | Some promise ->
-                                    Hashtbl.remove t.pending rpc_id;
-                                    (* A false here is a reply the caller will
-                                       never see: surface it, don't drop it. *)
-                                    if not (Future.try_fulfill promise resp) then
-                                      Trace.emit "rpc_reply_lost"
-                                        [ ("rpc_id", string_of_int rpc_id) ]))))
+            | exception exn -> handler_error ep exn
+            | Done fut ->
+                Future.on_resolve fut (function
+                  | Error exn -> handler_error ep exn
+                  | Ok _ -> ())
+            | Reply (fut, reply) ->
+                Future.on_resolve fut (function
+                  | Error exn -> handler_error ep exn
+                  | Ok resp -> respond t h reply resp))
 
-let post t ?(bytes = 0) ~(from : Process.t) ep ~rpc_id payload =
+let send t ?(bytes = 0) ~(from : Process.t) ep payload =
   match Hashtbl.find_opt t.handlers ep with
   | None -> ()
   | Some h -> (
       match route t ~src:from.Process.machine ~dst:h.h_proc.Process.machine ~bytes with
       | None -> ()
       | Some delay ->
-          let msg = Request { rpc_id; reply_to = from; payload } in
-          Engine.schedule ~after:delay ~process:h.h_proc (fun () -> deliver t ep msg))
+          Engine.schedule ~after:delay ~process:h.h_proc (fun () -> deliver t ep payload))
 
-let call t ?(timeout = 5.0) ?bytes ~from ep payload =
+let call t ?(timeout = 5.0) ?bytes ~from ep request =
   t.next_rpc <- t.next_rpc + 1;
   let rpc_id = t.next_rpc in
   let fut, promise = Future.make () in
-  Hashtbl.replace t.pending rpc_id promise;
-  post t ?bytes ~from ep ~rpc_id payload;
+  Hashtbl.replace t.pending rpc_id (Pending promise);
+  send t ?bytes ~from ep (request { rpc_id; reply_to = from; promise });
   (* The timer finds the promise by id rather than capturing it, so a
      delivered reply is not kept alive until the timeout fires. *)
   Engine.schedule ~after:timeout (fun () ->
       match Hashtbl.find_opt t.pending rpc_id with
       | None -> ()
-      | Some promise ->
+      | Some (Pending promise) ->
           Hashtbl.remove t.pending rpc_id;
           (* The promise was still registered, so a false break means the
              caller got neither reply nor timeout — a lost wakeup. *)
           if not (Future.try_break promise Engine.Timed_out) then
             Trace.emit "rpc_timeout_lost" [ ("rpc_id", string_of_int rpc_id) ]);
   fut
-
-let send t ?bytes ~from ep payload = post t ?bytes ~from ep ~rpc_id:0 payload

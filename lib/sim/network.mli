@@ -2,7 +2,10 @@
     abstracted" and injected with faults).
 
     The network is polymorphic in the message type ['m]; the database
-    instantiates it with its RPC request/response variant. Latency is drawn
+    instantiates it with its request envelope. A call's answer does not
+    travel as an ['m]: the caller hands the request a typed {!reply}
+    token, and the handler answers through it, so the answer's type is
+    fixed where the call is made. Latency is drawn
     per message from a distance-based model plus jitter, so reordering falls
     out naturally; partitions and clogging are injectable at machine
     granularity. Delivery tasks are owned by the destination process, so
@@ -33,19 +36,41 @@ val clog_machine : 'm t -> int -> float -> unit
 
 (** {2 Endpoints} *)
 
+type 'r reply
+(** Where one call's answer of type ['r] goes: the caller, its correlation
+    id and its pending promise. Built by {!call}, carried in the request. *)
+
+(** What a handler does with a message. *)
+type answer =
+  | Reply : 'r Future.t * 'r reply -> answer
+      (** send the future's value back through the token once it resolves *)
+  | Done : _ Future.t -> answer  (** a one-way message: nothing goes back *)
+
 val fresh_endpoint : 'm t -> endpoint
-val register : 'm t -> endpoint -> Process.t -> ('m -> 'm Future.t) -> unit
-(** Install the request handler for an endpoint. The registration is valid
-    for the process's current incarnation only; re-register after reboot. *)
+
+val register : 'm t -> endpoint -> Process.t -> ('m -> answer) -> unit
+(** Install the message handler for an endpoint. The registration is valid
+    for the process's current incarnation only; re-register after reboot.
+    A handler that raises, or whose future fails, sends nothing back: an
+    [rpc_handler_error] trace event names the exception and the endpoint,
+    and the caller times out. *)
 
 (** {2 RPC} *)
 
 val call :
-  'm t -> ?timeout:float -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> 'm Future.t
-(** Request/response with correlation. Fails with {!Engine.Timed_out} after
-    [timeout] seconds (default 5) if no response arrives — because of loss,
-    partition, a dead endpoint, or a handler error. [bytes] adds
-    transmission delay for large payloads. *)
+  'm t ->
+  ?timeout:float ->
+  ?bytes:int ->
+  from:Process.t ->
+  endpoint ->
+  ('r reply -> 'm) ->
+  'r Future.t
+(** Request/response with correlation: [call net ~from ep request] sends
+    [request token] and resolves with whatever the handler answers through
+    [token]. Fails with {!Engine.Timed_out} after [timeout] seconds
+    (default 5) if no answer arrives — because of loss, partition, a dead
+    endpoint, or a handler error. [bytes] adds transmission delay for
+    large payloads. *)
 
 val send : 'm t -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> unit
-(** One-way, best-effort message (response discarded). *)
+(** One-way, best-effort message: the handler should answer [Done]. *)

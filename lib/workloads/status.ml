@@ -65,17 +65,13 @@ let gather cluster =
         in
         match Option.bind leader int_of_string_opt with
         | Some m when m < Array.length ctx.Context.worker_eps ->
-            let* reply =
+            let+ { Message.st_epoch; st_proxies; st_logs; st_recovered; st_dd } =
               Context.rpc ctx ~timeout:1.0 ~from:probe ctx.Context.worker_eps.(m)
                 Message.Cc_get_state
             in
-            (match reply with
-            | Message.Cc_state { st_epoch; st_proxies; st_logs; st_recovered; st_dd; _ } ->
-                Future.return
-                  (Some
-                     ( st_epoch, List.length st_proxies, List.length st_logs, st_recovered,
-                       st_dd <> None ))
-            | _ -> Future.return None)
+            Some
+              ( st_epoch, List.length st_proxies, List.length st_logs, st_recovered,
+                st_dd <> None )
         | _ -> Future.return None)
       (fun _ -> Future.return None)
   in

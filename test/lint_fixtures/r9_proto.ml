@@ -1,18 +1,18 @@
-(* Fixture: a protocol variant, checked as lib/lint_fixtures/r9_proto.ml
+(* Fixture: a protocol's request type, checked as lib/lint_fixtures/r9_proto.ml
    against r9_users.ml. Its own uses below never count. *)
-type t =
-  | Both
-  | Sent_only
-  | Served_only
-  | Unused
+type _ req =
+  | Both : unit req
+  | Sent_only : unit req
+  | Served_only : int req
+  | Unused : unit req
   (* fdb-lint: allow R9 -- kept so older peers still decode the stream *)
-  | Suppressed
-  | Payload of { x : int }
+  | Suppressed : unit req
+  | Payload : { x : int } -> int req
 
-(* Only [type t] is the protocol. *)
+(* Only [type _ req] is the protocol. *)
 type other = Other
 
-let to_string = function
+let to_string : type r. r req -> string = function
   | Both -> "Both"
   | Sent_only -> "Sent_only"
   | Served_only -> "Served_only"

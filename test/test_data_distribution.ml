@@ -250,14 +250,11 @@ let test_atomic_ops_during_fetch () =
           Future.all
             (List.map
                (fun ss ->
-                 let* reply =
+                 let+ value =
                    Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(ss)
                      (Message.Storage_get { key; version; rv_epoch })
                  in
-                 match reply with
-                 | Message.Storage_get_reply (Some v) ->
-                     Future.return (ss, Some (Char.code v.[0] + (256 * Char.code v.[1])))
-                 | _ -> Future.return (ss, None))
+                 (ss, Option.map (fun v -> Char.code v.[0] + (256 * Char.code v.[1])) value))
                (Shard_map.team_for_key sm key))
         in
         Future.return (1000 + !adds, got))

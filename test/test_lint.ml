@@ -236,6 +236,16 @@ let golden_r9_fields () =
   in
   Alcotest.(check string) "r9_fields" (fixture "r9_fields.expected") got
 
+(* A protocol file with no request type must fail, not pass unchecked. *)
+let golden_r9_no_req () =
+  let got =
+    render
+      (Lint.one_sided_messages
+         ~protocol:("lib/lint_fixtures/r9_no_req.ml", fixture "r9_no_req.ml")
+         ~implementations:[])
+  in
+  Alcotest.(check string) "r9_no_req" (fixture "r9_no_req.expected") got
+
 let test_explain_covers_all_rules () =
   List.iter
     (fun r ->
@@ -284,4 +294,5 @@ let suite =
     Alcotest.test_case "R7 lib only" `Quick test_r7_lib_only;
     Alcotest.test_case "golden: R9 one-sided messages" `Quick golden_r9;
     Alcotest.test_case "golden: R9 unread message fields" `Quick golden_r9_fields;
+    Alcotest.test_case "golden: R9 protocol without requests" `Quick golden_r9_no_req;
   ]

@@ -10,7 +10,7 @@ module Mutation = Fdb_kv.Mutation
 
 (* A context with no cluster behind it, for driving roles directly. *)
 let mini_ctx ?(config = Config.test_small) () =
-  let net : Message.t Network.t = Network.create () in
+  let net : Message.envelope Network.t = Network.create () in
   {
     Context.net;
     config;
@@ -28,12 +28,10 @@ let entry ~lsn ~prev ?(kcv = 0L) payload =
 let tagged tags m = { Message.tm_tags = tags; tm_mutation = m }
 
 let rpc_peek ctx ~from ep tag from_version =
-  let* reply =
+  let+ { Message.pk_entries; pk_end; _ } =
     Context.rpc ctx ~timeout:5.0 ~from ep (Message.Log_peek { tag; from_version })
   in
-  match reply with
-  | Message.Log_peek_reply { pk_entries; pk_end; _ } -> Future.return (pk_entries, pk_end)
-  | _ -> Future.fail Exit
+  (pk_entries, pk_end)
 
 (* [n] LogServers of one generation, each with its own process and disk,
    and a client process to drive them. *)
@@ -66,10 +64,8 @@ let test_in_order_push_and_peek () =
   let r =
     Engine.run (fun () ->
         let _, _, _, _, push, peek = setup () in
-        let* a1 = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
-        let* a2 = push 9L 5L [ tagged [ 0 ] (Mutation.Set ("b", "2")) ] in
-        let dv1 = match a1 with Message.Log_push_ack { durable_version } -> durable_version | _ -> -1L in
-        let dv2 = match a2 with Message.Log_push_ack { durable_version } -> durable_version | _ -> -1L in
+        let* dv1 = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
+        let* dv2 = push 9L 5L [ tagged [ 0 ] (Mutation.Set ("b", "2")) ] in
         let* entries, pk_end = peek 0 1L in
         Future.return (dv1, dv2, List.map fst entries, pk_end))
   in
@@ -90,10 +86,7 @@ let test_out_of_order_pushes_ack_in_chain_order () =
         let* () = Engine.sleep 0.01 in
         Alcotest.(check bool) "9 not acked before 5 arrives" true (Future.is_pending late);
         let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
-        let* a9 = late in
-        match a9 with
-        | Message.Log_push_ack { durable_version } -> Future.return durable_version
-        | _ -> Future.fail Exit)
+        late)
   in
   Alcotest.(check bool) "chain-contiguous durability" true (r >= 9L)
 
@@ -128,14 +121,10 @@ let test_lock_stops_pushes_and_reports () =
     Engine.run (fun () ->
         let ctx, ep, client, _, push, _ = setup () in
         let* _ = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
-        let* reply =
+        let* { Message.lk_dv = dv; lk_entries; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
         in
-        let dv, n_entries =
-          match reply with
-          | Message.Log_lock_reply { lk_dv; lk_entries; _ } -> (lk_dv, List.length lk_entries)
-          | _ -> (-1L, -1)
-        in
+        let n_entries = List.length lk_entries in
         let* rejected =
           Future.catch
             (fun () ->
@@ -172,11 +161,8 @@ let test_lock_caps_in_flight_acks () =
         let ctx, ep, client, _, push, _ = setup () in
         let pushed = push 5L 0L [ tagged [ 0 ] (Mutation.Set ("a", "1")) ] in
         let* () = until_received ctx 5L in
-        let* lock =
+        let* { Message.lk_dv; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
-        in
-        let lk_dv =
-          match lock with Message.Log_lock_reply { lk_dv; _ } -> lk_dv | _ -> -1L
         in
         let* reply =
           Future.catch
@@ -189,9 +175,8 @@ let test_lock_caps_in_flight_acks () =
   in
   Alcotest.(check int64) "locked while the sync was in flight" 0L lk_dv;
   match reply with
-  | Ok (Message.Log_push_ack { durable_version }) ->
+  | Ok durable_version ->
       Alcotest.failf "acked durable_version %Ld above the lock's DV %Ld" durable_version lk_dv
-  | Ok _ -> Alcotest.fail "unexpected push reply"
   | Error (Error.Fdb Error.Wrong_epoch) -> ()
   | Error e -> raise e
 
@@ -234,12 +219,10 @@ let test_resurrect_after_prune () =
         let* () = Engine.sleep 5.0 in
         Engine.reboot proc ~delay:0.2 ();
         let* () = Engine.sleep 1.0 in
-        let* reply =
+        let+ { Message.lk_dv; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
         in
-        match reply with
-        | Message.Log_lock_reply { lk_dv; _ } -> Future.return lk_dv
-        | _ -> Future.return (-1L))
+        lk_dv)
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
@@ -264,11 +247,11 @@ let test_wal_holds_entries () =
           Future.all_unit
             (List.map
                (fun e ->
-                 let* _ =
+                 let+ _durable =
                    Context.rpc ctx ~timeout:5.0 ~from:client ep
                      (Message.Log_push { lp_epoch = 1; lp_entry = e })
                  in
-                 Future.return ())
+                 ())
                pushed)
         in
         let* wal = Disk.read_all disk "tlog-1-0.wal" in
@@ -277,13 +260,10 @@ let test_wal_holds_entries () =
         in
         Engine.reboot proc ~delay:0.2 ();
         let* () = Engine.sleep 1.0 in
-        let* reply =
+        let+ { Message.lk_entries; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
         in
-        match reply with
-        | Message.Log_lock_reply { lk_entries; _ } ->
-            Future.return (pushed, stored, List.rev lk_entries)
-        | _ -> Future.fail Exit)
+        (pushed, stored, List.rev lk_entries))
   in
   let pushed, stored, handed_off = r in
   Alcotest.(check int) "one record per push" (List.length pushed) (List.length stored);
@@ -313,13 +293,10 @@ let test_prune_keeps_live_records () =
         let* () = Engine.sleep 5.0 in
         Engine.reboot proc ~delay:0.2 ();
         let* () = Engine.sleep 1.0 in
-        let* reply =
+        let+ { Message.lk_entries; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
         in
-        match reply with
-        | Message.Log_lock_reply { lk_entries; _ } ->
-            Future.return (List.map (fun e -> e.Message.le_lsn) lk_entries)
-        | _ -> Future.return [])
+        List.map (fun e -> e.Message.le_lsn) lk_entries)
   in
   Alcotest.(check (list int64)) "unpopped records survive prune + crash" [ 12L; 9L ] r
 
@@ -437,8 +414,13 @@ let test_adopt_peeks_new_logs_at_once () =
         let client = Process.create ~name:"recoverer" machine in
         let stub = Process.create ~name:"stubs" machine in
         (* An empty coordinated state: a pull with no logs learns nothing. *)
-        Network.register net coord_ep stub (fun _ ->
-            Future.return (Message.Paxos_resp (Fdb_paxos.Wire.Read_result { accepted = None })));
+        let coordinator (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+          match req with
+          | Message.Paxos_req _ ->
+              Future.return (Ok (Fdb_paxos.Wire.Read_result { accepted = None }))
+          | _ -> Future.return (Error (Error.Internal "stub coordinator"))
+        in
+        Context.serve ctx coord_ep stub { handle = coordinator };
         let old_proc = Process.create ~name:"tlog-old" machine in
         let _, old_ep =
           Log_server.create ctx old_proc ~disk:(Disk.create ()) ~epoch:1
@@ -446,21 +428,20 @@ let test_adopt_peeks_new_logs_at_once () =
         in
         let first_peek, reached = Future.make () in
         let new_ep = Network.fresh_endpoint net in
-        Network.register net new_ep stub (function
+        let new_log (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+          match req with
           | Message.Log_peek _ ->
               ignore (Future.try_fulfill reached (Engine.now ()) : bool);
-              Future.return
-                (Message.Log_peek_reply { pk_entries = []; pk_end = 0L; pk_kcv = 0L })
-          | _ -> Future.return Message.Ok_reply);
+              Future.return (Ok { Message.pk_entries = []; pk_end = 0L; pk_kcv = 0L })
+          | _ -> Future.return (Error (Error.Internal "stub log"))
+        in
+        Context.serve ctx new_ep stub { handle = new_log };
         let ss_proc = Process.create ~name:"ss" machine in
         let* _ss = Storage_server.create ctx ss_proc ~id:0 ~disk:(Disk.create ()) in
         let recover epoch logs =
-          let* _ =
-            Context.rpc ctx ~timeout:5.0 ~from:client ss_ep
-              (Message.Ss_recover
-                 { sr_epoch = epoch; sr_rv = 0L; sr_history = [ (epoch, 0L) ]; sr_logs = logs })
-          in
-          Future.return ()
+          Context.rpc ctx ~timeout:5.0 ~from:client ss_ep
+            (Message.Ss_recover
+               { sr_epoch = epoch; sr_rv = 0L; sr_history = [ (epoch, 0L) ]; sr_logs = logs })
         in
         let* () = recover 1 [ (0, old_ep) ] in
         (* Long enough for the storage server's peek to park on the old log. *)
@@ -556,11 +537,11 @@ let qcheck_tagged_streams (name, config) =
                     Future.all_unit
                       (List.mapi
                          (fun li ep ->
-                           let* _ =
+                           let+ _durable =
                              Context.rpc ctx ~timeout:5.0 ~from:client ep
                                (Message.Log_push { lp_epoch = 1; lp_entry = entries.(li) })
                            in
-                           Future.return ())
+                           ())
                          eps)
                   in
                   push_batches rest
@@ -611,23 +592,14 @@ let test_recovery_merge_keeps_unpopped_streams () =
           Future.all_unit
             (List.map
                (fun ep ->
-                 let* _ =
+                 let+ _durable =
                    rpc ep (Message.Log_push { lp_epoch = 1; lp_entry = entry ~lsn ~prev payload })
                  in
-                 Future.return ())
+                 ())
                old_eps)
         in
-        let pop ep tag up_to =
-          let* _ = rpc ep (Message.Log_pop { tag; up_to }) in
-          Future.return ()
-        in
-        let lock ep =
-          let* reply = rpc ep (Message.Log_lock { ll_epoch = 2 }) in
-          match reply with
-          | Message.Log_lock_reply { lk_kcv; lk_dv; lk_entries } ->
-              Future.return (lk_kcv, lk_dv, lk_entries)
-          | _ -> Future.fail Exit
-        in
+        let pop ep tag up_to = rpc ep (Message.Log_pop { tag; up_to }) in
+        let lock ep = rpc ep (Message.Log_lock { ll_epoch = 2 }) in
         let a = List.nth old_eps 0 and b = List.nth old_eps 1 in
         let* () = push_both 5L 0L [ tagged [ 0; 1; 2; 3 ] m1; tagged [ 2 ] m1b ] in
         let* () = push_both 9L 5L [ tagged [ 0; 1; 3 ] m2; tagged [ 2 ] m3 ] in
@@ -643,12 +615,9 @@ let test_recovery_merge_keeps_unpopped_streams () =
           Future.all_unit
             (List.mapi
                (fun i ep ->
-                 let* _ =
-                   rpc ep
-                     (Message.Log_seed
-                        { ls_entries = Sequencer.seed_entries ~entries:merged ~n_logs ~replication i })
-                 in
-                 Future.return ())
+                 rpc ep
+                   (Message.Log_seed
+                      { ls_entries = Sequencer.seed_entries ~entries:merged ~n_logs ~replication i }))
                new_eps)
         in
         Future.all

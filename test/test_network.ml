@@ -1,7 +1,14 @@
 open Fdb_sim
 open Future.Syntax
 
-type msg = Ping of int | Pong of int
+(* [Ping n] answers [n + 1], [Fetch n] a freshly allocated [ref (n + 1)];
+   [Note n] is one-way. *)
+type msg =
+  | Ping of int * int Network.reply
+  | Fetch of int * int ref Network.reply
+  | Note of int
+
+let ping n reply = Ping (n, reply)
 
 let setup () =
   let net : msg Network.t = Network.create () in
@@ -11,18 +18,16 @@ let setup () =
   let server = Process.create ~name:"server" m2 in
   let ep = Network.fresh_endpoint net in
   Network.register net ep server (function
-    | Ping n -> Future.return (Pong (n + 1))
-    | Pong _ -> Future.fail Exit);
+    | Ping (n, reply) -> Network.Reply (Future.return (n + 1), reply)
+    | Fetch _ | Note _ -> Network.Done (Future.fail Exit));
   (net, client, server, ep)
 
 let test_rpc_roundtrip () =
   let r =
     Engine.run (fun () ->
         let net, client, _server, ep = setup () in
-        let* reply = Network.call net ~from:client ep (Ping 1) in
-        match reply with
-        | Pong n -> Future.return (n, Engine.now ())
-        | Ping _ -> Alcotest.fail "wrong reply")
+        let+ n = Network.call net ~from:client ep (ping 1) in
+        (n, Engine.now ()))
   in
   Alcotest.(check int) "incremented" 2 (fst r);
   Alcotest.(check bool) "took nonzero simulated time" true (snd r > 0.0);
@@ -39,7 +44,7 @@ let test_rpc_timeout_on_partition () =
         let net, client, server, ep = setup () in
         Network.partition net ~from:client.Process.machine.Process.machine_id
           ~to_:server.Process.machine.Process.machine_id;
-        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (Ping 1)))
+        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (ping 1)))
   in
   Alcotest.(check bool) "timed out" true r
 
@@ -50,7 +55,7 @@ let test_one_way_partition_also_times_out () =
         let net, client, server, ep = setup () in
         Network.partition net ~from:server.Process.machine.Process.machine_id
           ~to_:client.Process.machine.Process.machine_id;
-        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (Ping 1)))
+        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (ping 1)))
   in
   Alcotest.(check bool) "timed out" true r
 
@@ -61,12 +66,10 @@ let test_heal_restores () =
         let cm = client.Process.machine.Process.machine_id in
         let sm = server.Process.machine.Process.machine_id in
         Network.partition net ~from:cm ~to_:sm;
-        let* timed_out = expect_timeout (Network.call net ~timeout:0.5 ~from:client ep (Ping 1)) in
+        let* timed_out = expect_timeout (Network.call net ~timeout:0.5 ~from:client ep (ping 1)) in
         Network.heal net ~from:cm ~to_:sm;
-        let* reply = Network.call net ~from:client ep (Ping 5) in
-        match reply with
-        | Pong n -> Future.return (timed_out, n)
-        | Ping _ -> Alcotest.fail "wrong reply")
+        let+ n = Network.call net ~from:client ep (ping 5) in
+        (timed_out, n))
   in
   Alcotest.(check (pair bool int)) "healed" (true, 6) r
 
@@ -75,7 +78,7 @@ let test_dead_server_times_out () =
     Engine.run (fun () ->
         let net, client, server, ep = setup () in
         Engine.kill server;
-        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (Ping 1)))
+        expect_timeout (Network.call net ~timeout:1.0 ~from:client ep (ping 1)))
   in
   Alcotest.(check bool) "timed out" true r
 
@@ -85,14 +88,11 @@ let test_rebooted_server_needs_reregistration () =
         let net, client, server, ep = setup () in
         server.Process.boot <- (fun () ->
             Network.register net ep server (function
-              | Ping n -> Future.return (Pong (n + 100))
-              | Pong _ -> Future.fail Exit));
+              | Ping (n, reply) -> Network.Reply (Future.return (n + 100), reply)
+              | Fetch _ | Note _ -> Network.Done (Future.fail Exit)));
         Engine.reboot server ~delay:0.1 ();
         let* () = Engine.sleep 0.5 in
-        let* reply = Network.call net ~from:client ep (Ping 1) in
-        match reply with
-        | Pong n -> Future.return n
-        | Ping _ -> Alcotest.fail "wrong reply")
+        Network.call net ~from:client ep (ping 1))
   in
   Alcotest.(check int) "new incarnation handler" 101 r
 
@@ -103,7 +103,7 @@ let test_clog_delays () =
         Network.clog_machine net server.Process.machine.Process.machine_id
           (Engine.now () +. 2.0);
         let t0 = Engine.now () in
-        let* _ = Network.call net ~timeout:10.0 ~from:client ep (Ping 1) in
+        let* _ = Network.call net ~timeout:10.0 ~from:client ep (ping 1) in
         Future.return (Engine.now () -. t0))
   in
   Alcotest.(check bool) "delayed by clog" true (r >= 2.0)
@@ -118,9 +118,11 @@ let test_cross_dc_latency () =
         let client = Process.create m1 in
         let server = Process.create m2 in
         let ep = Network.fresh_endpoint net in
-        Network.register net ep server (fun m -> Future.return m);
+        Network.register net ep server (function
+          | Ping (n, reply) -> Network.Reply (Future.return n, reply)
+          | Fetch _ | Note _ -> Network.Done (Future.fail Exit));
         let t0 = Engine.now () in
-        let* _ = Network.call net ~timeout:10.0 ~from:client ep (Ping 0) in
+        let* _ = Network.call net ~timeout:10.0 ~from:client ep (ping 0) in
         Future.return (Engine.now () -. t0))
   in
   Alcotest.(check bool) "round trip >= 2x WAN" true (r >= 0.12)
@@ -135,11 +137,11 @@ let test_send_one_way () =
         let got = ref 0 in
         let ep = Network.fresh_endpoint net in
         Network.register net ep server (function
-          | Ping n ->
+          | Note n ->
               got := n;
-              Future.return (Pong n)
-          | Pong _ -> Future.fail Exit);
-        Network.send net ~from:client ep (Ping 9);
+              Network.Done (Future.return ())
+          | Ping _ | Fetch _ -> Network.Done (Future.fail Exit));
+        Network.send net ~from:client ep (Note 9);
         let* () = Engine.sleep 0.1 in
         Future.return !got)
   in
@@ -158,18 +160,93 @@ let test_reply_not_retained_by_timer () =
         let server = Process.create ~name:"server" m1 in
         let ep = Network.fresh_endpoint net in
         Network.register net ep server (function
-          | Ping n ->
-              let reply = Pong (n + 1) in
-              Weak.set w 0 (Some reply);
-              Future.return reply
-          | Pong _ -> Future.fail Exit);
-        let* reply = Network.call net ~timeout:5.0 ~from:client ep (Ping 1) in
-        let delivered = match reply with Pong n -> n = 2 | Ping _ -> false in
+          | Fetch (n, reply) ->
+              let answer = ref (n + 1) in
+              Weak.set w 0 (Some answer);
+              Network.Reply (Future.return answer, reply)
+          | Ping _ | Note _ -> Network.Done (Future.fail Exit));
+        let* answer =
+          Network.call net ~timeout:5.0 ~from:client ep (fun reply -> Fetch (1, reply))
+        in
+        let delivered = !answer = 2 in
         let* () = Engine.sleep 1.0 in
         Gc.full_major ();
         Future.return (delivered && not (Weak.check w 0)))
   in
   Alcotest.(check bool) "reply freed before the timeout fires" true freed
+
+(* ---------- Context.serve: the RPC contract ----------
+
+   A handler that answers [Error e] sends [e] back; a handler whose future
+   fails sends nothing, and the network traces [rpc_handler_error]. *)
+
+module Context = Fdb_core.Context
+module Message = Fdb_core.Message
+module Error = Fdb_core.Error
+
+(* [Ping] is answered with an error; every other request fails its future. *)
+let contract_handler (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+  match req with
+  | Message.Ping -> Future.return (Error Error.Wrong_epoch)
+  | _ -> Future.fail Exit
+
+let serve_contract () =
+  let ctx = Test_log_server.mini_ctx () in
+  let m = Process.fresh_machine 1 in
+  let client = Process.create ~name:"client" m in
+  let server = Process.create ~name:"server" m in
+  let ep = Network.fresh_endpoint ctx.Context.net in
+  Context.serve ctx ep server { handle = contract_handler };
+  (ctx, client, ep)
+
+(* Run [call] and report how it failed and after how long. *)
+let failure_of call =
+  let t0 = Engine.now () in
+  Future.catch
+    (fun () ->
+      let+ _ = call () in
+      ("answered", Engine.now () -. t0))
+    (fun e -> Future.return (Printexc.to_string e, Engine.now () -. t0))
+
+let test_serve_error_answer () =
+  let (outcome, took), traced =
+    Engine.run (fun () ->
+        let ctx, client, ep = serve_contract () in
+        let+ r =
+          failure_of (fun () -> Context.rpc ctx ~timeout:1.0 ~from:client ep Message.Ping)
+        in
+        (r, Trace.count "rpc_handler_error"))
+  in
+  Alcotest.(check string) "raised as Error.Fdb"
+    (Printexc.to_string (Error.Fdb Error.Wrong_epoch))
+    outcome;
+  Alcotest.(check bool) "after one round trip, not the timeout" true (took < 1e-3);
+  Alcotest.(check int) "no handler error" 0 traced
+
+let test_serve_failed_future_sends_nothing () =
+  let (outcome, took), traced =
+    Engine.run (fun () ->
+        let ctx, client, ep = serve_contract () in
+        let+ r =
+          failure_of (fun () ->
+              Context.rpc ctx ~timeout:1.0 ~from:client ep
+                (Message.Seq_report { committed = 1L }))
+        in
+        (r, Trace.count "rpc_handler_error"))
+  in
+  Alcotest.(check string) "the caller times out" (Printexc.to_string Engine.Timed_out) outcome;
+  Alcotest.(check bool) "at its timeout" true (took >= 1.0);
+  Alcotest.(check int) "rpc_handler_error traced once" 1 traced
+
+let test_send_failure_traced () =
+  let traced =
+    Engine.run (fun () ->
+        let ctx, client, ep = serve_contract () in
+        Context.send ctx ~from:client ep (Message.Log_pop { tag = 0; up_to = 1L });
+        let+ () = Engine.sleep 0.1 in
+        Trace.count "rpc_handler_error")
+  in
+  Alcotest.(check int) "rpc_handler_error traced once" 1 traced
 
 let suite =
   [
@@ -183,4 +260,8 @@ let suite =
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;
     Alcotest.test_case "reply not retained by timer" `Quick test_reply_not_retained_by_timer;
+    Alcotest.test_case "serve: error answer" `Quick test_serve_error_answer;
+    Alcotest.test_case "serve: failed future sends nothing" `Quick
+      test_serve_failed_future_sends_nothing;
+    Alcotest.test_case "serve: one-way failure traced" `Quick test_send_failure_traced;
   ]

@@ -2,7 +2,7 @@ open Fdb_sim
 open Fdb_paxos
 open Future.Syntax
 
-type msg = Req of Wire.request | Resp of Wire.response
+type msg = Req of Wire.request * Wire.response Network.reply
 
 (* Build [n] coordinator processes on separate machines, return the
    transport and the machinery for fault injection. *)
@@ -22,9 +22,8 @@ let setup_coordinators ?(n = 5) () =
            endpoints := ep :: !endpoints;
            let serve () =
              Future.map (Server.recover ~disk ~file:"paxos" ()) (fun server ->
-                 Network.register net ep p (function
-                   | Req r -> Future.map (Server.handle server r) (fun resp -> Resp resp)
-                   | Resp _ -> Future.fail Exit))
+                 Network.register net ep p (fun (Req (r, reply)) ->
+                     Network.Reply (Server.handle server r, reply)))
            in
            p.Process.boot <-
              (fun () -> Engine.spawn "coordinator-boot" (fun () -> Future.map (serve ()) ignore));
@@ -35,10 +34,7 @@ let setup_coordinators ?(n = 5) () =
     {
       Wire.endpoints = List.rev !endpoints;
       call =
-        (fun ep req ->
-          Future.map (Network.call net ~timeout:1.0 ~from:client ep (Req req)) (function
-            | Resp r -> r
-            | Req _ -> failwith "bad wire"));
+        (fun ep req -> Network.call net ~timeout:1.0 ~from:client ep (fun reply -> Req (req, reply)));
     }
   in
   (net, client, coordinators, transport)

@@ -426,11 +426,8 @@ let test_scan_contract () =
         let rec until_durable () =
           let* () = commit (fun tx -> Client.set tx "zz/tick" "") in
           let* () = Engine.sleep 0.2 in
-          let* stats = call Message.Ss_stats_req in
-          match stats with
-          | Message.Ss_stats { ss_durable; _ } when ss_durable >= durable_floor ->
-              Future.return ()
-          | _ -> until_durable ()
+          let* { Message.ss_durable; _ } = call Message.Ss_stats_req in
+          if ss_durable >= durable_floor then Future.return () else until_durable ()
         in
         let* () = until_durable () in
         let* () =
@@ -450,7 +447,7 @@ let test_scan_contract () =
         in
         let* version, rv_epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
         let read ~reverse ~limit ~byte_limit =
-          let* reply =
+          let+ { Message.rr_rows; rr_more } =
             call
               (Message.Storage_get_range
                  {
@@ -463,10 +460,7 @@ let test_scan_contract () =
                    gr_epoch = rv_epoch;
                  })
           in
-          match reply with
-          | Message.Storage_get_range_reply { rr_rows; rr_more } ->
-              Future.return ((reverse, limit, byte_limit), (rr_rows, rr_more))
-          | _ -> Alcotest.fail "unexpected reply"
+          ((reverse, limit, byte_limit), (rr_rows, rr_more))
         in
         let n = List.length model in
         let* replies =

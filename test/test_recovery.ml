@@ -442,30 +442,31 @@ let proxy_death_releases_waiters ~depth () =
         let roles = Process.create ~name:"scripted-roles" machine in
         (* Never answers: the caller's own RPC timeout ends the call. *)
         let silent () = fst (Future.make ()) in
-        let serve handler =
+        let serve handle =
           let ep = Network.fresh_endpoint net in
-          Network.register net ep roles handler;
+          Context.serve ctx ep roles handle;
           ep
         in
         let last = ref 0L in
-        let sequencer =
-          serve (function
-            | Message.Seq_version ->
-                let prev = !last in
-                last := Int64.add prev 1000L;
-                Future.return (Message.Seq_version_reply { version = !last; prev })
-            | _ -> silent ())
+        let sequencer_role (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+          match req with
+          | Message.Seq_version ->
+              let prev = !last in
+              last := Int64.add prev 1000L;
+              Future.return (Ok { Message.version = !last; prev })
+          | _ -> silent ()
         in
-        let resolver =
-          serve (function
-            | Message.Resolve_req { rs_txns; _ } ->
-                Future.return
-                  (Message.Resolve_reply
-                     (Array.make (Array.length rs_txns) Message.V_commit))
-            | _ -> silent ())
+        let resolver_role (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+          match req with
+          | Message.Resolve_req { rs_txns; _ } ->
+              Future.return (Ok (Array.make (Array.length rs_txns) Message.V_commit))
+          | _ -> silent ()
         in
+        let sequencer = serve { handle = sequencer_role } in
+        let resolver = serve { handle = resolver_role } in
         let logs =
-          List.init config.Config.log_servers (fun i -> (i, serve (fun _ -> silent ())))
+          List.init config.Config.log_servers (fun i ->
+              (i, serve { handle = (fun _ -> silent ()) }))
         in
         let proxy, _ =
           Proxy.create ctx
@@ -498,16 +499,19 @@ let proxy_death_releases_waiters ~depth () =
         let* commits_in_flight = launch 0 [] in
         let commit_queued = commit depth in
         let grv_queued = Proxy.handle proxy Message.Grv_req in
-        let all = (grv_in_flight :: grv_queued :: commit_queued :: commits_in_flight) in
-        let pending_before = List.length (List.filter Future.is_pending all) in
+        let pending_before =
+          List.length
+            (List.filter Future.is_pending [ grv_in_flight; grv_queued ])
+          + List.length (List.filter Future.is_pending (commit_queued :: commits_in_flight))
+        in
         (* A retirement for an older generation is ignored. *)
         let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 0 }) in
         let alive_after_stale = not (Proxy.is_dead proxy) in
         let* _ = Proxy.handle proxy (Message.Proxy_retire { pr_epoch = 1 }) in
         let answer f =
           match Future.peek f with
-          | Some (Message.Reject e) -> Error.to_string e
-          | Some _ -> "unexpected reply"
+          | Some (Error e) -> Error.to_string e
+          | Some (Ok _) -> "unexpected reply"
           | None -> "pending"
         in
         let answers =
@@ -540,7 +544,7 @@ let proxy_death_releases_waiters ~depth () =
           (Printf.sprintf "commit batch %d in flight" i, "commit_unknown_result")))
     answers;
   Alcotest.(check bool) "later requests are told the generation ended" true
-    (late = Message.Reject Error.Wrong_epoch);
+    (late = Error Error.Wrong_epoch);
   Alcotest.(check int) "no leaked promises" 0 leaks
 
 let suite =

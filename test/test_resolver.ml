@@ -17,10 +17,8 @@ let setup ?(range = ("", Types.system_key_space_end)) () =
          { rs_epoch = 1; rs_lsn = lsn; rs_prev = prev; rs_txns = Array.of_list txns })
   in
   let resolve lsn prev txns =
-    let* reply = resolve_raw lsn prev txns in
-    match reply with
-    | Message.Resolve_reply v -> Future.return (Array.to_list v)
-    | _ -> Future.fail Exit
+    let+ v = resolve_raw lsn prev txns in
+    Array.to_list v
   in
   (resolve, resolve_raw)
 
@@ -93,11 +91,7 @@ let test_duplicate_park_rejected () =
         (* The original parked batch still completes once the chain fills. *)
         let* _ = resolve_raw 10L 0L [ (5L, [], [ single_key "k" ]) ] in
         let* late = late in
-        let late_ok =
-          match late with
-          | Message.Resolve_reply v -> Array.to_list v = [ Message.V_commit ]
-          | _ -> false
-        in
+        let late_ok = Array.to_list late = [ Message.V_commit ] in
         Future.return (dup_rejected, dups_traced, late_ok))
   in
   let dup_rejected, dups_traced, late_ok = r in
@@ -208,7 +202,7 @@ let test_late_predecessor_unparks () =
   Alcotest.(check bool) "waiter rejected at the timeout" true rejected;
   Alcotest.(check int64) "late predecessor moves the chain past the batch" 20L reached;
   Alcotest.(check bool) "next batch on prev 20 answered" true
-    (match next with Message.Resolve_reply v -> Array.to_list v = [ Message.V_commit ] | _ -> false)
+    (Array.to_list next = [ Message.V_commit ])
 
 let suite =
   [
