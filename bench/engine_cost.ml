@@ -19,7 +19,7 @@ let smoke_seed = 1L
 let smoke_duration = 5.0
 
 (* Words per task of the smoke run (seed 1, 5 simulated seconds). *)
-let smoke_words_per_task = 209.1
+let smoke_words_per_task = 196.3
 
 let smoke_tolerance = 1.05
 

@@ -81,13 +81,15 @@ let replicates ~n_logs ~replication li tag =
 
 type Disk.record += Wal_entry of Message.log_entry
 
-let append_entry t (e : Message.log_entry) =
-  Disk.append t.disk t.wal ~bytes:(Disk.encoded_size e) (Wal_entry e)
-
 let entry_bytes (e : Message.log_entry) =
   List.fold_left
     (fun acc tm -> acc + Fdb_kv.Mutation.byte_size tm.Message.tm_mutation)
     0 e.Message.le_payload
+
+(* A WAL record is charged its header (LSN, previous LSN, KCV: 8 bytes
+   each) plus its mutations' bytes. *)
+let append_entry t (e : Message.log_entry) =
+  Disk.append t.disk t.wal ~bytes:(24 + entry_bytes e) (Wal_entry e)
 
 let keep_tags keep (e : Message.log_entry) =
   let payload =
@@ -494,45 +496,40 @@ let resurrect ctx proc ~disk ~(meta : meta) =
     make ctx proc ~disk ~epoch:meta.m_epoch ~id:meta.m_id ~start_lsn:meta.m_start_lsn ~floor
       ~stopped:true
   in
-  (* The entries are read back as copies, distinct from the ones the live
-     LogServers hold. Recovery merges the entries of several servers into
-     one record, and a record's charge (its Marshal length) counts a value
-     shared by two of its parts once: the stored values themselves would
-     shrink the charges of every recovery after a LogServer crash. *)
-  let entries =
-    List.map
-      (function
-        | Wal_entry e -> Disk.copy e
-        | _ -> invalid_arg "Log_server: not a WAL record")
-      records
-  in
   (* Seeds (lsn <= start) and already-pruned-floor records are durable
      history; chain records must form a contiguous prefix from the floor
-     (collected in a scratch table by LSN, not [t.pending], which holds
-     live parked pushes with reply promises). *)
-  let scratch : (Types.version, Message.log_entry) Det_tbl.t =
+     (collected in a scratch table by previous LSN, not [t.pending], which
+     holds live parked pushes with reply promises). Of two records naming
+     the same predecessor the higher LSN wins, and of two copies of one
+     LSN the later write. *)
+  let by_prev : (Types.version, Message.log_entry) Det_tbl.t =
     Det_tbl.create ~size:1024 ()
   in
   List.iter
-    (fun (e : Message.log_entry) ->
-      if e.Message.le_lsn <= floor && not (Det_tbl.mem t.entries e.Message.le_lsn)
-      then begin
-        Det_tbl.replace t.entries e.Message.le_lsn e;
-        index_payload t e
-      end
-      else if e.Message.le_lsn > floor then
-        Det_tbl.replace scratch e.Message.le_lsn e)
-    entries;
+    (function
+      | Wal_entry e ->
+          if e.Message.le_lsn <= floor && not (Det_tbl.mem t.entries e.Message.le_lsn)
+          then begin
+            Det_tbl.replace t.entries e.Message.le_lsn e;
+            index_payload t e
+          end
+          else if e.Message.le_lsn > floor then begin
+            match Det_tbl.find_opt by_prev e.Message.le_prev with
+            | Some kept when kept.Message.le_lsn > e.Message.le_lsn -> ()
+            | _ -> Det_tbl.replace by_prev e.Message.le_prev e
+          end
+      | _ -> invalid_arg "Log_server: not a WAL record")
+    records;
   let rec chain v =
-    let candidates = Det_tbl.fold (fun lsn e acc -> if e.Message.le_prev = v then (lsn, e) :: acc else acc) scratch [] in
-    match candidates with
-    | (lsn, e) :: _ ->
-        Det_tbl.remove scratch lsn;
+    match Det_tbl.find_opt by_prev v with
+    | Some e ->
+        let lsn = e.Message.le_lsn in
+        Det_tbl.remove by_prev v;
         Det_tbl.replace t.entries lsn e;
         index_payload t e;
         if e.Message.le_kcv > t.kcv then t.kcv <- e.Message.le_kcv;
         chain lsn
-    | [] -> v
+    | None -> v
   in
   let dv = chain floor in
   t.dv <- dv;

@@ -27,8 +27,9 @@ type t
 type Fdb_sim.Disk.record +=
   | Wal_entry of Message.log_entry
         (** A WAL record: the entry itself, shared with the server's
-            in-memory log and charged its encoded size. A resurrected server
-            works on copies of these ({!Fdb_sim.Disk.copy}). *)
+            in-memory log and charged a 24-byte header (LSN, previous LSN,
+            KCV) plus {!entry_bytes}. A resurrected server works on these
+            same entries. *)
 
 val create :
   Context.t ->

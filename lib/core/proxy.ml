@@ -145,10 +145,12 @@ let rec grv_flush t =
                 Future.map
                   (Context.rpc t.ctx ~timeout:2.0 ~from:t.proc t.sequencer Message.Seq_grv)
                   Result.ok)
-              (fun _ ->
-                (* Our sequencer is unreachable: this generation is over. *)
-                die t "sequencer unreachable (grv)";
-                Future.return (Error Error.Database_locked)))
+              (function
+                | Error.Fdb e -> Future.return (Error e)
+                | _ ->
+                    (* Our sequencer is unreachable: this generation is over. *)
+                    die t "sequencer unreachable (grv)";
+                    Future.return (Error Error.Database_locked)))
       in
       List.iter (fun p -> ignore (Future.try_fulfill p answer : bool)) batch;
       grv_flush t

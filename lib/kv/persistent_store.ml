@@ -14,6 +14,10 @@ type t = {
 
 type wal_record = { wr_seq : int; wr_mut : Mutation.t }
 
+(* A record is charged what it holds: an 8-byte sequence number plus the
+   key and value bytes. *)
+let seq_bytes = 8
+
 (* A checkpoint holds the image itself: the map is immutable, so the record
    shares its structure with the live image instead of holding a second
    copy of the store. *)
@@ -40,15 +44,13 @@ let recover ~disk ~prefix ?(checkpoint_every = 5000) () =
         | _ -> invalid_arg "Persistent_store: not a snapshot record")
       (KeyMap.empty, 0) snaps
   in
-  let map0 = Disk.copy map0 in
   let* wal = Disk.read_all disk wal_file in
   (* Replay the contiguous suffix: skip records covered by the snapshot,
-     stop at the first gap (torn tail after a buggified crash). Like the
-     image, each replayed mutation is read back as a copy. *)
+     stop at the first gap (torn tail after a buggified crash). *)
   let map, seq =
     List.fold_left
       (fun (map, seq) -> function
-        | Wal r when r.wr_seq = seq + 1 -> (apply_mutation_to_map map (Disk.copy r.wr_mut), r.wr_seq)
+        | Wal r when r.wr_seq = seq + 1 -> (apply_mutation_to_map map r.wr_mut, r.wr_seq)
         | Wal _ -> (map, seq) (* covered by the snapshot, or past a gap *)
         | _ -> invalid_arg "Persistent_store: not a WAL record")
       (map0, seq0) wal
@@ -80,7 +82,7 @@ let apply t mutations =
         t.wal_len <- t.wal_len + 1;
         t.map <- apply_mutation_to_map t.map m;
         let r = { wr_seq = t.seq; wr_mut = m } in
-        Disk.append t.disk t.wal_file ~bytes:(Disk.encoded_size r) (Wal r))
+        Disk.append t.disk t.wal_file ~bytes:(seq_bytes + Mutation.byte_size m) (Wal r))
       mutations
   in
   Future.all_unit futures
@@ -88,11 +90,11 @@ let apply t mutations =
 (* Append, sync, drop, then delete the WAL: older snapshots go only once a
    newer one is durable, so a crash never leaves an unsynced snapshot as
    the only copy. Dropping keeps the newest durable record, which covers
-   every older one (snapshots are appended in sequence order). A snapshot
-   is charged as its encoding on disk, the sequence number and the sorted
-   bindings. *)
+   every older one (snapshots are appended in sequence order). *)
 let checkpoint t =
-  let bytes = Disk.encoded_size (t.seq, KeyMap.bindings t.map) in
+  let bytes =
+    KeyMap.fold (fun k v acc -> acc + String.length k + String.length v) t.map seq_bytes
+  in
   let* () = Disk.append t.disk t.snap_file ~bytes (Snapshot { sn_seq = t.seq; sn_map = t.map }) in
   let* () = Disk.sync t.disk t.snap_file in
   let durable = Disk.durable_count t.disk t.snap_file in

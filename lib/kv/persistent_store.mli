@@ -7,9 +7,10 @@
     when the WAL grows long, after which older snapshots are dropped and the
     WAL is truncated, so the snapshot file holds one record. Records are
     values: a snapshot is the immutable map itself, sharing structure with
-    the live image, and each record is charged the size of its encoding.
-    {!recover} rebuilds the map from copies ({!Fdb_sim.Disk.copy}) of the
-    newest durable snapshot plus the contiguous WAL suffix — torn tails
+    the live image. A WAL record is charged its 8-byte sequence number plus
+    its mutation's key and value bytes, a snapshot its sequence number plus
+    every key and value. {!recover} rebuilds the map from the very values
+    of the newest durable snapshot plus the contiguous WAL suffix — torn tails
     (buggified crashes) are detected via sequence-number gaps and discarded,
     so recovery never surfaces unsynced data as durable. *)
 

@@ -25,9 +25,17 @@ let recover ~disk ~file () =
   | Some (Registers entries) ->
       List.iter
         (fun (name, (promised, accepted)) -> Det_tbl.replace regs name { promised; accepted })
-        (Disk.copy entries)
+        entries
   | Some _ -> invalid_arg "Paxos server: not a register file");
   Future.return { disk; file; regs }
+
+(* A ballot is two 8-byte integers. A register is charged its name, its
+   promised ballot and any accepted ballot and value. *)
+let ballot_bytes = 16
+
+let register_bytes (name, (_, accepted)) =
+  String.length name + ballot_bytes
+  + match accepted with None -> 0 | Some (_, value) -> ballot_bytes + String.length value
 
 (* Det_tbl.fold is name-sorted, so the persisted image of the register
    file is canonical: two runs of a seed write identical records. *)
@@ -35,9 +43,8 @@ let persist t =
   let entries =
     Det_tbl.fold (fun name st acc -> (name, (st.promised, st.accepted)) :: acc) t.regs []
   in
-  let* () =
-    Disk.write_file t.disk t.file ~bytes:(Disk.encoded_size entries) (Registers entries)
-  in
+  let bytes = List.fold_left (fun acc r -> acc + register_bytes r) 0 entries in
+  let* () = Disk.write_file t.disk t.file ~bytes (Registers entries) in
   Disk.sync t.disk t.file
 
 let get_reg t name =

@@ -3,9 +3,6 @@ module Det_tbl = Fdb_util.Det_tbl
 type record = ..
 type record += Raw of string
 
-let encoded_size v = String.length (Marshal.to_string v [])
-let copy v = Marshal.from_string (Marshal.to_string v []) 0
-
 type file = {
   mutable records : record list; (* reversed *)
   mutable count : int; (* List.length records *)

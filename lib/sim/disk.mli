@@ -5,8 +5,9 @@
     record is a value, not bytes: each durable format adds its own
     constructor to {!record}, and the disk keeps the value itself, so a
     reader gets back the very value that was written. The writer declares
-    what the record costs to write ([~bytes], normally {!encoded_size}),
-    and the disk charges that many bytes of transfer time.
+    what the record costs to write ([~bytes]: the logical size of what it
+    holds, such as its keys and values plus fixed headers), and the disk
+    charges that many bytes of transfer time.
 
     A record becomes durable only after {!sync}; when the owning process
     crashes, unsynced records are lost — or, under buggification, a random
@@ -25,22 +26,6 @@ type record = ..
 
 type record += Raw of string
 (** Uninterpreted bytes (small fixed-layout files, tests). *)
-
-val encoded_size : 'a -> int
-(** The length of the value's [Marshal] encoding: what writing it as a
-    record costs. The encoding is computed and dropped. It counts a value
-    that two parts of the argument share once. *)
-
-val copy : 'a -> 'a
-(** [copy v] is what a process that comes back from a crash reads of a
-    record it wrote: an equal value that shares nothing with [v] but keeps
-    [v]'s own sharing (a [Marshal] round trip). Recovery reads its records'
-    payloads through it, so a recovered process never shares values with
-    the live ones, and the {!encoded_size} of a record it later builds from
-    them (a recovery hand-off merging several servers' entries, a
-    checkpoint) is what it would be had the records been read from bytes.
-    Copy a payload, not a {!record}: an extension constructor does not
-    survive the round trip. *)
 
 type t
 

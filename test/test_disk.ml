@@ -203,15 +203,6 @@ let test_drop_during_sync () =
   Alcotest.(check (list string)) "log after crash" [ "c" ] log;
   Alcotest.(check (list string)) "snap after crash" [] snap
 
-(* A copy is equal, shares nothing with the original, and keeps the
-   original's own sharing. *)
-let test_copy () =
-  let s = String.make 3 'x' in
-  let c = Disk.copy (s, s) in
-  Alcotest.(check (pair string string)) "equal" (s, s) c;
-  Alcotest.(check bool) "fresh" true (fst c != s);
-  Alcotest.(check bool) "inner sharing kept" true (fst c == snd c)
-
 let suite =
   [
     Alcotest.test_case "append/read back" `Quick test_append_read_back;
@@ -226,5 +217,4 @@ let suite =
     Alcotest.test_case "delete" `Quick test_delete;
     Alcotest.test_case "sync after drop and crash" `Quick test_sync_after_drop_and_crash;
     Alcotest.test_case "drop during a slow sync" `Quick test_drop_during_sync;
-    Alcotest.test_case "copy" `Quick test_copy;
   ]

@@ -226,10 +226,9 @@ let test_resurrect_after_prune () =
   in
   Alcotest.(check bool) "durable version survives prune + crash" true (r >= 9L)
 
-(* The WAL holds the pushed entries themselves, not an encoding of them;
-   a resurrected server hands recovery equal copies, so the entries it
-   returns share nothing with the live servers' (the byte charge of a
-   merged recovery record depends on that sharing). *)
+(* The WAL holds the pushed entries themselves, each charged its 24-byte
+   header (LSN, previous LSN, KCV) plus its mutations' bytes, and a
+   resurrected server hands recovery the very mutations pushed. *)
 let test_wal_holds_entries () =
   let r =
     Engine.run (fun () ->
@@ -254,6 +253,7 @@ let test_wal_holds_entries () =
                  ())
                pushed)
         in
+        let charged = Disk.bytes_written disk in
         let* wal = Disk.read_all disk "tlog-1-0.wal" in
         let stored =
           List.map (function Log_server.Wal_entry e -> e | _ -> Alcotest.fail "foreign record") wal
@@ -263,17 +263,20 @@ let test_wal_holds_entries () =
         let+ { Message.lk_entries; _ } =
           Context.rpc ctx ~timeout:5.0 ~from:client ep (Message.Log_lock { ll_epoch = 2 })
         in
-        (pushed, stored, List.rev lk_entries))
+        (charged, pushed, stored, List.rev lk_entries))
   in
-  let pushed, stored, handed_off = r in
+  let charged, pushed, stored, handed_off = r in
   Alcotest.(check int) "one record per push" (List.length pushed) (List.length stored);
+  (* Two records: a header each, plus "a" and "b" with 3-byte values. *)
+  Alcotest.(check (float 0.0)) "charged header plus mutations" (float_of_int ((2 * 24) + 4 + 4))
+    charged;
   Alcotest.(check bool) "records are the pushed entries" true (List.for_all2 ( == ) pushed stored);
   Alcotest.(check bool) "hand-off equals the pushes" true (handed_off = pushed);
   let mutations es =
     List.concat_map (fun e -> List.map (fun tm -> tm.Message.tm_mutation) e.Message.le_payload) es
   in
-  Alcotest.(check bool) "hand-off mutations are copies" true
-    (List.for_all2 ( != ) (mutations pushed) (mutations handed_off))
+  Alcotest.(check bool) "hand-off mutations are the pushed ones" true
+    (List.for_all2 ( == ) (mutations pushed) (mutations handed_off))
 
 let test_prune_keeps_live_records () =
   (* LSN 9 holds a tag that never pops (its storage server is down), while

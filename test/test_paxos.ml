@@ -120,6 +120,36 @@ let test_value_survives_coordinator_reboot () =
   in
   Alcotest.(check (option string)) "durable across full reboot" (Some "durable") r
 
+(* The register file is rewritten whole on every state change and charged
+   what it holds: per register its name and promised ballot (16 bytes),
+   plus the accepted ballot and value once there is one. A reboot reads
+   back the very value accepted. *)
+let test_register_file_charge () =
+  let value = String.make 5 'v' in
+  let r =
+    Engine.run (fun () ->
+        let disk = Disk.create () in
+        let* server = Server.recover ~disk ~file:"paxos" () in
+        let ballot = { Wire.round = 1; proposer = 2 } in
+        let step req =
+          let before = Disk.bytes_written disk in
+          let+ _ = Server.handle server req in
+          Disk.bytes_written disk -. before
+        in
+        let* prepare = step (Wire.Prepare { reg = "r"; ballot }) in
+        let* accept = step (Wire.Accept { reg = "r"; ballot; value }) in
+        let* second = step (Wire.Prepare { reg = "reg2"; ballot }) in
+        let* server' = Server.recover ~disk ~file:"paxos" () in
+        let+ read = Server.handle server' (Wire.Read { reg = "r" }) in
+        ([ prepare; accept; second ], read))
+  in
+  let charges, read = r in
+  Alcotest.(check (list (float 0.0))) "file charges"
+    [ 1. +. 16.; 1. +. 16. +. 16. +. 5.; (1. +. 16. +. 16. +. 5.) +. (4. +. 16.) ]
+    charges;
+  Alcotest.(check bool) "reboot reads the accepted value" true
+    (match read with Wire.Read_result { accepted = Some (_, v) } -> v == value | _ -> false)
+
 let test_registers_independent () =
   let r =
     run_until_ready (fun () ->
@@ -197,6 +227,7 @@ let suite =
     Alcotest.test_case "survives minority failures" `Quick test_survives_minority_failures;
     Alcotest.test_case "durable across reboot" `Quick test_value_survives_coordinator_reboot;
     Alcotest.test_case "registers independent" `Quick test_registers_independent;
+    Alcotest.test_case "register file charge" `Quick test_register_file_charge;
     Alcotest.test_case "election single leader" `Quick test_election_single_leader;
     Alcotest.test_case "election failover" `Quick test_election_failover;
   ]

@@ -547,6 +547,46 @@ let proxy_death_releases_waiters ~depth () =
     (late = Error Error.Wrong_epoch);
   Alcotest.(check int) "no leaked promises" 0 leaks
 
+(* A live sequencer that answers a GRV batch with a definite error does
+   not end the generation: the error is the batch's answer, the proxy
+   stays up, and the next batch is served. *)
+let test_locked_grv_keeps_proxy () =
+  let outcome =
+    Engine.run ~seed:5L ~max_time:1e5 (fun () ->
+        let ctx = Test_log_server.mini_ctx () in
+        let machine = Process.fresh_machine 0 in
+        let roles = Process.create ~name:"scripted-roles" machine in
+        let grvs = ref 0 in
+        let sequencer_role (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+          match req with
+          | Message.Seq_grv ->
+              incr grvs;
+              if !grvs = 1 then Future.return (Error Error.Database_locked)
+              else Future.return (Ok { Message.gv_version = 7L; gv_epoch = 1 })
+          | _ -> fst (Future.make ())
+        in
+        let sequencer = Network.fresh_endpoint ctx.Context.net in
+        Context.serve ctx sequencer roles { handle = sequencer_role };
+        let proxy, _ =
+          Proxy.create ctx
+            (Process.create ~name:"proxy-1" machine)
+            ~epoch:1 ~sequencer ~resolvers:[] ~logs:[] ~ratekeeper:None ~recovery_version:0L
+        in
+        let first = Proxy.handle proxy Message.Grv_req in
+        let second = Proxy.handle proxy Message.Grv_req in
+        let* first = first in
+        let* second = second in
+        let alive = not (Proxy.is_dead proxy) in
+        let+ next = Proxy.handle proxy Message.Grv_req in
+        (first, second, alive, Result.map (fun rv -> rv.Message.gv_version) next))
+  in
+  let first, second, alive, next = outcome in
+  let locked = Error Error.Database_locked in
+  Alcotest.(check bool) "the batch's callers are told the database is locked" true
+    (first = locked && second = locked);
+  Alcotest.(check bool) "the proxy stays up" true alive;
+  Alcotest.(check bool) "the next GRV is served" true (next = Ok 7L)
+
 let suite =
   [
     Alcotest.test_case "sequencer kill -> new epoch" `Quick test_sequencer_kill_triggers_new_epoch;
@@ -568,6 +608,7 @@ let suite =
       (proxy_death_releases_waiters ~depth:1);
     Alcotest.test_case "proxy death releases waiters (pipelined)" `Quick
       (proxy_death_releases_waiters ~depth:4);
+    Alcotest.test_case "locked GRV answer keeps proxy" `Quick test_locked_grv_keeps_proxy;
     Alcotest.test_case "log prune + reboot + recovery" `Quick
       test_log_prune_survives_reboot_and_recovery;
   ]
