@@ -40,11 +40,12 @@ type db = {
   proc : Process.t;
   rng : Rng.t;
   mutable proxies : int array;
-  mutable refreshing : bool;
+  refreshing : unit Future.flight;
   inflight : int array; (* this handle's storage requests in flight, by server id *)
   obs_fanout : Fdb_obs.Registry.gauge;
   obs_range_bytes : Fdb_obs.Registry.gauge;
   obs_failovers : Fdb_obs.Registry.counter;
+  obs_retry_delay : Fdb_obs.Registry.timer;
   obs_replica_busy : Fdb_obs.Registry.counter;
 }
 
@@ -59,13 +60,14 @@ let create_db ctx proc =
     proc;
     rng = Engine.fork_rng ();
     proxies = [||];
-    refreshing = false;
+    refreshing = Future.flight ();
     inflight = Array.make (Array.length ctx.Context.storage_eps) 0;
     obs_fanout = Fdb_obs.Registry.gauge metrics ~role ~process:pid "read_fanout";
     obs_range_bytes =
       Fdb_obs.Registry.gauge metrics ~role ~process:pid "range_bytes_per_req";
     obs_failovers =
       Fdb_obs.Registry.counter metrics ~role ~process:pid "read_failovers";
+    obs_retry_delay = Fdb_obs.Registry.histogram metrics ~role ~process:pid "retry_delay";
     obs_replica_busy =
       Fdb_obs.Registry.counter metrics ~role ~process:pid "read_replica_busy";
   }
@@ -73,36 +75,31 @@ let create_db ctx proc =
 let storage_inflight db = Array.copy db.inflight
 
 (* Find the ClusterController through the coordinators, then ask it for the
-   current proxies — the client's bootstrap path. *)
+   current proxies — the client's bootstrap path. A caller that finds a
+   refresh in flight waits for that one. *)
 let refresh db =
-  if db.refreshing then Engine.sleep 0.1
-  else begin
-    db.refreshing <- true;
-    Future.protect
-      ~finally:(fun () -> db.refreshing <- false)
-      (fun () ->
-        let transport = Context.paxos_transport db.ctx ~from:db.proc in
-        let* leader =
-          Future.catch
-            (fun () ->
-              Fdb_paxos.Election.leader_via transport ~reg:"cc-leader"
-                ~proposer:(Context.proposer_id db.proc))
-            (fun _ -> Future.return None)
-        in
-        match Option.bind leader int_of_string_opt with
-        | None -> Engine.sleep 0.1
-        | Some machine when machine >= Array.length db.ctx.Context.worker_eps ->
-            Engine.sleep 0.1
-        | Some machine ->
-            Future.catch
-              (fun () ->
-                let+ { Message.st_proxies; st_recovered; _ } =
-                  Context.rpc db.ctx ~timeout:1.0 ~from:db.proc
-                    db.ctx.Context.worker_eps.(machine) Message.Cc_get_state
-                in
-                if st_recovered then db.proxies <- Array.of_list st_proxies)
-              (fun _ -> Future.return ()))
-  end
+  Future.single_flight db.refreshing (fun () ->
+    let transport = Context.paxos_transport db.ctx ~from:db.proc in
+    let* leader =
+      Future.catch
+        (fun () ->
+          Fdb_paxos.Election.leader_via transport ~reg:"cc-leader"
+            ~proposer:(Context.proposer_id db.proc))
+        (fun _ -> Future.return None)
+    in
+    match Option.bind leader int_of_string_opt with
+    | None -> Engine.sleep 0.1
+    | Some machine when machine >= Array.length db.ctx.Context.worker_eps ->
+        Engine.sleep 0.1
+    | Some machine ->
+        Future.catch
+          (fun () ->
+            let+ { Message.st_proxies; st_recovered; _ } =
+              Context.rpc db.ctx ~timeout:1.0 ~from:db.proc
+                db.ctx.Context.worker_eps.(machine) Message.Cc_get_state
+            in
+            if st_recovered then db.proxies <- Array.of_list st_proxies)
+          (fun _ -> Future.return ()))
 
 let pick_proxy db =
   if Array.length db.proxies = 0 then None
@@ -960,7 +957,12 @@ let run db ?(max_attempts = 64) ?options f =
                && (match deadline with
                   | None -> true
                   | Some d -> Engine.now () < d) ->
-            let delay = Float.min backoff 1.0 +. Engine.random_float 0.05 in
+            (* Jitter as wide as the backoff, above it: full jitter (0 to
+               b) retries a hot key too soon to stop it aborting again
+               (DESIGN.md, "Client retries"). *)
+            let b = Float.min backoff 1.0 in
+            let delay = b +. Engine.random_float b in
+            Fdb_obs.Registry.observe db.obs_retry_delay delay;
             let* () = Engine.sleep delay in
             attempt (n + 1) (backoff *. 2.0)
         | _ -> Future.fail exn)

@@ -59,7 +59,8 @@ val create_db : Context.t -> Fdb_sim.Process.t -> db
 
 val refresh : db -> unit Fdb_sim.Future.t
 (** Re-discover the current proxies via the coordinators/ClusterController.
-    Called automatically when requests keep failing. *)
+    Called automatically when requests keep failing. A caller that finds a
+    refresh in flight gets that refresh's future. *)
 
 val storage_inflight : db -> int array
 (** A copy of this handle's storage requests in flight, by server id: the
@@ -214,8 +215,9 @@ val run :
   ?options:tx_options ->
   (tx -> 'a Fdb_sim.Future.t) ->
   'a Fdb_sim.Future.t
-(** Standard retry loop: run the body, commit, and retry (with capped
-    exponential backoff) on retryable errors. The body must be idempotent
+(** Standard retry loop: run the body, commit, and retry on retryable
+    errors. Before retry k it sleeps [b + U(0, b)], where
+    [b = min(10 ms * 2^(k-1), 1 s)]. The body must be idempotent
     under retry, as in FDB. [options] is threaded into every attempt's
     transaction; [max_attempts] (default 64) caps the attempts and
     [opt_timeout] bounds the whole loop, failing with [Timed_out]. *)

@@ -91,16 +91,26 @@ let entry_bytes (e : Message.log_entry) =
 let append_entry t (e : Message.log_entry) =
   Disk.append t.disk t.wal ~bytes:(24 + entry_bytes e) (Wal_entry e)
 
+(* An entry, and each of its mutations, whose every tag passes [keep] is
+   returned itself, not copied: a hand-off with nothing popped shares the
+   log it hands off. *)
 let keep_tags keep (e : Message.log_entry) =
-  let payload =
-    List.filter_map
-      (fun (tm : Message.tagged_mutation) ->
-        match List.filter keep tm.Message.tm_tags with
-        | [] -> None
-        | tags -> Some { tm with Message.tm_tags = tags })
-      e.Message.le_payload
+  let whole (tm : Message.tagged_mutation) =
+    tm.Message.tm_tags <> [] && List.for_all keep tm.Message.tm_tags
   in
-  if payload = [] then None else Some { e with Message.le_payload = payload }
+  if e.Message.le_payload <> [] && List.for_all whole e.Message.le_payload then Some e
+  else
+    let payload =
+      List.filter_map
+        (fun (tm : Message.tagged_mutation) ->
+          if whole tm then Some tm
+          else
+            match List.filter keep tm.Message.tm_tags with
+            | [] -> None
+            | tags -> Some { tm with Message.tm_tags = tags })
+        e.Message.le_payload
+    in
+    if payload = [] then None else Some { e with Message.le_payload = payload }
 
 let floor_of t tag = Option.value (Det_tbl.find_opt t.pop_floor tag) ~default:Int64.min_int
 

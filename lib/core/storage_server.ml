@@ -40,7 +40,7 @@ type t = {
   mutable peek : Message.peek_reply Future.promise option;
       (* the in-flight peek's reply, which adopting a newer generation
          breaks: that peek went to the old generation's logs *)
-  mutable refreshing : bool; (* single-flight coordinator consultation *)
+  refreshing : unit Future.flight; (* the coordinator consultation in flight *)
   mutable incoming : (string * string * Types.version) list;
       (* ranges fetched as a move destination, with the snapshot version
          [since] the fetched pstore image embodies. Window events at
@@ -324,12 +324,10 @@ let adopt t ~epoch ~rv ~history ~logs =
   else if epoch = t.epoch then t.logs <- logs
 
 (* When peeks keep failing, consult the coordinators for a newer
-   transaction-system generation (the fallback path behind Ss_recover). *)
+   transaction-system generation (the fallback path behind Ss_recover). A
+   caller that finds a consultation in flight waits for that one. *)
 let refresh_from_coordinators t =
-  if t.refreshing then Engine.sleep 0.1
-  else begin
-  t.refreshing <- true;
-  Future.protect ~finally:(fun () -> t.refreshing <- false) @@ fun () ->
+  Future.single_flight t.refreshing @@ fun () ->
   let reg =
     Fdb_paxos.Register.create
       (Context.paxos_transport t.ctx ~from:t.proc)
@@ -342,7 +340,6 @@ let refresh_from_coordinators t =
         ~history:cs.Message.cs_rv_history ~logs:cs.Message.cs_logs
   | _ -> ());
   Future.return ()
-  end
 
 (* One peek and the application of its reply. The result says whether the
    loop may peek again at once: after a reply, or after [adopt] abandoned
@@ -898,7 +895,7 @@ let rec create ctx proc ~id ~disk =
       waiters = [];
       stale_pulls = 0;
       peek = None;
-      refreshing = false;
+      refreshing = Future.flight ();
       incoming;
       blind_atomics = [];
       fetches_in_flight = 0;

@@ -188,6 +188,18 @@ let protect ~finally f =
           resolve_with p r);
       out
 
+type 'a flight = 'a t option ref
+
+let flight () = ref None
+
+let single_flight fl f =
+  match !fl with
+  | Some t when is_pending t -> t
+  | _ ->
+      let t = try f () with e -> fail e in
+      fl := Some t;
+      t
+
 let all ts =
   match ts with
   | [] -> return []

@@ -65,6 +65,19 @@ val protect : finally:(unit -> unit) -> (unit -> 'a t) -> 'a t
 (** [protect ~finally f] runs [finally ()] once [f ()]'s future resolves,
     whether with a value or an exception. *)
 
+type 'a flight
+(** At most one run of an action in flight at a time: see {!single_flight}. *)
+
+val flight : unit -> 'a flight
+(** No run in flight yet. *)
+
+val single_flight : 'a flight -> (unit -> 'a t) -> 'a t
+(** [single_flight fl f] runs [f ()] and returns its future, unless an
+    earlier run through [fl] is still pending: then [f] is not called and
+    the caller gets that run's future, so every caller resumes the moment
+    the one run resolves, with its outcome. The callers share one future:
+    none may cancel it. *)
+
 val all : 'a t list -> 'a list t
 (** Resolves with all results (in input order) once every future fulfills;
     fails as soon as any fails. *)

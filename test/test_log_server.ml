@@ -228,7 +228,7 @@ let test_resurrect_after_prune () =
 
 (* The WAL holds the pushed entries themselves, each charged its 24-byte
    header (LSN, previous LSN, KCV) plus its mutations' bytes, and a
-   resurrected server hands recovery the very mutations pushed. *)
+   resurrected server hands recovery the very entries pushed. *)
 let test_wal_holds_entries () =
   let r =
     Engine.run (fun () ->
@@ -271,12 +271,9 @@ let test_wal_holds_entries () =
   Alcotest.(check (float 0.0)) "charged header plus mutations" (float_of_int ((2 * 24) + 4 + 4))
     charged;
   Alcotest.(check bool) "records are the pushed entries" true (List.for_all2 ( == ) pushed stored);
-  Alcotest.(check bool) "hand-off equals the pushes" true (handed_off = pushed);
-  let mutations es =
-    List.concat_map (fun e -> List.map (fun tm -> tm.Message.tm_mutation) e.Message.le_payload) es
-  in
-  Alcotest.(check bool) "hand-off mutations are the pushed ones" true
-    (List.for_all2 ( == ) (mutations pushed) (mutations handed_off))
+  (* Nothing is popped, so the hand-off shares the pushed entries. *)
+  Alcotest.(check bool) "hand-off is the pushed entries" true
+    (List.for_all2 ( == ) pushed handed_off)
 
 let test_prune_keeps_live_records () =
   (* LSN 9 holds a tag that never pops (its storage server is down), while
@@ -502,6 +499,40 @@ let no_mutation_twice (e : Message.log_entry) =
   let ms = List.map (fun tm -> tm.Message.tm_mutation) e.Message.le_payload in
   List.for_all (fun m -> List.length (List.filter (fun m' -> m' == m) ms) = 1) ms
 
+(* [keep_tags] keeps exactly what a tag-by-tag filter keeps, and returns
+   the entry itself when it keeps every tag of it. *)
+let qcheck_keep_tags =
+  let reference keep (e : Message.log_entry) =
+    let payload =
+      List.filter_map
+        (fun (tm : Message.tagged_mutation) ->
+          match List.filter keep tm.Message.tm_tags with
+          | [] -> None
+          | tags -> Some { tm with Message.tm_tags = tags })
+        e.Message.le_payload
+    in
+    if payload = [] then None else Some { e with Message.le_payload = payload }
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 4) (list_size (int_range 0 3) (int_range 0 5)))
+        (list_size (int_range 0 6) (int_range 0 5)))
+  in
+  QCheck.Test.make ~name:"keep_tags shares what it keeps whole" ~count:200 (QCheck.make gen)
+    (fun (tag_lists, dropped) ->
+      let e =
+        entry ~lsn:5L ~prev:0L
+          (List.mapi (fun i tags -> tagged tags (Mutation.Set (string_of_int i, "v"))) tag_lists)
+      in
+      let keep tag = not (List.mem tag dropped) in
+      let kept = Log_server.keep_tags keep e in
+      let whole =
+        List.for_all (fun tags -> tags <> [] && List.for_all keep tags) tag_lists
+      in
+      kept = reference keep e
+      && (tag_lists = [] || (not whole) || match kept with Some k -> k == e | None -> false))
+
 (* Push random commit batches, built by the proxy, to a generation of
    LogServers; every (LogServer, tag) stream a peek serves must equal the
    reference build's, and no entry may carry a mutation twice. *)
@@ -676,6 +707,7 @@ let suite =
     Alcotest.test_case "recovery merge keeps unpopped streams" `Quick
       test_recovery_merge_keeps_unpopped_streams;
   ]
+  @ [ QCheck_alcotest.to_alcotest qcheck_keep_tags ]
   @ List.map
       (fun c -> QCheck_alcotest.to_alcotest (qcheck_tagged_streams c))
       [

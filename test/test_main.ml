@@ -19,6 +19,7 @@ let () =
       ("workloads", Test_workloads.suite);
       ("tuple", Test_tuple.suite);
       ("client-ryw", Test_client_ryw.suite);
+      ("client-retry", Test_client_retry.suite);
       ("range-pipeline", Test_range_pipeline.suite);
       ("commit-pipeline", Test_commit_pipeline.suite);
       ("log-server", Test_log_server.suite);
