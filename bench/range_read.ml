@@ -1,10 +1,12 @@
 (* Range-read pipeline bench: sequential shard walk (the pre-pipeline
    client read path, kept here verbatim as the baseline) vs the parallel
-   bounded-fanout pipeline behind [Client.range_all], on a range spanning
-   every shard of the cluster. Records simulated milliseconds per
-   full-range read and the speedup into BENCH_range.json. Fails if the two
-   paths ever return different row counts, or if the pipeline is not at
-   least 3x faster. *)
+   fan-out pipeline behind [Client.range_all], on a range spanning every
+   shard of the cluster. Records simulated milliseconds per full-range
+   read, the speedup and the pipeline's peak window (sub-reads launched
+   and unconsumed) into BENCH_range.json. Fails if the two paths ever
+   return different row counts, if any read's peak window is not
+   [min fragments storage_servers], or if the pipeline is not at least 5x
+   faster. *)
 
 open Fdb_sim
 open Fdb_core
@@ -91,13 +93,14 @@ let write_json ~smoke ~shards ~rows ~fanout ~seq_ms ~pipe_ms ~speedup =
   Printf.printf "wrote BENCH_range.json\n%!"
 
 let run ?(smoke = false) () =
-  Bench_util.header "Range-read pipeline: sequential shard walk vs bounded fan-out";
+  Bench_util.header "Range-read pipeline: sequential shard walk vs fan-out";
   let universe = if smoke then 2_000 else 20_000 in
   let iters = if smoke then 3 else 10 in
   let config =
     Bench_util.shard_evenly Config.default ~universe ~key_of:Bench_util.key
   in
-  let shards = ref 0 and fanout = Params.client_range_fanout in
+  let shards = ref 0 and fragments = ref 0 and servers = Config.storage_count config in
+  let peaks = ref [] in
   let seq_ms = ref 0.0 and pipe_ms = ref 0.0 and row_count = ref 0 in
   let mismatch = ref None in
   Bench_util.with_sim ~cpu_scale:1.0 config (fun cluster ->
@@ -109,6 +112,8 @@ let run ?(smoke = false) () =
       let probe = Process.create ~name:"range-bench-seq" machine in
       let rng = Engine.fork_rng () in
       let from = Bench_util.key 0 and until = Bench_util.key universe in
+      fragments :=
+        List.length (Shard_map.shards_for_range ctx.Context.shard_map ~from ~until);
       let limit = universe + 10 in
       (* A fresh snapshot per iteration, shared by both paths so they read
          the same data at the same version. *)
@@ -130,6 +135,7 @@ let run ?(smoke = false) () =
               let* rows =
                 Client.range_all tx (Range_query.keys ~limit ~from ~until ())
               in
+              peaks := Client.read_fanout db :: !peaks;
               Future.return (List.length rows))
         in
         if nseq <> npipe then mismatch := Some (nseq, npipe);
@@ -152,11 +158,19 @@ let run ?(smoke = false) () =
   let seq_ms = !seq_ms /. float_of_int iters in
   let pipe_ms = !pipe_ms /. float_of_int iters in
   let speedup = seq_ms /. Float.max pipe_ms 1e-9 in
+  let window = min !fragments servers in
+  let fanout = List.fold_left max 0 !peaks in
   Printf.printf
-    "shards: %d, rows: %d, fanout: %d\nmean per read: sequential %.2f ms, pipelined %.2f ms (%.2fx)\n"
-    !shards !row_count fanout seq_ms pipe_ms speedup;
+    "shards: %d, fragments: %d, servers: %d, rows: %d, peak fan-out: %d\nmean per read: sequential %.2f ms, pipelined %.2f ms (%.2fx)\n"
+    !shards !fragments servers !row_count fanout seq_ms pipe_ms speedup;
   write_json ~smoke ~shards:!shards ~rows:!row_count ~fanout ~seq_ms ~pipe_ms ~speedup;
-  if speedup < 3.0 then
+  if List.exists (( <> ) window) !peaks then
     failwith
-      (Printf.sprintf "range fan-out speedup regressed: %.2fx < 3x over %d shards"
+      (Printf.sprintf
+         "range fan-out: a read's peak window was not min(%d fragments, %d servers) = %d (peaks: %s)"
+         !fragments servers window
+         (String.concat " " (List.rev_map string_of_int !peaks)));
+  if speedup < 5.0 then
+    failwith
+      (Printf.sprintf "range fan-out speedup regressed: %.2fx < 5x over %d shards"
          speedup !shards)

@@ -73,6 +73,7 @@ let create_db ctx proc =
   }
 
 let storage_inflight db = Array.copy db.inflight
+let read_fanout db = int_of_float !(db.obs_fanout)
 
 (* Find the ClusterController through the coordinators, then ask it for the
    current proxies — the client's bootstrap path. A caller that finds a
@@ -229,19 +230,25 @@ let bytes_of_rows rows =
 (* Keep rows while both budgets last; [cut = true] when anything was
    dropped. [keep_one] mirrors the storage-side guarantee that the very
    first row of a read is delivered even if it alone busts the byte
-   budget, so bounded reads always make progress. *)
+   budget, so bounded reads always make progress. Rows that nothing cuts
+   come back as the same list, uncopied. *)
 let take_budget ?(keep_one = false) rows ~rows_left ~bytes_left =
-  let rec go acc nrows nbytes = function
-    | [] -> (List.rev acc, false)
+  let rec kept nrows nbytes = function
+    | [] -> None
     | (k, v) :: tl ->
-        if (nrows >= rows_left || nbytes >= bytes_left) && not (keep_one && acc = [])
-        then (List.rev acc, true)
-        else
-          go ((k, v) :: acc) (nrows + 1)
-            (nbytes + String.length k + String.length v)
-            tl
+        if (nrows >= rows_left || nbytes >= bytes_left) && not (keep_one && nrows = 0)
+        then Some nrows
+        else kept (nrows + 1) (nbytes + String.length k + String.length v) tl
   in
-  go [] 0 0 rows
+  match kept 0 0 rows with
+  | None -> (rows, false)
+  | Some n -> (List.filteri (fun i _ -> i < n) rows, true)
+
+(* The key of a batch's last row: its far edge in scan order. *)
+let rec last_key = function
+  | [] -> None
+  | [ (k, _) ] -> Some k
+  | _ :: tl -> last_key tl
 
 (* Try each replica of [team] in order of this handle's in-flight
    requests to it, fewest first (FDB's [loadBalance]); ties keep a
@@ -350,7 +357,7 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       | `Re_resolve ->
           Trace.emit "client_range_re_resolve" [ ("from", f); ("until", u) ];
           let* rows, drained =
-            ranged_fetch t ~fanout:1 ~version ~rv_epoch ~reverse
+            ranged_fetch t ~version ~rv_epoch ~reverse
               ~row_limit:(row_limit - nrows) ~byte_limit:(byte_limit - nbytes)
               ~re_resolves:(re_resolves - 1) ~from:f ~until:u
           in
@@ -365,23 +372,25 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
           let acc = rows :: acc in
           if not more then Future.return (List.concat (List.rev acc), true)
           else
-            (* Rows arrive in scan order, so the last row is the far edge
-               of what the reply covered. *)
-            let last = fst (List.hd (List.rev rows)) in
+            let last = Option.get (last_key rows) in
             let cursor = if reverse then last else Types.next_key last in
             go cursor acc nrows nbytes
   in
   go (if reverse then until else from) [] 0 0
 
-(* The one fragment walker: per-shard sub-reads issued concurrently with a
-   bounded window of [fanout] (§2.4.1: clients talk to StorageServers
-   directly, one team per shard). Fragments are consumed strictly in scan
-   order; consuming fragment i launches fragment i + [fanout] with the
-   budget still unspent, and only if the read goes on. The first [fanout]
-   fragments carry the full budget and may over-fetch (bounded by fanout ×
-   budget), so trimming happens client-side. [fanout = 1] is the
-   sequential walk. *)
-and ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+(* The one fragment walker: per-shard sub-reads issued concurrently
+   (§2.4.1: clients talk to StorageServers directly, one team per shard).
+   Fragments launch in scan order, each with the budget still unspent, and
+   are consumed strictly in scan order. The fragment the read waits on
+   next is always on the wire. Beyond it, at the start and after each
+   fragment consumed, the next fragment launches while (a) fewer than
+   [min rows_still_wanted storage_servers] fragments are launched and
+   unconsumed, and (b) its team has a replica with none of this handle's
+   requests in flight. The launched fragments may over-fetch (bounded by
+   that window × budget), so trimming happens client-side; a one-row read
+   is the sequential walk. The handle's [read_fanout] gauge holds the
+   read's peak window. *)
+and ranged_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
     ~re_resolves ~from ~until =
   let db = t.db in
   let frags =
@@ -389,19 +398,36 @@ and ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
     Array.of_list (if reverse then List.rev fs else fs)
   in
   let n = Array.length frags in
-  Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int (min fanout (max n 1)));
+  let servers = Array.length db.inflight in
   let tasks = Array.make n None in
-  let launch i ~row_limit ~byte_limit =
-    if i < n then
-      let f, u, team = frags.(i) in
-      tasks.(i) <-
-        Some
-          (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
-             ~re_resolves ~team ~from:f ~until:u)
+  let launched = ref 0 and peak = ref 0 in
+  (* Launch from [!launched] on, where [next] is the fragment the read
+     consumes next. *)
+  let launch ~next ~row_limit ~byte_limit =
+    let window = min row_limit servers in
+    let rec go () =
+      if !launched < n then begin
+        let f, u, team = frags.(!launched) in
+        if
+          !launched = next
+          || (!launched - next < window
+             && List.exists (fun ss -> db.inflight.(ss) = 0) team)
+        then begin
+          tasks.(!launched) <-
+            Some
+              (fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+                 ~re_resolves ~team ~from:f ~until:u);
+          incr launched;
+          go ()
+        end
+      end
+    in
+    go ();
+    if !launched - next > !peak then begin
+      peak := !launched - next;
+      Fdb_obs.Registry.set_gauge db.obs_fanout (float_of_int !peak)
+    end
   in
-  for i = 0 to fanout - 1 do
-    launch i ~row_limit ~byte_limit
-  done;
   let rec consume i acc nrows nbytes =
     let* rows, drained = Option.get tasks.(i) in
     let rows, cut =
@@ -415,12 +441,16 @@ and ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
     else if nrows >= row_limit || nbytes >= byte_limit then
       Future.return (List.concat (List.rev acc), false)
     else begin
-      launch (i + fanout) ~row_limit:(row_limit - nrows)
+      launch ~next:(i + 1) ~row_limit:(row_limit - nrows)
         ~byte_limit:(byte_limit - nbytes);
       consume (i + 1) acc nrows nbytes
     end
   in
-  if n = 0 then Future.return ([], true) else consume 0 [] 0 0
+  if n = 0 then Future.return ([], true)
+  else begin
+    launch ~next:0 ~row_limit ~byte_limit;
+    consume 0 [] 0 0
+  end
 
 (* ---------- reads with read-your-writes ---------- *)
 
@@ -464,11 +494,11 @@ let get ?(snapshot = false) t key =
    budget cut the read short. Because the storage rows are span-complete,
    atomic-op base values come straight from the fetched map — no extra
    point reads. *)
-let read_merged t ~fanout ~snap:(version, rv_epoch) ~from ~until ~reverse
-    ~row_limit ~byte_limit ~conflict =
+let read_merged t ~snap:(version, rv_epoch) ~from ~until ~reverse ~row_limit
+    ~byte_limit ~conflict =
   let byte_limit = remaining_read_budget t ~want:byte_limit in
   let* storage_rows, drained =
-    ranged_fetch t ~fanout ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
+    ranged_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
       ~re_resolves:3 ~from ~until
   in
   let got_bytes = bytes_of_rows storage_rows in
@@ -478,9 +508,9 @@ let read_merged t ~fanout ~snap:(version, rv_epoch) ~from ~until ~reverse
   let span_lo, span_hi =
     if drained then (from, until)
     else
-      match List.rev storage_rows with
-      | [] -> (from, until)
-      | (last, _) :: _ ->
+      match last_key storage_rows with
+      | None -> (from, until)
+      | Some last ->
           if reverse then (last, until) else (from, Types.next_key last)
   in
   if conflict then add_read_conflict_range t ~from:span_lo ~until:span_hi;
@@ -515,9 +545,9 @@ let read_merged t ~fanout ~snap:(version, rv_epoch) ~from ~until ~reverse
   let kept, trimmed = take_budget rows ~rows_left:row_limit ~bytes_left:max_int in
   let continuation =
     if trimmed then
-      match List.rev kept with
-      | (last, _) :: _ -> Some (if reverse then last else Types.next_key last)
-      | [] -> None
+      Option.map
+        (fun last -> if reverse then last else Types.next_key last)
+        (last_key kept)
     else if not drained then Some (if reverse then span_lo else span_hi)
     else None
   in
@@ -535,15 +565,14 @@ let budgets mode ~rows =
 (* The one batch loop: drain [\[from, until)] through [read_merged]
    batches, stitching continuations, until the range is exhausted or
    [limit] rows are in hand. *)
-let collect t ~fanout ~snap ~mode ~limit ~reverse ~from ~until =
+let collect t ~snap ~mode ~limit ~reverse ~from ~until =
   let rec loop ~from ~until acc collected =
     let remaining = limit - collected in
     if remaining <= 0 || from >= until then Future.return (List.concat (List.rev acc))
     else
       let row_limit, byte_limit = budgets mode ~rows:remaining in
       let* rows, continuation =
-        read_merged t ~fanout ~snap ~from ~until ~reverse ~row_limit ~byte_limit
-          ~conflict:false
+        read_merged t ~snap ~from ~until ~reverse ~row_limit ~byte_limit ~conflict:false
       in
       let acc = rows :: acc in
       match continuation with
@@ -572,7 +601,7 @@ let resolve_key t snap sel =
   let dir, start, need = selector_walk sel in
   let reverse = dir = `Reverse in
   let from, until = if reverse then ("", start) else (start, Types.key_space_end) in
-  let* rows = collect t ~fanout:1 ~snap ~mode:`Want_all ~limit:need ~reverse ~from ~until in
+  let* rows = collect t ~snap ~mode:`Want_all ~limit:need ~reverse ~from ~until in
   Future.return
     (match List.nth_opt rows (need - 1) with
     | Some (k, _) -> k
@@ -644,8 +673,8 @@ let range t (q : Range_query.t) =
       budgets q.rq_mode ~rows:(min 1_000_000 q.rq_limit)
     in
     let* rows, continuation =
-      read_merged t ~fanout:Params.client_range_fanout ~snap ~from ~until
-        ~reverse:q.rq_reverse ~row_limit ~byte_limit ~conflict:(not q.rq_snapshot)
+      read_merged t ~snap ~from ~until ~reverse:q.rq_reverse ~row_limit ~byte_limit
+        ~conflict:(not q.rq_snapshot)
     in
     Future.return { batch_rows = rows; batch_continuation = continuation }
 
@@ -658,8 +687,8 @@ let range_all t (q : Range_query.t) =
   else begin
     let* snap = snapshot_info t in
     if not q.rq_snapshot then add_read_conflict_range t ~from ~until;
-    collect t ~fanout:Params.client_range_fanout ~snap ~mode:q.rq_mode
-      ~limit:q.rq_limit ~reverse:q.rq_reverse ~from ~until
+    collect t ~snap ~mode:q.rq_mode ~limit:q.rq_limit ~reverse:q.rq_reverse ~from
+      ~until
   end
 
 (* ---------- writes ---------- *)

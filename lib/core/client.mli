@@ -7,11 +7,14 @@
     contacting the cluster. {!run} is the standard retry loop.
 
     Range reads run through a parallel pipeline: the client resolves the
-    range into per-shard fragments against its shard map and keeps up to
-    {!Params.client_range_fanout} fragment sub-reads in flight, each
-    bounded by row and byte budgets. Every storage request goes to the
-    team member with the fewest of this handle's own requests in flight
-    (ties broken by a deterministic shuffle), with transparent failover to
+    range into per-shard fragments against its shard map and launches
+    their sub-reads in scan order, each bounded by row and byte budgets.
+    The fragment the read consumes next is always on the wire; further
+    ones launch while fewer than [min rows_still_wanted storage_servers]
+    are launched and unconsumed and the next one's team has a replica
+    this handle is not using. Every storage request goes to the team
+    member with the fewest of this handle's own requests in flight (ties
+    broken by a deterministic shuffle), with transparent failover to
     another team member on per-replica errors. *)
 
 type db
@@ -65,6 +68,10 @@ val refresh : db -> unit Fdb_sim.Future.t
 val storage_inflight : db -> int array
 (** A copy of this handle's storage requests in flight, by server id: the
     load its replica choice balances. *)
+
+val read_fanout : db -> int
+(** The most fragment sub-reads this handle's latest range read had
+    launched and not yet consumed at once (its [read_fanout] gauge). *)
 
 (** {2 Key selectors} *)
 

@@ -37,10 +37,6 @@ let lease_duration = 3.0
 let storage_read_wait = 0.3
 let client_read_timeout = 0.6
 
-(* Range-read pipeline (client -> storage). A wide range read fans out
-   per-shard sub-reads concurrently; each round-trip carries a row AND a
-   byte budget so no single reply is unbounded, and oversized shards are
-   drained by continuation round-trips. *)
 (* Watches (layer ecosystem). One registration long-polls on the server for
    at most [watch_poll_timeout] simulated seconds before replying not-fired
    with the server's current version; the client immediately re-registers
@@ -49,7 +45,10 @@ let client_read_timeout = 0.6
    [Version_window.oldest] on a healthy server. *)
 let watch_poll_timeout = 2.0
 
-let client_range_fanout = 4
+(* Range-read pipeline (client -> storage). A wide range read fans out
+   per-shard sub-reads concurrently; each round-trip carries a row AND a
+   byte budget so no single reply is unbounded, and oversized shards are
+   drained by continuation round-trips. *)
 let range_rows_per_batch = 256
 let range_bytes_per_req = 65_536
 let range_bytes_want_all = 10_000_000

@@ -74,10 +74,6 @@ val watch_poll_timeout : float
 
 (* {2 Range-read pipeline} *)
 
-val client_range_fanout : int
-(** How many per-shard sub-reads a single range read keeps in flight
-    concurrently. *)
-
 val range_rows_per_batch : int
 (** Row budget of one iterator-mode streaming batch. *)
 

@@ -756,6 +756,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       if overloaded t || Buggify.on ~p:0.1 "ss_flaky_range" then
         Future.return (Error Error.Process_behind)
       else
+      let t0 = Engine.now () in
       let* refused =
         admit t ~version:gr_version ~epoch:gr_epoch ~from:gr_from ~until:gr_until
       in
@@ -772,6 +773,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
                  (Params.storage_per_point_read
                  +. (Params.storage_per_range_key *. float_of_int (List.length rows))))
           in
+          Fdb_obs.Registry.observe t.obs_read_lat (Engine.now () -. t0);
           note_read_traffic t gr_from
             (List.fold_left (fun a (k, v) -> a + String.length k + String.length v) 0 rows);
           Future.return (Ok { Message.rr_rows = rows; rr_more = more }))

@@ -16,7 +16,10 @@
      spread over distinct team members, and every in-flight count
      returns to zero after failovers;
    - transaction options ([tx_options]) plumbing;
-   - a read that a budget cuts short launches no sub-read past the cut;
+   - the launch window: a read that a budget cuts short launches
+     [min limit servers] sub-reads and none past the cut, and no wide read
+     has more than that many launched and unconsumed;
+   - every storage range sub-read records a read-latency sample;
    - the storage scan contract: one server's [Storage_get_range] replies,
      forward and reverse, against a model at every budget. *)
 
@@ -336,45 +339,131 @@ let test_shard_move_mid_read () =
     (Printf.sprintf "the stale fragments re-resolved (%d)" re_resolves)
     true (re_resolves > 0)
 
-(* ---------- a cut-short read stops launching ---------- *)
+(* ---------- the launch window ---------- *)
 
-let test_cut_read_stops_launching () =
-  (* 8 shards of 10 keys; a 5-row read fills its budget in the first
-     shard. The first [client_range_fanout] sub-reads are on the wire from
-     the start, but consuming the first one ends the read, so it must
-     launch no further sub-read past the cut. *)
-  let skey i = Printf.sprintf "cs/%03d" i in
+(* [Config.test_small]'s 3 storage servers, with 8 shards of 10 keys
+   each under "cs/"; [body] gets the loaded cluster and a handle. *)
+let skey i = Printf.sprintf "cs/%03d" i
+
+let with_cut_cluster body =
   let config =
     { Config.test_small with shard_boundaries = List.init 7 (fun s -> skey ((s + 1) * 10)) }
   in
-  let rows, requests =
-    with_cluster ~config (fun cluster ->
-        let db = Cluster.client cluster ~name:"cut" in
-        let* () =
-          Client.run db (fun tx ->
-              for i = 0 to 79 do
-                Client.set tx (skey i) (value i)
-              done;
-              Future.return ())
+  with_cluster ~config (fun cluster ->
+      let db = Cluster.client cluster ~name:"cut" in
+      let* () =
+        Client.run db (fun tx ->
+            for i = 0 to 79 do
+              Client.set tx (skey i) (value i)
+            done;
+            Future.return ())
+      in
+      body cluster db)
+
+let range_requests cluster =
+  Fdb_obs.Registry.sum_counter (Cluster.metrics cluster)
+    ~role:Fdb_obs.Registry.Storage "range_requests"
+
+let test_cut_read_stops_launching () =
+  (* A read of [limit] <= 10 rows fills its budget in the first shard. It
+     launches [min limit 3] sub-reads from the start (3 servers), but
+     consuming the first one ends the read, so it must launch no further
+     sub-read past the cut. *)
+  let results =
+    with_cut_cluster (fun cluster db ->
+        let read limit =
+          let tx = Client.begin_tx db in
+          let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
+          let before = range_requests cluster in
+          let* batch = Client.range tx (Range_query.prefix ~limit "cs/" ()) in
+          (* Let a stray sub-read land before counting. *)
+          let* () = Engine.sleep 0.5 in
+          Future.return (limit, batch.Client.batch_rows, range_requests cluster - before)
         in
-        let range_requests () =
-          Fdb_obs.Registry.sum_counter (Cluster.metrics cluster)
-            ~role:Fdb_obs.Registry.Storage "range_requests"
+        let* a = read 1 in
+        let* b = read 2 in
+        let* c = read 5 in
+        Future.return [ a; b; c ])
+  in
+  List.iter
+    (fun (limit, rows, requests) ->
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "limit %d: the first rows" limit)
+        (List.init limit (fun i -> (skey i, value i)))
+        rows;
+      Alcotest.(check int)
+        (Printf.sprintf "limit %d: min(limit, 3) sub-reads, none past the cut" limit)
+        (min limit 3) requests)
+    results
+
+let test_window_bound () =
+  (* Wide reads over the 8 shards at limits below and above the 3
+     servers: while a read runs, this handle never has more than
+     [min limit 3] storage requests in flight, and the read's peak of
+     launched, unconsumed sub-reads stays within the same bound. *)
+  let results =
+    with_cut_cluster (fun cluster db ->
+        let servers = Array.length (Cluster.context cluster).Context.storage_eps in
+        let read limit =
+          let tx = Client.begin_tx db in
+          let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
+          let rows = Client.range_all tx (Range_query.prefix ~limit "cs/" ()) in
+          let rec sample most =
+            let busy = Array.fold_left ( + ) 0 (Client.storage_inflight db) in
+            let most = max most busy in
+            if Future.is_resolved rows then Future.return most
+            else
+              let* () = Engine.sleep 0.0001 in
+              sample most
+          in
+          let* most = sample 0 in
+          let* rows = rows in
+          Future.return (limit, List.length rows, most, Client.read_fanout db)
+        in
+        let rec each acc = function
+          | [] -> Future.return (servers, List.rev acc)
+          | limit :: rest ->
+              let* r = read limit in
+              each (r :: acc) rest
+        in
+        each [] [ 1; 2; 3; 15; 80 ])
+  in
+  let servers, results = results in
+  List.iter
+    (fun (limit, rows, most, peak) ->
+      let bound = min limit servers in
+      let name what = Printf.sprintf "limit %d: %s" limit what in
+      Alcotest.(check int) (name "rows") (min limit 80) rows;
+      Alcotest.(check bool)
+        (name (Printf.sprintf "%d requests in flight <= %d" most bound))
+        true
+        (most >= 1 && most <= bound);
+      Alcotest.(check bool)
+        (name (Printf.sprintf "peak window %d <= %d" peak bound))
+        true
+        (peak >= 1 && peak <= bound))
+    results
+
+let test_range_read_latency () =
+  (* Each sub-read a StorageServer serves is one read-latency sample: a
+     read over all 8 single-round shards adds 8. *)
+  let samples, rows =
+    with_cut_cluster (fun cluster db ->
+        let observed () =
+          List.fold_left
+            (fun n (_, h) -> n + Fdb_util.Histogram.count h)
+            0
+            (Fdb_obs.Registry.histograms (Cluster.metrics cluster)
+               ~role:Fdb_obs.Registry.Storage "read_latency")
         in
         let tx = Client.begin_tx db in
         let* (_ : Types.version * Types.epoch) = Client.read_snapshot tx in
-        let before = range_requests () in
-        let* batch = Client.range tx (Range_query.prefix ~limit:5 "cs/" ()) in
-        (* Let a stray sub-read land before counting. *)
-        let* () = Engine.sleep 0.5 in
-        Future.return (batch.Client.batch_rows, range_requests () - before))
+        let before = observed () in
+        let* rows = Client.range_all tx (Range_query.prefix ~limit:80 "cs/" ()) in
+        Future.return (observed () - before, List.length rows))
   in
-  Alcotest.(check (list (pair string string)))
-    "the first 5 rows"
-    (List.init 5 (fun i -> (skey i, value i)))
-    rows;
-  Alcotest.(check int) "one sub-read per initial fragment, none past the cut"
-    Params.client_range_fanout requests
+  Alcotest.(check int) "all 80 rows" 80 rows;
+  Alcotest.(check int) "one latency sample per fragment" 8 samples
 
 (* ---------- the storage scan contract, both directions ---------- *)
 
@@ -547,10 +636,12 @@ let read_shards first n tx =
        ~until:(shard_key (first + n)) ())
 
 let test_sub_reads_spread () =
-  (* Five reads, each spanning 4 consecutive shards. A random pick among
-     each team's members lands two of the 4 concurrent sub-reads on one
-     server often enough that some of the five would collide, and the
-     colliding read would take about twice as long. *)
+  (* Five reads spanning 4 consecutive shards each, then three spanning
+     6. A random pick among each team's members lands two concurrent
+     sub-reads on one server often enough that some of the reads would
+     collide, and the colliding read would take about twice as long. A
+     6-shard read launches all 6 sub-reads at once (10 servers), so it
+     too costs about one 1-shard round trip. *)
   let spreads, one_ms, busy =
     with_cluster ~seed:21L ~config:sliding_config (fun cluster ->
         let db = Cluster.client cluster ~name:"spread" in
@@ -559,27 +650,31 @@ let test_sub_reads_spread () =
         let* version = Client.get_read_version (Client.begin_tx db) in
         let rec each acc = function
           | [] -> Future.return (List.rev acc)
-          | first :: rest ->
+          | (first, n) :: rest ->
               let t0 = Engine.now () in
-              let read = start_read db ~version (read_shards first 4) in
+              let read = start_read db ~version (read_shards first n) in
               let busy = busy_servers db in
               let* rows = read in
               let ms = (Engine.now () -. t0) *. 1000.0 in
-              each ((first, busy, List.length rows, ms) :: acc) rest
+              each ((first, n, busy, List.length rows, ms) :: acc) rest
         in
-        let* spreads = each [] [ 10; 14; 18; 22; 26 ] in
+        let* spreads =
+          each []
+            [ (10, 4); (14, 4); (18, 4); (22, 4); (26, 4); (10, 6); (16, 6); (22, 6) ]
+        in
         let t0 = Engine.now () in
         let* _ = start_read db ~version (read_shards 10 1) in
         let one_ms = (Engine.now () -. t0) *. 1000.0 in
         Future.return (spreads, one_ms, replica_busy cluster))
   in
   List.iter
-    (fun (first, busy, rows, ms) ->
-      let name what = Printf.sprintf "shards %d..%d: %s" first (first + 3) what in
-      Alcotest.(check int) (name "rows") (4 * rows_per_shard) rows;
+    (fun (first, n, busy, rows, ms) ->
+      let name what = Printf.sprintf "shards %d..%d: %s" first (first + n - 1) what in
+      Alcotest.(check int) (name "rows") (n * rows_per_shard) rows;
       Alcotest.(check (list int))
-        (name "one sub-read on each of 4 servers")
-        [ 1; 1; 1; 1 ] (List.map snd busy);
+        (name (Printf.sprintf "one sub-read on each of %d servers" n))
+        (List.init n (fun _ -> 1))
+        (List.map snd busy);
       Alcotest.(check bool)
         (name (Printf.sprintf "%.2f ms within 1.3x of a 1-shard read (%.2f ms)" ms one_ms))
         true
@@ -773,5 +868,9 @@ let suite =
     Alcotest.test_case "tx options are enforced" `Quick test_tx_options;
     Alcotest.test_case "a cut-short read stops launching" `Quick
       test_cut_read_stops_launching;
+    Alcotest.test_case "the launch window stays within min(limit, servers)" `Quick
+      test_window_bound;
+    Alcotest.test_case "storage range reads record their latency" `Quick
+      test_range_read_latency;
     Alcotest.test_case "scan contract, both directions" `Quick test_scan_contract;
   ]
