@@ -1,6 +1,6 @@
 (* Benchmark harness: regenerates every table/figure of the paper's
    evaluation (§5). `dune exec bench/main.exe` runs everything;
-   `-- --only figN[,figM...]` selects, `-- --quick` shrinks figure 8/10
+   `-- --only figN[,figM...]` selects, `-- --quick` shrinks the figure 8
    sweeps. See EXPERIMENTS.md for paper-vs-measured discussion. *)
 
 let available =
@@ -16,10 +16,10 @@ let () =
         Arg.String
           (fun s -> only := String.split_on_char ',' s @ !only),
         "NAMES  comma-separated subset of: " ^ String.concat " " available );
-      ("--quick", Arg.Set quick, "  smaller sweeps (fig8/fig10)");
+      ("--quick", Arg.Set quick, "  smaller sweeps (fig8)");
       ( "--smoke",
         Arg.Set smoke,
-        "  CI smoke: tiny measurement quotas, skip simulations (conflict, engine)" );
+        "  CI smoke: small runs that check each bench's floor" );
     ]
   in
   Arg.parse spec (fun s -> only := s :: !only) "fdb benchmark harness";
@@ -40,6 +40,6 @@ let () =
   if want "fig8" then
     Fig8.run ~machine_counts:(if !quick then [ 4; 12; 24 ] else [ 4; 6; 8; 12; 16; 20; 24 ]) ();
   if want "fig9" then Fig9.run ();
-  if want "fig10" then Fig10.run ();
+  if want "fig10" then Fig10.run ~smoke:!smoke ();
   if want "ablation" then Ablation.run ();
   Printf.printf "\ndone.\n"

@@ -37,6 +37,17 @@ let reboot_machine ?(delay = 0.5) (m : Process.machine) =
     [ ("machine", string_of_int m.Process.machine_id); ("delay", string_of_float delay) ];
   List.iter (fun p -> Engine.reboot p ~delay ()) m.Process.machine_processes
 
+(* The share of machine-scope kill events that reboot one process of the
+   machine instead of all of them. A process that dies on a machine that
+   stays up is refused at once; a machine that goes down is silent. *)
+let process_reboot_prob = 0.3
+
+let reboot_process ~delay (p : Process.t) =
+  Trace.emit "fault_reboot_process"
+    [ ("process", p.Process.name); ("pid", string_of_int p.Process.pid);
+      ("delay", string_of_float delay) ];
+  Engine.reboot p ~delay ()
+
 let kill_loop rng targets cfg stop_at =
   let rec loop () =
     let wait = Rng.exponential rng cfg.kill_mean_interval in
@@ -45,23 +56,27 @@ let kill_loop rng targets cfg stop_at =
     else begin
       (match targets with
       | [] -> ()
-      | candidates ->
+      | candidates -> (
           let victim = Rng.pick_list rng candidates in
           let scope =
             let r = Rng.float rng 1.0 in
             if r < cfg.dc_kill_prob then `Dc
             else if r < cfg.dc_kill_prob +. cfg.rack_kill_prob then `Rack
+            else if Rng.chance rng process_reboot_prob then `Process
             else `Machine
           in
-          let victims =
-            match scope with
-            | `Machine -> [ victim ]
-            | `Rack ->
-                List.filter (fun m -> m.Process.dc = victim.Process.dc && m.Process.rack = victim.Process.rack) candidates
-            | `Dc -> List.filter (fun m -> m.Process.dc = victim.Process.dc) candidates
-          in
           let delay = Rng.float rng (cfg.reboot_max -. cfg.reboot_min) +. cfg.reboot_min in
-          List.iter (fun m -> reboot_machine ~delay m) victims);
+          let same_rack m =
+            m.Process.dc = victim.Process.dc && m.Process.rack = victim.Process.rack
+          in
+          let live = List.filter (fun p -> p.Process.alive) victim.Process.machine_processes in
+          match scope with
+          | `Process when live <> [] -> reboot_process ~delay (Rng.pick_list rng live)
+          | `Process | `Machine -> reboot_machine ~delay victim
+          | `Rack -> List.iter (reboot_machine ~delay) (List.filter same_rack candidates)
+          | `Dc ->
+              List.iter (reboot_machine ~delay)
+                (List.filter (fun m -> m.Process.dc = victim.Process.dc) candidates)));
       loop ()
     end
   in

@@ -1,10 +1,12 @@
 (** Randomized fault schedules (paper §4 "Fault injection").
 
-    Drives machine-, rack- and datacenter-level fail-stop kills and reboots,
-    network partitions and clogging against a set of machines, with rates
-    tuned (like the paper says) to keep the system in interesting states
-    rather than permanently flattened. All randomness comes from the
-    engine's deterministic RNG. *)
+    Drives process-, machine-, rack- and datacenter-level fail-stop kills
+    and reboots, network partitions and clogging against a set of
+    machines, with rates tuned (like the paper says) to keep the system in
+    interesting states rather than permanently flattened. A kill event
+    that is neither rack- nor datacenter-wide reboots one live process of
+    its machine instead of the whole machine with probability 0.3. All
+    randomness comes from the engine's deterministic RNG. *)
 
 type config = {
   duration : float;  (** how long to keep injecting, in simulated seconds *)

@@ -9,8 +9,13 @@
     per message from a distance-based model plus jitter, so reordering falls
     out naturally; partitions and clogging are injectable at machine
     granularity. Delivery tasks are owned by the destination process, so
-    messages to dead or rebooted processes vanish, and RPC callers see
-    timeouts — exactly the failure surface real code must handle. *)
+    messages to dead or rebooted processes vanish. An RPC caller sees a
+    failure two ways, as FDB's transport does: a machine that is up
+    refuses a call to a process of it that is dead (or to an endpoint of
+    an earlier incarnation) within one round trip, and resets the calls a
+    process had open when it died; a machine that is down, or a partition,
+    is silent, so only the call's timeout ends it. Both fail the call with
+    {!Engine.Timed_out}: the caller cannot tell whether the request ran. *)
 
 type endpoint = int
 (** A well-known address for a role instance (like FDB's NetworkAddress). *)
@@ -68,9 +73,11 @@ val call :
 (** Request/response with correlation: [call net ~from ep request] sends
     [request token] and resolves with whatever the handler answers through
     [token]. Fails with {!Engine.Timed_out} after [timeout] seconds
-    (default 5) if no answer arrives — because of loss, partition, a dead
-    endpoint, or a handler error. [bytes] adds transmission delay for
-    large payloads. *)
+    (default 5) if no answer arrives — because of a partition, a machine
+    that is down, or a handler error — and sooner if the callee's machine
+    is up but the callee is dead or rebooted: one round trip after the
+    send, or one network delay after the callee died, if the call was
+    already open. [bytes] adds transmission delay for large payloads. *)
 
 val send : 'm t -> ?bytes:int -> from:Process.t -> endpoint -> 'm -> unit
 (** One-way, best-effort message: the handler should answer [Done]. *)

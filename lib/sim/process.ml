@@ -40,6 +40,7 @@ let create ?(name = "process") machine =
   p
 
 let is_live p inc = p.alive && p.incarnation = inc
+let machine_up m = List.exists (fun p -> p.alive) m.machine_processes
 let on_reboot p hook = p.reboot_hooks <- hook :: p.reboot_hooks
 
 let mark_dead p =

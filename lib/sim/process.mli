@@ -39,6 +39,9 @@ val create : ?name:string -> machine -> t
 val is_live : t -> int -> bool
 (** [is_live p inc] — alive and still in incarnation [inc]? *)
 
+val machine_up : machine -> bool
+(** Is any of the machine's processes alive? A machine with none is down. *)
+
 val on_reboot : t -> (unit -> unit) -> unit
 (** Register a cleanup hook run when the process dies or reboots. *)
 

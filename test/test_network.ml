@@ -82,6 +82,100 @@ let test_dead_server_times_out () =
   in
   Alcotest.(check bool) "timed out" true r
 
+(* ---------- refused or silent: the two failure detectors ----------
+
+   A process that dies on a machine that stays up is refused by that
+   machine, so its callers fail one round trip later; a machine that is
+   down, or cut off by a partition, is silent, and only the call's own
+   timeout ends the call. *)
+
+(* [setup], with a second live process on the server's machine. *)
+let setup_shared () =
+  let ((_, _, server, _) as s) = setup () in
+  let (_neighbour : Process.t) = Process.create ~name:"neighbour" server.Process.machine in
+  s
+
+(* How [fut] ended, and how long after [t0]. *)
+let outcome_since t0 fut =
+  Future.catch
+    (fun () -> Future.map fut (fun n -> (string_of_int n, Engine.now () -. t0)))
+    (fun e -> Future.return (Printexc.to_string e, Engine.now () -. t0))
+
+(* Apply [fault] to the server, then call it with a 1 s timeout. *)
+let call_after fault =
+  Engine.run (fun () ->
+      let net, client, server, ep = setup_shared () in
+      let* () = fault net client server in
+      outcome_since (Engine.now ()) (Network.call net ~timeout:1.0 ~from:client ep (ping 1)))
+
+let timed_out = Printexc.to_string Engine.Timed_out
+
+let check_refused (outcome, took) =
+  Alcotest.(check string) "the call fails with Timed_out" timed_out outcome;
+  if took > 0.01 then Alcotest.failf "refused after %.4f s, not within one round trip" took
+
+let check_silent (outcome, took) =
+  Alcotest.(check string) "the call fails with Timed_out" timed_out outcome;
+  if took < 1.0 then Alcotest.failf "ended after %.4f s, before its 1 s timeout" took
+
+let test_dead_process_refused () =
+  check_refused
+    (call_after (fun _net _client server ->
+         Engine.kill server;
+         Future.return ()))
+
+(* The request is on the wire, or being served, when the server dies: the
+   machine resets the connection instead of leaving the caller waiting. *)
+let test_pending_call_reset () =
+  check_refused
+    (Engine.run (fun () ->
+         let net, client, server, _ep = setup_shared () in
+         let never = Network.fresh_endpoint net in
+         Network.register net never server (function
+           | Ping (_, reply) -> Network.Reply (fst (Future.make ()), reply)
+           | Fetch _ | Note _ -> Network.Done (Future.fail Exit));
+         let call = Network.call net ~timeout:1.0 ~from:client never (ping 1) in
+         let* () = Engine.sleep 0.1 in
+         Engine.kill server;
+         outcome_since (Engine.now ()) call))
+
+let test_stale_endpoint_refused () =
+  check_refused
+    (call_after (fun net _client server ->
+         (* The new incarnation serves a different endpoint. *)
+         server.Process.boot <-
+           (fun () ->
+             Network.register net (Network.fresh_endpoint net) server (function
+               | Ping (n, reply) -> Network.Reply (Future.return n, reply)
+               | Fetch _ | Note _ -> Network.Done (Future.fail Exit)));
+         Engine.reboot server ~delay:0.1 ();
+         Engine.sleep 0.5))
+
+let kill_machine (server : Process.t) =
+  List.iter Engine.kill server.Process.machine.Process.machine_processes
+
+let test_down_machine_and_partition_silent () =
+  (* The whole machine is down: nobody is left to refuse. *)
+  check_silent
+    (call_after (fun _net _client server ->
+         kill_machine server;
+         Future.return ()));
+  (* The process is dead, but its machine cannot reach the caller. *)
+  check_silent
+    (call_after (fun net client server ->
+         Network.partition net ~from:server.Process.machine.Process.machine_id
+           ~to_:client.Process.machine.Process.machine_id;
+         Engine.kill server;
+         Future.return ()));
+  (* A call in flight when the whole machine goes down. *)
+  check_silent
+    (Engine.run (fun () ->
+         let net, client, server, ep = setup_shared () in
+         let t0 = Engine.now () in
+         let call = Network.call net ~timeout:1.0 ~from:client ep (ping 1) in
+         kill_machine server;
+         outcome_since t0 call))
+
 let test_rebooted_server_needs_reregistration () =
   let r =
     Engine.run (fun () ->
@@ -256,6 +350,11 @@ let suite =
     Alcotest.test_case "heal restores" `Quick test_heal_restores;
     Alcotest.test_case "dead server times out" `Quick test_dead_server_times_out;
     Alcotest.test_case "reboot reregistration" `Quick test_rebooted_server_needs_reregistration;
+    Alcotest.test_case "dead process on a live machine refused" `Quick test_dead_process_refused;
+    Alcotest.test_case "pending call reset when its callee dies" `Quick test_pending_call_reset;
+    Alcotest.test_case "rebooted process's old endpoint refused" `Quick test_stale_endpoint_refused;
+    Alcotest.test_case "down machine and partition stay silent" `Quick
+      test_down_machine_and_partition_silent;
     Alcotest.test_case "clog delays" `Quick test_clog_delays;
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;

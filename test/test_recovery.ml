@@ -356,6 +356,50 @@ let first_commit_within_bound victim () =
       recovery_bound;
   Alcotest.(check (option string)) "the commit is readable" (Some "0+") v
 
+(* ---------- failure detection: a refused process, a silent machine ----------
+
+   The CC probes the sequencer every heartbeat tick. A sequencer process
+   that dies on a machine that stays up is refused at once, so the next
+   tick's probe fails and recruits a new generation; a machine that goes
+   down is silent, and only the probe's {!Params.heartbeat_timeout} ends
+   it. *)
+
+(* Apply [fault] to the current sequencer process; return how long it
+   took for a new generation to finish recovering. *)
+let time_to_new_generation fault =
+  with_cluster (fun cluster ->
+      let db = Cluster.client cluster ~name:"c" in
+      let* _ = write_marker db "gen/warm" "0" in
+      let* () = Engine.sleep 1.0 in
+      let* seq = only_sequencer cluster in
+      let recovered = Trace.count "recovery_complete" in
+      let t0 = Engine.now () in
+      fault seq;
+      let rec wait () =
+        if Trace.count "recovery_complete" > recovered then Future.return (Engine.now () -. t0)
+        else
+          let* () = Engine.sleep 0.01 in
+          wait ()
+      in
+      wait ())
+
+let test_process_fault_detected_in_a_tick () =
+  let took = time_to_new_generation (fun p -> Engine.reboot p ~delay:2.0 ()) in
+  let bound = 2.0 *. Params.heartbeat_interval in
+  if took > bound then
+    Alcotest.failf "new generation %.3f s after the sequencer process died (bound %.2f s)"
+      took bound
+
+let test_machine_fault_waits_for_heartbeat () =
+  let took =
+    time_to_new_generation (fun p ->
+        Fault_injector.reboot_machine ~delay:2.0 p.Process.machine)
+  in
+  if took < Params.heartbeat_timeout then
+    Alcotest.failf "new generation %.3f s after the sequencer's machine went down: \
+                    sooner than the %.2f s heartbeat timeout"
+      took Params.heartbeat_timeout
+
 (* With one old LogServer down for good, the lock phase proceeds on the
    m - k + 1 replies it has: the recovery (timed by the CC from declaring
    the failure to the new generation recovering) never waits out the dead
@@ -604,6 +648,10 @@ let suite =
     Alcotest.test_case "tlog kill: commit within detection bound" `Quick
       (first_commit_within_bound current_tlog);
     Alcotest.test_case "old logs locked at quorum" `Quick test_lock_at_quorum;
+    Alcotest.test_case "sequencer process reboot: new generation in two ticks" `Quick
+      test_process_fault_detected_in_a_tick;
+    Alcotest.test_case "sequencer machine reboot: detected by heartbeat timeout" `Quick
+      test_machine_fault_waits_for_heartbeat;
     Alcotest.test_case "proxy death releases waiters (serial)" `Quick
       (proxy_death_releases_waiters ~depth:1);
     Alcotest.test_case "proxy death releases waiters (pipelined)" `Quick

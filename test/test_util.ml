@@ -163,11 +163,16 @@ let qcheck_clamp_non_positive =
 
 (* --- qcheck properties over Det_tbl (the R2 substrate) --- *)
 
+(* Keep each key's first binding, in order. *)
 let dedup_keys kvs =
-  List.rev
-    (List.fold_left
-       (fun acc (k, v) -> if List.mem_assoc k acc then acc else (k, v) :: acc)
-       [] kvs)
+  let module Seen = Set.Make (String) in
+  let _, kept =
+    List.fold_left
+      (fun (seen, acc) (k, v) ->
+        if Seen.mem k seen then (seen, acc) else (Seen.add k seen, (k, v) :: acc))
+      (Seen.empty, []) kvs
+  in
+  List.rev kept
 
 let det_tbl_of kvs =
   let t = Det_tbl.create () in
