@@ -265,6 +265,91 @@ let test_atomic_ops_during_fetch () =
         (Some want) v)
     got
 
+(* ---------- two move-in floors from one start key, then a reboot ---------- *)
+
+(* A server S joins a shard's team by a fetch at v1 while atomic adds to a
+   key in the shard's upper half are committed (dual-tagged to S, below v1).
+   The shard then splits at that key and its lower half moves off S and
+   back, so S fetches again from the same start key at v2. S's machine
+   reboots before S's durable version passes v1: the replayed adds must
+   stay hidden under v1's floor, so every replica holds the committed sum. *)
+let test_same_start_refetch_then_reboot () =
+  let le n = String.init 8 (fun i -> Char.chr ((n lsr (8 * i)) land 0xff)) in
+  let le_int v = Char.code v.[0] + (256 * Char.code v.[1]) in
+  let below_floor, want, total, got =
+    Engine.run ~seed:41L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.test_small () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"rf-writer" in
+        let ctx = Cluster.context cluster in
+        let sm = ctx.Context.shard_map in
+        let proc = probe_proc "rf-mover" in
+        let key = "rf/counter" in
+        let* () = Client.run db (fun tx -> Client.set tx key (le 1000); Future.return ()) in
+        let* () = Engine.sleep 1.0 in
+        let lo, _ = Shard_map.shard_range_for_key sm key in
+        let src = Shard_map.team_for_key sm key in
+        let n_ss = Array.length ctx.Context.storage_eps in
+        let s = List.find (fun ss -> not (List.mem ss src)) (List.init n_ss Fun.id) in
+        let dst = List.sort compare (s :: List.tl src) in
+        (* The first move, by hand so every add lands below the fetch
+           version: begin_move dual-tags the adds to S. *)
+        let lo, hi, src_team = Result.get_ok (Shard_map.begin_move sm ~lo ~dst) in
+        let adds = 20 in
+        let rec add n =
+          if n = 0 then Future.return ()
+          else
+            let* () =
+              Client.run db (fun tx ->
+                  Client.atomic_op tx Fdb_kv.Mutation.Add key (le 1);
+                  Future.return ())
+            in
+            add (n - 1)
+        in
+        let* () = add adds in
+        let* v1, epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let* () =
+          Context.rpc ctx ~timeout:20.0 ~from:proc ctx.Context.storage_eps.(s)
+            (Message.Ss_fetch_shard
+               { fs_from = lo; fs_until = hi; fs_version = v1; fs_epoch = epoch;
+                 fs_sources = src_team })
+        in
+        ignore (Result.get_ok (Shard_map.commit_move sm ~lo ~dst) : unit);
+        (* Split at the counter; its lower half moves off S and back, so S
+           fetches [lo, key) from the same start key. *)
+        ignore (Result.get_ok (Shard_map.split sm ~at:key) : unit);
+        let* off = Data_distributor.move_shard ctx ~proc ~db ~lo ~dst:(List.sort compare src_team) in
+        let* back = Data_distributor.move_shard ctx ~proc ~db ~lo ~dst in
+        if off <> Ok () || back <> Ok () then Alcotest.fail "a lower-half move failed";
+        let* { Message.ss_durable; _ } =
+          Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(s) Message.Ss_stats_req
+        in
+        Fault_injector.reboot_machine ~delay:0.5
+          (Cluster.worker_machines cluster).(s / ctx.Context.config.Config.storage_per_machine);
+        let* () = Engine.sleep 5.0 in
+        let* total = Client.run db (fun tx -> Client.get tx key) in
+        let* version, rv_epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let* got =
+          Future.all
+            (List.map
+               (fun ss ->
+                 let+ value =
+                   Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(ss)
+                     (Message.Storage_get { key; version; rv_epoch })
+                 in
+                 (ss, Option.map le_int value))
+               (Shard_map.team_for_key sm key))
+        in
+        Future.return (ss_durable < v1, 1000 + adds, Option.map le_int total, got))
+  in
+  Alcotest.(check bool) "S rebooted below its first fetch version" true below_floor;
+  Alcotest.(check (option int)) "the counter total" (Some want) total;
+  List.iter
+    (fun (ss, v) ->
+      Alcotest.(check (option int)) (Printf.sprintf "ss %d holds the committed sum" ss)
+        (Some want) v)
+    got
+
 (* ---------- move-during-everything swarm ---------- *)
 
 (* Bank, ring and the random-ops soup run under fault injection and
@@ -287,5 +372,7 @@ let suite =
       test_stale_generation_wrong_shard;
     Alcotest.test_case "cutover atomicity" `Quick test_cutover_atomicity;
     Alcotest.test_case "atomic ops during a fetch" `Quick test_atomic_ops_during_fetch;
+    Alcotest.test_case "same-start refetch, then a reboot" `Quick
+      test_same_start_refetch_then_reboot;
     Alcotest.test_case "move during everything" `Slow test_move_during_everything;
   ]

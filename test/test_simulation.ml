@@ -35,16 +35,22 @@ let test_faults_actually_recover () =
 (* Seeds that historically exposed real bugs (EXPERIMENTS.md bug log):
    303 = rollback under-shoot across skipped generations,
    502 = log pruning vs resurrection dragging RV to zero,
-   903 = storage peek failover off the tag's replica set. *)
+   903 = storage peek failover off the tag's replica set,
+   52 = a move-in floor lost on reboot (two fetches from one start key). *)
 let test_regression_seed_303 () = check_pass (Swarm.run_one ~duration:30.0 ~seed:303L ())
 let test_regression_seed_502 () = check_pass (Swarm.run_one ~duration:30.0 ~seed:502L ())
 let test_regression_seed_903 () = check_pass (Swarm.run_one ~duration:25.0 ~seed:903L ())
+
+let test_regression_seed_52 () =
+  check_pass (Swarm.run_one ~duration:60.0 ~layers:true ~dd_movement:true ~seed:52L ())
 
 let suite =
   [
     Alcotest.test_case "regression seed 303" `Slow test_regression_seed_303;
     Alcotest.test_case "regression seed 502" `Slow test_regression_seed_502;
     Alcotest.test_case "regression seed 903" `Slow test_regression_seed_903;
+    Alcotest.test_case "regression seed 52 (move-in floor lost on reboot)" `Slow
+      test_regression_seed_52;
     Alcotest.test_case "swarm seed 101" `Slow test_seed_1;
     Alcotest.test_case "swarm seed 202" `Slow test_seed_2;
     Alcotest.test_case "swarm seed 303" `Slow test_seed_3;
