@@ -40,7 +40,7 @@ let test_vw_range_clear_masks () =
 
 let test_vw_pop_through () =
   let w = vw_with_events () in
-  let popped = List.map snd (Version_window.pop_through_versioned w 20L) in
+  let popped = Version_window.pop_through w 20L in
   Alcotest.(check int) "popped two" 2 (List.length popped);
   Alcotest.(check bool) "in order" true
     (popped = [ Mutation.Set ("a", "1"); Mutation.Set ("a", "2") ]);
@@ -50,6 +50,56 @@ let test_vw_pop_through () =
   check_read "older now unknown" true
     (Version_window.read w 25L "a" = Version_window.Unknown);
   Alcotest.(check int) "one event left" 1 (Version_window.event_count w)
+
+(* A floor [(lo, hi, since)]: the level below holds [lo, hi) as of [since]. *)
+let test_vw_floor_hides_range () =
+  let w = Version_window.create () in
+  Version_window.apply w 10L (Mutation.Set ("b", "old"));
+  Version_window.apply w 10L (Mutation.Set ("x", "out"));
+  Version_window.apply w 15L (Mutation.Clear_range ("a", "z"));
+  Version_window.apply w 30L (Mutation.Set ("b", "new"));
+  Version_window.install_floor w ~lo:"a" ~hi:"m" ~since:20L;
+  check_read "set below the floor hidden" true (Version_window.read w 12L "b" = Version_window.Unknown);
+  check_read "clear below the floor hidden" true
+    (Version_window.read w 16L "b" = Version_window.Unknown);
+  check_read "above the floor visible" true (Version_window.read w 30L "b" = Version_window.Value "new");
+  check_read "outside the range: set" true (Version_window.read w 12L "x" = Version_window.Value "out");
+  check_read "outside the range: clear" true (Version_window.read w 16L "x" = Version_window.Cleared);
+  Alcotest.(check (option int64)) "last change above the floor" (Some 30L)
+    (Version_window.last_change w "b");
+  Alcotest.(check (option int64)) "no change above the floor" None (Version_window.last_change w "c");
+  Alcotest.(check int64) "floor over an overlapping range" 20L
+    (Version_window.floor_over w ~from:"l" ~until:"z");
+  Alcotest.(check int64) "no floor past hi" Int64.min_int
+    (Version_window.floor_over w ~from:"m" ~until:"z");
+  Version_window.install_floor w ~lo:"a" ~hi:"m" ~since:25L;
+  Version_window.install_floor w ~lo:"a" ~hi:"f" ~since:40L;
+  Alcotest.(check (list (triple string string int64))) "same range replaced, same start kept"
+    [ ("a", "f", 40L); ("a", "m", 25L) ]
+    (Version_window.floors w)
+
+let test_vw_pop_through_floors () =
+  let w = Version_window.create () in
+  Version_window.apply w 10L (Mutation.Set ("d", "stale"));
+  Version_window.apply w 12L (Mutation.Set ("x", "kept"));
+  Version_window.apply w 15L (Mutation.Clear_range ("a", "z"));
+  Version_window.install_floor w ~lo:"c" ~hi:"m" ~since:20L;
+  Alcotest.(check bool) "hidden set dropped, clear split around the floor" true
+    (Version_window.pop_through w 18L
+    = [ Mutation.Set ("x", "kept"); Mutation.Clear_range ("a", "c"); Mutation.Clear_range ("m", "z") ]);
+  Alcotest.(check int) "floor kept below since" 1 (List.length (Version_window.floors w));
+  Version_window.apply w 25L (Mutation.Set ("d", "fresh"));
+  Alcotest.(check bool) "nothing left to pop" true (Version_window.pop_through w 20L = []);
+  Alcotest.(check int) "floor retired at since" 0 (List.length (Version_window.floors w));
+  check_read "later event visible" true (Version_window.read w 25L "d" = Version_window.Value "fresh")
+
+let test_vw_create_restores_floors () =
+  let floors = [ ("a", "m", 20L); ("p", "q", 30L) ] in
+  let w = Version_window.create ~initial_version:5L ~floors () in
+  Version_window.apply w 10L (Mutation.Set ("b", "replayed"));
+  Alcotest.(check (list (triple string string int64))) "floors restored" floors
+    (Version_window.floors w);
+  check_read "replayed event hidden" true (Version_window.read w 15L "b" = Version_window.Unknown)
 
 let test_vw_rollback () =
   let w = vw_with_events () in
@@ -380,6 +430,10 @@ let suite =
     Alcotest.test_case "vw point reads" `Quick test_vw_point_reads;
     Alcotest.test_case "vw range clear masks" `Quick test_vw_range_clear_masks;
     Alcotest.test_case "vw pop_through" `Quick test_vw_pop_through;
+    Alcotest.test_case "vw floor hides its range" `Quick test_vw_floor_hides_range;
+    Alcotest.test_case "vw pop_through drops hidden parts, retires floors" `Quick
+      test_vw_pop_through_floors;
+    Alcotest.test_case "vw create restores floors" `Quick test_vw_create_restores_floors;
     Alcotest.test_case "vw rollback" `Quick test_vw_rollback;
     Alcotest.test_case "vw version regression" `Quick test_vw_version_regression_rejected;
     Alcotest.test_case "vw keys in range" `Quick test_vw_keys_in_range;
