@@ -4,8 +4,9 @@ module Det_tbl = Fdb_util.Det_tbl
 type endpoint = int
 
 (* A call's promise with its answer type hidden, and the process waiting
-   for it: a timeout or a refusal only breaks it. *)
-type pending = Pending : 'r Future.promise * Process.t -> pending
+   for it with the incarnation that made the call: a timeout or a refusal
+   only breaks it. *)
+type pending = Pending : 'r Future.promise * Process.t * int -> pending
 
 (* The calls one process has not answered yet, by rpc id. *)
 type calls = (int, pending) Det_tbl.t
@@ -13,6 +14,7 @@ type calls = (int, pending) Det_tbl.t
 type 'r reply = {
   rpc_id : int;
   reply_to : Process.t;
+  reply_inc : int; (* [reply_to]'s incarnation when it called *)
   promise : 'r Future.promise;
   calls : calls;
 }
@@ -97,7 +99,7 @@ let handler_error ep exn =
 let fail_pending calls rpc_id =
   match Det_tbl.find_opt calls rpc_id with
   | None -> ()
-  | Some (Pending (promise, _)) ->
+  | Some (Pending (promise, _, _)) ->
       Det_tbl.remove calls rpc_id;
       (* The promise was still registered, so a false break means the
          caller got neither reply nor timeout — a lost wakeup. *)
@@ -119,7 +121,8 @@ let refuse t ~(callee : Process.t) ~(caller : Process.t) calls rpc_id =
 
 (* The calls a process has open, created with the hook that resets them
    when it dies: a connection reset, not the callers' timeouts, ends them
-   whenever its machine stays up. *)
+   whenever its machine stays up. A caller that has rebooted since its call
+   is not the one that made it: that call is forgotten, not refused. *)
 let calls_of t (p : Process.t) =
   match Hashtbl.find_opt t.callees p.Process.pid with
   | Some calls -> calls
@@ -128,7 +131,9 @@ let calls_of t (p : Process.t) =
       Hashtbl.replace t.callees p.Process.pid calls;
       Process.on_reboot p (fun () ->
           Det_tbl.iter
-            (fun rpc_id (Pending (_, caller)) -> refuse t ~callee:p ~caller calls rpc_id)
+            (fun rpc_id (Pending (_, caller, inc)) ->
+              if caller.Process.incarnation <> inc then Det_tbl.remove calls rpc_id
+              else refuse t ~callee:p ~caller calls rpc_id)
             calls);
       calls
 
@@ -136,19 +141,23 @@ let register t ep proc fn =
   Hashtbl.replace t.handlers ep
     { h_proc = proc; h_inc = proc.Process.incarnation; h_fn = fn; h_calls = calls_of t proc }
 
-(* Route [resp] back to the caller, unless its call was already broken. *)
-let respond t (h : _ handler) { rpc_id; reply_to; promise; calls } resp =
-  match route t ~src:h.h_proc.Process.machine ~dst:reply_to.Process.machine ~bytes:0 with
-  | None -> ()
-  | Some delay ->
-      Engine.schedule ~after:delay ~process:reply_to (fun () ->
-          if Det_tbl.mem calls rpc_id then begin
-            Det_tbl.remove calls rpc_id;
-            (* A false here is a reply the caller will never see: surface
-               it, don't drop it. *)
-            if not (Future.try_fulfill promise resp) then
-              Trace.emit "rpc_reply_lost" [ ("rpc_id", string_of_int rpc_id) ]
-          end)
+(* Route [resp] back to the caller, unless its call was already broken.
+   Only the incarnation that made the call may see the answer: a caller
+   that has rebooted since is not sent it, and its call is forgotten. *)
+let respond t (h : _ handler) { rpc_id; reply_to; reply_inc; promise; calls } resp =
+  if reply_to.Process.incarnation <> reply_inc then Det_tbl.remove calls rpc_id
+  else
+    match route t ~src:h.h_proc.Process.machine ~dst:reply_to.Process.machine ~bytes:0 with
+    | None -> ()
+    | Some delay ->
+        Engine.schedule ~after:delay ~process:reply_to (fun () ->
+            if Det_tbl.mem calls rpc_id then begin
+              Det_tbl.remove calls rpc_id;
+              (* A false here is a reply the caller will never see: surface
+                 it, don't drop it. *)
+              if not (Future.try_fulfill promise resp) then
+                Trace.emit "rpc_reply_lost" [ ("rpc_id", string_of_int rpc_id) ]
+            end)
 
 (* Deliver a message to [ep]'s handler; route the answer back, if any. *)
 let deliver t ep payload =
@@ -196,12 +205,13 @@ let call t ?(timeout = 5.0) ?bytes ~from ep request =
   let fut, promise = Future.make () in
   let handler = Hashtbl.find_opt t.handlers ep in
   let calls = match handler with Some h -> h.h_calls | None -> t.unrouted in
-  Det_tbl.replace calls rpc_id (Pending (promise, from));
+  let inc = from.Process.incarnation in
+  Det_tbl.replace calls rpc_id (Pending (promise, from, inc));
   (match handler with
   | None -> () (* nobody will answer: the timeout ends the call *)
   | Some h ->
       if Process.is_live h.h_proc h.h_inc || not (Process.machine_up h.h_proc.Process.machine)
-      then transmit t ?bytes ~from h ep (request { rpc_id; reply_to = from; promise; calls })
+      then transmit t ?bytes ~from h ep (request { rpc_id; reply_to = from; reply_inc = inc; promise; calls })
       else refuse_on_arrival t ?bytes ~from h rpc_id);
   (* The timer finds the promise by id rather than capturing it, so a
      delivered reply is not kept alive until the timeout fires. *)

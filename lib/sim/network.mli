@@ -15,7 +15,9 @@
     an earlier incarnation) within one round trip, and resets the calls a
     process had open when it died; a machine that is down, or a partition,
     is silent, so only the call's timeout ends it. Both fail the call with
-    {!Engine.Timed_out}: the caller cannot tell whether the request ran. *)
+    {!Engine.Timed_out}: the caller cannot tell whether the request ran.
+    A reply or a refusal reaches only the incarnation that made the call: a
+    caller that has rebooted since never sees it. *)
 
 type endpoint = int
 (** A well-known address for a role instance (like FDB's NetworkAddress). *)

@@ -176,6 +176,44 @@ let test_down_machine_and_partition_silent () =
          kill_machine server;
          outcome_since t0 call))
 
+(* ---------- only the calling incarnation sees the answer ---------- *)
+
+(* The client calls [ep] in its own process context (so the call's timeout
+   belongs to it), then reboots at 0.05 s and is back at 0.06 s; [fault]
+   runs at 0.1 s. Whatever then reaches the client must run none of the old
+   incarnation's continuation, not even the call's timeout. *)
+let old_continuation_runs ep_of fault =
+  Engine.run (fun () ->
+      let net, client, server, _ep = setup_shared () in
+      let ep = ep_of net server in
+      let ran = ref false in
+      Engine.with_process client (fun () ->
+          Future.on_resolve (Network.call net ~timeout:1.0 ~from:client ep (ping 1)) (fun _ ->
+              ran := true));
+      let* () = Engine.sleep 0.05 in
+      Engine.reboot client ~delay:0.01 ();
+      let* () = Engine.sleep 0.05 in
+      fault server;
+      let* () = Engine.sleep 2.0 in
+      Future.return !ran)
+
+(* The server answers 0.2 s after the request arrives. *)
+let slow_endpoint net server =
+  let ep = Network.fresh_endpoint net in
+  Network.register net ep server (function
+    | Ping (n, reply) ->
+        Network.Reply (Future.map (Engine.sleep 0.2) (fun () -> n + 1), reply)
+    | Fetch _ | Note _ -> Network.Done (Future.fail Exit));
+  ep
+
+let test_reply_to_rebooted_caller_dropped () =
+  Alcotest.(check bool) "the old continuation never ran" false
+    (old_continuation_runs slow_endpoint (fun _ -> ()))
+
+let test_refusal_to_rebooted_caller_dropped () =
+  Alcotest.(check bool) "the old continuation never ran" false
+    (old_continuation_runs slow_endpoint Engine.kill)
+
 let test_rebooted_server_needs_reregistration () =
   let r =
     Engine.run (fun () ->
@@ -355,6 +393,10 @@ let suite =
     Alcotest.test_case "rebooted process's old endpoint refused" `Quick test_stale_endpoint_refused;
     Alcotest.test_case "down machine and partition stay silent" `Quick
       test_down_machine_and_partition_silent;
+    Alcotest.test_case "a reply to a rebooted caller is dropped" `Quick
+      test_reply_to_rebooted_caller_dropped;
+    Alcotest.test_case "a refusal to a rebooted caller is dropped" `Quick
+      test_refusal_to_rebooted_caller_dropped;
     Alcotest.test_case "clog delays" `Quick test_clog_delays;
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;
