@@ -15,7 +15,6 @@ type t = {
   storage_per_machine : int;
   log_replication : int;
   storage_replication : int;
-  mvcc_window : float;
   shards_per_storage : int;
   cc_candidates : int;
   racks : int;
@@ -48,7 +47,6 @@ let default =
     storage_per_machine = 2;
     log_replication = 3;
     storage_replication = 3;
-    mvcc_window = 5.0;
     shards_per_storage = 2;
     cc_candidates = 3;
     racks = 5;

@@ -25,7 +25,6 @@ type t = {
   storage_per_machine : int;
   log_replication : int;  (** k = f+1 synchronous log replicas (§2.5) *)
   storage_replication : int;  (** team size (§2.5) *)
-  mvcc_window : float;  (** seconds of multi-version history (§6.4) *)
   shards_per_storage : int;  (** shard granularity: shards ≈ this × servers *)
   cc_candidates : int;  (** how many workers campaign for ClusterController *)
   racks : int;  (** fault domains: machine i is in rack [i mod racks] *)

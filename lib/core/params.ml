@@ -41,8 +41,8 @@ let client_read_timeout = 0.6
    at most [watch_poll_timeout] simulated seconds before replying not-fired
    with the server's current version; the client immediately re-registers
    from that version. The poll window must sit comfortably inside the MVCC
-   window (default 5 s) so a re-registration version never falls below
-   [Version_window.oldest] on a healthy server. *)
+   window ([Types.mvcc_window], 5 s) so a re-registration version never
+   falls below [Versioned_store.oldest] on a healthy server. *)
 let watch_poll_timeout = 2.0
 
 (* Range-read pipeline (client -> storage). A wide range read fans out

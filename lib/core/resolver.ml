@@ -170,12 +170,9 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
 (* Coalesce history that has left the MVCC window (§2.4.2: "modified keys
    expire after the MVCC window"). *)
 let expiry_loop t =
-  let window_versions =
-    Int64.of_float (t.ctx.Context.config.Config.mvcc_window *. Types.versions_per_second)
-  in
   let rec loop () =
     let* () = Engine.sleep 1.0 in
-    let floor = Int64.sub t.last_lsn window_versions in
+    let floor = Int64.sub t.last_lsn Types.mvcc_window in
     if floor > 0L then begin
       Rvm.expire t.rvm ~before:floor;
       (* LSNs were enqueued in increasing order: pop the expired prefix —

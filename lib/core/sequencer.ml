@@ -165,8 +165,6 @@ let broadcast_ss_recover t =
             (fun _ -> Future.return ())))
     t.ctx.Context.storage_eps
 
-let time_version () = Int64.of_float (Engine.now () *. Types.versions_per_second)
-
 let recover t =
   let reg =
     Register.create
@@ -369,7 +367,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
         else begin
           let* () = Engine.cpu t.proc Params.sequencer_per_request in
           let v =
-            let tv = time_version () in
+            let tv = Types.time_version () in
             if tv > Int64.add t.last_version 1L then tv else Int64.add t.last_version 1L
           in
           let prev = t.last_version in

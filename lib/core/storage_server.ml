@@ -1,32 +1,7 @@
 open Fdb_sim
 open Future.Syntax
 module Mutation = Fdb_kv.Mutation
-module Window = Fdb_kv.Version_window
-module Pstore = Fdb_kv.Persistent_store
-
-let version_meta_key = "\xff\xff/ss/version"
-
-(* The snapshot floors of the ranges this server fetched as a move
-   destination, persisted whole as one record above [system_key_space_end]
-   (never served, never clipped by shard filters): each install and each
-   retirement rewrites the record in the same batch as its data, so a reboot
-   restores exactly the floors the pstore image was written under. *)
-let floors_key = "\xff\xff/ss/floors"
-
-let floors_record = function
-  | [] -> Mutation.Clear floors_key
-  | floors ->
-      Mutation.Set
-        ( floors_key,
-          Tuple.pack
-            (List.concat_map (fun (lo, hi, since) -> Tuple.[ Bytes lo; Bytes hi; Int since ]) floors)
-        )
-
-let rec floors_of_tuple = function
-  | Tuple.Bytes lo :: Tuple.Bytes hi :: Tuple.Int since :: rest ->
-      (lo, hi, since) :: floors_of_tuple rest
-  | [] -> []
-  | _ -> invalid_arg "Storage_server: malformed floors record"
+module Store = Versioned_store
 
 (* One registered watch: fire (fulfill the promise with the mutation's
    version) as soon as any mutation to the watched key applies at a version
@@ -44,10 +19,8 @@ type t = {
   proc : Process.t;
   ep : int;
   id : int; (* also the tag *)
-  pstore : Pstore.t;
-  window : Window.t;
+  store : Store.t;
   mutable version : Types.version; (* caught up through this version *)
-  mutable durable : Types.version;
   mutable kcv : Types.version; (* durability floor learned from logs *)
   mutable epoch : Types.epoch;
   mutable logs : (int * int) list;
@@ -95,10 +68,10 @@ let shard_metric stem lo =
   stem ^ ":"
   ^ String.concat "" (List.init (String.length lo) (fun i -> Printf.sprintf "%02x" (Char.code lo.[i])))
 
-let time_version () = Int64.of_float (Engine.now () *. Types.versions_per_second)
-
 let lag_seconds t =
-  let lag = Int64.to_float (Int64.sub (time_version ()) t.version) /. Types.versions_per_second in
+  let lag =
+    Int64.to_float (Int64.sub (Types.time_version ()) t.version) /. Types.versions_per_second
+  in
   if lag < 0.0 then 0.0 else lag
 
 (* The served ranges come live from the shared shard map, so a runtime team
@@ -127,15 +100,6 @@ let clip_to_shards t ~from ~until =
       let u = if until < hi then until else hi in
       if f < u then Some (f, u) else None)
     (applied_shards t)
-
-(* The value of [key] at [version]. Applying version [v] reads at [v]
-   itself: within one commit version, later mutations must observe earlier
-   ones (atomic ops stack). *)
-let read_at t version key =
-  match Window.read t.window version key with
-  | Window.Value v -> Some v
-  | Window.Cleared -> None
-  | Window.Unknown -> Pstore.get t.pstore key
 
 (* Wake watchers of every key the (concrete) mutation touches whose watch
    version lies below [v]. No-op when the table is empty, so runs that
@@ -175,18 +139,11 @@ let notify_watches t v (m : Mutation.t) =
   end
 
 let apply_mutation t v (m : Mutation.t) =
-  let concrete =
-    match m with
-    | Mutation.Atomic (kind, key, operand) -> (
-        if not (in_shards t key) then t.blind_atomics <- (key, v) :: t.blind_atomics;
-        let old_value = read_at t v key in
-        match Mutation.atomic_result kind ~old_value operand with
-        | Some value -> Mutation.Set (key, value)
-        | None -> Mutation.Clear key)
-    | m -> m
-  in
-  Window.apply t.window v concrete;
-  notify_watches t v concrete
+  (match m with
+  | Mutation.Atomic (_, key, _) when not (in_shards t key) ->
+      t.blind_atomics <- (key, v) :: t.blind_atomics
+  | _ -> ());
+  notify_watches t v (Store.apply t.store v m)
 
 (* ---------- per-shard traffic accounting (DD's rebalancing signal) ---------- *)
 
@@ -298,9 +255,9 @@ let adopt t ~epoch ~rv ~history ~logs =
     in
     let boundary =
       if List.exists (fun (e, _) -> e = t.epoch + 1) history then boundary
-      else t.durable
+      else Store.durable t.store
     in
-    let target = max boundary t.durable in
+    let target = max boundary (Store.durable t.store) in
     Trace.emit "ss_adopt_state"
       [ ("ss", string_of_int t.id); ("epoch", string_of_int epoch);
         ("target", Int64.to_string target) ];
@@ -311,7 +268,7 @@ let adopt t ~epoch ~rv ~history ~logs =
       t.peek;
     t.peek <- None;
     if t.version > target then begin
-      let dropped = Window.rollback t.window ~after:target in
+      let dropped = Store.rollback t.store ~after:target in
       Trace.emit "ss_rollback"
         [ ("ss", string_of_int t.id); ("rv", Int64.to_string target);
           ("dropped", string_of_int dropped) ];
@@ -408,10 +365,10 @@ let pull_loop t =
 let publish_stats t =
   let busy = t.proc.Process.cpu_busy_until -. Engine.now () in
   Fdb_obs.Registry.set_gauge t.obs_lag (lag_seconds t);
-  Fdb_obs.Registry.set_gauge t.obs_window (float_of_int (Window.event_count t.window));
+  Fdb_obs.Registry.set_gauge t.obs_window (float_of_int (Store.event_count t.store));
   Fdb_obs.Registry.set_gauge t.obs_busy (if busy > 0.0 then busy else 0.0);
   Fdb_obs.Registry.set_gauge t.obs_version (Int64.to_float t.version);
-  Fdb_obs.Registry.set_gauge t.obs_durable (Int64.to_float t.durable);
+  Fdb_obs.Registry.set_gauge t.obs_durable (Int64.to_float (Store.durable t.store));
   Fdb_obs.Registry.set_gauge t.obs_heartbeat (Engine.now ())
 
 let live_load reg ~now =
@@ -425,7 +382,7 @@ let live_load reg ~now =
            in
            Some (g "lag", int_of_float (g "window_events"), g "busy"))
 
-(* Per-shard persistent size: a pstore range scan, so only refreshed every
+(* Per-shard persistent size: an image range scan, so only refreshed every
    8th stats tick (~2 s) — cheap enough, fresh enough for DD split/merge
    decisions. *)
 let publish_shard_sizes t =
@@ -435,7 +392,7 @@ let publish_shard_sizes t =
         Seq.fold_left
           (fun a (k, v) -> a + String.length k + String.length v)
           0
-          (Pstore.range t.pstore ~from:lo ~until:hi ~reverse:false)
+          (Store.image_range t.store ~from:lo ~until:hi)
       in
       let g =
         Fdb_util.Det_tbl.find_or_add t.shard_size_gauges lo (fun () ->
@@ -459,24 +416,11 @@ let stats_loop t =
 (* ---------- durability (§2.4.3: delayed, coalesced persistence) ---------- *)
 
 let make_durable t =
-  let window_versions =
-    Int64.of_float (t.ctx.Context.config.Config.mvcc_window *. Types.versions_per_second)
-  in
-  let target = min t.kcv (Int64.sub t.version window_versions) in
+  let target = min t.kcv (Int64.sub t.version Types.mvcc_window) in
   if t.fetches_in_flight > 0 then Future.return ()
-  else if target > t.durable then begin
-    let floors = Window.floors t.window in
-    let muts = Window.pop_through t.window target in
+  else if target > Store.durable t.store then begin
     t.blind_atomics <- List.filter (fun (_, v) -> v > target) t.blind_atomics;
-    (* If the pop retired floors, the rest are persisted in the same batch. *)
-    let spent = List.compare_lengths floors (Window.floors t.window) <> 0 in
-    let record = if spent then [ floors_record (Window.floors t.window) ] else [] in
-    let marker = Mutation.Set (version_meta_key, Types.version_to_bytes target) in
-    let* () = Pstore.apply t.pstore (muts @ record @ [ marker ]) in
-    let* () = Pstore.commit t.pstore in
-    (* Monotone re-read after the pstore yields (rule R5): never regress a
-       durable horizon a concurrent pass already advanced. *)
-    if target > t.durable then t.durable <- target;
+    let* () = Store.make_durable t.store target in
     (* Tell the logs this data no longer needs them. *)
     List.iter
       (fun (_, ep) ->
@@ -505,41 +449,6 @@ let wait_for_version t v =
       (fun () -> Future.map (Engine.timeout Params.storage_read_wait fut) (fun () -> true))
       (function Engine.Timed_out -> Future.return false | e -> raise e)
   end
-
-(* Merge two key sequences, each in scan order under [cmp], into one
-   without duplicates. *)
-let rec merge_keys cmp a b () =
-  match (a (), b ()) with
-  | Seq.Nil, rest | rest, Seq.Nil -> rest
-  | (Seq.Cons (x, a') as na), (Seq.Cons (y, b') as nb) ->
-      let c = cmp x y in
-      if c = 0 then Seq.Cons (x, merge_keys cmp a' b')
-      else if c < 0 then Seq.Cons (x, merge_keys cmp a' (fun () -> nb))
-      else Seq.Cons (y, merge_keys cmp (fun () -> na) b')
-
-(* A range read over the two-level stack: the persistent image's keys and
-   the window's keys, merged lazily in scan order (descending when
-   [reverse]); visibility is decided per key at [version]. Stops at the row
-   or byte budget (always returning at least one row when any is visible);
-   [more = true] only when a budget stopped the scan with a candidate left,
-   so the caller knows to drain the rest with a continuation round-trip. *)
-let range_read t version ~from ~until ~reverse ~limit ~byte_limit =
-  let cmp = if reverse then fun a b -> compare b a else compare in
-  let rec scan candidates acc count bytes =
-    match candidates () with
-    | Seq.Nil -> (List.rev acc, false)
-    | Seq.Cons _ when count >= limit || bytes >= byte_limit -> (List.rev acc, true)
-    | Seq.Cons (k, rest) -> (
-        match read_at t version k with
-        | Some v ->
-            scan rest ((k, v) :: acc) (count + 1) (bytes + String.length k + String.length v)
-        | None -> scan rest acc count bytes)
-  in
-  scan
-    (merge_keys cmp
-       (Seq.map fst (Pstore.range t.pstore ~from ~until ~reverse))
-       (Window.keys t.window ~from ~until ~reverse))
-    [] 0 0
 
 (* ---------- RPC surface ---------- *)
 
@@ -574,17 +483,17 @@ let admit t ~version ~epoch ~from ~until =
   let* current = ensure_epoch t epoch in
   let* ok = if current then wait_for_version t version else Future.return false in
   if not (current && ok) then Future.return (Some Error.Future_version)
-  else if version < Window.oldest t.window && Window.oldest t.window > 0L then begin
+  else if version < Store.oldest t.store && Store.oldest t.store > 0L then begin
     Trace.emit "ss_too_old"
       [ ("ss", string_of_int t.id); ("rv", Int64.to_string version);
-        ("oldest", Int64.to_string (Window.oldest t.window));
+        ("oldest", Int64.to_string (Store.oldest t.store));
         ("version", Int64.to_string t.version);
         ("kcv", Int64.to_string t.kcv);
-        ("durable", Int64.to_string t.durable) ];
+        ("durable", Int64.to_string (Store.durable t.store)) ];
     Future.return (Some Error.Transaction_too_old)
   end
   else if not (covers t ~from ~until) then Future.return (Some Error.Wrong_shard)
-  else if version < Window.floor_over t.window ~from ~until then
+  else if version < Store.floor_over t.store ~from ~until then
     (* The range arrived here by shard movement and the fetched snapshot
        cannot reconstruct state below its version: retryable. *)
     Future.return (Some Error.Transaction_too_old)
@@ -614,7 +523,7 @@ let drain ctx ~proc ep ~from ~until ~version ~epoch =
   loop from []
 
 (* Drain a committed snapshot of [from, until) at [version] from the current
-   team, install it in the pstore under a snapshot floor, and ack. The DD
+   team, install it in the image under a snapshot floor, and ack. The DD
    has already begun the move, so our own tLog tag carries every mutation
    above [version] for the range — the floor makes window entries at or
    below it invisible (the snapshot embodies them) and the durable path
@@ -624,9 +533,9 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
   let srcs = Array.of_list (List.filter (fun ss -> ss <> t.id) sources) in
   if Array.length srcs = 0 then
     Future.return (Error (Error.Internal "fetch: no source replica"))
-  else if t.durable > version then
+  else if Store.durable t.store > version then
     (* Our durable horizon already passed the snapshot version: data above
-       it is in the pstore and would be wiped by the install. *)
+       it is in the image and would be wiped by the install. *)
     Future.return (Error (Error.Internal "fetch: snapshot below durable horizon"))
   else begin
     t.fetches_in_flight <- t.fetches_in_flight + 1;
@@ -659,24 +568,14 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
                 (Params.cpu (Params.storage_per_apply_byte *. float_of_int bytes))
             in
             let in_range (k, _) = from <= k && k < until in
-            if t.durable > version then
+            if Store.durable t.store > version then
               Future.return (Error (Error.Internal "fetch: snapshot below durable horizon"))
             else if List.exists (fun ((_, v) as e) -> in_range e && v > version) t.blind_atomics
             then
               Future.return (Error (Error.Internal "fetch: atomic op applied without its base"))
             else begin
               t.blind_atomics <- List.filter (fun e -> not (in_range e)) t.blind_atomics;
-              (* Floor registration and the pstore install are synchronous
-                 with each other (no yield between them), so no durability
-                 pass can interleave a pop. *)
-              Window.install_floor t.window ~lo:from ~hi:until ~since:version;
-              let muts =
-                (Mutation.Clear_range (from, until)
-                :: List.map (fun (k, v) -> Mutation.Set (k, v)) kvs)
-                @ [ floors_record (Window.floors t.window) ]
-              in
-              let* () = Pstore.apply t.pstore muts in
-              let* () = Pstore.commit t.pstore in
+              let* () = Store.install t.store ~lo:from ~hi:until ~since:version kvs in
               Trace.emit "ss_shard_fetched"
                 [ ("ss", string_of_int t.id); ("lo", String.escaped from);
                   ("rows", string_of_int (List.length kvs));
@@ -687,7 +586,7 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
 
 (* Median-by-bytes key of a range (DD's organic split point). *)
 let split_point t ~from ~until =
-  let rows = Pstore.range t.pstore ~from ~until ~reverse:false in
+  let rows = Store.image_range t.store ~from ~until in
   let size (k, v) = String.length k + String.length v in
   let total = Seq.fold_left (fun a kv -> a + size kv) 0 rows in
   let rec median acc rows =
@@ -713,7 +612,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       | None ->
           Fdb_obs.Registry.incr t.obs_reads;
           Fdb_obs.Registry.observe t.obs_read_lat (Engine.now () -. t0);
-          let value = read_at t version key in
+          let value = Store.get t.store version key in
           note_read_traffic t key
             (String.length key + match value with Some v -> String.length v | None -> 0);
           Future.return (Ok value))
@@ -733,7 +632,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       | Some e -> Future.return (Error e)
       | None ->
           let rows, more =
-            range_read t gr_version ~from:gr_from ~until:gr_until ~reverse:gr_reverse
+            Store.read_range t.store gr_version ~from:gr_from ~until:gr_until ~reverse:gr_reverse
               ~limit:gr_limit ~byte_limit:gr_byte_limit
           in
           let* () =
@@ -750,7 +649,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       adopt t ~epoch:sr_epoch ~rv:sr_rv ~history:sr_history ~logs:sr_logs;
       Future.return (Ok ())
   | Message.Ss_stats_req ->
-      Future.return (Ok { Message.ss_durable = t.durable; ss_lag = lag_seconds t })
+      Future.return (Ok { Message.ss_durable = Store.durable t.store; ss_lag = lag_seconds t })
   | Message.Ss_fetch_shard { fs_from; fs_until; fs_version; fs_epoch; fs_sources } ->
       (* Buggify: an occasionally failing fetch exercises the DD's
          abort-and-retry path under simulation. *)
@@ -774,14 +673,14 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       else if not (in_shards t w_key) then
         Future.return (Error Error.Wrong_shard)
       else if
-        (w_version < Window.oldest t.window && Window.oldest t.window > 0L)
-        || w_version < Window.floor_over t.window ~from:w_key ~until:(Types.next_key w_key)
+        (w_version < Store.oldest t.store && Store.oldest t.store > 0L)
+        || w_version < Store.floor_over t.store ~from:w_key ~until:(Types.next_key w_key)
       then
         (* The window cannot prove the key unchanged since [w_version]: the
            client treats this as a conservative wake and re-checks. *)
         Future.return (Error Error.Transaction_too_old)
       else begin
-        match Window.last_change t.window w_key with
+        match Store.last_change t.store w_key with
         | Some cv when cv > w_version ->
             Fdb_obs.Registry.incr t.obs_watch_fires;
             Trace.emit "ss_watch_catchup"
@@ -827,17 +726,10 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   | _ -> Future.return (Error (Error.Internal "storage: unexpected message"))
 
 let rec create ctx proc ~id ~disk =
-  let* pstore = Pstore.recover ~disk ~prefix:(Printf.sprintf "ss%d" id) () in
-  let start_version =
-    match Pstore.get pstore version_meta_key with
-    | Some bytes -> Types.version_of_bytes bytes
-    | None -> 0L
-  in
-  (* The log replays from the durable version, which may sit below a fetched
-     snapshot: the floors that hid its mutations before the crash hide them. *)
-  let floors =
-    Option.fold ~none:[] ~some:(fun r -> floors_of_tuple (Tuple.unpack r))
-      (Pstore.get pstore floors_key)
+  let* store = Store.recover ~disk ~prefix:(Printf.sprintf "ss%d" id) in
+  let start_version = Store.durable store in
+  let metric kind name =
+    kind ctx.Context.metrics ~role:Fdb_obs.Registry.Storage ~process:id name
   in
   let t =
     {
@@ -845,10 +737,8 @@ let rec create ctx proc ~id ~disk =
       proc;
       ep = ctx.Context.storage_eps.(id);
       id;
-      pstore;
-      window = Window.create ~initial_version:start_version ~floors ();
+      store;
       version = start_version;
-      durable = start_version;
       kcv = start_version;
       epoch = 0;
       logs = [];
@@ -859,44 +749,22 @@ let rec create ctx proc ~id ~disk =
       blind_atomics = [];
       fetches_in_flight = 0;
       stats_ticks = 0;
-      obs_read_lat =
-        Fdb_obs.Registry.histogram ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "read_latency";
-      obs_reads =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "reads";
-      obs_lag =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "lag";
-      obs_window =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "window_events";
-      obs_busy =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "busy";
-      obs_version =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "version";
-      obs_durable =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "durable_version";
-      obs_heartbeat =
-        Fdb_obs.Registry.gauge ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "heartbeat";
+      obs_read_lat = metric Fdb_obs.Registry.histogram "read_latency";
+      obs_reads = metric Fdb_obs.Registry.counter "reads";
+      obs_lag = metric Fdb_obs.Registry.gauge "lag";
+      obs_window = metric Fdb_obs.Registry.gauge "window_events";
+      obs_busy = metric Fdb_obs.Registry.gauge "busy";
+      obs_version = metric Fdb_obs.Registry.gauge "version";
+      obs_durable = metric Fdb_obs.Registry.gauge "durable_version";
+      obs_heartbeat = metric Fdb_obs.Registry.gauge "heartbeat";
       shard_read_ctrs = Fdb_util.Det_tbl.create ~size:32 ();
       shard_write_ctrs = Fdb_util.Det_tbl.create ~size:32 ();
       shard_size_gauges = Fdb_util.Det_tbl.create ~size:32 ();
       watch_seq = 0;
       watches = Fdb_util.Det_tbl.create ~size:16 ();
-      obs_range_reqs =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "range_requests";
-      obs_watch_reqs =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "watch_requests";
-      obs_watch_fires =
-        Fdb_obs.Registry.counter ctx.Context.metrics ~role:Fdb_obs.Registry.Storage
-          ~process:id "watch_fires";
+      obs_range_reqs = metric Fdb_obs.Registry.counter "range_requests";
+      obs_watch_reqs = metric Fdb_obs.Registry.counter "watch_requests";
+      obs_watch_fires = metric Fdb_obs.Registry.counter "watch_fires";
     }
   in
   publish_stats t;

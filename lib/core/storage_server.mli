@@ -1,12 +1,13 @@
-(** The StorageServer: MVCC reads over an in-memory version window backed by
-    an unversioned persistent store (paper §2.3.2, §2.4.3, §2.4.4).
+(** The StorageServer: the protocol around one {!Versioned_store}, an
+    in-memory version window over an unversioned persistent image (paper
+    §2.3.2, §2.4.3, §2.4.4).
 
     A pull loop continuously peeks the tag's mutation stream from the
     current LogServers (including not-yet-durable entries, for low read
     lag) and applies it in LSN order, materializing atomic operations. A
     durability loop graduates mutations that have both left the MVCC window
-    and become known-committed into the persistent store, then pops them
-    from the logs. Reads wait briefly for a future version and fail with
+    and become known-committed into the image, then pops them from the
+    logs. Reads wait briefly for a future version and fail with
     [Transaction_too_old] below the window. On recovery the window suffix
     past RV is discarded; the persistent store never needs rollback because
     it only ever holds known-committed data. *)

@@ -3,6 +3,8 @@ type tag = int
 type epoch = int
 
 let versions_per_second = 1e6
+let mvcc_window = 5_000_000L
+let time_version () = Int64.of_float (Fdb_sim.Engine.now () *. versions_per_second)
 let key_space_end = "\xff"
 let system_key_space_end = "\xff\xff"
 let next_key k = k ^ "\x00"

@@ -14,6 +14,15 @@ type epoch = int
 val versions_per_second : float
 (** Rate at which commit versions advance (1e6, per §2.4.1). *)
 
+val mvcc_window : version
+(** The multi-version history kept, in versions: 5 seconds' worth (§6.4).
+    Storage servers serve reads this far back; the resolver remembers
+    writes this long. *)
+
+val time_version : unit -> version
+(** The simulated clock in versions: the version the Sequencer would hand
+    out now at {!versions_per_second}. *)
+
 val key_space_end : string
 (** Exclusive upper bound of the user key space, ["\xff"]. Keys at or above
     it are reserved for system use. *)

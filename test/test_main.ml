@@ -9,6 +9,7 @@ let () =
       ("disk", Test_disk.suite);
       ("kv", Test_kv.suite);
       ("storage-substrate", Test_storage_substrate.suite);
+      ("versioned-store", Test_versioned_store.suite);
       ("paxos", Test_paxos.suite);
       ("cluster", Test_cluster.suite);
       ("recovery", Test_recovery.suite);

@@ -2,126 +2,190 @@ open Fdb_sim
 open Fdb_kv
 open Future.Syntax
 
-(* --- Version_window --- *)
+(* --- Versioned_store: the window over its image --- *)
 
-let vw_with_events () =
-  let w = Version_window.create () in
-  Version_window.apply w 10L (Mutation.Set ("a", "1"));
-  Version_window.apply w 20L (Mutation.Set ("a", "2"));
-  Version_window.apply w 30L (Mutation.Clear "a");
-  w
+module Vs = Fdb_core.Versioned_store
 
-let check_read = Alcotest.(check bool)
+let with_vs f =
+  Engine.run (fun () ->
+      let* s = Vs.recover ~disk:(Disk.create ()) ~prefix:"ss0" in
+      f s)
+
+let apply s v m = ignore (Vs.apply s v m : Mutation.t)
+
+(* The image holds [keys] = "img" as of version 1; the window is empty. *)
+let image_of s keys =
+  List.iter (fun k -> apply s 1L (Mutation.Set (k, "img"))) keys;
+  Vs.make_durable s 1L
+
+(* The floors the image records, as a reboot would restore them. *)
+let persisted_floors s =
+  let rec triples = function
+    | Fdb_core.Tuple.Bytes lo :: Bytes hi :: Int since :: rest -> (lo, hi, since) :: triples rest
+    | _ -> []
+  in
+  List.concat_map
+    (fun (_, r) -> triples (Fdb_core.Tuple.unpack r))
+    (List.of_seq (Vs.image_range s ~from:"\xff\xff/ss/floors" ~until:"\xff\xff/ss/floors\x00"))
+
+let image_rows s = List.of_seq (Vs.image_range s ~from:"" ~until:"\xff")
+
+(* "a" and "b" in the image as of version 1; "a" set at 10 and 20, cleared
+   at 30 in the window. *)
+let vw_with_events s =
+  let* () = image_of s [ "a"; "b" ] in
+  apply s 10L (Mutation.Set ("a", "1"));
+  apply s 20L (Mutation.Set ("a", "2"));
+  apply s 30L (Mutation.Clear "a");
+  Future.return ()
+
+let check_read = Alcotest.(check (option string))
 
 let test_vw_point_reads () =
-  let w = vw_with_events () in
-  check_read "before first" true (Version_window.read w 5L "a" = Version_window.Unknown);
-  check_read "at v10" true (Version_window.read w 10L "a" = Version_window.Value "1");
-  check_read "between" true (Version_window.read w 15L "a" = Version_window.Value "1");
-  check_read "at v20" true (Version_window.read w 20L "a" = Version_window.Value "2");
-  check_read "cleared" true (Version_window.read w 30L "a" = Version_window.Cleared);
-  check_read "other key" true (Version_window.read w 30L "b" = Version_window.Unknown)
+  with_vs @@ fun s ->
+  let* () = vw_with_events s in
+  check_read "before the window: the image" (Some "img") (Vs.get s 5L "a");
+  check_read "at v10" (Some "1") (Vs.get s 10L "a");
+  check_read "between" (Some "1") (Vs.get s 15L "a");
+  check_read "at v20" (Some "2") (Vs.get s 20L "a");
+  check_read "cleared over the image" None (Vs.get s 30L "a");
+  check_read "other key: the image" (Some "img") (Vs.get s 30L "b");
+  check_read "absent everywhere" None (Vs.get s 30L "c");
+  Future.return ()
 
 let test_vw_range_clear_masks () =
-  let w = Version_window.create () in
-  Version_window.apply w 10L (Mutation.Set ("c", "x"));
-  Version_window.apply w 20L (Mutation.Clear_range ("a", "m"));
-  check_read "set before clear-range" true
-    (Version_window.read w 15L "c" = Version_window.Value "x");
-  check_read "swept by clear-range" true
-    (Version_window.read w 20L "c" = Version_window.Cleared);
-  check_read "persistent-only key masked" true
-    (Version_window.read w 25L "d" = Version_window.Cleared);
-  check_read "outside the range" true
-    (Version_window.read w 25L "z" = Version_window.Unknown);
-  Version_window.apply w 30L (Mutation.Set ("c", "y"));
-  check_read "rewrite after clear-range" true
-    (Version_window.read w 30L "c" = Version_window.Value "y")
+  with_vs @@ fun s ->
+  let* () = image_of s [ "d"; "z" ] in
+  apply s 10L (Mutation.Set ("c", "x"));
+  apply s 20L (Mutation.Clear_range ("a", "m"));
+  check_read "set before clear-range" (Some "x") (Vs.get s 15L "c");
+  check_read "swept by clear-range" None (Vs.get s 20L "c");
+  check_read "image-only key masked" None (Vs.get s 25L "d");
+  check_read "image-only key before the clear" (Some "img") (Vs.get s 15L "d");
+  check_read "outside the range" (Some "img") (Vs.get s 25L "z");
+  apply s 30L (Mutation.Set ("c", "y"));
+  check_read "rewrite after clear-range" (Some "y") (Vs.get s 30L "c");
+  Future.return ()
 
 let test_vw_pop_through () =
-  let w = vw_with_events () in
-  let popped = Version_window.pop_through w 20L in
-  Alcotest.(check int) "popped two" 2 (List.length popped);
-  Alcotest.(check bool) "in order" true
-    (popped = [ Mutation.Set ("a", "1"); Mutation.Set ("a", "2") ]);
-  Alcotest.(check int64) "oldest advanced" 20L (Version_window.oldest w);
-  check_read "newer event still visible" true
-    (Version_window.read w 30L "a" = Version_window.Cleared);
-  check_read "older now unknown" true
-    (Version_window.read w 25L "a" = Version_window.Unknown);
-  Alcotest.(check int) "one event left" 1 (Version_window.event_count w)
+  with_vs @@ fun s ->
+  let* () = vw_with_events s in
+  let* () = Vs.make_durable s 20L in
+  Alcotest.(check (list (pair string string))) "popped in order" [ ("a", "2"); ("b", "img") ]
+    (image_rows s);
+  Alcotest.(check int64) "durable advanced" 20L (Vs.durable s);
+  Alcotest.(check int64) "oldest advanced" 20L (Vs.oldest s);
+  check_read "newer event still visible" None (Vs.get s 30L "a");
+  check_read "older now from the image" (Some "2") (Vs.get s 25L "a");
+  Alcotest.(check int) "one event left" 1 (Vs.event_count s);
+  Future.return ()
 
-(* A floor [(lo, hi, since)]: the level below holds [lo, hi) as of [since]. *)
+(* A floor [(lo, hi, since)]: the image holds [lo, hi) as of [since]. *)
 let test_vw_floor_hides_range () =
-  let w = Version_window.create () in
-  Version_window.apply w 10L (Mutation.Set ("b", "old"));
-  Version_window.apply w 10L (Mutation.Set ("x", "out"));
-  Version_window.apply w 15L (Mutation.Clear_range ("a", "z"));
-  Version_window.apply w 30L (Mutation.Set ("b", "new"));
-  Version_window.install_floor w ~lo:"a" ~hi:"m" ~since:20L;
-  check_read "set below the floor hidden" true (Version_window.read w 12L "b" = Version_window.Unknown);
-  check_read "clear below the floor hidden" true
-    (Version_window.read w 16L "b" = Version_window.Unknown);
-  check_read "above the floor visible" true (Version_window.read w 30L "b" = Version_window.Value "new");
-  check_read "outside the range: set" true (Version_window.read w 12L "x" = Version_window.Value "out");
-  check_read "outside the range: clear" true (Version_window.read w 16L "x" = Version_window.Cleared);
-  Alcotest.(check (option int64)) "last change above the floor" (Some 30L)
-    (Version_window.last_change w "b");
-  Alcotest.(check (option int64)) "no change above the floor" None (Version_window.last_change w "c");
+  with_vs @@ fun s ->
+  apply s 10L (Mutation.Set ("b", "old"));
+  apply s 10L (Mutation.Set ("x", "out"));
+  apply s 15L (Mutation.Clear_range ("a", "z"));
+  apply s 30L (Mutation.Set ("b", "new"));
+  let* () = Vs.install s ~lo:"a" ~hi:"m" ~since:20L [ ("b", "snap") ] in
+  check_read "set below the floor hidden" (Some "snap") (Vs.get s 12L "b");
+  check_read "clear below the floor hidden" (Some "snap") (Vs.get s 16L "b");
+  check_read "above the floor visible" (Some "new") (Vs.get s 30L "b");
+  check_read "outside the range: set" (Some "out") (Vs.get s 12L "x");
+  check_read "outside the range: clear" None (Vs.get s 16L "x");
+  Alcotest.(check (option int64)) "last change above the floor" (Some 30L) (Vs.last_change s "b");
+  Alcotest.(check (option int64)) "no change above the floor" None (Vs.last_change s "c");
   Alcotest.(check int64) "floor over an overlapping range" 20L
-    (Version_window.floor_over w ~from:"l" ~until:"z");
-  Alcotest.(check int64) "no floor past hi" Int64.min_int
-    (Version_window.floor_over w ~from:"m" ~until:"z");
-  Version_window.install_floor w ~lo:"a" ~hi:"m" ~since:25L;
-  Version_window.install_floor w ~lo:"a" ~hi:"f" ~since:40L;
+    (Vs.floor_over s ~from:"l" ~until:"z");
+  Alcotest.(check int64) "no floor past hi" Int64.min_int (Vs.floor_over s ~from:"m" ~until:"z");
+  let* () = Vs.install s ~lo:"a" ~hi:"m" ~since:25L [] in
+  let* () = Vs.install s ~lo:"a" ~hi:"f" ~since:40L [] in
+  Alcotest.(check int64) "same start kept" 25L (Vs.floor_over s ~from:"g" ~until:"h");
   Alcotest.(check (list (triple string string int64))) "same range replaced, same start kept"
     [ ("a", "f", 40L); ("a", "m", 25L) ]
-    (Version_window.floors w)
+    (persisted_floors s);
+  Future.return ()
 
 let test_vw_pop_through_floors () =
-  let w = Version_window.create () in
-  Version_window.apply w 10L (Mutation.Set ("d", "stale"));
-  Version_window.apply w 12L (Mutation.Set ("x", "kept"));
-  Version_window.apply w 15L (Mutation.Clear_range ("a", "z"));
-  Version_window.install_floor w ~lo:"c" ~hi:"m" ~since:20L;
-  Alcotest.(check bool) "hidden set dropped, clear split around the floor" true
-    (Version_window.pop_through w 18L
-    = [ Mutation.Set ("x", "kept"); Mutation.Clear_range ("a", "c"); Mutation.Clear_range ("m", "z") ]);
-  Alcotest.(check int) "floor kept below since" 1 (List.length (Version_window.floors w));
-  Version_window.apply w 25L (Mutation.Set ("d", "fresh"));
-  Alcotest.(check bool) "nothing left to pop" true (Version_window.pop_through w 20L = []);
-  Alcotest.(check int) "floor retired at since" 0 (List.length (Version_window.floors w));
-  check_read "later event visible" true (Version_window.read w 25L "d" = Version_window.Value "fresh")
+  with_vs @@ fun s ->
+  let* () = image_of s [ "b"; "d"; "n" ] in
+  apply s 10L (Mutation.Set ("d", "stale"));
+  apply s 12L (Mutation.Set ("x", "kept"));
+  apply s 15L (Mutation.Clear_range ("a", "w"));
+  let* () = Vs.install s ~lo:"c" ~hi:"m" ~since:20L [ ("d", "snap") ] in
+  let* () = Vs.make_durable s 18L in
+  Alcotest.(check (list (pair string string))) "hidden set dropped, clear split around the floor"
+    [ ("d", "snap"); ("x", "kept") ]
+    (image_rows s);
+  Alcotest.(check (list (triple string string int64))) "floor kept below since"
+    [ ("c", "m", 20L) ] (persisted_floors s);
+  apply s 25L (Mutation.Set ("d", "fresh"));
+  let* () = Vs.make_durable s 20L in
+  Alcotest.(check int) "nothing left to pop" 1 (Vs.event_count s);
+  Alcotest.(check (list (triple string string int64))) "floor retired at since" []
+    (persisted_floors s);
+  Alcotest.(check int64) "no floor in memory" Int64.min_int (Vs.floor_over s ~from:"c" ~until:"m");
+  check_read "later event visible" (Some "fresh") (Vs.get s 25L "d");
+  Future.return ()
 
 let test_vw_create_restores_floors () =
-  let floors = [ ("a", "m", 20L); ("p", "q", 30L) ] in
-  let w = Version_window.create ~initial_version:5L ~floors () in
-  Version_window.apply w 10L (Mutation.Set ("b", "replayed"));
-  Alcotest.(check (list (triple string string int64))) "floors restored" floors
-    (Version_window.floors w);
-  check_read "replayed event hidden" true (Version_window.read w 15L "b" = Version_window.Unknown)
+  let disk = Disk.create () in
+  Engine.run @@ fun () ->
+  let* s = Vs.recover ~disk ~prefix:"ss0" in
+  let* () = Vs.install s ~lo:"a" ~hi:"m" ~since:20L [ ("b", "snap") ] in
+  let* () = Vs.install s ~lo:"p" ~hi:"q" ~since:30L [] in
+  Disk.crash disk;
+  let* s = Vs.recover ~disk ~prefix:"ss0" in
+  apply s 10L (Mutation.Set ("b", "replayed"));
+  Alcotest.(check (list (triple string string int64))) "floors restored"
+    [ ("p", "q", 30L); ("a", "m", 20L) ]
+    (persisted_floors s);
+  Alcotest.(check int64) "first floor" 20L (Vs.floor_over s ~from:"a" ~until:"b");
+  Alcotest.(check int64) "second floor" 30L (Vs.floor_over s ~from:"p" ~until:"q");
+  check_read "replayed event hidden" (Some "snap") (Vs.get s 15L "b");
+  Future.return ()
 
 let test_vw_rollback () =
-  let w = vw_with_events () in
-  let dropped = Version_window.rollback w ~after:15L in
+  with_vs @@ fun s ->
+  let* () = vw_with_events s in
+  let dropped = Vs.rollback s ~after:15L in
   Alcotest.(check int) "dropped two" 2 dropped;
-  Alcotest.(check int64) "latest lowered" 15L (Version_window.latest w);
-  check_read "v10 intact" true (Version_window.read w 30L "a" = Version_window.Value "1")
+  check_read "v10 intact" (Some "1") (Vs.get s 30L "a");
+  apply s 16L (Mutation.Set ("a", "3"));
+  check_read "latest lowered: 16 applies" (Some "3") (Vs.get s 30L "a");
+  Future.return ()
 
 let test_vw_version_regression_rejected () =
-  let w = vw_with_events () in
+  with_vs @@ fun s ->
+  let* () = vw_with_events s in
   Alcotest.(check bool) "regression raises" true
     (try
-       Version_window.apply w 5L (Mutation.Set ("z", "1"));
+       apply s 5L (Mutation.Set ("z", "1"));
        false
-     with Invalid_argument _ -> true)
+     with Invalid_argument _ -> true);
+  Future.return ()
 
+(* The image's and the window's keys merge in scan order; the flag says a
+   candidate key was left, visible or not. *)
 let test_vw_keys_in_range () =
-  let w = Version_window.create () in
-  List.iter (fun k -> Version_window.apply w 10L (Mutation.Set (k, k))) [ "a"; "c"; "e" ];
-  let keys ~reverse = List.of_seq (Version_window.keys w ~from:"a" ~until:"d" ~reverse) in
-  Alcotest.(check (list string)) "subset" [ "a"; "c" ] (keys ~reverse:false);
-  Alcotest.(check (list string)) "subset, reversed" [ "c"; "a" ] (keys ~reverse:true)
+  with_vs @@ fun s ->
+  let* () = image_of s [ "b" ] in
+  List.iter (fun k -> apply s 10L (Mutation.Set (k, k))) [ "a"; "c"; "e" ];
+  let read ?(limit = max_int) ~reverse v =
+    Vs.read_range s v ~from:"a" ~until:"d" ~reverse ~limit ~byte_limit:max_int
+  in
+  let rows = Alcotest.(pair (list (pair string string)) bool) in
+  Alcotest.check rows "subset" ([ ("a", "a"); ("b", "img"); ("c", "c") ], false)
+    (read ~reverse:false 10L);
+  Alcotest.check rows "subset, reversed" ([ ("c", "c"); ("b", "img"); ("a", "a") ], false)
+    (read ~reverse:true 10L);
+  Alcotest.check rows "row budget" ([ ("a", "a"); ("b", "img") ], true)
+    (read ~limit:2 ~reverse:false 10L);
+  Alcotest.check rows "budget met by the last row" ([ ("a", "a"); ("b", "img"); ("c", "c") ], false)
+    (read ~limit:3 ~reverse:false 10L);
+  Alcotest.check rows "an invisible candidate left" ([ ("b", "img") ], true)
+    (read ~limit:1 ~reverse:false 5L);
+  Future.return ()
 
 (* --- Mutation / atomic ops --- *)
 
@@ -384,12 +448,14 @@ let test_ps_keys () =
     r
 
 let qcheck_vw_matches_naive =
-  (* Random single-key histories: window reads must match a naive replay. *)
+  (* Random single-key histories over an image holding the key: reads must
+     match a naive replay. *)
   QCheck.Test.make ~name:"version_window matches naive replay" ~count:200
     (QCheck.make
        QCheck.Gen.(list_size (int_range 1 40) (pair (int_range 0 2) small_nat)))
     (fun ops ->
-      let w = Version_window.create () in
+      with_vs @@ fun s ->
+      let* () = image_of s [ "k" ] in
       let history = ref [] in
       List.iteri
         (fun i (kind, v) ->
@@ -400,7 +466,7 @@ let qcheck_vw_matches_naive =
             | 1 -> Mutation.Clear "k"
             | _ -> Mutation.Clear_range ("a", "z")
           in
-          Version_window.apply w version m;
+          apply s version m;
           history := (version, m) :: !history)
         ops;
       let naive_at version =
@@ -409,21 +475,18 @@ let qcheck_vw_matches_naive =
             if v > version then acc
             else
               match m with
-              | Mutation.Set ("k", value) -> `Value value
-              | Mutation.Clear "k" | Mutation.Clear_range _ -> `Cleared
+              | Mutation.Set ("k", value) -> Some value
+              | Mutation.Clear "k" | Mutation.Clear_range _ -> None
               | _ -> acc)
-          `No_event
+          (Some "img")
           (List.rev !history)
       in
-      List.for_all
-        (fun probe ->
-          let version = Int64.of_int probe in
-          match (Version_window.read w version "k", naive_at version) with
-          | Version_window.Value v, `Value v' -> v = v'
-          | Version_window.Cleared, `Cleared -> true
-          | Version_window.Unknown, `No_event -> true
-          | _ -> false)
-        (List.init 45 (fun i -> i * 10)))
+      Future.return
+        (List.for_all
+           (fun probe ->
+             let version = Int64.of_int probe in
+             Vs.get s version "k" = naive_at version)
+           (List.init 45 (fun i -> i * 10))))
 
 let suite =
   [
