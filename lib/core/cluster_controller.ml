@@ -98,13 +98,14 @@ let recruit t msg =
   in
   attempt 0
 
-(* The sequencer's liveness probe also carries its view of the generation. *)
-let probe_sequencer t ep =
+(* The long-poll on the sequencer also carries its view of the generation.
+   It comes back after the sequencer's heartbeat interval, so it paces the
+   supervision loop. *)
+let poll_sequencer t ep =
   Future.catch
     (fun () ->
       let+ { Message.sp_epoch; sp_recovered; sp_proxies; sp_logs } =
-        Context.rpc t.ctx ~timeout:Params.heartbeat_timeout ~from:t.proc ep
-          Message.Seq_status
+        Context.wait_failure t.ctx ~from:t.proc ep Message.Seq_status
       in
       learn t ~epoch:sp_epoch ~recovered:sp_recovered ~proxies:sp_proxies ~logs:sp_logs;
       true)
@@ -155,7 +156,6 @@ let supervise t =
   let rec loop () =
     if not t.active then Future.return ()
     else
-      let* () = Engine.sleep Params.heartbeat_interval in
       let* () =
         ensure_singleton t t.rk Message.Recruit_ratekeeper (fun e -> t.rk <- e)
       in
@@ -165,14 +165,16 @@ let supervise t =
       let* () =
         match t.seq with
         | Some ep ->
-            let* alive = probe_sequencer t ep in
+            let* alive = poll_sequencer t ep in
             if alive then Future.return ()
             else begin
               sequencer_failed t;
-              (* Recruit the replacement in the same tick. *)
+              (* Recruit the replacement at once. *)
               recruit_sequencer t
             end
-        | None -> recruit_sequencer t
+        | None ->
+            let* () = Engine.sleep Params.heartbeat_interval in
+            recruit_sequencer t
       in
       loop ()
   in

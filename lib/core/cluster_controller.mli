@@ -2,9 +2,10 @@
     the other singletons (paper §2.3.1).
 
     Runs inside the worker that won the coordinator election. Recruits a
-    Ratekeeper, a DataDistributor and a Sequencer; monitors the Sequencer
-    with heartbeats and, in the tick that declares it failed, retires its
-    proxies and recruits a replacement (triggering a §2.4.4 recovery).
+    Ratekeeper, a DataDistributor and a Sequencer; holds a long-poll on
+    the Sequencer ([Seq_status], see {!Failure_watch}) and, as soon as the
+    poll fails, retires its proxies and recruits a replacement (triggering
+    a §2.4.4 recovery).
     Also answers [Cc_get_state] so clients can find the current proxies,
     holding the answer while a recovery runs. Publishes the
     [recovery_duration] histogram (failure declared to new generation

@@ -34,6 +34,11 @@ let ping t ~from ep =
         Result.is_ok)
     (fun _ -> Future.return false)
 
+(* A long-poll is held up to [heartbeat_interval]; a silent callee (its
+   machine is down) is given [heartbeat_timeout] beyond that. *)
+let wait_failure t ~from ep req =
+  rpc t ~timeout:(Params.heartbeat_interval +. Params.heartbeat_timeout) ~from ep req
+
 let paxos_transport t ~from =
   {
     Fdb_paxos.Wire.endpoints = t.coordinator_eps;

@@ -52,9 +52,21 @@ val serve : t -> int -> Fdb_sim.Process.t -> handler -> unit
     incarnation: {!rpc} requests get their answer, {!send} messages none. *)
 
 val ping : t -> from:Fdb_sim.Process.t -> int -> bool Fdb_sim.Future.t
-(** Liveness probe: [Ping] to [ep] with a {!Params.heartbeat_timeout}
-    timeout; true only when the role answers [Ok ()], false on an error
-    answer or a timeout. Never fails. *)
+(** Liveness probe of the Ratekeeper, the DataDistributor or a storage
+    server: [Ping] to [ep] with a {!Params.heartbeat_timeout} timeout;
+    true only when the role answers [Ok ()], false on an error answer or
+    a timeout. Never fails. *)
+
+val wait_failure :
+  t -> from:Fdb_sim.Process.t -> int -> 'r Message.req -> 'r Fdb_sim.Future.t
+(** A generation's long-poll on one of its roles ([Wait_failure], or the
+    sequencer's [Seq_status]; see {!Failure_watch}): an {!rpc} whose
+    timeout is {!Params.heartbeat_interval} plus
+    {!Params.heartbeat_timeout}. It answers after the interval while the
+    role lives, and fails as soon as the role ends ([Wrong_epoch]) or its
+    process dies on a live machine (a reset call). A down machine is
+    silent, so only the timeout ends the poll, 1.0–1.25 s after the
+    fault. *)
 
 val paxos_transport : t -> from:Fdb_sim.Process.t -> Fdb_paxos.Wire.transport
 (** Coordinator transport for Paxos clients running on [from]. *)

@@ -47,6 +47,7 @@ type t = {
      already have chosen a version below it. *)
   mutable ack_limit : Types.version;
   mutable unpopped_bytes : int;
+  watch : unit Failure_watch.t; (* the sequencer's long-poll on us *)
   (* metrics plane *)
   obs_append_lat : Fdb_obs.Registry.timer;
   obs_sync_batch : Fdb_obs.Registry.timer;
@@ -341,8 +342,9 @@ let unpopped_durable_entries t =
 
 let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   match req with
-  | Message.Ping ->
-      if t.stopped then Future.return (Error Error.Wrong_epoch) else Future.return (Ok ())
+  | Message.Wait_failure ->
+      if t.stopped then Future.return (Error Error.Wrong_epoch)
+      else Failure_watch.hold t.watch Fun.id
   | Message.Log_push { lp_epoch; lp_entry } ->
       if t.stopped || lp_epoch <> t.epoch then Future.return (Error Error.Wrong_epoch)
       else if Det_tbl.mem t.entries lp_entry.Message.le_lsn then
@@ -430,6 +432,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
             (fun (_, _, promise) ->
               ignore (Future.try_fulfill promise (Error Error.Wrong_epoch) : bool))
             peeks;
+          Failure_watch.fail t.watch;
           Trace.emit "tlog_locked"
             [ ("id", string_of_int t.id); ("epoch", string_of_int t.epoch);
               ("by", string_of_int ll_epoch); ("dv", Int64.to_string t.dv) ]
@@ -480,6 +483,7 @@ let make ctx proc ~disk ~epoch ~id ~start_lsn ~floor ~stopped =
     sync_scheduled = false;
     ack_limit = Int64.max_int;
     unpopped_bytes = 0;
+    watch = Failure_watch.create proc;
     obs_append_lat = metric Fdb_obs.Registry.histogram "append_latency";
     obs_sync_batch = metric Fdb_obs.Registry.histogram "sync_batch_size";
     obs_pushes = metric Fdb_obs.Registry.counter "pushes";

@@ -132,8 +132,14 @@ type watch_reply = { wr_fired : bool; wr_version : Types.version }
 type _ req =
   (* control plane: Paxos / coordinators *)
   | Paxos_req : Fdb_paxos.Wire.request -> Fdb_paxos.Wire.response req
-  (* liveness probe ([Context.ping]), answered by every role that is probed *)
+  (* liveness probe ([Context.ping]) of the Ratekeeper, the DataDistributor
+     and the storage servers *)
   | Ping : unit req
+  | Wait_failure : unit req
+      (** a generation's long-poll on a proxy, resolver or LogServer
+          ([Context.wait_failure]): held, then answered [Ok] after
+          [Params.heartbeat_interval], or [Wrong_epoch] the moment the role
+          ends *)
   (* worker agent: each recruit answers with the new role's endpoint *)
   | Recruit_sequencer : {
       rs_ratekeeper : int option;
@@ -161,6 +167,8 @@ type _ req =
   (* cluster controller *)
   | Cc_get_state : cc_state req
   | Seq_status : seq_status req
+      (** the ClusterController's long-poll on the sequencer: held like
+          {!Wait_failure}, and answered with the generation as it stands *)
   | Cc_recovered : {
       cr_sequencer : int;  (** the sequencer's endpoint *)
       cr_epoch : Types.epoch;

@@ -50,6 +50,7 @@ type t = {
   mutable chain_done : batch_outcome Future.t;
   (* The GRV and commit batches in flight. *)
   mutable in_flight : held list;
+  watch : unit Failure_watch.t; (* the sequencer's long-poll on us *)
   (* metrics plane handles (no-ops when the registry is disabled) *)
   obs_grv_lat : Fdb_obs.Registry.timer;
   obs_commit_lat : Fdb_obs.Registry.timer;
@@ -86,7 +87,8 @@ let die t reason =
     Queue.clear t.commit_queue;
     Fdb_obs.Registry.set_gauge t.obs_queue_depth 0.0;
     List.iter (function Held (err, promises) -> Array.iter (reject err) promises) t.in_flight;
-    t.in_flight <- []
+    t.in_flight <- [];
+    Failure_watch.fail t.watch
   end
 
 (* Run [f] with [promises] registered as in flight, so [die] answers them
@@ -636,7 +638,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   if t.dead then Future.return (Error Error.Wrong_epoch)
   else
     match req with
-    | Message.Ping -> Future.return (Ok ())
+    | Message.Wait_failure -> Failure_watch.hold t.watch Fun.id
     | Message.Proxy_retire { pr_epoch } ->
         if pr_epoch >= t.epoch then die t "retired by the cluster controller";
         Future.return (Ok ())
@@ -696,6 +698,7 @@ let create ctx proc ~epoch ~sequencer ~resolvers ~logs ~ratekeeper ~recovery_ver
       chain_version = Future.return ();
       chain_done = Future.return Batch_ok;
       in_flight = [];
+      watch = Failure_watch.create proc;
       obs_grv_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "grv_latency";
       obs_commit_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_latency";
       obs_resolve_lat = Fdb_obs.Registry.histogram reg ~role:Fdb_obs.Registry.Proxy ~process:pid "commit_resolve_latency";

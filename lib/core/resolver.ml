@@ -20,6 +20,9 @@ type t = {
      expiry loop pops the below-floor prefix instead of scanning the table. *)
   verdicts : (Types.version, Message.resolver_verdict array) Fdb_util.Det_tbl.t;
   verdict_lsns : Types.version Queue.t;
+  (* The sequencer's long-poll on us. A resolver never ends on its own:
+     only its process's death ends the poll. *)
+  watch : unit Failure_watch.t;
   (* metrics plane *)
   obs_checked : Fdb_obs.Registry.counter;
   obs_conflicts : Fdb_obs.Registry.counter;
@@ -123,7 +126,7 @@ let rec process t lsn prev txns =
 
 let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   match req with
-  | Message.Ping -> Future.return (Ok ())
+  | Message.Wait_failure -> Failure_watch.hold t.watch Fun.id
   | Message.Resolve_req { rs_epoch; rs_lsn; rs_prev; rs_txns } ->
       if rs_epoch <> t.epoch then Future.return (Error Error.Wrong_epoch)
       else if rs_lsn <= t.last_lsn then (
@@ -206,6 +209,7 @@ let create ctx proc ~epoch ~range ~start_lsn =
       parked = Fdb_util.Det_tbl.create ~size:16 ();
       verdicts = Fdb_util.Det_tbl.create ~size:1024 ();
       verdict_lsns = Queue.create ();
+      watch = Failure_watch.create proc;
       obs_checked = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Resolver ~process:pid "txns_checked";
       obs_conflicts = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Resolver ~process:pid "conflicts";
       obs_too_old = Fdb_obs.Registry.counter reg ~role:Fdb_obs.Registry.Resolver ~process:pid "too_old";

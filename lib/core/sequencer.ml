@@ -18,15 +18,18 @@ type t = {
   mutable proxies : int list;
   mutable resolvers : (Message.key_range * int) list;
   mutable logs : (int * int) list;
+  watch : Message.seq_status Failure_watch.t; (* the ClusterController's long-poll *)
 }
 
 (* The endpoint stays registered: [handle] answers every request with
-   [Wrong_epoch] from now on, so the ClusterController's next ping and our
-   proxies' next calls learn of the death at once instead of timing out. *)
+   [Wrong_epoch] from now on, so our proxies' next calls learn of the death
+   at once instead of timing out. The ClusterController's held poll is
+   answered now. *)
 let die t reason =
   if not t.dead then begin
     t.dead <- true;
-    Trace.emit "sequencer_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ]
+    Trace.emit "sequencer_die" [ ("epoch", string_of_int t.epoch); ("reason", reason) ];
+    Failure_watch.fail t.watch
   end
 
 (* ---------- recovery (paper §2.4.4) ---------- *)
@@ -320,23 +323,36 @@ let monitor t =
     end
     else stagnant_since := None
   in
+  (* One round holds a long-poll on every role of the generation; it fails
+     as soon as one of them ends, and otherwise comes back after the
+     roles' heartbeat interval. *)
+  let poll_round () =
+    let targets = t.proxies @ List.map snd t.resolvers @ List.map snd t.logs in
+    Future.catch
+      (fun () ->
+        let+ () =
+          Future.all_unit
+            (List.map
+               (fun ep -> Context.wait_failure t.ctx ~from:t.proc ep Message.Wait_failure)
+               targets)
+        in
+        true)
+      (fun _ -> Future.return false)
+  in
   let rec loop () =
     if t.dead then Future.return ()
-    else
+    else if not t.recovered then
       let* () = Engine.sleep Params.heartbeat_interval in
-      if not t.recovered then loop ()
-      else begin
-        check_progress ();
-        let targets =
-          t.proxies @ List.map snd t.resolvers @ List.map snd t.logs
-        in
-        let* oks = Future.all (List.map (Context.ping t.ctx ~from:t.proc) targets) in
-        if List.exists not oks then begin
-          die t "role failure detected";
-          Future.return ()
-        end
-        else loop ()
+      loop ()
+    else begin
+      check_progress ();
+      let* alive = poll_round () in
+      if not alive then begin
+        die t "role failure detected";
+        Future.return ()
       end
+      else loop ()
+    end
   in
   loop ()
 
@@ -347,14 +363,13 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   else
     match req with
     | Message.Seq_status ->
-        Future.return
-          (Ok
-             {
-               Message.sp_epoch = t.epoch;
-               sp_recovered = t.recovered;
-               sp_proxies = t.proxies;
-               sp_logs = t.logs;
-             })
+        Failure_watch.hold t.watch (fun () ->
+            {
+              Message.sp_epoch = t.epoch;
+              sp_recovered = t.recovered;
+              sp_proxies = t.proxies;
+              sp_logs = t.logs;
+            })
     | Message.Seq_grv ->
         if not t.recovered then Future.return (Error Error.Database_locked)
         else if Buggify.on ~p:0.01 "seq_grv_reject" then
@@ -405,6 +420,7 @@ let create ctx proc ~ratekeeper ~cc =
       proxies = [];
       resolvers = [];
       logs = [];
+      watch = Failure_watch.create proc;
     }
   in
   Context.serve ctx ep proc { handle = (fun req -> handle t req) };

@@ -528,7 +528,10 @@ let drain ctx ~proc ep ~from ~until ~version ~epoch =
    above [version] for the range — the floor makes window entries at or
    below it invisible (the snapshot embodies them) and the durable path
    skips re-applying them. A failed source is skipped and the next one is
-   drained from [from] again. *)
+   drained from [from] again. A snapshot older than a floor already over
+   the range is refused: the floor would hide the window entries that
+   separate the two snapshots. That is checked after the drain, since a
+   concurrent fetch may install a floor while this one drains. *)
 let fetch_shard t ~from ~until ~version ~epoch ~sources =
   let srcs = Array.of_list (List.filter (fun ss -> ss <> t.id) sources) in
   if Array.length srcs = 0 then
@@ -568,8 +571,15 @@ let fetch_shard t ~from ~until ~version ~epoch ~sources =
                 (Params.cpu (Params.storage_per_apply_byte *. float_of_int bytes))
             in
             let in_range (k, _) = from <= k && k < until in
+            let floor = Store.floor_over t.store ~from ~until in
             if Store.durable t.store > version then
               Future.return (Error (Error.Internal "fetch: snapshot below durable horizon"))
+            else if floor > version then begin
+              Trace.emit "ss_fetch_below_floor"
+                [ ("ss", string_of_int t.id); ("lo", String.escaped from);
+                  ("since", Int64.to_string version); ("floor", Int64.to_string floor) ];
+              Future.return (Error (Error.Internal "fetch: snapshot below a floor"))
+            end
             else if List.exists (fun ((_, v) as e) -> in_range e && v > version) t.blind_atomics
             then
               Future.return (Error (Error.Internal "fetch: atomic op applied without its base"))

@@ -418,7 +418,7 @@ let test_knobs_are_per_cluster () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_equivalence;
+    Property.to_alcotest qcheck_equivalence;
     Alcotest.test_case "buggify reorder keeps LSN order" `Slow
       test_buggify_reorder_keeps_order;
     Alcotest.test_case "push failure fails later in-flight batches" `Slow

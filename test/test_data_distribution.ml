@@ -350,6 +350,59 @@ let test_same_start_refetch_then_reboot () =
         (Some want) v)
     got
 
+(* ---------- an older snapshot over a newer floor is refused ---------- *)
+
+(* A server S joins a shard's team (begin_move dual-tags it). A key holds
+   "old" at v1 and is cleared before v2. S fetches the whole shard at v2,
+   then a sub-range holding the key at v1. Installing the older snapshot
+   would put "old" back in S's image while the v2 floor still hides the
+   clear in its window, so once the move commits S would read "old" at v2.
+   The second fetch must be refused, and S must read the key as cleared. *)
+let test_older_overlapping_fetch_refused () =
+  let refused, fired, got =
+    Engine.run ~seed:43L ~max_time:1e4 (fun () ->
+        let cluster = Cluster.create ~config:Config.test_small () in
+        let* () = Cluster.wait_ready cluster in
+        let db = Cluster.client cluster ~name:"of-writer" in
+        let ctx = Cluster.context cluster in
+        let sm = ctx.Context.shard_map in
+        let proc = probe_proc "of-mover" in
+        let key = "of/key" in
+        let* () = Client.run db (fun tx -> Client.set tx key "old"; Future.return ()) in
+        let lo, _ = Shard_map.shard_range_for_key sm key in
+        let src = Shard_map.team_for_key sm key in
+        let n_ss = Array.length ctx.Context.storage_eps in
+        let s = List.find (fun ss -> not (List.mem ss src)) (List.init n_ss Fun.id) in
+        let dst = List.sort compare (s :: List.tl src) in
+        let lo, hi, src_team = Result.get_ok (Shard_map.begin_move sm ~lo ~dst) in
+        let* v1, _ = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let* () = Client.run db (fun tx -> Client.clear tx key; Future.return ()) in
+        let* v2, epoch = Client.run db (fun tx -> Client.read_snapshot tx) in
+        let fetch ~until version =
+          Context.rpc ctx ~timeout:20.0 ~from:proc ctx.Context.storage_eps.(s)
+            (Message.Ss_fetch_shard
+               { fs_from = lo; fs_until = until; fs_version = version; fs_epoch = epoch;
+                 fs_sources = src_team })
+        in
+        let* () = fetch ~until:hi v2 in
+        let* refused =
+          Future.catch
+            (fun () ->
+              let+ () = fetch ~until:(Types.next_key key) v1 in
+              false)
+            (fun _ -> Future.return true)
+        in
+        ignore (Result.get_ok (Shard_map.commit_move sm ~lo ~dst) : unit);
+        let+ got =
+          Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(s)
+            (Message.Storage_get { key; version = v2; rv_epoch = epoch })
+        in
+        (refused, Trace.count "ss_fetch_below_floor", got))
+  in
+  Alcotest.(check bool) "the older fetch is refused" true refused;
+  Alcotest.(check int) "the refusal is traced" 1 fired;
+  Alcotest.(check (option string)) "S reads the key as cleared at v2" None got
+
 (* ---------- move-during-everything swarm ---------- *)
 
 (* Bank, ring and the random-ops soup run under fault injection and
@@ -374,5 +427,7 @@ let suite =
     Alcotest.test_case "atomic ops during a fetch" `Quick test_atomic_ops_during_fetch;
     Alcotest.test_case "same-start refetch, then a reboot" `Quick
       test_same_start_refetch_then_reboot;
+    Alcotest.test_case "older overlapping fetch refused" `Quick
+      test_older_overlapping_fetch_refused;
     Alcotest.test_case "move during everything" `Slow test_move_during_everything;
   ]

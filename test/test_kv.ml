@@ -200,6 +200,6 @@ let suite =
     Alcotest.test_case "range_version_map layering" `Quick test_rvm_layering;
     Alcotest.test_case "range_version_map single key" `Quick test_rvm_single_key;
     Alcotest.test_case "range_version_map expire" `Quick test_rvm_expire;
-    QCheck_alcotest.to_alcotest qcheck_rvm_model;
-    QCheck_alcotest.to_alcotest qcheck_rvm_expire_model;
+    Property.to_alcotest qcheck_rvm_model;
+    Property.to_alcotest qcheck_rvm_expire_model;
   ]

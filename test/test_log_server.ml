@@ -707,9 +707,9 @@ let suite =
     Alcotest.test_case "recovery merge keeps unpopped streams" `Quick
       test_recovery_merge_keeps_unpopped_streams;
   ]
-  @ [ QCheck_alcotest.to_alcotest qcheck_keep_tags ]
+  @ [ Property.to_alcotest qcheck_keep_tags ]
   @ List.map
-      (fun c -> QCheck_alcotest.to_alcotest (qcheck_tagged_streams c))
+      (fun c -> Property.to_alcotest (qcheck_tagged_streams c))
       [
         ("default", Config.default);
         ("test_small", Config.test_small);

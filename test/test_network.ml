@@ -380,6 +380,63 @@ let test_send_failure_traced () =
   in
   Alcotest.(check int) "rpc_handler_error traced once" 1 traced
 
+(* ---------- Context.wait_failure: the held long-poll ----------
+
+   A role holds each [Wait_failure] it is sent (Failure_watch): it answers
+   [Ok] after the heartbeat interval, [Wrong_epoch] the moment the role
+   ends, and nothing at all when its process dies. Then the live machine
+   refuses the open call, and a machine that is down stays silent until the
+   poll's own timeout. *)
+
+module Failure_watch = Fdb_core.Failure_watch
+module Params = Fdb_core.Params
+
+(* Poll a role that shares its machine with a second process; apply
+   [fault] to the role's watch and process 0.1 s later. *)
+let held_poll fault =
+  Engine.run (fun () ->
+      let ctx = Test_log_server.mini_ctx () in
+      let client = Process.create ~name:"client" (Process.fresh_machine 1) in
+      let machine = Process.fresh_machine 2 in
+      let role = Process.create ~name:"role" machine in
+      let (_neighbour : Process.t) = Process.create ~name:"neighbour" machine in
+      let watch : unit Failure_watch.t = Failure_watch.create role in
+      let handle (type r) (req : r Message.req) : (r, Error.t) result Future.t =
+        match req with
+        | Message.Wait_failure -> Failure_watch.hold watch Fun.id
+        | _ -> Future.fail Exit
+      in
+      let ep = Network.fresh_endpoint ctx.Context.net in
+      Context.serve ctx ep role { handle };
+      Engine.schedule ~after:0.1 (fun () -> fault watch role);
+      failure_of (fun () -> Context.wait_failure ctx ~from:client ep Message.Wait_failure))
+
+let test_held_poll_answers_after_interval () =
+  let outcome, took = held_poll (fun _ _ -> ()) in
+  Alcotest.(check string) "answered Ok" "answered" outcome;
+  if took < Params.heartbeat_interval || took > Params.heartbeat_interval +. 0.01 then
+    Alcotest.failf "answered after %.4f s, not one heartbeat interval plus a round trip" took
+
+let test_held_poll_answered_at_role_end () =
+  let outcome, took = held_poll (fun watch _ -> Failure_watch.fail watch) in
+  Alcotest.(check string) "answered Wrong_epoch"
+    (Printexc.to_string (Error.Fdb Error.Wrong_epoch))
+    outcome;
+  if took > 0.11 then Alcotest.failf "answered %.4f s after the poll, not at the role's end" took
+
+let test_held_poll_refused_at_process_death () =
+  let outcome, took = held_poll (fun _ role -> Engine.kill role) in
+  Alcotest.(check string) "the poll fails with Timed_out" timed_out outcome;
+  if took > 0.11 then Alcotest.failf "refused %.4f s after the poll, not at the death" took
+
+let test_held_poll_silent_when_machine_down () =
+  let outcome, took =
+    held_poll (fun _ role -> List.iter Engine.kill role.Process.machine.Process.machine_processes)
+  in
+  Alcotest.(check string) "the poll fails with Timed_out" timed_out outcome;
+  let timeout = Params.heartbeat_interval +. Params.heartbeat_timeout in
+  if took < timeout then Alcotest.failf "ended after %.4f s, before its %.2f s timeout" took timeout
+
 let suite =
   [
     Alcotest.test_case "rpc roundtrip" `Quick test_rpc_roundtrip;
@@ -398,6 +455,14 @@ let suite =
     Alcotest.test_case "a refusal to a rebooted caller is dropped" `Quick
       test_refusal_to_rebooted_caller_dropped;
     Alcotest.test_case "clog delays" `Quick test_clog_delays;
+    Alcotest.test_case "held poll answered after the interval" `Quick
+      test_held_poll_answers_after_interval;
+    Alcotest.test_case "held poll answered at the role's end" `Quick
+      test_held_poll_answered_at_role_end;
+    Alcotest.test_case "held poll refused at process death" `Quick
+      test_held_poll_refused_at_process_death;
+    Alcotest.test_case "held poll silent when the machine is down" `Quick
+      test_held_poll_silent_when_machine_down;
     Alcotest.test_case "cross-dc latency" `Quick test_cross_dc_latency;
     Alcotest.test_case "one-way send" `Quick test_send_one_way;
     Alcotest.test_case "reply not retained by timer" `Quick test_reply_not_retained_by_timer;

@@ -314,9 +314,10 @@ let test_ratekeeper_throttles_on_metrics () =
 
 (* ---------- recovery latency: no serial timeouts behind a detected failure ---------- *)
 
-(* Once a fault is detected (the CC's ping timeout plus at most one
-   heartbeat tick), only recovery work may stand between it and the first
-   successful commit: 0.25 s of slack covers that work. *)
+(* Once a fault is detected (at worst when the CC's long-poll times out,
+   one heartbeat interval plus the heartbeat timeout after it was sent),
+   only recovery work may stand between it and the first successful
+   commit: 0.25 s of slack covers that work. *)
 let recovery_bound = Params.heartbeat_timeout +. Params.heartbeat_interval +. 0.25
 
 let current_tlog cluster =
@@ -358,23 +359,24 @@ let first_commit_within_bound victim () =
 
 (* ---------- failure detection: a refused process, a silent machine ----------
 
-   The CC probes the sequencer every heartbeat tick. A sequencer process
-   that dies on a machine that stays up is refused at once, so the next
-   tick's probe fails and recruits a new generation; a machine that goes
-   down is silent, and only the probe's {!Params.heartbeat_timeout} ends
-   it. *)
+   The CC holds a long-poll on the sequencer, and the sequencer one on each
+   of its roles (Context.wait_failure). A role that ends answers its poll
+   at once; a process that dies on a machine that stays up is refused, so
+   its open poll fails one network delay later. Either way the generation
+   ends without waiting for a tick. A machine that goes down is silent,
+   and only the poll's timeout ends it. *)
 
-(* Apply [fault] to the current sequencer process; return how long it
-   took for a new generation to finish recovering. *)
-let time_to_new_generation fault =
+(* Arm a fault with [prepare], apply it, and return how long it took for a
+   new generation to finish recovering. *)
+let time_to_new_generation_after prepare =
   with_cluster (fun cluster ->
       let db = Cluster.client cluster ~name:"c" in
       let* _ = write_marker db "gen/warm" "0" in
       let* () = Engine.sleep 1.0 in
-      let* seq = only_sequencer cluster in
+      let* fault = prepare cluster in
       let recovered = Trace.count "recovery_complete" in
       let t0 = Engine.now () in
-      fault seq;
+      fault ();
       let rec wait () =
         if Trace.count "recovery_complete" > recovered then Future.return (Engine.now () -. t0)
         else
@@ -383,12 +385,52 @@ let time_to_new_generation fault =
       in
       wait ())
 
+(* Apply [fault] to the current sequencer process; return how long it
+   took for a new generation to finish recovering. *)
+let time_to_new_generation fault =
+  time_to_new_generation_after (fun cluster ->
+      let+ seq = only_sequencer cluster in
+      fun () -> fault seq)
+
+let within_a_tick what took =
+  if took > Params.heartbeat_interval then
+    Alcotest.failf "new generation %.3f s after %s (bound %.2f s)" took what
+      Params.heartbeat_interval
+
 let test_process_fault_detected_in_a_tick () =
-  let took = time_to_new_generation (fun p -> Engine.reboot p ~delay:2.0 ()) in
-  let bound = 2.0 *. Params.heartbeat_interval in
-  if took > bound then
-    Alcotest.failf "new generation %.3f s after the sequencer process died (bound %.2f s)"
-      took bound
+  within_a_tick "the sequencer process died"
+    (time_to_new_generation (fun p -> Engine.reboot p ~delay:2.0 ()))
+
+let test_log_process_fault_detected_in_a_tick () =
+  within_a_tick "a LogServer process died"
+    (time_to_new_generation_after (fun cluster ->
+         let+ p = current_tlog cluster in
+         fun () -> Engine.reboot p ~delay:2.0 ()))
+
+(* The current generation as the ClusterController knows it, asked of
+   every worker in turn (only the CC's answers). *)
+let cc_state cluster =
+  let ctx = Cluster.context cluster in
+  let from = Process.create ~name:"cc-query" (Process.fresh_machine ~dc:"dc1" 999_998) in
+  let rec ask = function
+    | [] -> Alcotest.fail "no cluster controller answered"
+    | ep :: rest ->
+        Future.catch
+          (fun () -> Context.rpc ctx ~timeout:1.0 ~from ep Message.Cc_get_state)
+          (fun _ -> ask rest)
+  in
+  let+ st = ask (Array.to_list ctx.Context.worker_eps) in
+  (ctx, from, st)
+
+(* A proxy told to retire dies while its process lives: its held poll is
+   answered at once, so the sequencer ends its generation without a tick. *)
+let test_retired_proxy_detected_in_a_tick () =
+  within_a_tick "a proxy was retired"
+    (time_to_new_generation_after (fun cluster ->
+         let+ ctx, from, st = cc_state cluster in
+         fun () ->
+           Context.send ctx ~from (List.hd st.Message.st_proxies)
+             (Message.Proxy_retire { pr_epoch = st.Message.st_epoch })))
 
 let test_machine_fault_waits_for_heartbeat () =
   let took =
@@ -648,8 +690,12 @@ let suite =
     Alcotest.test_case "tlog kill: commit within detection bound" `Quick
       (first_commit_within_bound current_tlog);
     Alcotest.test_case "old logs locked at quorum" `Quick test_lock_at_quorum;
-    Alcotest.test_case "sequencer process reboot: new generation in two ticks" `Quick
+    Alcotest.test_case "sequencer process reboot: new generation in a tick" `Quick
       test_process_fault_detected_in_a_tick;
+    Alcotest.test_case "tlog process reboot: new generation in a tick" `Quick
+      test_log_process_fault_detected_in_a_tick;
+    Alcotest.test_case "retired proxy: new generation in a tick" `Quick
+      test_retired_proxy_detected_in_a_tick;
     Alcotest.test_case "sequencer machine reboot: detected by heartbeat timeout" `Quick
       test_machine_fault_waits_for_heartbeat;
     Alcotest.test_case "proxy death releases waiters (serial)" `Quick

@@ -530,9 +530,9 @@ let suite =
     Alcotest.test_case "explicit boundaries" `Quick test_explicit_boundaries;
     Alcotest.test_case "shards_of_storage roundtrip" `Quick test_shards_of_storage_roundtrip;
     Alcotest.test_case "placement on fixed configs" `Quick test_placement_fixed_configs;
-    QCheck_alcotest.to_alcotest qcheck_placement;
+    Property.to_alcotest qcheck_placement;
     Alcotest.test_case "split edge cases" `Quick test_split_edge_cases;
     Alcotest.test_case "merge whole keyspace" `Quick test_merge_whole_keyspace;
     Alcotest.test_case "membership by binary search" `Quick test_membership;
-    QCheck_alcotest.to_alcotest qcheck_model_agreement;
+    Property.to_alcotest qcheck_model_agreement;
   ]

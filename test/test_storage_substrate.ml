@@ -500,7 +500,7 @@ let suite =
     Alcotest.test_case "vw rollback" `Quick test_vw_rollback;
     Alcotest.test_case "vw version regression" `Quick test_vw_version_regression_rejected;
     Alcotest.test_case "vw keys in range" `Quick test_vw_keys_in_range;
-    QCheck_alcotest.to_alcotest qcheck_vw_matches_naive;
+    Property.to_alcotest qcheck_vw_matches_naive;
     Alcotest.test_case "atomic add" `Quick test_atomic_add;
     Alcotest.test_case "atomic add carry" `Quick test_atomic_add_carry;
     Alcotest.test_case "atomic min/max" `Quick test_atomic_minmax;

@@ -179,9 +179,9 @@ let suite =
     Alcotest.test_case "order contract samples" `Quick test_order_contract_samples;
     Alcotest.test_case "range contains extensions" `Quick test_range_contains_extensions;
     Alcotest.test_case "subspace prefix" `Quick test_subspace_prefix;
-    QCheck_alcotest.to_alcotest qcheck_roundtrip;
-    QCheck_alcotest.to_alcotest qcheck_order;
+    Property.to_alcotest qcheck_roundtrip;
+    Property.to_alcotest qcheck_order;
     Alcotest.test_case "int64 boundary order exhaustive" `Quick
       test_boundary_ints_exhaustive;
-    QCheck_alcotest.to_alcotest qcheck_order_adversarial;
+    Property.to_alcotest qcheck_order_adversarial;
   ]

@@ -53,5 +53,5 @@ let suite =
     Alcotest.test_case "strinc covers prefix" `Quick test_strinc_covers_prefix;
     Alcotest.test_case "version bytes roundtrip" `Quick test_version_bytes_roundtrip;
     Alcotest.test_case "version bytes order" `Quick test_version_bytes_order;
-    QCheck_alcotest.to_alcotest qcheck_strinc_bound;
+    Property.to_alcotest qcheck_strinc_bound;
   ]

@@ -221,10 +221,10 @@ let suite =
     Alcotest.test_case "histogram merge" `Quick test_histogram_merge;
     Alcotest.test_case "histogram cdf monotone" `Quick test_histogram_cdf_monotone;
     Alcotest.test_case "stats basic" `Quick test_stats_basic;
-    QCheck_alcotest.to_alcotest qcheck_percentile_bounds;
-    QCheck_alcotest.to_alcotest qcheck_merge_associative;
-    QCheck_alcotest.to_alcotest qcheck_percentile_monotone;
-    QCheck_alcotest.to_alcotest qcheck_clamp_non_positive;
-    QCheck_alcotest.to_alcotest qcheck_det_tbl_order_invariant;
-    QCheck_alcotest.to_alcotest qcheck_det_tbl_iter_matches_sorted;
+    Property.to_alcotest qcheck_percentile_bounds;
+    Property.to_alcotest qcheck_merge_associative;
+    Property.to_alcotest qcheck_percentile_monotone;
+    Property.to_alcotest qcheck_clamp_non_positive;
+    Property.to_alcotest qcheck_det_tbl_order_invariant;
+    Property.to_alcotest qcheck_det_tbl_iter_matches_sorted;
   ]

@@ -282,6 +282,6 @@ let test_atomic_stacking () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_matches_model;
+    Property.to_alcotest qcheck_matches_model;
     Alcotest.test_case "atomic ops stack within a version" `Quick test_atomic_stacking;
   ]

@@ -179,9 +179,9 @@ let suite =
     Alcotest.test_case "checker accepts absent" `Quick test_checker_accepts_absent;
     Alcotest.test_case "checker same-version ties" `Quick test_checker_same_version_ties;
     Alcotest.test_case "checker clear visible" `Quick test_checker_clear_visible;
-    QCheck_alcotest.to_alcotest qcheck_checker_accepts_any_true_serial_history;
-    QCheck_alcotest.to_alcotest qcheck_zipfian_top_mass;
-    QCheck_alcotest.to_alcotest qcheck_hot_key_mass;
-    QCheck_alcotest.to_alcotest qcheck_sequential_monotone;
+    Property.to_alcotest qcheck_checker_accepts_any_true_serial_history;
+    Property.to_alcotest qcheck_zipfian_top_mass;
+    Property.to_alcotest qcheck_hot_key_mass;
+    Property.to_alcotest qcheck_sequential_monotone;
     Alcotest.test_case "bank+ring on small cluster" `Quick test_bank_and_ring_in_sim;
   ]
