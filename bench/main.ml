@@ -4,7 +4,10 @@
    sweeps. See EXPERIMENTS.md for paper-vs-measured discussion. *)
 
 let available =
-  [ "micro"; "conflict"; "engine"; "range"; "commit"; "rebalance"; "retry"; "fig3"; "fig7"; "fig8"; "fig9"; "fig10"; "ablation" ]
+  [
+    "micro"; "conflict"; "engine"; "range"; "commit"; "rebalance"; "retry"; "balance";
+    "fig3"; "fig7"; "fig8"; "fig9"; "fig10"; "ablation";
+  ]
 
 let () =
   let only = ref [] in
@@ -35,6 +38,7 @@ let () =
   if want "commit" then Commit_pipeline.run ~smoke:!smoke ();
   if want "rebalance" then Rebalance.run ~smoke:!smoke ();
   if want "retry" then Retry.run ~smoke:!smoke ();
+  if want "balance" then Balance.run ~smoke:!smoke ();
   if want "fig3" then Fig3.run ();
   if want "fig7" then Fig7.run ();
   if want "fig8" then

@@ -47,6 +47,7 @@ type db = {
   obs_failovers : Fdb_obs.Registry.counter;
   obs_retry_delay : Fdb_obs.Registry.timer;
   obs_replica_busy : Fdb_obs.Registry.counter;
+  obs_bounces : Fdb_obs.Registry.counter;
 }
 
 let versionstamp_placeholder = String.make 10 '\x00'
@@ -70,6 +71,7 @@ let create_db ctx proc =
     obs_retry_delay = Fdb_obs.Registry.histogram metrics ~role ~process:pid "retry_delay";
     obs_replica_busy =
       Fdb_obs.Registry.counter metrics ~role ~process:pid "read_replica_busy";
+    obs_bounces = Fdb_obs.Registry.counter metrics ~role ~process:pid "read_bounces";
   }
 
 let storage_inflight db = Array.copy db.inflight
@@ -250,46 +252,62 @@ let rec last_key = function
   | [ (k, _) ] -> Some k
   | _ :: tl -> last_key tl
 
+(* A point read the server may refuse because it is busy. *)
+let bounceable (type r) (msg : r Message.req) =
+  match msg with Message.Storage_get { may_bounce; _ } -> may_bounce | _ -> false
+
 (* Try each replica of [team] in order of this handle's in-flight
    requests to it, fewest first (FDB's [loadBalance]); ties keep a
-   Det_rng-shuffled order. Fail over on communication errors and
-   per-replica timeouts. Semantic rejections ([Transaction_too_old],
-   [Wrong_shard]) propagate immediately: every replica of the team would
-   answer the same. A request counts as in flight from its send until its
-   future resolves, whatever the outcome. *)
+   Det_rng-shuffled order. [msg ~last] is the request for one attempt;
+   [last] is false while a replica of the team is still untried. A busy
+   replica's refusal of a bounceable point read moves on to the next
+   replica, counted as a bounce, not a failover; the refusing replica goes
+   to the back of the order, where it is asked again, with [last] set,
+   only if every replica after it failed. Fail over on communication
+   errors and per-replica timeouts. Semantic rejections
+   ([Transaction_too_old], [Wrong_shard]) propagate immediately: every
+   replica of the team would answer the same. A request counts as in
+   flight from its send until its future resolves, whatever the outcome. *)
 let with_failover db ~team ~timeout msg =
   let replicas = Array.of_list team in
+  let untried = Array.length replicas in
   Rng.shuffle db.rng replicas;
   Array.stable_sort (fun a b -> compare db.inflight.(a) db.inflight.(b)) replicas;
   if db.inflight.(replicas.(0)) > 0 then Fdb_obs.Registry.incr db.obs_replica_busy;
-  let send ss =
+  let order = ref replicas in
+  let send ss req =
     let reply =
-      Context.rpc db.ctx ~timeout ~from:db.proc db.ctx.Context.storage_eps.(ss) msg
+      Context.rpc db.ctx ~timeout ~from:db.proc db.ctx.Context.storage_eps.(ss) req
     in
     db.inflight.(ss) <- db.inflight.(ss) + 1;
     Future.on_resolve reply (fun _ -> db.inflight.(ss) <- db.inflight.(ss) - 1);
     reply
   in
   let rec attempt i last_err =
-    if i >= Array.length replicas then Future.fail last_err
+    if i >= Array.length !order then Future.fail last_err
     else
-      let ss = replicas.(i) in
+      let ss = !order.(i) in
+      let req = msg ~last:(i + 1 >= untried) in
       let failover err =
-        if i + 1 < Array.length replicas then begin
+        if i + 1 < Array.length !order then begin
           Trace.emit "client_read_failover"
             [
               ("from_ss", string_of_int ss);
-              ("to_ss", string_of_int replicas.(i + 1));
+              ("to_ss", string_of_int !order.(i + 1));
             ];
           Fdb_obs.Registry.incr db.obs_failovers
         end;
         attempt (i + 1) err
       in
       Future.catch
-        (fun () -> send ss)
+        (fun () -> send ss req)
         (function
           | Error.Fdb Error.Transaction_too_old as e -> Future.fail e
           | Error.Fdb Error.Wrong_shard as e -> Future.fail e
+          | Error.Fdb Error.Process_behind as e when bounceable req ->
+              Fdb_obs.Registry.incr db.obs_bounces;
+              order := Array.append !order [| ss |];
+              attempt (i + 1) e
           | Engine.Timed_out -> failover (Error.Fdb Error.Timed_out)
           | Error.Fdb _ as e -> failover e
           | e -> Future.fail e)
@@ -302,8 +320,8 @@ let storage_get t key (version, rv_epoch) =
     let team = Shard_map.team_for_key db.ctx.Context.shard_map key in
     Future.catch
       (fun () ->
-        with_failover db ~team ~timeout:Params.client_read_timeout
-          (Message.Storage_get { key; version; rv_epoch }))
+        with_failover db ~team ~timeout:Params.client_read_timeout (fun ~last ->
+            Message.Storage_get { key; version; rv_epoch; may_bounce = not last }))
       (function
         | Error.Fdb Error.Wrong_shard when retries > 0 ->
             (* The shard map changed under us; [team_for_key] reads the
@@ -335,17 +353,17 @@ let rec fragment_fetch t ~version ~rv_epoch ~reverse ~row_limit ~byte_limit
         Future.catch
           (fun () ->
             let+ { Message.rr_rows; rr_more } =
-              with_failover db ~team ~timeout:Params.client_read_timeout
-                (Message.Storage_get_range
-                   {
-                     gr_from = f;
-                     gr_until = u;
-                     gr_version = version;
-                     gr_limit = row_limit - nrows;
-                     gr_byte_limit = byte_limit - nbytes;
-                     gr_reverse = reverse;
-                     gr_epoch = rv_epoch;
-                   })
+              with_failover db ~team ~timeout:Params.client_read_timeout (fun ~last:_ ->
+                  Message.Storage_get_range
+                    {
+                      gr_from = f;
+                      gr_until = u;
+                      gr_version = version;
+                      gr_limit = row_limit - nrows;
+                      gr_byte_limit = byte_limit - nbytes;
+                      gr_reverse = reverse;
+                      gr_epoch = rv_epoch;
+                    })
             in
             `Batch (rr_rows, rr_more))
           (function
@@ -872,7 +890,8 @@ let rec watch_poll db w ~version ~epoch =
         (fun () ->
           let+ { Message.wr_fired; wr_version = v } =
             with_failover db ~team ~timeout:(Params.watch_poll_timeout +. 1.0)
-              (Message.Ss_watch { w_key = w.wt_key; w_version = version; w_epoch = epoch })
+              (fun ~last:_ ->
+                Message.Ss_watch { w_key = w.wt_key; w_version = version; w_epoch = epoch })
           in
           if wr_fired then begin
             Trace.emit "client_watch_fire"

@@ -15,7 +15,9 @@
     this handle is not using. Every storage request goes to the team
     member with the fewest of this handle's own requests in flight (ties
     broken by a deterministic shuffle), with transparent failover to
-    another team member on per-replica errors. *)
+    another team member on per-replica errors. A point read that a busy
+    replica refuses moves on to the next one (client counter
+    [read_bounces]); the last untried replica cannot refuse it. *)
 
 type db
 type tx

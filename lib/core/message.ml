@@ -219,6 +219,9 @@ type _ req =
       key : string;
       version : Types.version;
       rv_epoch : Types.epoch;
+      may_bounce : bool;
+          (** a busy server may refuse it at once with [Process_behind]:
+              the client has another replica left to try *)
     }
       -> string option req
   | Storage_get_range : {

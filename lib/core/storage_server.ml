@@ -470,11 +470,17 @@ let ensure_epoch t rv_epoch =
     in
     wait 5
 
-(* Load shedding: a read queued behind more CPU work than the client's
-   timeout would burn a core for an answer nobody is waiting for — reject
-   it cheaply instead (the spiral breaker real storage servers have). *)
-let overloaded t =
-  t.proc.Process.cpu_busy_until -. Engine.now () > Params.client_read_timeout
+(* Load shedding, by the CPU work already queued ahead of a read that
+   arrives now. A read queued behind more than the client's timeout would
+   burn a core for an answer nobody is waiting for (the spiral breaker real
+   storage servers have). A point read the client may bounce is refused as
+   soon as more than one point read's work is queued: the client sends it
+   to the next replica of the team, which is likelier to be idle (DESIGN.md,
+   "Client replica choice"). Either refusal is cheap: it charges no CPU. *)
+let backlogged t ~may_bounce =
+  let backlog = t.proc.Process.cpu_busy_until -. Engine.now () in
+  backlog > Params.client_read_timeout
+  || (may_bounce && backlog > Params.cpu Params.storage_per_point_read)
 
 (* The one admission gate of every read of [\[from, until)] at [version]:
    the generation gate, the version wait, the MVCC window, shard ownership,
@@ -611,8 +617,8 @@ let split_point t ~from ~until =
 let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   match req with
   | Message.Ping -> Future.return (Ok ())
-  | Message.Storage_get { key; version; rv_epoch } -> (
-      if overloaded t then Future.return (Error Error.Process_behind)
+  | Message.Storage_get { key; version; rv_epoch; may_bounce } -> (
+      if backlogged t ~may_bounce then Future.return (Error Error.Process_behind)
       else
       let t0 = Engine.now () in
       let* () = Engine.cpu t.proc (Params.cpu Params.storage_per_point_read) in
@@ -631,7 +637,7 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
       Fdb_obs.Registry.incr t.obs_range_reqs;
       (* Buggify: an occasional spurious shed exercises the client's
          replica-failover path under simulation. *)
-      if overloaded t || Buggify.on ~p:0.1 "ss_flaky_range" then
+      if backlogged t ~may_bounce:false || Buggify.on ~p:0.1 "ss_flaky_range" then
         Future.return (Error Error.Process_behind)
       else
       let t0 = Engine.now () in

@@ -4,7 +4,9 @@
     unusual-but-legal behaviour: an early error return, an extra delay, an
     odd tuning value. Like FDB, each named point is independently enabled
     for a given run with probability ~25%; an enabled point then fires on
-    each evaluation with its local probability (default 25%). Outside a
+    each evaluation with its local probability (default 25%). A test can
+    name points to activate for its run ([Engine.run ~buggify_active]),
+    bypassing the draw. Outside a
     buggified run every point is inert, so the same code runs in
     "production" mode. The per-point decisions, the RNG stream and the
     fired set belong to the current {!Run.t}, so each {!Engine.run} starts

@@ -105,9 +105,9 @@ let reboot p ?(delay = 0.5) () =
         with_process p (fun () -> p.Process.boot ())
       end)
 
-let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) f =
+let run ?(seed = 1L) ?(max_time = 1e7) ?(buggify = false) ?buggify_active f =
   if is_running () then failwith "Engine.run: simulation already running";
-  let e = Run.create (Run.Heap.create ()) ~seed ~buggify in
+  let e = Run.create ?active:buggify_active (Run.Heap.create ()) ~seed ~buggify in
   Run.latest := e;
   e.running <- true;
   let finish () =

@@ -21,11 +21,20 @@ exception Killed
 (** Raised by blocking primitives when their owning process was killed. *)
 
 val run :
-  ?seed:int64 -> ?max_time:float -> ?buggify:bool -> (unit -> 'a Future.t) -> 'a
+  ?seed:int64 ->
+  ?max_time:float ->
+  ?buggify:bool ->
+  ?buggify_active:string list ->
+  (unit -> 'a Future.t) ->
+  'a
 (** [run f] creates a fresh run record, runs [f ()] and processes events until
     the returned future resolves. Raises {!Deadlock} on quiescence, and
     [Failure] if [max_time] (default 1e7 simulated seconds) is exceeded.
-    [buggify] enables the {!Buggify} fault-injection points for this run. *)
+    [buggify] enables the {!Buggify} fault-injection points for this run.
+    The points named in [buggify_active] (default none) are activated for
+    the whole run instead of by a seeded draw, so a test can exercise a
+    point whatever order the run consults points in; they still fire only
+    when [buggify] is set, each with its own local probability. *)
 
 val now : unit -> float
 (** Current virtual time in seconds. *)

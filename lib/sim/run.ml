@@ -181,10 +181,13 @@ let fnv1a_string h s =
 
 (* A record that is not yet running, with task queue [heap]. The Buggify
    stream is split from the root RNG before the run draws anything,
-   whether or not it is used. *)
-let create heap ~seed ~buggify =
+   whether or not it is used. The points named in [active] start out
+   activated, so they draw no activation. *)
+let create ?(active = []) heap ~seed ~buggify =
   let root_rng = Rng.create seed in
   let buggify_rng = Rng.split root_rng in
+  let point_active = Hashtbl.create 32 in
+  List.iter (fun name -> Hashtbl.replace point_active name true) active;
   {
     running = false;
     heap;
@@ -197,7 +200,7 @@ let create heap ~seed ~buggify =
     events = [];
     buggify;
     buggify_rng;
-    point_active = Hashtbl.create 32;
+    point_active;
     fired = Det_tbl.create ~size:32 ();
     n_created = 0;
     n_resolved = 0;

@@ -289,7 +289,12 @@ let test_newer_epoch_reads_share_one_read () =
                      let+ _ =
                        Context.rpc ctx ~timeout:5.0 ~from:reader ss_ep
                          (Message.Storage_get
-                            { key = Printf.sprintf "k%d" i; version = 0L; rv_epoch = 2 })
+                            {
+                              key = Printf.sprintf "k%d" i;
+                              version = 0L;
+                              rv_epoch = 2;
+                              may_bounce = false;
+                            })
                      in
                      (Engine.now (), "ok"))
                    (function

@@ -109,7 +109,8 @@ let test_stale_generation_wrong_shard () =
               let* r =
                 Context.rpc ctx ~timeout:2.0 ~from:proc
                   ctx.Context.storage_eps.(List.hd dropped)
-                  (Message.Storage_get { key = "dd/x"; version; rv_epoch = epoch })
+                  (Message.Storage_get
+                     { key = "dd/x"; version; rv_epoch = epoch; may_bounce = false })
               in
               ignore r;
               Future.return `Served)
@@ -252,7 +253,7 @@ let test_atomic_ops_during_fetch () =
                (fun ss ->
                  let+ value =
                    Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(ss)
-                     (Message.Storage_get { key; version; rv_epoch })
+                     (Message.Storage_get { key; version; rv_epoch; may_bounce = false })
                  in
                  (ss, Option.map (fun v -> Char.code v.[0] + (256 * Char.code v.[1])) value))
                (Shard_map.team_for_key sm key))
@@ -335,7 +336,7 @@ let test_same_start_refetch_then_reboot () =
                (fun ss ->
                  let+ value =
                    Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(ss)
-                     (Message.Storage_get { key; version; rv_epoch })
+                     (Message.Storage_get { key; version; rv_epoch; may_bounce = false })
                  in
                  (ss, Option.map le_int value))
                (Shard_map.team_for_key sm key))
@@ -395,7 +396,7 @@ let test_older_overlapping_fetch_refused () =
         ignore (Result.get_ok (Shard_map.commit_move sm ~lo ~dst) : unit);
         let+ got =
           Context.rpc ctx ~timeout:2.0 ~from:proc ctx.Context.storage_eps.(s)
-            (Message.Storage_get { key; version = v2; rv_epoch = epoch })
+            (Message.Storage_get { key; version = v2; rv_epoch = epoch; may_bounce = false })
         in
         (refused, Trace.count "ss_fetch_below_floor", got))
   in

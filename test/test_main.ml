@@ -22,6 +22,7 @@ let () =
       ("client-ryw", Test_client_ryw.suite);
       ("client-retry", Test_client_retry.suite);
       ("range-pipeline", Test_range_pipeline.suite);
+      ("read-bounce", Test_read_bounce.suite);
       ("commit-pipeline", Test_commit_pipeline.suite);
       ("log-server", Test_log_server.suite);
       ("resolver", Test_resolver.suite);
