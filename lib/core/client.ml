@@ -40,7 +40,8 @@ type db = {
   proc : Process.t;
   rng : Rng.t;
   mutable proxies : int array;
-  refreshing : unit Future.flight;
+  mutable epoch : Types.epoch; (* the generation [proxies] belong to; 0 before any *)
+  polling : int option Future.flight; (* the poll on the ClusterController *)
   inflight : int array; (* this handle's storage requests in flight, by server id *)
   obs_fanout : Fdb_obs.Registry.gauge;
   obs_range_bytes : Fdb_obs.Registry.gauge;
@@ -48,69 +49,113 @@ type db = {
   obs_retry_delay : Fdb_obs.Registry.timer;
   obs_replica_busy : Fdb_obs.Registry.counter;
   obs_bounces : Fdb_obs.Registry.counter;
+  obs_stale_calls : Fdb_obs.Registry.counter;
 }
 
 let versionstamp_placeholder = String.make 10 '\x00'
+
+(* Find the ClusterController's machine through the coordinators. *)
+let find_cc db =
+  let transport = Context.paxos_transport db.ctx ~from:db.proc in
+  let+ leader =
+    Future.catch
+      (fun () ->
+        Fdb_paxos.Election.leader_via transport ~reg:"cc-leader"
+          ~proposer:(Context.proposer_id db.proc))
+      (fun _ -> Future.return None)
+  in
+  match Option.bind leader int_of_string_opt with
+  | Some machine when machine < Array.length db.ctx.Context.worker_eps -> Some machine
+  | _ -> None
+
+(* One poll of the ClusterController on machine [cc], found through the
+   coordinators when [None]. The CC holds it until it knows a recovered
+   generation other than this handle's, or for a heartbeat interval. The
+   answer's proxies are adopted before the poll resolves, with the CC to
+   poll next. A poll that reaches no CC (none is named, or the call
+   failed) resolves [None] after a 0.1 s pause, so its callers do not spin
+   on the coordinators while they name no live CC. A caller that finds a
+   poll in flight gets that poll's future. *)
+let poll db cc =
+  Future.single_flight db.polling (fun () ->
+      let* cc = match cc with Some _ -> Future.return cc | None -> find_cc db in
+      let* answered =
+        match cc with
+        | None -> Future.return false
+        | Some machine ->
+            Future.catch
+              (fun () ->
+                let+ { Message.st_epoch; st_proxies; st_recovered; _ } =
+                  Context.wait_failure db.ctx ~from:db.proc db.ctx.Context.worker_eps.(machine)
+                    (Message.Cc_get_state { cg_known = db.epoch })
+                in
+                if st_recovered && st_epoch <> db.epoch then begin
+                  db.epoch <- st_epoch;
+                  db.proxies <- Array.of_list st_proxies
+                end;
+                true)
+              (fun _ -> Future.return false)
+      in
+      if answered then Future.return cc
+      else
+        let+ () = Engine.sleep 0.1 in
+        None)
+
+(* The handle's one held poll, re-sent the moment it is answered, for as
+   long as the handle's process lives. *)
+let rec watch_cc db cc =
+  let* next = poll db cc in
+  watch_cc db next
 
 let create_db ctx proc =
   let metrics = ctx.Context.metrics in
   let pid = proc.Process.pid in
   let role = Fdb_obs.Registry.Client in
-  {
-    ctx;
-    proc;
-    rng = Engine.fork_rng ();
-    proxies = [||];
-    refreshing = Future.flight ();
-    inflight = Array.make (Array.length ctx.Context.storage_eps) 0;
-    obs_fanout = Fdb_obs.Registry.gauge metrics ~role ~process:pid "read_fanout";
-    obs_range_bytes =
-      Fdb_obs.Registry.gauge metrics ~role ~process:pid "range_bytes_per_req";
-    obs_failovers =
-      Fdb_obs.Registry.counter metrics ~role ~process:pid "read_failovers";
-    obs_retry_delay = Fdb_obs.Registry.histogram metrics ~role ~process:pid "retry_delay";
-    obs_replica_busy =
-      Fdb_obs.Registry.counter metrics ~role ~process:pid "read_replica_busy";
-    obs_bounces = Fdb_obs.Registry.counter metrics ~role ~process:pid "read_bounces";
-  }
+  let db =
+    {
+      ctx;
+      proc;
+      rng = Engine.fork_rng ();
+      proxies = [||];
+      epoch = 0;
+      polling = Future.flight ();
+      inflight = Array.make (Array.length ctx.Context.storage_eps) 0;
+      obs_fanout = Fdb_obs.Registry.gauge metrics ~role ~process:pid "read_fanout";
+      obs_range_bytes =
+        Fdb_obs.Registry.gauge metrics ~role ~process:pid "range_bytes_per_req";
+      obs_failovers =
+        Fdb_obs.Registry.counter metrics ~role ~process:pid "read_failovers";
+      obs_retry_delay = Fdb_obs.Registry.histogram metrics ~role ~process:pid "retry_delay";
+      obs_replica_busy =
+        Fdb_obs.Registry.counter metrics ~role ~process:pid "read_replica_busy";
+      obs_bounces = Fdb_obs.Registry.counter metrics ~role ~process:pid "read_bounces";
+      obs_stale_calls =
+        Fdb_obs.Registry.counter metrics ~role ~process:pid "stale_proxy_calls";
+    }
+  in
+  Engine.spawn ~process:proc "client-cc-watch" (fun () -> watch_cc db None);
+  db
 
 let storage_inflight db = Array.copy db.inflight
 let read_fanout db = int_of_float !(db.obs_fanout)
 
-(* Find the ClusterController through the coordinators, then ask it for the
-   current proxies — the client's bootstrap path. A caller that finds a
-   refresh in flight waits for that one. *)
-let refresh db =
-  Future.single_flight db.refreshing (fun () ->
-    let transport = Context.paxos_transport db.ctx ~from:db.proc in
-    let* leader =
-      Future.catch
-        (fun () ->
-          Fdb_paxos.Election.leader_via transport ~reg:"cc-leader"
-            ~proposer:(Context.proposer_id db.proc))
-        (fun _ -> Future.return None)
-    in
-    match Option.bind leader int_of_string_opt with
-    | None -> Engine.sleep 0.1
-    | Some machine when machine >= Array.length db.ctx.Context.worker_eps ->
-        Engine.sleep 0.1
-    | Some machine ->
-        Future.catch
-          (fun () ->
-            let+ { Message.st_proxies; st_recovered; _ } =
-              Context.rpc db.ctx ~timeout:1.0 ~from:db.proc
-                db.ctx.Context.worker_eps.(machine) Message.Cc_get_state
-            in
-            if st_recovered then db.proxies <- Array.of_list st_proxies)
-          (fun _ -> Future.return ()))
+(* Wait for the held poll's answer. *)
+let refresh db = Future.map (poll db None) ignore
 
+(* A proxy, with the generation of the list it came from. *)
 let pick_proxy db =
   if Array.length db.proxies = 0 then None
-  else Some db.proxies.(Rng.int db.rng (Array.length db.proxies))
+  else Some (db.proxies.(Rng.int db.rng (Array.length db.proxies)), db.epoch)
 
-(* Call some proxy, refreshing the proxy list and retrying a couple of
-   times on communication failures before giving up with a retryable
-   error for the [run] loop to handle. *)
+(* A call to a proxy picked from generation [since]'s list failed: wait
+   until the handle may know better proxies. That is at once when it has
+   adopted a newer list since, else when the held poll is answered. *)
+let await_proxies db ~since = if db.epoch <> since then Future.return () else refresh db
+
+(* Call some proxy. A proxy of a generation that has ended ([Wrong_epoch],
+   [Database_locked]) or a timeout retries, a couple of times, once
+   [await_proxies] allows. Then give up with a retryable error for the
+   [run] loop to handle. *)
 let proxy_call db msg =
   let rec attempt n =
     if n = 0 then Error.fail Error.Timed_out
@@ -119,14 +164,18 @@ let proxy_call db msg =
       | None ->
           let* () = refresh db in
           attempt (n - 1)
-      | Some ep ->
+      | Some (ep, since) ->
+          let retry () =
+            let* () = await_proxies db ~since in
+            attempt (n - 1)
+          in
           Future.catch
             (fun () -> Context.rpc db.ctx ~timeout:5.0 ~from:db.proc ep msg)
             (function
-              | Error.Fdb Error.Wrong_epoch | Error.Fdb Error.Database_locked
-              | Engine.Timed_out ->
-                  let* () = refresh db in
-                  attempt (n - 1)
+              | Error.Fdb Error.Wrong_epoch | Error.Fdb Error.Database_locked ->
+                  Fdb_obs.Registry.incr db.obs_stale_calls;
+                  retry ()
+              | Engine.Timed_out -> retry ()
               | e -> Future.fail e)
   in
   attempt 4
@@ -825,31 +874,35 @@ let do_commit t =
        answer is Commit_unknown_result, exactly as in FDB. *)
     let* proxy =
       match pick_proxy t.db with
-      | Some ep -> Future.return (Some ep)
+      | Some _ as picked -> Future.return picked
       | None ->
           let* () = refresh t.db in
           Future.return (pick_proxy t.db)
     in
     match proxy with
     | None -> Error.fail Error.Timed_out (* never sent: definitely not committed *)
-    | Some ep ->
+    | Some (ep, since) ->
         Future.catch
           (fun () ->
             Context.rpc t.db.ctx ~timeout:8.0 ~from:t.db.proc ep
               (Message.Commit_req req))
-          (function
-            | Engine.Timed_out | Error.Fdb Error.Wrong_epoch ->
-                (* The proxy may belong to a dead generation: refresh, or
-                   a client that only sends blind writes (no GRV step)
-                   would keep sending to it forever. *)
-                let* () = refresh t.db in
-                Error.fail Error.Commit_unknown_result
+          (fun e ->
+            (* The proxy may belong to a dead generation: wait for better
+               proxies, or a client that only sends blind writes (no GRV
+               step) would send its retry to the same one. *)
+            let fail_after err =
+              let* () = await_proxies t.db ~since in
+              Error.fail err
+            in
+            match e with
+            | Engine.Timed_out -> fail_after Error.Commit_unknown_result
+            | Error.Fdb Error.Wrong_epoch ->
+                Fdb_obs.Registry.incr t.db.obs_stale_calls;
+                fail_after Error.Commit_unknown_result
             | Error.Fdb Error.Database_locked ->
-                (* Definite no-commit from a proxy of a dead generation:
-                   refresh so the retry loop reaches the new proxies
-                   (blind writes have no GRV step to do it for them). *)
-                let* () = refresh t.db in
-                Error.fail Error.Database_locked
+                (* Definite no-commit from a proxy of a dead generation. *)
+                Fdb_obs.Registry.incr t.db.obs_stale_calls;
+                fail_after Error.Database_locked
             | e -> Future.fail e)
   end
 

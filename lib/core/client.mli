@@ -60,12 +60,18 @@ end
 
 val create_db : Context.t -> Fdb_sim.Process.t -> db
 (** A database handle for a client living on the given process (the
-    context plays the role of the cluster file). *)
+    context plays the role of the cluster file). The handle holds one
+    long-poll on the ClusterController for as long as its process lives
+    (found through the coordinators, and again after a failed poll); the
+    CC answers it the moment a generation other than the handle's has
+    recovered, and the handle adopts that generation's proxies. *)
 
 val refresh : db -> unit Fdb_sim.Future.t
-(** Re-discover the current proxies via the coordinators/ClusterController.
-    Called automatically when requests keep failing. A caller that finds a
-    refresh in flight gets that refresh's future. *)
+(** Resolves when the handle's held poll is answered, its proxies already
+    adopted. Every caller joins the one poll; none sends a request of its
+    own. Called automatically when a proxy call fails on a proxy of an
+    ended generation or times out (client counter [stale_proxy_calls]
+    counts the calls answered [Wrong_epoch] or [Database_locked]). *)
 
 val storage_inflight : db -> int array
 (** A copy of this handle's storage requests in flight, by server id: the

@@ -128,7 +128,6 @@ let wait_ready ?(timeout = 60.0) t =
   loop ()
 
 let current_epoch t =
-  let (_probe : Client.db) = client t ~name:"epoch-probe" in
   let transport = Context.paxos_transport t.ctx ~from:(
     let machine = Process.fresh_machine ~dc:"dc1" 999_999 in
     Process.create ~name:"epoch-query" machine)

@@ -17,17 +17,12 @@ type t = {
   (* when the sequencer failure that began the running recovery was
      declared; [None] while recovered *)
   mutable failed_at : float option;
-  (* state requests held until the running recovery finishes *)
-  mutable waiters : (unit Future.t * unit Future.promise) list;
+  (* clients' [Cc_get_state] polls, held until a generation recovers *)
+  polls : Message.cc_state Failure_watch.t;
   obs_recovery : Fdb_obs.Registry.timer;
   obs_last_epoch : Fdb_obs.Registry.gauge;
   obs_last_duration : Fdb_obs.Registry.gauge;
 }
-
-(* How long a state request may wait for a running recovery: below the 1 s
-   timeout clients give the request, so a slow recovery answers with the
-   old state (the client asks again) rather than a timeout. *)
-let recovery_wait_bound = 0.75
 
 let state_reply t =
   {
@@ -38,27 +33,21 @@ let state_reply t =
     st_dd = t.dd;
   }
 
-let release_waiters t =
-  List.iter
-    (fun (fut, p) -> if Future.is_pending fut then Future.fulfill p ())
-    t.waiters;
-  t.waiters <- []
-
-let await_state t =
-  if t.recovered || not t.active then Future.return (state_reply t)
-  else begin
-    let fut, p = Future.make ~label:"cc.recovery_wait" () in
-    t.waiters <- (fut, p) :: List.filter (fun (f, _) -> Future.is_pending f) t.waiters;
-    Engine.schedule ~after:recovery_wait_bound ~process:t.proc (fun () ->
-        if Future.is_pending fut then Future.fulfill p ());
-    Future.map fut (fun () -> state_reply t)
-  end
+(* A client's poll for the current proxies: answered at once when a
+   recovered generation other than the caller's [known] one is current,
+   else held until [learn] records one recovering, or for a heartbeat
+   interval (then answered with the state as it stands). *)
+let get_state t ~known =
+  if t.recovered && t.epoch <> known then Future.return (Ok (state_reply t))
+  else Failure_watch.hold t.polls (fun () -> state_reply t)
 
 (* Adopt the sequencer's view of its generation. A reply that would
    un-recover the generation we already know recovered is older than what
-   we have (a probe answered before the recovery notice arrived): drop it. *)
+   we have (a probe answered before the recovery notice arrived): drop it.
+   A generation that has just recovered answers every held client poll. *)
 let learn t ~epoch ~recovered ~proxies ~logs =
   if not (t.recovered && (not recovered) && epoch = t.epoch) then begin
+    let fresh = recovered && not (t.recovered && epoch = t.epoch) in
     t.epoch <- epoch;
     t.proxies <- proxies;
     t.logs <- logs;
@@ -72,7 +61,7 @@ let learn t ~epoch ~recovered ~proxies ~logs =
           Fdb_obs.Registry.set_gauge t.obs_last_duration took;
           t.failed_at <- None
       | None -> ());
-      release_waiters t
+      if fresh then Failure_watch.answer_all t.polls (state_reply t)
     end
   end
 
@@ -198,7 +187,7 @@ let start ctx proc =
       logs = [];
       recovered = false;
       failed_at = None;
-      waiters = [];
+      polls = Failure_watch.create proc;
       obs_recovery = Fdb_obs.Registry.histogram reg ~role ~process:machine "recovery_duration";
       obs_last_epoch = Fdb_obs.Registry.gauge reg ~role ~process:machine "last_recovery_epoch";
       obs_last_duration =
@@ -211,6 +200,6 @@ let start ctx proc =
 
 let stop t =
   t.active <- false;
-  release_waiters t;
+  Failure_watch.fail t.polls;
   Trace.emit "cc_deposed"
     [ ("machine", string_of_int t.proc.Process.machine.Process.machine_id) ]

@@ -6,8 +6,8 @@
     the Sequencer ([Seq_status], see {!Failure_watch}) and, as soon as the
     poll fails, retires its proxies and recruits a replacement (triggering
     a §2.4.4 recovery).
-    Also answers [Cc_get_state] so clients can find the current proxies,
-    holding the answer while a recovery runs. Publishes the
+    Also answers [Cc_get_state], each client's long-poll for the current
+    proxies, the moment a new generation has recovered. Publishes the
     [recovery_duration] histogram (failure declared to new generation
     recovered) and the [last_recovery_epoch] / [last_recovery_duration]
     gauges. *)
@@ -20,10 +20,13 @@ val start : Context.t -> Fdb_sim.Process.t -> t
 val stop : t -> unit
 (** Step down (lease lost). *)
 
-val await_state : t -> Message.cc_state Fdb_sim.Future.t
-(** The snapshot [Cc_get_state] answers, once no recovery is running:
-    while one is, the answer waits until the new generation has recovered,
-    or at most 0.75 s (then it reports the recovery still running). *)
+val get_state :
+  t -> known:Types.epoch -> (Message.cc_state, Error.t) result Fdb_sim.Future.t
+(** A client's [Cc_get_state] poll. Answered at once when the current
+    generation has recovered and its epoch is not [known]; otherwise held
+    until a generation recovers, or for {!Params.heartbeat_interval}, and
+    then answered with the state as it stands. A deposed controller answers
+    its held polls [Wrong_epoch]. *)
 
 val note_recovered :
   t ->

@@ -165,7 +165,12 @@ type _ req =
   | Recruit_ratekeeper : int req
   | Recruit_data_distributor : int req
   (* cluster controller *)
-  | Cc_get_state : cc_state req
+  | Cc_get_state : { cg_known : Types.epoch } -> cc_state req
+      (** a client's long-poll on the ClusterController: answered at once
+          when the CC knows a recovered generation other than [cg_known],
+          else held like {!Wait_failure} and answered the moment one
+          recovers. No generation has epoch [-1], so a snapshot asks
+          with that. *)
   | Seq_status : seq_status req
       (** the ClusterController's long-poll on the sequencer: held like
           {!Wait_failure}, and answered with the generation as it stands *)

@@ -48,9 +48,9 @@ let handle (type r) t (req : r Message.req) : (r, Error.t) result Future.t =
   | Message.Recruit_ratekeeper -> hosted (role_process t "ratekeeper") (Ratekeeper.create t.ctx)
   | Message.Recruit_data_distributor ->
       hosted (role_process t "data-distributor") (Data_distributor.create t.ctx)
-  | Message.Cc_get_state -> (
+  | Message.Cc_get_state { cg_known } -> (
       match t.cc with
-      | Some cc -> Future.map (Cluster_controller.await_state cc) Result.ok
+      | Some cc -> Cluster_controller.get_state cc ~known:cg_known
       | None -> Future.return (Error (Error.Internal "not the cluster controller")))
   | Message.Cc_recovered { cr_sequencer; cr_epoch; cr_proxies; cr_logs } ->
       (match t.cc with

@@ -66,8 +66,9 @@ let gather cluster =
         match Option.bind leader int_of_string_opt with
         | Some m when m < Array.length ctx.Context.worker_eps ->
             let+ { Message.st_epoch; st_proxies; st_logs; st_recovered; st_dd } =
+              (* No generation has epoch -1: a recovered CC answers at once. *)
               Context.rpc ctx ~timeout:1.0 ~from:probe ctx.Context.worker_eps.(m)
-                Message.Cc_get_state
+                (Message.Cc_get_state { cg_known = -1 })
             in
             Some
               ( st_epoch, List.length st_proxies, List.length st_logs, st_recovered,

@@ -416,7 +416,7 @@ let cc_state cluster =
     | [] -> Alcotest.fail "no cluster controller answered"
     | ep :: rest ->
         Future.catch
-          (fun () -> Context.rpc ctx ~timeout:1.0 ~from ep Message.Cc_get_state)
+          (fun () -> Context.rpc ctx ~timeout:1.0 ~from ep (Message.Cc_get_state { cg_known = -1 }))
           (fun _ -> ask rest)
   in
   let+ st = ask (Array.to_list ctx.Context.worker_eps) in
